@@ -240,9 +240,11 @@ def cmd_rm_experiment(config_path: str, out: str, settings: int | None = None,
     grouped_sigma = QState((protocol.d_a, protocol.d_b), sigma.matrix)
     exact_ratio = overlap_ratio(grouped_rho, grouped_sigma).s
 
-    bound_point = sn_bound_from_ratio(estimate.s) if estimate.reliable else 1
+    # no state of either side's dimension has a larger Schmidt number
+    cap = min(protocol.d_a, protocol.d_b)
+    bound_point = min(sn_bound_from_ratio(estimate.s), cap) if estimate.reliable else 1
     bound_2se = (
-        sn_bound_from_ratio(estimate.s - 2.0 * estimate.se_s)
+        min(sn_bound_from_ratio(estimate.s - 2.0 * estimate.se_s), cap)
         if estimate.reliable
         else 1
     )
@@ -325,7 +327,6 @@ def _example_ghz_thresholds(report: dict, failures: list) -> None:
 def _example_inversion_map(report: dict, failures: list) -> None:
     from .multipartite import apply_lambda_map
 
-    grid_ok = True
     worst = 0.0
     for d in (2, 3, 4):
         sig = ghz_pure(3, d).projector()

@@ -8,8 +8,10 @@ X in {A, B, AB} are estimated with the second-order cross-correlation
     Tr[rho_X sigma_X] = d_X * sum_{s,t} (-l)^{-D(s,t)} E_U[P(U,s) Q(U,t)]
 
 where D is the Hamming distance between outcome strings and l the local
-dimension.  The same data yields the local overlaps by marginalizing the
-outcomes, which is what makes the overlap-ratio criterion measurable.
+dimension.  The weight (-l)^{-D} is a tensor power of one single-qudit
+kernel, so it is applied qudit by qudit.  The same data yields the local
+overlaps by marginalizing the outcomes, which is what makes the
+overlap-ratio criterion measurable.
 
 Finite-shot second moments use distinct-pair U-statistics: cross-state
 products pair shots from the two independent records, and within-state
@@ -19,6 +21,7 @@ of naive empirical frequencies.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -124,10 +127,11 @@ class MeasurementRecord:
 class OverlapEstimate:
     """Estimated overlaps, their jackknife standard errors, and the ratio.
 
-    ``s`` is the larger of the two local ratio estimates; it is only
-    reported when at least one denominator clears the instability guard
-    (mean above ``snr_guard`` times its standard error), otherwise
-    ``s = 0`` and ``reliable`` is False.
+    ``s`` is the larger of the local ratio estimates whose denominator
+    clears the instability guard (mean above ``snr_guard`` times its
+    standard error), and ``se_s`` is the jackknife error of that guarded
+    maximum.  When neither denominator clears it, ``s = se_s = 0`` and
+    ``reliable`` is False.
     """
 
     overlap_ab: float
@@ -160,14 +164,9 @@ class OverlapEstimate:
         }
 
 
-_CLIFFORD_CACHE: list | None = None
-
-
+@functools.cache
 def _single_qubit_cliffords() -> list:
     """The 24 single-qubit Clifford unitaries, phase-normalized and sorted."""
-    global _CLIFFORD_CACHE
-    if _CLIFFORD_CACHE is not None:
-        return _CLIFFORD_CACHE
     h = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
     s = np.array([[1, 0], [0, 1j]], dtype=complex)
 
@@ -194,7 +193,6 @@ def _single_qubit_cliffords() -> list:
         frontier = nxt
     group = [seen[k] for k in sorted(seen)]
     assert len(group) == 24, f"Clifford closure produced {len(group)} elements"
-    _CLIFFORD_CACHE = group
     return group
 
 
@@ -282,49 +280,88 @@ def run_protocol(rho: QState, sigma: QState, cfg: ProtocolConfig) -> list[Measur
     return records
 
 
-def _hamming_weight_matrix(local_dim: int, n_qudits: int) -> np.ndarray:
-    """Matrix of (-local_dim)^(-HammingDistance) over all outcome pairs."""
-    d = local_dim**n_qudits
-    digits = np.empty((d, n_qudits), dtype=np.int64)
-    rem = np.arange(d)
-    for k in range(n_qudits - 1, -1, -1):
-        digits[:, k] = rem % local_dim
-        rem = rem // local_dim
-    dist = (digits[:, None, :] != digits[None, :, :]).sum(axis=2)
-    return (-float(local_dim)) ** (-dist)
+def _apply_hamming_kernel(rows: np.ndarray, local_dim: int, n_qudits: int) -> np.ndarray:
+    """Every row of ``rows`` times W[s, t] = (-local_dim)^(-Hamming(s, t)).
+
+    W is a tensor power of the single-qudit kernel (1 + 1/l) I - (1/l) J,
+    so it is applied one qudit axis at a time, never as a D x D matrix.
+    """
+    t = rows.reshape((len(rows),) + (local_dim,) * n_qudits)
+    for axis in range(1, n_qudits + 1):
+        t = (1 + 1 / local_dim) * t - t.sum(axis=axis, keepdims=True) / local_dim
+    return t.reshape(rows.shape)
 
 
-def _frequencies(records, which: str) -> np.ndarray:
-    """Per-setting outcome frequency vectors, shape (n_settings, d)."""
-    rows = []
-    for rec in records:
-        probs = rec.rho_probs if which == "rho" else rec.sigma_probs
-        counts = rec.rho_counts if which == "rho" else rec.sigma_counts
-        if probs is not None:
-            rows.append(np.asarray(probs, dtype=float))
-        else:
-            c = np.asarray(counts, dtype=float)
-            rows.append(c / c.sum())
-    return np.vstack(rows)
+def _outcome_rows(records, which: str):
+    """One state's frequencies, shape (n_settings, D), and per-setting shot
+    counts (None for exact probabilities)."""
+    if len(records) < 2:
+        raise ValueError("estimation needs at least two settings")
+    probs = [getattr(rec, which + "_probs") for rec in records]
+    if all(p is not None for p in probs):
+        return np.asarray(probs, dtype=float), None
+    counts = np.asarray([getattr(rec, which + "_counts") for rec in records],
+                        dtype=float)
+    shots = counts.sum(axis=1)
+    return counts / shots[:, None], shots
 
 
-def _marginals(freqs: np.ndarray, d_a: int, d_b: int):
-    cube = freqs.reshape(freqs.shape[0], d_a, d_b)
-    return cube.sum(axis=2), cube.sum(axis=1)
+def _setting_terms(f: np.ndarray, g: np.ndarray, cfg: ProtocolConfig,
+                   shots: np.ndarray | None = None) -> np.ndarray:
+    """Per-setting d_X f_X . W_X g_X, one row each for X = AB, A, B.
+
+    ``shots`` is passed only when f and g are the same record; the pairs
+    of a shot with itself are then left out (W has unit diagonal), which
+    gives the distinct-pair U-statistic (N f.Wf - 1) / (N - 1).
+    """
+    n = len(f)
+    cube_f, cube_g = f.reshape(n, cfg.d_a, cfg.d_b), g.reshape(n, cfg.d_a, cfg.d_b)
+    sides = ((f, g, cfg.m + cfg.n),
+             (cube_f.sum(axis=2), cube_g.sum(axis=2), cfg.m),
+             (cube_f.sum(axis=1), cube_g.sum(axis=1), cfg.n))
+    y = np.array([np.einsum("ui,ui->u", fx, _apply_hamming_kernel(gx, cfg.local_dim, q))
+                  for fx, gx, q in sides])
+    if shots is not None:
+        y = (shots * y - 1.0) / (shots - 1.0)
+    return np.array([[cfg.d_a * cfg.d_b], [cfg.d_a], [cfg.d_b]]) * y
 
 
-def _jackknife_se_mean(y: np.ndarray) -> float:
-    n = len(y)
-    if n < 2:
-        return float("nan")
-    loo = (y.sum() - y) / (n - 1)
-    return float(np.sqrt((n - 1) / n * np.sum((loo - loo.mean()) ** 2)))
+def _guarded_ratios(g, local) -> np.ndarray:
+    """g / local where local > 0, else 0, elementwise."""
+    out = np.zeros(np.broadcast(g, local).shape)
+    return np.divide(g, local, out=out, where=local > 0.0)
 
 
-def _ratio_stat(g: float, a: float, b: float) -> tuple[float, float, float]:
-    s_a = g / a if a > 0.0 else 0.0
-    s_b = g / b if b > 0.0 else 0.0
-    return s_a, s_b, max(s_a, s_b)
+def _jackknife_se(loo: np.ndarray) -> np.ndarray:
+    """Jackknife standard error from leave-one-out replicates on the last axis."""
+    n = loo.shape[-1]
+    dev = loo - loo.mean(axis=-1, keepdims=True)
+    return np.sqrt((n - 1) / n * np.sum(dev**2, axis=-1))
+
+
+def _summarize(y: np.ndarray, snr_guard: float) -> OverlapEstimate:
+    """Means and jackknife errors of the AB, A, B rows, and the guarded ratio.
+
+    The sides that clear the guard are chosen on the full sample, and
+    ``se_s`` jackknifes the maximum over those same sides.
+    """
+    n = y.shape[1]
+    means = y.mean(axis=1)
+    loo = (y.sum(axis=1, keepdims=True) - y) / (n - 1)
+    ses = _jackknife_se(loo)
+    ok = means[1:] > snr_guard * ses[1:]
+    s_sides = _guarded_ratios(means[0], means[1:])
+    reliable = bool(ok.any())
+    s = se_s = 0.0
+    if reliable:
+        s = s_sides[ok].max()
+        se_s = _jackknife_se(_guarded_ratios(loo[0], loo[1:])[ok].max(axis=0))
+    return OverlapEstimate(
+        overlap_ab=float(means[0]), overlap_a=float(means[1]),
+        overlap_b=float(means[2]), se_ab=float(ses[0]), se_a=float(ses[1]),
+        se_b=float(ses[2]), s_a=float(s_sides[0]), s_b=float(s_sides[1]),
+        s=float(s), se_s=float(se_s), reliable=reliable, n_settings=n,
+    )
 
 
 def estimate_overlaps(records, cfg: ProtocolConfig,
@@ -335,48 +372,9 @@ def estimate_overlaps(records, cfg: ProtocolConfig,
     is flagged unreliable (and reported as 0) when no local denominator
     exceeds ``snr_guard`` times its own standard error.
     """
-    if len(records) < 2:
-        raise ValueError("estimation needs at least two settings")
-    f_rho = _frequencies(records, "rho")
-    f_sigma = _frequencies(records, "sigma")
-    if not cfg.exact and cfg.shots_per_setting < 1:
-        raise ValueError("zero shots per setting")
-
-    w_ab = _hamming_weight_matrix(cfg.local_dim, cfg.m + cfg.n)
-    w_a = _hamming_weight_matrix(cfg.local_dim, cfg.m)
-    w_b = _hamming_weight_matrix(cfg.local_dim, cfg.n)
-    ra, rb = _marginals(f_rho, cfg.d_a, cfg.d_b)
-    sa, sb = _marginals(f_sigma, cfg.d_a, cfg.d_b)
-
-    d_total = cfg.d_a * cfg.d_b
-    y_ab = d_total * np.einsum("ui,ij,uj->u", f_rho, w_ab, f_sigma)
-    y_a = cfg.d_a * np.einsum("ui,ij,uj->u", ra, w_a, sa)
-    y_b = cfg.d_b * np.einsum("ui,ij,uj->u", rb, w_b, sb)
-
-    n = len(records)
-    means = {"ab": y_ab.mean(), "a": y_a.mean(), "b": y_b.mean()}
-    ses = {k: _jackknife_se_mean(v) for k, v in (("ab", y_ab), ("a", y_a), ("b", y_b))}
-
-    # Jackknife of the nonlinear ratio: recompute it from leave-one-out means.
-    loo_ab = (y_ab.sum() - y_ab) / (n - 1)
-    loo_a = (y_a.sum() - y_a) / (n - 1)
-    loo_b = (y_b.sum() - y_b) / (n - 1)
-    theta = np.array([
-        _ratio_stat(loo_ab[i], loo_a[i], loo_b[i])[2] for i in range(n)
-    ])
-    se_s = float(np.sqrt((n - 1) / n * np.sum((theta - theta.mean()) ** 2)))
-
-    ok_a = means["a"] > snr_guard * ses["a"]
-    ok_b = means["b"] > snr_guard * ses["b"]
-    s_a, s_b, _ = _ratio_stat(means["ab"], means["a"], means["b"])
-    candidates = [v for v, ok in ((s_a, ok_a), (s_b, ok_b)) if ok]
-    reliable = bool(candidates)
-    s = max(candidates) if candidates else 0.0
-    return OverlapEstimate(
-        overlap_ab=float(means["ab"]), overlap_a=float(means["a"]),
-        overlap_b=float(means["b"]), se_ab=ses["ab"], se_a=ses["a"], se_b=ses["b"],
-        s_a=s_a, s_b=s_b, s=float(s), se_s=se_s, reliable=reliable, n_settings=n,
-    )
+    f_rho, _ = _outcome_rows(records, "rho")
+    f_sigma, _ = _outcome_rows(records, "sigma")
+    return _summarize(_setting_terms(f_rho, f_sigma, cfg), snr_guard)
 
 
 def estimate_self_overlaps(records, cfg: ProtocolConfig, which: str = "rho",
@@ -388,59 +386,10 @@ def estimate_self_overlaps(records, cfg: ProtocolConfig, which: str = "rho",
     """
     if which not in ("rho", "sigma"):
         raise ValueError("which must be 'rho' or 'sigma'")
-    if len(records) < 2:
-        raise ValueError("estimation needs at least two settings")
-
-    w_ab = _hamming_weight_matrix(cfg.local_dim, cfg.m + cfg.n)
-    w_a = _hamming_weight_matrix(cfg.local_dim, cfg.m)
-    w_b = _hamming_weight_matrix(cfg.local_dim, cfg.n)
-    d_total = cfg.d_a * cfg.d_b
-
-    ys = {"ab": [], "a": [], "b": []}
-    for rec in records:
-        probs = rec.rho_probs if which == "rho" else rec.sigma_probs
-        counts = rec.rho_counts if which == "rho" else rec.sigma_counts
-        if probs is not None:
-            f = np.asarray(probs, dtype=float)
-            fa = f.reshape(cfg.d_a, cfg.d_b).sum(axis=1)
-            fb = f.reshape(cfg.d_a, cfg.d_b).sum(axis=0)
-            ys["ab"].append(d_total * f @ w_ab @ f)
-            ys["a"].append(cfg.d_a * fa @ w_a @ fa)
-            ys["b"].append(cfg.d_b * fb @ w_b @ fb)
-        else:
-            c = np.asarray(counts, dtype=float)
-            shots = c.sum()
-            if shots < 2:
-                raise ValueError("within-state estimation needs >= 2 shots")
-            ca = c.reshape(cfg.d_a, cfg.d_b).sum(axis=1)
-            cb = c.reshape(cfg.d_a, cfg.d_b).sum(axis=0)
-            norm = shots * (shots - 1)
-            # distinct-pair U-statistic; the diagonal weight is always 1
-            ys["ab"].append(d_total * (c @ w_ab @ c - shots) / norm)
-            ys["a"].append(cfg.d_a * (ca @ w_a @ ca - shots) / norm)
-            ys["b"].append(cfg.d_b * (cb @ w_b @ cb - shots) / norm)
-
-    y_ab, y_a, y_b = (np.asarray(ys[k]) for k in ("ab", "a", "b"))
-    n = len(records)
-    mean_ab, mean_a, mean_b = y_ab.mean(), y_a.mean(), y_b.mean()
-    se_ab, se_a, se_b = (_jackknife_se_mean(v) for v in (y_ab, y_a, y_b))
-    loo_ab = (y_ab.sum() - y_ab) / (n - 1)
-    loo_a = (y_a.sum() - y_a) / (n - 1)
-    loo_b = (y_b.sum() - y_b) / (n - 1)
-    theta = np.array([
-        _ratio_stat(loo_ab[i], loo_a[i], loo_b[i])[2] for i in range(n)
-    ])
-    se_s = float(np.sqrt((n - 1) / n * np.sum((theta - theta.mean()) ** 2)))
-    ok_a = mean_a > snr_guard * se_a
-    ok_b = mean_b > snr_guard * se_b
-    s_a, s_b, _ = _ratio_stat(mean_ab, mean_a, mean_b)
-    candidates = [v for v, ok in ((s_a, ok_a), (s_b, ok_b)) if ok]
-    return OverlapEstimate(
-        overlap_ab=float(mean_ab), overlap_a=float(mean_a), overlap_b=float(mean_b),
-        se_ab=se_ab, se_a=se_a, se_b=se_b, s_a=s_a, s_b=s_b,
-        s=float(max(candidates)) if candidates else 0.0, se_s=se_s,
-        reliable=bool(candidates), n_settings=n,
-    )
+    f, shots = _outcome_rows(records, which)
+    if shots is not None and shots.min() < 2:
+        raise ValueError("within-state estimation needs >= 2 shots")
+    return _summarize(_setting_terms(f, f, cfg, shots), snr_guard)
 
 
 @dataclass(frozen=True)

@@ -66,7 +66,11 @@ class OptConfig:
 
 @dataclass(frozen=True)
 class OptResult:
-    """Best value found, the parameters achieving it, and the search trace."""
+    """Best value found, the parameters achieving it, and the search trace.
+
+    ``converged`` is the optimizer's success flag of the restart that
+    found ``value``.
+    """
 
     value: float
     params: np.ndarray
@@ -128,7 +132,7 @@ def _maximize(objective, n_params: int, cfg: OptConfig) -> OptResult:
     best_value = -math.inf
     best_params = starts[0]
     best_traj: list[float] = []
-    any_converged = False
+    best_converged = False
     for x0 in starts:
         traj = [float(objective(x0))]
 
@@ -148,13 +152,13 @@ def _maximize(objective, n_params: int, cfg: OptConfig) -> OptResult:
             best_value = value
             best_params = np.asarray(res.x)
             best_traj = traj
-        any_converged = any_converged or bool(res.success)
+            best_converged = bool(res.success)
     return OptResult(
         value=best_value,
         params=best_params,
         trajectory=tuple(np.maximum.accumulate(best_traj)),
         restarts=cfg.restarts,
-        converged=any_converged,
+        converged=best_converged,
     )
 
 

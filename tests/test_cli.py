@@ -208,6 +208,27 @@ def test_rm_experiment_deterministic(tmp_path):
     assert rec1[1:] == rec2[1:]
 
 
+def test_rm_experiment_bounds_capped_at_local_dimension(tmp_path):
+    # s overshoots at this sample size (s ~ 8.5 against an exact 7.2);
+    # no 8 x 8 state has Schmidt number 9
+    cfg = {
+        "rho": {"family": "isotropic", "params": {"d": 8, "x": 0.9}},
+        "sigma": {"family": "isotropic", "params": {"d": 8, "x": 1.0}},
+        "protocol": {
+            "local_dim": 2, "m": 3, "n": 3, "n_unitaries": 300,
+            "shots_per_setting": 1000, "seed": 0, "design": "haar",
+        },
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "report.json"
+    assert main(["rm-experiment", "--config", str(cfg_path), "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["estimate"]["s"] > 8
+    assert report["sn_bound_point"] == 8
+    assert report["sn_bound_minus_2se"] <= 8
+
+
 def test_rm_experiment_flag_overrides(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     write_rm_config(cfg_path, settings=50, shots=16)

@@ -1,6 +1,7 @@
 """Randomized-measurement protocol: sampling, estimation, persistence."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,11 @@ from overlapcert import (
     swap_test_overlap,
     write_records,
 )
-from overlapcert.randomized import _outcome_probs, _single_qubit_cliffords
+from overlapcert.randomized import (
+    MeasurementRecord,
+    _outcome_probs,
+    _single_qubit_cliffords,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +284,132 @@ def test_variance_scales_inversely_with_settings():
         variances.append(np.var(vals))
     slope = np.polyfit(np.log(sizes), np.log(variances), 1)[0]
     assert abs(slope + 1.0) < 0.2
+
+
+# ---------------------------------------------------------------------------
+# estimation against the dense (-l)^(-Hamming) reference
+
+
+def _dense_hamming(local_dim, n_qudits):
+    """W[s, t] = (-l)^(-Hamming(s, t)) over all outcome pairs, as a matrix."""
+    shape = (local_dim,) * n_qudits
+    digits = np.array(np.unravel_index(np.arange(local_dim**n_qudits), shape)).T
+    dist = (digits[:, None, :] != digits[None, :, :]).sum(axis=2)
+    return (-float(local_dim)) ** (-dist)
+
+
+def _dense_terms(records, cfg, which=None):
+    """Per-setting AB, A, B terms: cross-state when ``which`` is None, else
+    one state's purity terms (distinct shot pairs in shot mode)."""
+    sides = ((cfg.m + cfg.n, cfg.d_a * cfg.d_b), (cfg.m, cfg.d_a), (cfg.n, cfg.d_b))
+    weights = [_dense_hamming(cfg.local_dim, q) for q, _ in sides]
+
+    def parts(v):
+        cube = np.asarray(v, dtype=float).reshape(cfg.d_a, cfg.d_b)
+        return cube.ravel(), cube.sum(axis=1), cube.sum(axis=0)
+
+    def freqs(rec, name):
+        probs = getattr(rec, name + "_probs")
+        if probs is not None:
+            return probs
+        counts = getattr(rec, name + "_counts")
+        return counts / counts.sum()
+
+    y = np.zeros((3, len(records)))
+    for u, rec in enumerate(records):
+        counts = None if which is None else getattr(rec, which + "_counts")
+        if counts is not None:
+            shots = counts.sum()
+            for k, (c, w) in enumerate(zip(parts(counts), weights)):
+                y[k, u] = sides[k][1] * (c @ w @ c - shots) / (shots * (shots - 1))
+        else:
+            f = parts(freqs(rec, which or "rho"))
+            g = parts(freqs(rec, which or "sigma"))
+            for k, w in enumerate(weights):
+                y[k, u] = sides[k][1] * f[k] @ w @ g[k]
+    return y
+
+
+def _loo_ratio_se(y, sides):
+    """Jackknife error of max over ``sides`` (1 = A, 2 = B) of AB/X."""
+    n = y.shape[1]
+    loo = (y.sum(axis=1, keepdims=True) - y) / (n - 1)
+    theta = np.max([loo[0] / loo[k] for k in sides], axis=0)
+    return math.sqrt((n - 1) / n * np.sum((theta - theta.mean()) ** 2))
+
+
+@pytest.mark.parametrize("local_dim,m,n", [(2, 2, 2), (2, 3, 1), (3, 1, 1), (3, 2, 1)])
+@pytest.mark.parametrize("shots", [None, 200])
+@pytest.mark.parametrize("which", [None, "rho", "sigma"])
+def test_estimators_match_dense_reference(local_dim, m, n, shots, which):
+    dims = (local_dim,) * (m + n)
+    rho = random_mixed(dims, rank=2, seed=81)
+    sig = random_mixed(dims, rank=2, seed=82)
+    cfg = ProtocolConfig(local_dim=local_dim, m=m, n=n, n_unitaries=40,
+                         shots_per_setting=shots, seed=7)
+    records = run_protocol(rho, sig, cfg)
+    if which is None:
+        est = estimate_overlaps(records, cfg, snr_guard=0.0)
+    else:
+        est = estimate_self_overlaps(records, cfg, which, snr_guard=0.0)
+    y = _dense_terms(records, cfg, which)
+    means = y.mean(axis=1)
+    ses = y.std(axis=1, ddof=1) / math.sqrt(y.shape[1])
+    got = [est.overlap_ab, est.overlap_a, est.overlap_b,
+           est.se_ab, est.se_a, est.se_b, est.s_a, est.s_b, est.s, est.se_s]
+    want = [*means, *ses, means[0] / means[1], means[0] / means[2],
+            max(means[0] / means[1], means[0] / means[2]), _loo_ratio_se(y, (1, 2))]
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+    assert est.reliable and est.n_settings == 40
+
+
+def test_se_s_jackknifes_only_the_sides_that_pass_the_guard():
+    # two qutrits on A, one on B: at 50 shots the A overlap fails the
+    # guard while B passes, so s = s_B and se_s must be the spread of s_B
+    rho = random_mixed((3, 3, 3), rank=1, seed=1)
+    sig = random_mixed((3, 3, 3), rank=1, seed=51)
+    cfg = ProtocolConfig(local_dim=3, m=2, n=1, n_unitaries=60,
+                         shots_per_setting=50, seed=1)
+    records = run_protocol(rho, sig, cfg)
+    est = estimate_overlaps(records, cfg)
+    assert est.overlap_a <= 10 * est.se_a and est.overlap_b > 10 * est.se_b
+    assert est.reliable and est.s == est.s_b
+    y = _dense_terms(records, cfg)
+    assert est.se_s == pytest.approx(_loo_ratio_se(y, (2,)), rel=1e-12)
+    assert est.se_s != pytest.approx(_loo_ratio_se(y, (1, 2)), rel=1e-3)
+
+
+def test_no_side_passing_the_guard_reports_zero():
+    rho = random_mixed((2, 2), seed=91)
+    cfg = ProtocolConfig(local_dim=2, m=1, n=1, n_unitaries=10,
+                         shots_per_setting=2, seed=4)
+    est = estimate_self_overlaps(run_protocol(rho, rho, cfg), cfg, "rho",
+                                 snr_guard=1e6)
+    assert not est.reliable
+    assert (est.s, est.se_s) == (0.0, 0.0)
+
+
+def test_estimation_allocates_no_dense_weight_matrix():
+    cfg = ProtocolConfig(local_dim=2, m=5, n=5, n_unitaries=8,
+                         shots_per_setting=100, seed=0)
+    dim = cfg.d_a * cfg.d_b
+    rng = np.random.default_rng(5)
+    uniform = np.full(dim, 1.0 / dim)
+    records = [
+        MeasurementRecord(setting=u, unitaries_a=(), unitaries_b=(),
+                          rho_counts=rng.multinomial(100, uniform),
+                          sigma_counts=rng.multinomial(100, uniform))
+        for u in range(cfg.n_unitaries)
+    ]
+    tracemalloc.start()
+    try:
+        estimate_overlaps(records, cfg)
+        estimate_self_overlaps(records, cfg, "sigma")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a D x D float64 matrix alone would take 8 * dim**2 bytes
+    assert peak < dim * dim
 
 
 # ---------------------------------------------------------------------------

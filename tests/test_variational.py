@@ -1,6 +1,7 @@
 """Local-unitary optimization of the overlap ratio and the FEF link."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from overlapcert import (
     unitary_param_count,
     verify_shat_fef_identity,
 )
+from overlapcert import variational
 
 FAST = OptConfig(restarts=4, seed=11)
 
@@ -136,6 +138,25 @@ def test_sides_restriction():
     assert res_both.value <= res_b.value + 1e-6
     with pytest.raises(ValueError, match="sides"):
         s_hat(rho, sig, FAST, sides="x")
+
+
+@pytest.mark.parametrize("outcomes,converged", [
+    (((0.5, True), (0.9, False)), False),
+    (((0.5, False), (0.9, True)), True),
+])
+def test_converged_is_that_of_the_returned_restart(monkeypatch, outcomes,
+                                                    converged):
+    scripted = iter(outcomes)
+
+    def fake_minimize(fun, x0, **kwargs):
+        value, success = next(scripted)
+        return SimpleNamespace(fun=-value, x=x0, success=success)
+
+    monkeypatch.setattr(variational, "minimize", fake_minimize)
+    res = s_hat(isotropic(2, 0.8), isotropic(2, 1.0), OptConfig(restarts=2),
+                sides="a")
+    assert res.value == 0.9
+    assert res.converged is converged
 
 
 def test_certified_bound_invariant_under_local_rotation():
