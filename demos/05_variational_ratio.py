@@ -17,7 +17,7 @@ from overlapcert import (
     max_entangled,
     overlap_ratio,
     s_hat,
-    unitary_from_params,
+    sample_local_unitary,
     verify_shat_fef_identity,
 )
 
@@ -26,13 +26,13 @@ cfg = OptConfig(restarts=4, seed=1)
 print("== recovering a hidden rotation ==")
 d = 3
 rng = np.random.default_rng(5)
-w = unitary_from_params(rng.uniform(-3, 3, d * d), d)
+w = sample_local_unitary(d, rng)
 psi = max_entangled(d)
 hidden = PureVec((d, d), np.kron(np.eye(d), w) @ psi.vec).projector()
 plain = overlap_ratio(hidden, psi.projector()).s
 res = s_hat(hidden, psi.projector(), cfg)
 print(f"  plain ratio {plain:.4f} -> optimized {res.value:.6f} (ideal {d})")
-print(f"  ascent used {len(res.trajectory)} recorded values, "
+print(f"  ascent took {len(res.trajectory) - 1} steps, "
       f"converged={res.converged}")
 
 print()

@@ -85,11 +85,8 @@ from .states import (
 from .variational import (
     OptConfig,
     OptResult,
-    central_diff_grad,
     fully_entangled_fraction,
     s_hat,
-    unitary_from_params,
-    unitary_param_count,
     verify_shat_fef_identity,
 )
 

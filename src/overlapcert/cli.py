@@ -106,6 +106,18 @@ def _corner_best_ratio(d: int, x: float, pre_scan: int = 33):
                              pre_scan=pre_scan)
 
 
+def _spectrum_boundary(d: int, r: int) -> float:
+    """x above which the top eigenvalue of corner_isotropic(d, x) exceeds r/d
+    (no rank-r fidelity witness detects below it); 1.0 if it never does.
+    At x = 0 it is 1/(d-1)^2 < r/d for d >= 3, so [0, 1] brackets the root."""
+    def spectrum_gap(x):
+        return corner_delta(d, x) - r / d
+
+    if spectrum_gap(1.0) <= 0:
+        return 1.0
+    return bisect_root(spectrum_gap, 0.0, 1.0, tol=1e-8)
+
+
 def cmd_fig3(d_min: int, d_max: int, r_max: int, grid: int, out: str,
              seed: int = 0) -> int:
     """Emit the (d, r) detection bands (panel a) and per-d criterion
@@ -130,16 +142,7 @@ def cmd_fig3(d_min: int, d_max: int, r_max: int, grid: int, out: str,
             else:
                 x_lower = bisect_root(excess, x_lo_domain, x_hi_domain, tol=1e-8)
 
-            def spectrum_gap(x):
-                return corner_delta(d, x) - r / d
-
-            if spectrum_gap(1.0) <= 0:
-                x_upper = 1.0
-            elif spectrum_gap(0.0) >= 0:
-                x_upper = 0.0
-            else:
-                x_upper = bisect_root(spectrum_gap, 0.0, 1.0, tol=1e-8)
-            rows_a.append((d, r, x_lower, x_upper))
+            rows_a.append((d, r, x_lower, _spectrum_boundary(d, r)))
     path_a = out + ".a.csv"
     _write_csv(path_a, ["d", "r", "x_ratio_boundary", "x_unfaithful_boundary"],
                rows_a, config)
@@ -181,16 +184,7 @@ def cmd_rfbc_tightness(d_min: int, d_max: int, r_max: int, out: str,
     rows = []
     for d in range(d_min, d_max + 1):
         for r in range(1, min(r_max, d) + 1):
-            x_witness = corner_fbc_psi_boundary(d, r)
-
-            def spectrum_gap(x):
-                return corner_delta(d, x) - r / d
-
-            if spectrum_gap(1.0) <= 0:
-                x_spectrum = 1.0
-            else:
-                x_spectrum = bisect_root(spectrum_gap, 0.0, 1.0, tol=1e-8)
-            rows.append((d, r, x_spectrum, x_witness))
+            rows.append((d, r, _spectrum_boundary(d, r), corner_fbc_psi_boundary(d, r)))
     config = {"command": "rfbc-tightness", "d_min": d_min, "d_max": d_max,
               "r_max": r_max, "seed": seed}
     _write_csv(out, ["d", "r", "x_spectrum_boundary", "x_witness_boundary"],

@@ -28,8 +28,10 @@ from .qmat import (
     Bipartition,
     PureVec,
     QState,
+    _cut_layout,
+    _guarded_ratios,
+    _overlaps,
     eig_hermitian,
-    hs_inner,
     partial_trace_matrix,
     partial_transpose_matrix,
     permute_subsystems_matrix,
@@ -77,37 +79,18 @@ class CriterionVerdict:
         }
 
 
+_BIPARTITE_SETS = ((0, 1), (0,), (1,))
+
+
 def _grouped(state: QState, split: Bipartition | None):
     """Matrix in (S, S-bar) layout plus bookkeeping to undo the grouping."""
-    n = len(state.dims)
-    if split is None:
-        if n != 2:
-            raise ValueError("state is not bipartite as laid out; pass a Bipartition")
-        layout = [0, 1]
-    else:
-        split.validate(n)
-        layout = list(split.kept) + list(split.complement(n))
+    layout, d_a = _cut_layout(state.dims, split)
     layout_dims = tuple(state.dims[i] for i in layout)
-    if layout == list(range(n)):
+    if layout == list(range(len(state.dims))):
         m = state.matrix
     else:
         m = permute_subsystems_matrix(state.matrix, state.dims, layout)
-    k = len(split.kept) if split is not None else 1
-    d_a = math.prod(layout_dims[:k])
-    d_b = math.prod(layout_dims[k:])
-    return m, d_a, d_b, layout, layout_dims
-
-
-def _ratio_parts(rho_m, sigma_m, d_a, d_b):
-    dims = (d_a, d_b)
-    g = hs_inner(rho_m, sigma_m)
-    la = hs_inner(
-        partial_trace_matrix(rho_m, dims, [0]), partial_trace_matrix(sigma_m, dims, [0])
-    )
-    lb = hs_inner(
-        partial_trace_matrix(rho_m, dims, [1]), partial_trace_matrix(sigma_m, dims, [1])
-    )
-    return g, la, lb
+    return m, d_a, state.dim // d_a, layout, layout_dims
 
 
 def overlap_ratio(rho: QState, sigma: QState,
@@ -117,9 +100,8 @@ def overlap_ratio(rho: QState, sigma: QState,
         raise ValueError(f"dimension mismatch: {rho.dims} vs {sigma.dims}")
     rm, d_a, d_b, _, _ = _grouped(rho, split)
     sm, _, _, _, _ = _grouped(sigma, split)
-    g, la, lb = _ratio_parts(rm, sm, d_a, d_b)
-    s_a = g / la if la > 0.0 else 0.0
-    s_b = g / lb if lb > 0.0 else 0.0
+    g, la, lb = _overlaps(rm, sm, (d_a, d_b), _BIPARTITE_SETS)
+    s_a, s_b = _guarded_ratios(g, la), _guarded_ratios(g, lb)
     return OverlapRatio(g, la, lb, s_a, s_b, max(s_a, s_b))
 
 
@@ -221,9 +203,9 @@ def purity_check(rho: QState, split: Bipartition | None = None,
     ceil(max_X 2^{g_X}) with the usual tolerance guard.
     """
     m, d_a, d_b, _, _ = _grouped(rho, split)
-    g, la, lb = _ratio_parts(m, m, d_a, d_b)
+    g, la, lb = _overlaps(m, m, (d_a, d_b), _BIPARTITE_SETS)
     min_local = min(la, lb)
-    s = g / min_local if min_local > 0.0 else 0.0
+    s = _guarded_ratios(g, min_local)
     bound = sn_bound_from_ratio(s, tol)
     return CriterionVerdict(
         criterion="purity",

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .criteria import DEFAULT_TOL
-from .qmat import Bipartition, QState, embed_operator, hs_inner, partial_trace_matrix
+from .qmat import Bipartition, QState, _overlaps, embed_operator, partial_trace_matrix
 
 # Exhaustive bipartition enumeration is exponential; past this size the
 # scan refuses rather than silently taking hours.
@@ -92,19 +92,13 @@ def multipartite_ipc(rho: QState, sigma: QState,
     n = len(rho.dims)
     if n < 3:
         raise ValueError("use the bipartite criterion for two subsystems")
-    global_overlap = hs_inner(rho, sigma)
-    table = []
-    for cut in bipartitions(n):
-        comp = cut.complement(n)
-        v_kept = hs_inner(
-            partial_trace_matrix(rho.matrix, rho.dims, cut.kept),
-            partial_trace_matrix(sigma.matrix, sigma.dims, cut.kept),
-        )
-        v_rest = hs_inner(
-            partial_trace_matrix(rho.matrix, rho.dims, comp),
-            partial_trace_matrix(sigma.matrix, sigma.dims, comp),
-        )
-        table.append(CutOverlap(cut.kept, v_kept, v_rest))
+    cuts = bipartitions(n)
+    kept_sets = [tuple(range(n))]
+    for cut in cuts:
+        kept_sets += [cut.kept, cut.complement(n)]
+    global_overlap, *sides = _overlaps(rho.matrix, sigma.matrix, rho.dims, kept_sets)
+    table = [CutOverlap(cut.kept, sides[2 * i], sides[2 * i + 1])
+             for i, cut in enumerate(cuts)]
     best = min(table, key=lambda c: c.min_side)
     return MultiVerdict(
         global_overlap=global_overlap,
@@ -121,6 +115,22 @@ def _three_party(rho: QState):
     return rho.dims
 
 
+# Kept sets of the inversion map's closed form, in the order C, BC, AC, ABC.
+_LAMBDA_SETS = ((2,), (1, 2), (0, 2), (0, 1, 2))
+
+
+def _lambda_overlaps(rho: QState, sigma: QState) -> list[float]:
+    dims = _three_party(rho)
+    if sigma.dims != dims:
+        raise ValueError(f"dimension mismatch: {dims} vs {sigma.dims}")
+    return _overlaps(rho.matrix, sigma.matrix, dims, _LAMBDA_SETS)
+
+
+def _lambda_value(overlaps, r: int) -> float:
+    t_c, t_bc, t_ac, t_full = overlaps
+    return t_c + t_bc - (t_ac + t_full) / r
+
+
 def lambda_map_value(rho: QState, sigma: QState, r: int = 1) -> float:
     """Inner product <L(rho), sigma> of the tripartite inversion map.
 
@@ -134,23 +144,7 @@ def lambda_map_value(rho: QState, sigma: QState, r: int = 1) -> float:
     """
     if r < 1:
         raise ValueError("r must be >= 1")
-    dims = _three_party(rho)
-    if sigma.dims != dims:
-        raise ValueError(f"dimension mismatch: {dims} vs {sigma.dims}")
-    t_c = hs_inner(
-        partial_trace_matrix(rho.matrix, dims, [2]),
-        partial_trace_matrix(sigma.matrix, dims, [2]),
-    )
-    t_bc = hs_inner(
-        partial_trace_matrix(rho.matrix, dims, [1, 2]),
-        partial_trace_matrix(sigma.matrix, dims, [1, 2]),
-    )
-    t_ac = hs_inner(
-        partial_trace_matrix(rho.matrix, dims, [0, 2]),
-        partial_trace_matrix(sigma.matrix, dims, [0, 2]),
-    )
-    t_full = hs_inner(rho, sigma)
-    return t_c + t_bc - (t_ac + t_full) / r
+    return _lambda_value(_lambda_overlaps(rho, sigma), r)
 
 
 def apply_lambda_map(rho: QState, r: int = 1) -> np.ndarray:
@@ -212,21 +206,17 @@ def lambda_map_verdict(rho: QState, sigma: QState, r: int = 1,
     scanning upward: the value is increasing in r, so detection at some
     level implies detection at all lower levels.
     """
-    value = lambda_map_value(rho, sigma, r)
+    if r < 1:
+        raise ValueError("r must be >= 1")
+    overlaps = _lambda_overlaps(rho, sigma)
+    value = _lambda_value(overlaps, r)
     detected = value < -tol
 
     # value(level) = A - B/level with A, B >= 0 and A - B = value(1), so
     # it is negative exactly for level < B/(A + tol).
-    value_1 = lambda_map_value(rho, sigma, 1)
-    t_full = hs_inner(rho, sigma)
-    dims = rho.dims
-    t_ac = hs_inner(
-        partial_trace_matrix(rho.matrix, dims, [0, 2]),
-        partial_trace_matrix(sigma.matrix, dims, [0, 2]),
-    )
-    b_part = t_ac + t_full
-    a_part = value_1 + b_part
+    b_part = overlaps[2] + overlaps[3]
+    a_part = _lambda_value(overlaps, 1) + b_part
     r_op = max(0, math.ceil(b_part / (a_part + tol)) - 1)
-    while r_op >= 1 and lambda_map_value(rho, sigma, r_op) >= -tol:
+    while r_op >= 1 and _lambda_value(overlaps, r_op) >= -tol:
         r_op -= 1
     return LambdaMapVerdict(r=r, value=value, detected=detected, r_op=r_op)

@@ -277,6 +277,41 @@ def eig_hermitian(m) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
+def _cut_layout(dims, part: Bipartition | None) -> tuple[list[int], int]:
+    """Subsystem order of a cut, kept side first, and the kept side's dimension.
+
+    Without a cut the state must already have exactly two subsystems.
+    """
+    n = len(dims)
+    if part is None:
+        if n != 2:
+            raise ValueError("state is not bipartite as laid out; pass a Bipartition")
+        layout, n_kept = [0, 1], 1
+    else:
+        part.validate(n)
+        layout, n_kept = list(part.kept) + list(part.complement(n)), len(part.kept)
+    return layout, math.prod(dims[i] for i in layout[:n_kept])
+
+
+def _overlaps(rho_m: np.ndarray, sigma_m: np.ndarray, dims, kept_sets) -> list[float]:
+    """Tr[rho_K sigma_K] for every kept subsystem set K of two plain matrices.
+
+    The full set of subsystems gives the global overlap Tr[rho sigma].
+    """
+    return [hs_inner(rho_m, sigma_m) if len(k) == len(dims) else
+            hs_inner(partial_trace_matrix(rho_m, dims, k),
+                     partial_trace_matrix(sigma_m, dims, k)) for k in kept_sets]
+
+
+def _guarded_ratios(g, local):
+    """g / local where local > 0, else 0, elementwise over arrays; a float
+    ``local`` (numpy's float64 too) takes plain, much cheaper arithmetic."""
+    if isinstance(local, float):
+        return g / local if local > 0.0 else 0.0
+    out = np.zeros(np.broadcast(g, local).shape)
+    return np.divide(g, local, out=out, where=local > 0.0)
+
+
 def bipartite_view(state: QState, part: Bipartition | None = None) -> QState:
     """View a multi-qudit state as two subsystems, S and its complement.
 
@@ -284,34 +319,18 @@ def bipartite_view(state: QState, part: Bipartition | None = None) -> QState:
     rest are merged behind them.  With two subsystems and no explicit cut
     this is the identity.
     """
-    n = len(state.dims)
+    layout, d_s = _cut_layout(state.dims, part)
     if part is None:
-        if n != 2:
-            raise ValueError("state is not bipartite as laid out; pass a Bipartition")
         return state
-    part.validate(n)
-    keep = list(part.kept)
-    rest = list(part.complement(n))
-    m = permute_subsystems_matrix(state.matrix, state.dims, keep + rest)
-    d_s = math.prod(state.dims[i] for i in keep)
-    d_rest = math.prod(state.dims[i] for i in rest)
-    return QState((d_s, d_rest), m)
+    m = permute_subsystems_matrix(state.matrix, state.dims, layout)
+    return QState((d_s, state.dim // d_s), m)
 
 
 def schmidt_decompose(v: PureVec, part: Bipartition | None = None,
                       cutoff: float = SCHMIDT_CUTOFF) -> SchmidtDecomp:
     """Schmidt decomposition of a pure state across a bipartite cut."""
-    n = len(v.dims)
-    if part is None:
-        if n != 2:
-            raise ValueError("state is not bipartite as laid out; pass a Bipartition")
-        keep, rest = [0], [1]
-    else:
-        part.validate(n)
-        keep = list(part.kept)
-        rest = list(part.complement(n))
-    vec = permute_subsystems_vec(v.vec, v.dims, keep + rest)
-    d_left = math.prod(v.dims[i] for i in keep)
+    layout, d_left = _cut_layout(v.dims, part)
+    vec = permute_subsystems_vec(v.vec, v.dims, layout)
     coeff_matrix = vec.reshape(d_left, -1)
     u, s, vh = np.linalg.svd(coeff_matrix, full_matrices=False)
     mask = s * s > cutoff

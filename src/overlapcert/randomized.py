@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qmat import QState
+from .qmat import QState, _guarded_ratios
 
 _DESIGNS = ("haar", "clifford")
 
@@ -326,12 +326,6 @@ def _setting_terms(f: np.ndarray, g: np.ndarray, cfg: ProtocolConfig,
     return np.array([[cfg.d_a * cfg.d_b], [cfg.d_a], [cfg.d_b]]) * y
 
 
-def _guarded_ratios(g, local) -> np.ndarray:
-    """g / local where local > 0, else 0, elementwise."""
-    out = np.zeros(np.broadcast(g, local).shape)
-    return np.divide(g, local, out=out, where=local > 0.0)
-
-
 def _jackknife_se(loo: np.ndarray) -> np.ndarray:
     """Jackknife standard error from leave-one-out replicates on the last axis."""
     n = loo.shape[-1]
@@ -343,18 +337,22 @@ def _summarize(y: np.ndarray, snr_guard: float) -> OverlapEstimate:
     """Means and jackknife errors of the AB, A, B rows, and the guarded ratio.
 
     The sides that clear the guard are chosen on the full sample, and
-    ``se_s`` jackknifes the maximum over those same sides.
+    ``se_s`` jackknifes the maximum over those same sides from the
+    leave-one-out replicates.
     """
     n = y.shape[1]
     means = y.mean(axis=1)
-    loo = (y.sum(axis=1, keepdims=True) - y) / (n - 1)
-    ses = _jackknife_se(loo)
+    # jackknife error of a mean from the terms' own deviations (differencing
+    # leave-one-out replicates cancels), floored at the mean's rounding unit
+    spread = np.sum((y - means[:, None]) ** 2, axis=1) / (n * (n - 1))
+    ses = np.maximum(np.sqrt(spread), np.finfo(float).eps * np.abs(means))
     ok = means[1:] > snr_guard * ses[1:]
     s_sides = _guarded_ratios(means[0], means[1:])
     reliable = bool(ok.any())
     s = se_s = 0.0
     if reliable:
         s = s_sides[ok].max()
+        loo = (y.sum(axis=1, keepdims=True) - y) / (n - 1)
         se_s = _jackknife_se(_guarded_ratios(loo[0], loo[1:])[ok].max(axis=0))
     return OverlapEstimate(
         overlap_ab=float(means[0]), overlap_a=float(means[1]),
@@ -460,7 +458,22 @@ def write_records(path, cfg: ProtocolConfig, records) -> None:
             fh.write(json.dumps(obj, sort_keys=True) + "\n")
 
 
+def _dense_counts(sparse: dict, total: int, setting: int, which: str) -> np.ndarray:
+    """Dense count vector of length ``total`` from sparse {outcome: count} JSON."""
+    keys = np.fromiter((int(k) for k in sparse), dtype=np.int64, count=len(sparse))
+    values = np.fromiter(sparse.values(), dtype=np.int64, count=len(sparse))
+    for bad, fault in (((keys < 0) | (keys >= total), f"is outside 0..{total - 1}"),
+                       (values < 0, "has a negative count")):
+        if bad.any():
+            key = list(sparse)[int(np.argmax(bad))]
+            raise ValueError(f"setting {setting}: {which} outcome key {key!r} {fault}")
+    counts = np.zeros(total, dtype=np.int64)
+    counts[keys] = values
+    return counts
+
+
 def read_records(path) -> tuple[ProtocolConfig, list[MeasurementRecord]]:
+    """Inverse of :func:`write_records`; count data is checked on the way in."""
     with open(path) as fh:
         header = json.loads(fh.readline())
         cfg = ProtocolConfig.from_json(header["protocol"])
@@ -468,23 +481,20 @@ def read_records(path) -> tuple[ProtocolConfig, list[MeasurementRecord]]:
         records = []
         for line in fh:
             obj = json.loads(line)
+            setting = int(obj["setting"])
             ua = tuple(_complex_unflat(u, cfg.local_dim) for u in obj["unitaries_a"])
             ub = tuple(_complex_unflat(u, cfg.local_dim) for u in obj["unitaries_b"])
             if "rho_probs" in obj:
                 records.append(MeasurementRecord(
-                    setting=int(obj["setting"]), unitaries_a=ua, unitaries_b=ub,
+                    setting=setting, unitaries_a=ua, unitaries_b=ub,
                     rho_probs=np.asarray(obj["rho_probs"], dtype=float),
                     sigma_probs=np.asarray(obj["sigma_probs"], dtype=float),
                 ))
             else:
-                c_rho = np.zeros(total, dtype=np.int64)
-                for k, v in obj["rho_counts"].items():
-                    c_rho[int(k)] = int(v)
-                c_sigma = np.zeros(total, dtype=np.int64)
-                for k, v in obj["sigma_counts"].items():
-                    c_sigma[int(k)] = int(v)
                 records.append(MeasurementRecord(
-                    setting=int(obj["setting"]), unitaries_a=ua, unitaries_b=ub,
-                    rho_counts=c_rho, sigma_counts=c_sigma,
+                    setting=setting, unitaries_a=ua, unitaries_b=ub,
+                    rho_counts=_dense_counts(obj["rho_counts"], total, setting, "rho"),
+                    sigma_counts=_dense_counts(obj["sigma_counts"], total, setting,
+                                               "sigma"),
                 ))
     return cfg, records

@@ -6,36 +6,51 @@ improve the certified bound:
 
     s_max(rho, sigma) = sup_{U, V} s((U x V) rho (U x V)^dag, sigma).
 
-The supremum is approached by multi-start quasi-Newton ascent over an
-exactly-unitary parameterization (Givens rotations plus phases, d^2 real
-parameters per side).  All reported values are lower bounds on the
-supremum; no global-optimality claim is made.
+Since sup max(s_A, s_B) = max(sup s_A, sup s_B), each side's ratio is
+maximized on its own by Riemannian steepest ascent on U(d_A) x U(d_B)
+(Abrudan, Eriksson and Koivunen, IEEE TSP 56, 1134 (2008)) from the
+identity and from Haar-random starts.  With rho' = (U x V) rho (U x V)^dag
+the gradient of Tr[rho' sigma] is Tr_B[sigma, rho'] for U and
+Tr_A[sigma, rho'] for V, that of Tr[rho'_X sigma_X] is [sigma_X, rho'_X],
+and the ratio's follows by the quotient rule.  Each step moves along the
+Cayley curve (I - tG/2)^-1 (I + tG/2) U, which stays unitary, with t set
+by Armijo backtracking and doubling.  All reported values are lower
+bounds on the supremum; no global-optimality claim is made.
 
 Against the maximally entangled state the optimized ratio collapses to
-d times the fully entangled fraction, which this module also computes so
-the two routes can be cross-checked.
+d times the fully entangled fraction, which this module also computes
+with the same gradient code so the two routes can be cross-checked.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
-from scipy.optimize import minimize
 
-from .qmat import QState, partial_trace_matrix
+from .qmat import QState, _guarded_ratios, _overlaps, partial_trace_matrix
+from .randomized import sample_local_unitary
 from .states import max_entangled
+
+# Sufficient-increase constant of the Armijo step rule.  A small constant
+# keeps overlong steps once doubling has found them, and the ascent then
+# stalls on the hidden-rotation recoveries.
+ARMIJO = 0.3
 
 
 @dataclass(frozen=True)
 class OptConfig:
-    """Ascent settings: restart count, iteration budget, tolerances, seed."""
+    """Ascent settings: restart count, step budget, stopping tolerance, seed.
+
+    An ascent stops when one step improves its objective by no more than
+    ``tol`` times the objective's size, when no step along the gradient
+    improves it at all, or after ``max_iters`` steps.
+    """
 
     restarts: int = 8
     max_iters: int = 300
     tol: float = 1e-12
-    fd_step: float = 1e-5
     seed: int = 0
 
     def __post_init__(self):
@@ -45,13 +60,7 @@ class OptConfig:
             raise ValueError("max_iters must be >= 1")
 
     def to_json(self) -> dict:
-        return {
-            "restarts": self.restarts,
-            "max_iters": self.max_iters,
-            "tol": self.tol,
-            "fd_step": self.fd_step,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json(cls, obj: dict) -> "OptConfig":
@@ -59,133 +68,138 @@ class OptConfig:
             restarts=int(obj.get("restarts", 8)),
             max_iters=int(obj.get("max_iters", 300)),
             tol=float(obj.get("tol", 1e-12)),
-            fd_step=float(obj.get("fd_step", 1e-5)),
             seed=int(obj.get("seed", 0)),
         )
 
 
 @dataclass(frozen=True)
 class OptResult:
-    """Best value found, the parameters achieving it, and the search trace.
+    """Best value found, the local unitaries (U, V) achieving it, and the
+    best-so-far value after each accepted step of the ascent that found it.
 
-    ``converged`` is the optimizer's success flag of the restart that
-    found ``value``.
+    ``converged`` is True when that ascent stopped before its step budget.
     """
 
     value: float
-    params: np.ndarray
+    params: tuple[np.ndarray, np.ndarray]
     trajectory: tuple[float, ...]
     restarts: int
     converged: bool
 
 
-def unitary_param_count(d: int) -> int:
-    return d * d
+def _objective(rho_m: np.ndarray, sigma_m: np.ndarray, dims, local: int | None):
+    """Value and Riemannian gradients of Tr[rho' sigma] / Tr[rho'_X sigma_X].
 
-
-def unitary_from_params(params, d: int) -> np.ndarray:
-    """Unitary from d^2 real parameters; exactly unitary at every point.
-
-    Layout: d(d-1)/2 rotation angles, d(d-1)/2 relative phases, then d
-    diagonal phases.  The zero vector maps to the identity.
+    rho' = (U x V) rho (U x V)^dag, X is subsystem ``local``, and with
+    ``local=None`` the global overlap Tr[rho' sigma] itself is the
+    objective.  Both functions take the factors [U, V]; the gradients come
+    back as one skew-Hermitian matrix per factor.
     """
-    params = np.asarray(params, dtype=float)
-    if params.shape != (d * d,):
-        raise ValueError(f"expected {d * d} parameters for dimension {d}")
-    n_pairs = d * (d - 1) // 2
-    thetas = params[:n_pairs]
-    phis = params[n_pairs : 2 * n_pairs]
-    alphas = params[2 * n_pairs :]
-    u = np.diag(np.exp(1j * alphas))
-    k = 0
-    for i in range(d - 1):
-        for j in range(i + 1, d):
-            c = math.cos(thetas[k])
-            s = math.sin(thetas[k])
-            ph = np.exp(1j * phis[k])
-            g = np.eye(d, dtype=complex)
-            g[i, i] = c
-            g[i, j] = -np.conj(ph) * s
-            g[j, i] = ph * s
-            g[j, j] = c
-            u = g @ u
-            k += 1
-    return u
+    kept = [(0, 1)] if local is None else [(0, 1), (local,)]
+    if local is not None:
+        sigma_x = partial_trace_matrix(sigma_m, dims, [local])
+
+    def rotated(factors):
+        w = np.kron(*factors)
+        return w @ rho_m @ w.conj().T
+
+    def value(factors) -> float:
+        overlaps = _overlaps(rotated(factors), sigma_m, dims, kept)
+        return overlaps[0] if local is None else _guarded_ratios(*overlaps)
+
+    def grad(factors) -> list[np.ndarray]:
+        rot = rotated(factors)
+        comm = sigma_m @ rot - rot @ sigma_m
+        grads = [partial_trace_matrix(comm, dims, [k]) for k in (0, 1)]
+        if local is None:
+            return grads
+        g, l_x = _overlaps(rot, sigma_m, dims, kept)
+        if l_x <= 0.0:
+            return [np.zeros_like(gr) for gr in grads]
+        rot_x = partial_trace_matrix(rot, dims, [local])
+        grads = [gr / l_x for gr in grads]
+        grads[local] = grads[local] - g / l_x**2 * (sigma_x @ rot_x - rot_x @ sigma_x)
+        return grads
+
+    return value, grad
 
 
-def central_diff_grad(f, x: np.ndarray, step: float) -> np.ndarray:
-    """Central finite-difference gradient of a scalar function."""
-    g = np.empty_like(x)
-    for k in range(len(x)):
-        e = np.zeros_like(x)
-        e[k] = step
-        g[k] = (f(x + e) - f(x - e)) / (2.0 * step)
-    return g
+def _cayley(a: np.ndarray) -> np.ndarray:
+    """(I - a/2)^-1 (I + a/2), unitary for skew-Hermitian a."""
+    eye = np.eye(len(a))
+    return np.linalg.solve(eye - a / 2.0, eye + a / 2.0)
 
 
-def _maximize(objective, n_params: int, cfg: OptConfig) -> OptResult:
-    """Multi-start L-BFGS ascent: identity start plus random restarts."""
+def _ascend(value, grad, factors, rotate, cfg: OptConfig):
+    """One steepest ascent of ``value`` over the factors listed in ``rotate``.
+
+    Returns the final factors, the objective after each accepted step
+    (starting value first) and whether the ascent stopped before
+    ``cfg.max_iters`` steps.
+    """
+    factors = list(factors)
+    f, t = value(factors), 1.0
+    trajectory = [f]
+    for _ in range(cfg.max_iters):
+        grads = grad(factors)
+        sq_norm = sum(float(np.vdot(grads[k], grads[k]).real) for k in rotate)
+        if sq_norm == 0.0:
+            return factors, trajectory, True
+
+        def trial(step):
+            moved = [_cayley(step * g) @ u if k in rotate else u
+                     for k, (u, g) in enumerate(zip(factors, grads))]
+            f_moved = value(moved)
+            return moved, f_moved, f_moved - f >= ARMIJO * step * sq_norm
+
+        moved, f_moved, enough = trial(t)
+        if enough:  # double the step while the longer one still gains enough
+            while (longer := trial(2.0 * t))[2]:
+                t, (moved, f_moved, _) = 2.0 * t, longer
+        while not enough:  # otherwise halve it until one does
+            t /= 2.0
+            if t * math.sqrt(sq_norm) < np.finfo(float).eps:
+                return factors, trajectory, True  # no representable ascent
+            moved, f_moved, enough = trial(t)
+        gain, factors, f = f_moved - f, moved, f_moved
+        trajectory.append(f)
+        if gain <= cfg.tol * abs(f):
+            return factors, trajectory, True
+    return factors, trajectory, False
+
+
+def _maximize(objectives, dims, rotate, cfg: OptConfig) -> OptResult:
+    """Ascend every objective from every start and keep the best end point.
+
+    The starts are the identity and ``cfg.restarts - 1`` Haar draws of the
+    rotated factors.  As within one ascent, an end point replaces the best
+    so far only when it improves on it by more than ``cfg.tol`` relative.
+    """
     rng = np.random.default_rng(cfg.seed)
-    starts = [np.zeros(n_params)]
-    starts += [rng.uniform(-math.pi, math.pi, n_params)
-               for _ in range(cfg.restarts - 1)]
-    best_value = -math.inf
-    best_params = starts[0]
-    best_traj: list[float] = []
-    best_converged = False
-    for x0 in starts:
-        traj = [float(objective(x0))]
-
-        def record(xk):
-            traj.append(float(objective(xk)))
-
-        res = minimize(
-            lambda x: -objective(x),
-            x0,
-            jac=lambda x: -central_diff_grad(objective, x, cfg.fd_step),
-            method="L-BFGS-B",
-            callback=record,
-            options={"maxiter": cfg.max_iters, "ftol": cfg.tol, "gtol": 1e-12},
-        )
-        value = float(-res.fun)
-        if value > best_value:
-            best_value = value
-            best_params = np.asarray(res.x)
-            best_traj = traj
-            best_converged = bool(res.success)
+    eye = [np.eye(d, dtype=complex) for d in dims]
+    starts = [eye] + [
+        [sample_local_unitary(d, rng) if k in rotate else eye[k]
+         for k, d in enumerate(dims)]
+        for _ in range(cfg.restarts - 1)
+    ]
+    best = None
+    for start in starts:
+        for value, grad in objectives:
+            factors, trajectory, converged = _ascend(value, grad, start, rotate, cfg)
+            gain = math.inf if best is None else trajectory[-1] - best[1][-1]
+            if gain > cfg.tol * abs(trajectory[-1]):
+                best = factors, trajectory, converged
+    factors, trajectory, converged = best
     return OptResult(
-        value=best_value,
-        params=best_params,
-        trajectory=tuple(np.maximum.accumulate(best_traj)),
+        value=trajectory[-1],
+        params=tuple(factors),
+        trajectory=tuple(trajectory),  # accepted steps only ever increase it
         restarts=cfg.restarts,
-        converged=best_converged,
+        converged=converged,
     )
 
 
-def _ratio_after_rotation(rho: QState, sigma: QState):
-    """Closure computing s((U x V) rho (U x V)^dag, sigma) from parameters."""
-    if rho.dims != sigma.dims or len(rho.dims) != 2:
-        raise ValueError("both states must share the same two-subsystem layout")
-    d_a, d_b = rho.dims
-    rho_m = rho.matrix
-    rho_a = partial_trace_matrix(rho_m, rho.dims, [0])
-    rho_b = partial_trace_matrix(rho_m, rho.dims, [1])
-    sig_m = sigma.matrix
-    sig_a = partial_trace_matrix(sig_m, sigma.dims, [0])
-    sig_b = partial_trace_matrix(sig_m, sigma.dims, [1])
-
-    def ratio(u: np.ndarray, v: np.ndarray) -> float:
-        w = np.kron(u, v)
-        rot = w @ rho_m @ w.conj().T
-        g = float(np.einsum("ij,ji->", rot, sig_m).real)
-        # locals of the rotated state are the rotated locals
-        la = float(np.einsum("ij,ji->", u @ rho_a @ u.conj().T, sig_a).real)
-        lb = float(np.einsum("ij,ji->", v @ rho_b @ v.conj().T, sig_b).real)
-        s_a = g / la if la > 0.0 else 0.0
-        s_b = g / lb if lb > 0.0 else 0.0
-        return max(s_a, s_b)
-
-    return ratio, d_a, d_b
+_ROTATED = {"both": (0, 1), "a": (0,), "b": (1,)}
 
 
 def s_hat(rho: QState, sigma: QState, cfg: OptConfig = OptConfig(),
@@ -197,32 +211,13 @@ def s_hat(rho: QState, sigma: QState, cfg: OptConfig = OptConfig(),
     plain overlap ratio.  The certified Schmidt bound ceil(value) applies
     to both states.
     """
-    if sides not in ("both", "a", "b"):
+    if sides not in _ROTATED:
         raise ValueError("sides must be 'both', 'a' or 'b'")
-    ratio, d_a, d_b = _ratio_after_rotation(rho, sigma)
-    eye_a = np.eye(d_a, dtype=complex)
-    eye_b = np.eye(d_b, dtype=complex)
-    if sides == "both":
-        n_par = unitary_param_count(d_a) + unitary_param_count(d_b)
-
-        def objective(x):
-            u = unitary_from_params(x[: d_a * d_a], d_a)
-            v = unitary_from_params(x[d_a * d_a :], d_b)
-            return ratio(u, v)
-
-    elif sides == "a":
-        n_par = unitary_param_count(d_a)
-
-        def objective(x):
-            return ratio(unitary_from_params(x, d_a), eye_b)
-
-    else:
-        n_par = unitary_param_count(d_b)
-
-        def objective(x):
-            return ratio(eye_a, unitary_from_params(x, d_b))
-
-    return _maximize(objective, n_par, cfg)
+    if rho.dims != sigma.dims or len(rho.dims) != 2:
+        raise ValueError("both states must share the same two-subsystem layout")
+    objectives = [_objective(rho.matrix, sigma.matrix, rho.dims, local)
+                  for local in (0, 1)]
+    return _maximize(objectives, rho.dims, _ROTATED[sides], cfg)
 
 
 def fully_entangled_fraction(rho: QState, cfg: OptConfig = OptConfig()) -> float:
@@ -233,16 +228,9 @@ def fully_entangled_fraction(rho: QState, cfg: OptConfig = OptConfig()) -> float
     """
     if len(rho.dims) != 2 or rho.dims[0] != rho.dims[1]:
         raise ValueError("fully entangled fraction needs equal local dimensions")
-    d = rho.dims[0]
-    rho_m = rho.matrix
-    sqrt_d = math.sqrt(d)
-
-    def objective(x):
-        u = unitary_from_params(x, d)
-        v = (u.T / sqrt_d).reshape(-1)  # (1 x U)|Psi>
-        return float(np.real(v.conj() @ (rho_m @ v)))
-
-    return _maximize(objective, unitary_param_count(d), cfg).value
+    psi = max_entangled(rho.dims[0]).projector().matrix
+    objective = _objective(psi, rho.matrix, rho.dims, None)
+    return _maximize([objective], rho.dims, _ROTATED["b"], cfg).value
 
 
 def verify_shat_fef_identity(rho: QState, cfg: OptConfig = OptConfig()) -> dict:

@@ -1,5 +1,6 @@
 """Randomized-measurement protocol: sampling, estimation, persistence."""
 
+import json
 import math
 import tracemalloc
 
@@ -24,6 +25,8 @@ from overlapcert import (
 from overlapcert.randomized import (
     MeasurementRecord,
     _outcome_probs,
+    _outcome_rows,
+    _setting_terms,
     _single_qubit_cliffords,
 )
 
@@ -477,6 +480,52 @@ def test_records_roundtrip_counts(tmp_path):
         for ua, ub in zip(a.unitaries_a, b.unitaries_a):
             assert np.abs(ua - ub).max() < 1e-9
     assert estimate_overlaps(records2, cfg2) == estimate_overlaps(records, cfg)
+
+
+def test_mean_errors_match_extended_precision():
+    # se_b / overlap_b is about 9e-5 here; differencing leave-one-out
+    # replicates lost three to four digits of se_b to cancellation
+    dims = (3, 3, 3)
+    rho = random_mixed(dims, seed=0)
+    sig = random_mixed(dims, seed=100)
+    cfg = ProtocolConfig(local_dim=3, m=2, n=1, n_unitaries=2000, seed=0)
+    records = run_protocol(rho, sig, cfg)
+    est = estimate_overlaps(records, cfg)
+    y = _setting_terms(_outcome_rows(records, "rho")[0],
+                       _outcome_rows(records, "sigma")[0], cfg).astype(np.longdouble)
+    n = y.shape[1]
+    want = np.sqrt(np.sum((y - y.mean(axis=1, keepdims=True)) ** 2, axis=1)
+                   / (n * (n - 1)))
+    assert est.se_b / est.overlap_b < 1e-4
+    got = np.array([est.se_ab, est.se_a, est.se_b], dtype=np.longdouble)
+    assert float(np.max(np.abs(got - want) / want)) <= 1e-14
+
+
+def _tampered_counts_file(tmp_path, edit):
+    """A shot-mode records file whose second setting's rho counts are edited."""
+    rho = random_mixed((2, 2), seed=63)
+    sig = random_mixed((2, 2), seed=64)
+    cfg = ProtocolConfig(local_dim=2, m=1, n=1, n_unitaries=3,
+                         shots_per_setting=50, seed=6)
+    path = tmp_path / "records.jsonl"
+    write_records(path, cfg, run_protocol(rho, sig, cfg))
+    lines = path.read_text().splitlines()
+    obj = json.loads(lines[2])
+    edit(obj["rho_counts"])
+    lines[2] = json.dumps(obj, sort_keys=True)
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda c: c.update({"-1": 3}), "setting 1: rho outcome key '-1' is outside 0..3"),
+    (lambda c: c.update({"4": 3}), "setting 1: rho outcome key '4' is outside 0..3"),
+    (lambda c: c.update({"2": -5}), "setting 1: rho outcome key '2' has a negative"),
+], ids=["negative-key", "key-past-dimension", "negative-count"])
+def test_read_records_rejects_bad_counts(tmp_path, edit, message):
+    path = _tampered_counts_file(tmp_path, edit)
+    with pytest.raises(ValueError, match=message):
+        read_records(path)
 
 
 def test_config_json_roundtrip():
