@@ -11,7 +11,7 @@ this module is safe to use from concurrent workers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -32,6 +32,15 @@ def _as_dims(dims) -> tuple[int, ...]:
     if any(d < 2 for d in out):
         raise ValueError(f"every subsystem dimension must be >= 2, got {out}")
     return out
+
+
+def _check_json_keys(cls, obj: dict) -> None:
+    """Reject keys of a JSON object that are not fields of dataclass ``cls``."""
+    allowed = [f.name for f in fields(cls)]
+    unknown = sorted(set(obj) - set(allowed))
+    if unknown:
+        raise ValueError(f"{cls.__name__}: unknown keys {unknown}; "
+                         f"allowed keys are {allowed}")
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qmat import QState, _guarded_ratios
+from .qmat import QState, _check_json_keys, _guarded_ratios
 
 _DESIGNS = ("haar", "clifford")
 
@@ -90,6 +90,7 @@ class ProtocolConfig:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ProtocolConfig":
+        _check_json_keys(cls, obj)
         shots = obj.get("shots_per_setting", "exact")
         if shots in ("exact", None):
             shots = None
@@ -196,36 +197,67 @@ def _single_qubit_cliffords() -> list:
     return group
 
 
-def sample_local_unitary(local_dim: int, rng: np.random.Generator,
-                         design: str = "haar") -> np.ndarray:
-    """Draw one single-qudit unitary from the requested 2-design."""
+def _draw_local(local_dim: int, rng: np.random.Generator, design: str,
+                count: int) -> np.ndarray:
+    """The random draws behind ``count`` single-qudit unitaries, in one call.
+
+    Haar: a (count, 2, l, l) stack of real and imaginary Gaussian parts;
+    Clifford: ``count`` group indices.  :func:`_local_unitaries` turns a
+    stack of such draws into unitaries.
+    """
     if local_dim < 2:
         raise ValueError("local_dim must be >= 2")
     if design == "haar":
-        z = rng.standard_normal((local_dim, local_dim)) \
-            + 1j * rng.standard_normal((local_dim, local_dim))
-        q, r = np.linalg.qr(z)
-        # Phase correction of the R diagonal makes the distribution Haar.
-        d = np.diag(r)
-        return q * (d / np.abs(d))
+        return rng.standard_normal((count, 2, local_dim, local_dim))
     if design == "clifford":
         if local_dim != 2:
             raise ValueError("clifford design is defined for local_dim 2 only")
-        group = _single_qubit_cliffords()
-        return group[int(rng.integers(len(group)))]
+        return rng.integers(len(_single_qubit_cliffords()), size=count)
     raise ValueError(f"unknown design {design!r}")
 
 
-def _kron_chain(mats) -> np.ndarray:
-    out = mats[0]
-    for m in mats[1:]:
-        out = np.kron(out, m)
+def _local_unitaries(draws: np.ndarray, design: str) -> np.ndarray:
+    """Unitaries from stacked :func:`_draw_local` draws, shape (..., l, l)."""
+    if design == "clifford":
+        return np.asarray(_single_qubit_cliffords())[draws]
+    q, r = np.linalg.qr(draws[..., 0, :, :] + 1j * draws[..., 1, :, :])
+    # Phase correction of the R diagonal makes the distribution Haar.
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
+
+
+def sample_local_unitary(local_dim: int, rng: np.random.Generator,
+                         design: str = "haar") -> np.ndarray:
+    """Draw one single-qudit unitary from the requested 2-design.
+
+    This is the one-unitary case of the draws :func:`run_protocol` makes
+    for all m+n qudits of a setting at once; both consume ``rng`` alike.
+    """
+    return _local_unitaries(_draw_local(local_dim, rng, design, 1), design)[0]
+
+
+def _product_unitaries(factors: np.ndarray) -> np.ndarray:
+    """Kronecker products of (..., q, l, l) factors, leading qudit first."""
+    out = factors[..., 0, :, :]
+    for k in range(1, factors.shape[-3]):
+        rows = out.shape[-1] * factors.shape[-1]
+        out = (out[..., :, None, :, None] * factors[..., None, k, :, None, :]) \
+            .reshape(out.shape[:-2] + (rows, rows))
     return out
 
 
 def _outcome_probs(u: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    probs = np.einsum("ij,jk,ik->i", u, rho, u.conj()).real
-    return probs
+    """Re <u_i|rho|u_i> for every row u_i of a complex, C-ordered U:
+    diag(U rho U^dag) for one D x D unitary, or for each D-row block of a
+    (k D, D) stack of them."""
+    # Re(m_ik conj(u_ik)) summed over k is the dot of their (re, im) views
+    return np.einsum("ij,ij->i", (u @ rho).view(float), u.view(float))
+
+
+# Bytes of product unitaries per probability block.  The block's matrix
+# products amortize the per-call overhead; a 1 MiB block already raised
+# the peak RSS of a 3+3-qubit, 300-setting rm-experiment by about 6%.
+_BLOCK_BYTES = 256 * 1024
 
 
 def run_protocol(rho: QState, sigma: QState, cfg: ProtocolConfig) -> list[MeasurementRecord]:
@@ -233,7 +265,9 @@ def run_protocol(rho: QState, sigma: QState, cfg: ProtocolConfig) -> list[Measur
 
     Returns one record per setting.  Per-setting randomness comes from a
     counter-based split of the seed, so records are reproducible and
-    independent of evaluation order.
+    independent of evaluation order.  Each setting's stream draws its m+n
+    local unitaries and then, in shot mode, the counts of rho and sigma;
+    the outcome probabilities are computed for blocks of settings at once.
     """
     total = cfg.local_dim ** (cfg.m + cfg.n)
     if rho.dim != total or sigma.dim != total:
@@ -249,19 +283,22 @@ def run_protocol(rho: QState, sigma: QState, cfg: ProtocolConfig) -> list[Measur
                 f"{name} dims {state.dims} admit no A|B cut at dimension "
                 f"{cfg.d_a}|{cfg.d_b}"
             )
-    streams = np.random.SeedSequence(cfg.seed).spawn(cfg.n_unitaries)
+    rngs = [np.random.default_rng(s)
+            for s in np.random.SeedSequence(cfg.seed).spawn(cfg.n_unitaries)]
+    factors = _local_unitaries(
+        np.array([_draw_local(cfg.local_dim, rng, cfg.design, cfg.m + cfg.n)
+                  for rng in rngs]), cfg.design)
+    probs = np.empty((2, cfg.n_unitaries, total))
+    block = max(1, _BLOCK_BYTES // (factors.itemsize * total * total))
+    for start in range(0, cfg.n_unitaries, block):
+        u = _product_unitaries(factors[start:start + block]).reshape(-1, total)
+        for p, state in zip(probs, (rho, sigma)):
+            p[start:start + block] = _outcome_probs(u, state.matrix).reshape(-1, total)
     records = []
-    for u_idx in range(cfg.n_unitaries):
-        rng = np.random.default_rng(streams[u_idx])
-        locals_a = tuple(
-            sample_local_unitary(cfg.local_dim, rng, cfg.design) for _ in range(cfg.m)
-        )
-        locals_b = tuple(
-            sample_local_unitary(cfg.local_dim, rng, cfg.design) for _ in range(cfg.n)
-        )
-        u_full = _kron_chain(locals_a + locals_b)
-        p_rho = _outcome_probs(u_full, rho.matrix)
-        p_sigma = _outcome_probs(u_full, sigma.matrix)
+    for u_idx, rng in enumerate(rngs):
+        locals_a = tuple(factors[u_idx, :cfg.m])
+        locals_b = tuple(factors[u_idx, cfg.m:])
+        p_rho, p_sigma = probs[:, u_idx]
         if cfg.exact:
             records.append(MeasurementRecord(
                 setting=u_idx, unitaries_a=locals_a, unitaries_b=locals_b,

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qmat import PureVec, QState, schmidt_decompose
+from .qmat import PureVec, QState, _check_json_keys, schmidt_decompose
 
 
 def max_entangled(d: int) -> PureVec:
@@ -200,6 +200,7 @@ class StateSpec:
 
     @classmethod
     def from_json(cls, obj: dict) -> "StateSpec":
+        _check_json_keys(cls, obj)
         return cls(
             family=obj["family"],
             params=dict(obj.get("params", {})),

@@ -24,6 +24,8 @@ from overlapcert import (
 )
 from overlapcert.randomized import (
     MeasurementRecord,
+    _draw_local,
+    _local_unitaries,
     _outcome_probs,
     _outcome_rows,
     _setting_terms,
@@ -119,6 +121,24 @@ def test_clifford_requires_qubits():
         ProtocolConfig(local_dim=3, m=1, n=1, n_unitaries=5, design="clifford")
 
 
+@pytest.mark.parametrize("design, local_dim", [("haar", 2), ("haar", 3), ("clifford", 2)])
+def test_batched_draw_consumes_stream_like_single_draws(design, local_dim):
+    # one draw of five unitaries equals five successive one-unitary draws
+    # of the explicit samplers, and leaves the stream at the same point
+    batched, single = np.random.default_rng(17), np.random.default_rng(17)
+    got = _local_unitaries(_draw_local(local_dim, batched, design, 5), design)
+    for u in got:
+        if design == "haar":
+            z = single.standard_normal((local_dim, local_dim)) \
+                + 1j * single.standard_normal((local_dim, local_dim))
+            q, r = np.linalg.qr(z)
+            want = q * (np.diag(r) / np.abs(np.diag(r)))
+        else:
+            want = _single_qubit_cliffords()[int(single.integers(24))]
+        assert np.array_equal(u, want)
+    assert batched.bit_generator.state == single.bit_generator.state
+
+
 # ---------------------------------------------------------------------------
 # protocol runs
 
@@ -154,6 +174,75 @@ def test_counts_sum_to_shots():
     for rec in run_protocol(rho, sig, cfg):
         assert rec.rho_counts.sum() == 64
         assert rec.sigma_counts.sum() == 64
+
+
+def _reference_protocol(rho, sigma, cfg):
+    """The per-setting protocol: one stream per setting, one sampler call
+    per qudit, an np.kron chain, the three-operand einsum, then the counts."""
+    out = []
+    for seq in np.random.SeedSequence(cfg.seed).spawn(cfg.n_unitaries):
+        rng = np.random.default_rng(seq)
+        factors = [sample_local_unitary(cfg.local_dim, rng, cfg.design)
+                   for _ in range(cfg.m + cfg.n)]
+        u = factors[0]
+        for f in factors[1:]:
+            u = np.kron(u, f)
+        probs = [np.einsum("ij,jk,ik->i", u, s.matrix, u.conj()).real
+                 for s in (rho, sigma)]
+        counts = None
+        if not cfg.exact:
+            counts = [rng.multinomial(cfg.shots_per_setting,
+                                      np.clip(p, 0.0, None) / np.clip(p, 0.0, None).sum())
+                      for p in probs]
+        out.append((factors, probs, counts))
+    return out
+
+
+@pytest.mark.parametrize("design, local_dim, m, n, shots, dims", [
+    ("haar", 2, 1, 3, None, (2, 8)),
+    ("haar", 2, 1, 3, 50, (2, 2, 2, 2)),
+    ("haar", 2, 2, 2, 1000, (2, 2, 2, 2)),
+    ("haar", 3, 2, 1, None, (9, 3)),
+    ("haar", 3, 2, 1, 50, (3, 3, 3)),
+    ("clifford", 2, 1, 3, None, (2, 2, 2, 2)),
+    ("clifford", 2, 2, 2, 1000, (4, 4)),
+    ("clifford", 2, 3, 1, 50, (8, 2)),
+])
+def test_protocol_matches_per_setting_reference(design, local_dim, m, n, shots, dims):
+    # 70 settings span more than one probability block at D = 16 and D = 27
+    rho = random_mixed(dims, seed=31)
+    sig = random_mixed(dims, seed=32)
+    cfg = ProtocolConfig(local_dim=local_dim, m=m, n=n, n_unitaries=70,
+                         shots_per_setting=shots, seed=8, design=design)
+    records = run_protocol(rho, sig, cfg)
+    reference = _reference_protocol(rho, sig, cfg)
+    assert len(records) == len(reference)
+    for rec, (factors, probs, counts) in zip(records, reference):
+        got = rec.unitaries_a + rec.unitaries_b
+        assert len(got) == m + n
+        assert all(np.array_equal(a, b) for a, b in zip(got, factors))
+        if shots is None:
+            for p, want in zip((rec.rho_probs, rec.sigma_probs), probs):
+                assert np.abs(p - want).max() <= 1e-15
+        else:
+            assert np.array_equal(rec.rho_counts, counts[0])
+            assert np.array_equal(rec.sigma_counts, counts[1])
+
+
+def test_protocol_allocates_within_block_budget():
+    rho = isotropic(8, 0.9)
+    sig = isotropic(8, 1.0)
+    cfg = ProtocolConfig(local_dim=2, m=3, n=3, n_unitaries=300,
+                         shots_per_setting=1000, seed=0)
+    tracemalloc.start()
+    try:
+        records = run_protocol(rho, sig, cfg)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(records) == 300
+    # beyond what the records keep, the run needs its probability blocks
+    assert peak - held <= 2**20
 
 
 def test_protocol_rejects_wrong_dimensions():
@@ -533,6 +622,15 @@ def test_config_json_roundtrip():
                          shots_per_setting=None, seed=7, design="clifford")
     assert ProtocolConfig.from_json(cfg.to_json()) == cfg
     assert cfg.to_json()["shots_per_setting"] == "exact"
+
+
+def test_config_rejects_unknown_keys():
+    # a misspelt key would otherwise run exact mode with the Haar design
+    obj = {"local_dim": 2, "m": 1, "n": 1, "n_unitaries": 10, "shots": 1000,
+           "desing": "clifford"}
+    with pytest.raises(ValueError,
+                       match=r"unknown keys \['desing', 'shots'\].*'shots_per_setting'"):
+        ProtocolConfig.from_json(obj)
 
 
 def test_protocol_rejects_misaligned_cut():

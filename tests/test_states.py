@@ -295,3 +295,9 @@ def test_statespec_roundtrip_and_build(spec):
 def test_statespec_rejects_unknown_family():
     with pytest.raises(ValueError, match="family"):
         StateSpec("werner", {})
+
+
+def test_statespec_rejects_unknown_keys():
+    # a misspelt key would otherwise fall back to the default silently
+    with pytest.raises(ValueError, match=r"unknown keys \['parms'\].*'params'"):
+        StateSpec.from_json({"family": "isotropic", "parms": {"d": 3, "x": 0.5}})
