@@ -11,7 +11,7 @@ this module is safe to use from concurrent workers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -35,12 +35,19 @@ def _as_dims(dims) -> tuple[int, ...]:
 
 
 def _check_json_keys(cls, obj: dict) -> None:
-    """Reject keys of a JSON object that are not fields of dataclass ``cls``."""
+    """Reject a JSON value unless it is an object that holds every required
+    field of dataclass ``cls`` and no key that is not one of its fields."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{cls.__name__}: expected a JSON object, not {obj!r}")
     allowed = [f.name for f in fields(cls)]
     unknown = sorted(set(obj) - set(allowed))
     if unknown:
         raise ValueError(f"{cls.__name__}: unknown keys {unknown}; "
                          f"allowed keys are {allowed}")
+    missing = [f.name for f in fields(cls) if f.name not in obj
+               and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise ValueError(f"{cls.__name__}: missing keys {missing}")
 
 
 @dataclass(frozen=True)

@@ -9,9 +9,9 @@ X in {A, B, AB} are estimated with the second-order cross-correlation
 
 where D is the Hamming distance between outcome strings and l the local
 dimension.  The weight (-l)^{-D} is a tensor power of one single-qudit
-kernel, so it is applied qudit by qudit.  The same data yields the local
-overlaps by marginalizing the outcomes, which is what makes the
-overlap-ratio criterion measurable.
+kernel, so it is applied as small matrix products over groups of qudits.
+The same data yields the local overlaps by marginalizing the outcomes,
+which is what makes the overlap-ratio criterion measurable.
 
 Finite-shot second moments use distinct-pair U-statistics: cross-state
 products pair shots from the two independent records, and within-state
@@ -91,18 +91,28 @@ class ProtocolConfig:
     @classmethod
     def from_json(cls, obj: dict) -> "ProtocolConfig":
         _check_json_keys(cls, obj)
+
+        def integer(key, default=None):
+            # an integral number or a decimal string; not a bool, not 2.5
+            value = obj.get(key, default)
+            try:
+                if not isinstance(value, bool) and (isinstance(value, str)
+                                                    or int(value) == value):
+                    return int(value)
+            except (TypeError, ValueError, OverflowError):
+                pass
+            raise ValueError(f"{cls.__name__}: {key} must be an integer, "
+                             f"not {value!r}")
+
         shots = obj.get("shots_per_setting", "exact")
-        if shots in ("exact", None):
-            shots = None
-        else:
-            shots = int(shots)
         return cls(
-            local_dim=int(obj["local_dim"]),
-            m=int(obj["m"]),
-            n=int(obj["n"]),
-            n_unitaries=int(obj["n_unitaries"]),
-            shots_per_setting=shots,
-            seed=int(obj.get("seed", 0)),
+            local_dim=integer("local_dim"),
+            m=integer("m"),
+            n=integer("n"),
+            n_unitaries=integer("n_unitaries"),
+            shots_per_setting=None if shots in ("exact", None)
+            else integer("shots_per_setting"),
+            seed=integer("seed", 0),
             design=obj.get("design", "haar"),
         )
 
@@ -317,30 +327,62 @@ def run_protocol(rho: QState, sigma: QState, cfg: ProtocolConfig) -> list[Measur
     return records
 
 
+# Largest dimension l^k of one qudit group's dense kernel factor.  Larger
+# groups cost more flops per entry, smaller ones more passes over the rows.
+_GROUP_DIM = 32
+
+
+@functools.cache
+def _kernel_factor(local_dim: int, n_qudits: int) -> np.ndarray:
+    """K^(x)k for the single-qudit kernel K = (1 + 1/l) I - J/l: the
+    l^k x l^k matrix of (-l)^(-Hamming) weights of k qudits."""
+    one = np.where(np.eye(local_dim, dtype=bool), 1.0, -1.0 / local_dim)
+    out = functools.reduce(np.kron, [one] * n_qudits)
+    out.flags.writeable = False
+    return out
+
+
 def _apply_hamming_kernel(rows: np.ndarray, local_dim: int, n_qudits: int) -> np.ndarray:
     """Every row of ``rows`` times W[s, t] = (-local_dim)^(-Hamming(s, t)).
 
-    W is a tensor power of the single-qudit kernel (1 + 1/l) I - (1/l) J,
-    so it is applied one qudit axis at a time, never as a D x D matrix.
+    W is a tensor power of the single-qudit kernel, so it is applied one
+    group of qudits at a time as a product with that group's small dense
+    factor (at most ``_GROUP_DIM`` wide), never as a D x D matrix.  A
+    partial group goes first, so the last group is one 2-D product.
     """
-    t = rows.reshape((len(rows),) + (local_dim,) * n_qudits)
-    for axis in range(1, n_qudits + 1):
-        t = (1 + 1 / local_dim) * t - t.sum(axis=axis, keepdims=True) / local_dim
+    k = 1
+    while local_dim ** (k + 1) <= _GROUP_DIM:
+        k += 1
+    sizes = [n_qudits % k] * (n_qudits % k > 0) + [k] * (n_qudits // k)
+    t, pre = rows, 1
+    for size in sizes:
+        width = local_dim**size
+        post = rows.shape[1] // (pre * width)
+        f = _kernel_factor(local_dim, size)
+        # f is symmetric, so right-multiplying the last group applies it too
+        t = (t.reshape(-1, width) @ f if post == 1
+             else f @ t.reshape(len(rows) * pre, width, post))
+        pre *= width
     return t.reshape(rows.shape)
 
 
 def _outcome_rows(records, which: str):
     """One state's frequencies, shape (n_settings, D), and per-setting shot
-    counts (None for exact probabilities)."""
+    counts (None for exact probabilities).  The first record decides which
+    kind of data every record must carry."""
     if len(records) < 2:
         raise ValueError("estimation needs at least two settings")
-    probs = [getattr(rec, which + "_probs") for rec in records]
-    if all(p is not None for p in probs):
-        return np.asarray(probs, dtype=float), None
-    counts = np.asarray([getattr(rec, which + "_counts") for rec in records],
-                        dtype=float)
-    shots = counts.sum(axis=1)
-    return counts / shots[:, None], shots
+    exact = getattr(records[0], which + "_probs") is not None
+    field = which + ("_probs" if exact else "_counts")
+    rows = [getattr(rec, field) for rec in records]
+    lacking = next((rec.setting for rec, r in zip(records, rows) if r is None), None)
+    if lacking is not None:
+        raise ValueError(f"setting {lacking} has no {field}")
+    data = np.asarray(rows, dtype=float)
+    if exact:
+        return data, None
+    shots = data.sum(axis=1)
+    return data / shots[:, None], shots
 
 
 def _setting_terms(f: np.ndarray, g: np.ndarray, cfg: ProtocolConfig,
@@ -467,11 +509,6 @@ def _complex_flat(m: np.ndarray) -> list[float]:
     return out
 
 
-def _complex_unflat(values, side: int) -> np.ndarray:
-    arr = np.asarray(values, dtype=float).reshape(-1, 2)
-    return (arr[:, 0] + 1j * arr[:, 1]).reshape(side, side)
-
-
 def write_records(path, cfg: ProtocolConfig, records) -> None:
     """One JSON line for the config, then one line per setting."""
     with open(path, "w") as fh:
@@ -495,43 +532,113 @@ def write_records(path, cfg: ProtocolConfig, records) -> None:
             fh.write(json.dumps(obj, sort_keys=True) + "\n")
 
 
-def _dense_counts(sparse: dict, total: int, setting: int, which: str) -> np.ndarray:
-    """Dense count vector of length ``total`` from sparse {outcome: count} JSON."""
-    keys = np.fromiter((int(k) for k in sparse), dtype=np.int64, count=len(sparse))
-    values = np.fromiter(sparse.values(), dtype=np.int64, count=len(sparse))
-    for bad, fault in (((keys < 0) | (keys >= total), f"is outside 0..{total - 1}"),
+class _OutcomeIndex(dict):
+    """Outcome index of each sparse-count key string met so far; a key that
+    is not an integer in 0..total-1 maps to -1."""
+
+    def __init__(self, total: int):
+        super().__init__()
+        self.total = total
+
+    def __missing__(self, key):
+        try:
+            index = int(key)
+        except ValueError:
+            index = -1
+        if not 0 <= index < self.total:
+            index = -1
+        self[key] = index
+        return index
+
+
+def _dense_counts(obj: dict, which: str, index: _OutcomeIndex, shots: int,
+                  setting: int) -> np.ndarray:
+    """Dense count vector from the sparse {outcome: count} JSON of one
+    state, checked."""
+    sparse = obj.get(which + "_counts")
+    if not isinstance(sparse, dict):
+        fault = "is missing" if sparse is None else "is not a JSON object"
+        raise ValueError(f"setting {setting}: {which}_counts {fault}")
+    keys = np.fromiter(map(index.__getitem__, sparse), dtype=np.int64,
+                       count=len(sparse))
+    try:
+        values = np.array(list(sparse.values()), dtype=None if sparse else np.int64)
+    except ValueError:  # ragged nesting
+        values = None
+    if values is None or values.dtype.kind != "i" or values.ndim != 1:
+        raise ValueError(f"setting {setting}: {which}_counts holds a value that "
+                         f"is not a 64-bit integer")
+    for bad, fault in ((keys < 0, f"is outside 0..{index.total - 1}"),
                        (values < 0, "has a negative count")):
         if bad.any():
             key = list(sparse)[int(np.argmax(bad))]
             raise ValueError(f"setting {setting}: {which} outcome key {key!r} {fault}")
-    counts = np.zeros(total, dtype=np.int64)
+    counts = np.zeros(index.total, dtype=np.int64)
     counts[keys] = values
+    if counts.sum() != shots:
+        raise ValueError(f"setting {setting}: {which} counts sum to "
+                         f"{counts.sum()}, not shots_per_setting {shots}")
     return counts
 
 
+def _float_field(obj: dict, name: str, shape: tuple, setting: int,
+                 fault: str) -> np.ndarray:
+    """``obj[name]`` as a float array of ``shape``; anything else is a fault."""
+    try:
+        arr = np.asarray(obj[name])
+    except KeyError:
+        raise ValueError(f"setting {setting}: {name} is missing") from None
+    except ValueError:  # ragged nesting
+        arr = None
+    if arr is None or arr.dtype.kind not in "iuf" or arr.shape != shape:
+        raise ValueError(f"setting {setting}: {name} {fault}")
+    return arr.astype(float, copy=False)
+
+
 def read_records(path) -> tuple[ProtocolConfig, list[MeasurementRecord]]:
-    """Inverse of :func:`write_records`; count data is checked on the way in."""
+    """Inverse of :func:`write_records`, checked on the way in.
+
+    Every record must carry its setting, m and n unitaries, and both
+    states' probability vectors of length D (exact mode) or sparse counts
+    that sum to the shots per setting; the settings must be
+    0..n_unitaries-1, each once.  A fault raises ``ValueError`` naming it.
+    """
     with open(path) as fh:
         header = json.loads(fh.readline())
+        if not isinstance(header, dict) or "protocol" not in header:
+            raise ValueError("the first line must be a JSON object with a "
+                             "'protocol' key")
         cfg = ProtocolConfig.from_json(header["protocol"])
-        total = cfg.local_dim ** (cfg.m + cfg.n)
+        total, floats = cfg.local_dim ** (cfg.m + cfg.n), 2 * cfg.local_dim**2
+        sides = (("unitaries_a", cfg.m), ("unitaries_b", cfg.n))
+        index = _OutcomeIndex(total)
         records = []
         for line in fh:
             obj = json.loads(line)
-            setting = int(obj["setting"])
-            ua = tuple(_complex_unflat(u, cfg.local_dim) for u in obj["unitaries_a"])
-            ub = tuple(_complex_unflat(u, cfg.local_dim) for u in obj["unitaries_b"])
-            if "rho_probs" in obj:
-                records.append(MeasurementRecord(
-                    setting=setting, unitaries_a=ua, unitaries_b=ub,
-                    rho_probs=np.asarray(obj["rho_probs"], dtype=float),
-                    sigma_probs=np.asarray(obj["sigma_probs"], dtype=float),
-                ))
+            setting = obj.get("setting") if isinstance(obj, dict) else None
+            if type(setting) is not int or not 0 <= setting < cfg.n_unitaries:
+                raise ValueError(f"record {len(records)}: setting {setting!r} is "
+                                 f"not an integer in 0..{cfg.n_unitaries - 1}")
+            # numpy would read a boolean among numbers as 0 or 1
+            if "true" in line or "false" in line:
+                raise ValueError(f"setting {setting}: a value is a JSON boolean")
+            ua, ub = (tuple(_float_field(obj, name, (q, floats), setting,
+                                         f"must be a {q} x {floats} array of floats")
+                            .view(complex).reshape(q, cfg.local_dim, cfg.local_dim))
+                      for name, q in sides)
+            if cfg.exact:
+                data = {f"{w}_probs": _float_field(obj, f"{w}_probs", (total,), setting,
+                                                   f"must hold {total} probabilities")
+                        for w in ("rho", "sigma")}
             else:
-                records.append(MeasurementRecord(
-                    setting=setting, unitaries_a=ua, unitaries_b=ub,
-                    rho_counts=_dense_counts(obj["rho_counts"], total, setting, "rho"),
-                    sigma_counts=_dense_counts(obj["sigma_counts"], total, setting,
-                                               "sigma"),
-                ))
+                data = {f"{w}_counts": _dense_counts(obj, w, index,
+                                                     cfg.shots_per_setting, setting)
+                        for w in ("rho", "sigma")}
+            records.append(MeasurementRecord(setting=setting, unitaries_a=ua,
+                                             unitaries_b=ub, **data))
+    seen = np.bincount(np.array([rec.setting for rec in records], dtype=np.int64),
+                       minlength=cfg.n_unitaries)
+    for bad, fault in ((seen > 1, "appears more than once"), (seen == 0, "is missing")):
+        if bad.any():
+            raise ValueError(f"setting {int(np.argmax(bad))} {fault}")
     return cfg, records

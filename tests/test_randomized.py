@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from overlapcert import (
     ProtocolConfig,
@@ -24,6 +26,7 @@ from overlapcert import (
 )
 from overlapcert.randomized import (
     MeasurementRecord,
+    _apply_hamming_kernel,
     _draw_local,
     _local_unitaries,
     _outcome_probs,
@@ -385,9 +388,24 @@ def test_variance_scales_inversely_with_settings():
 def _dense_hamming(local_dim, n_qudits):
     """W[s, t] = (-l)^(-Hamming(s, t)) over all outcome pairs, as a matrix."""
     shape = (local_dim,) * n_qudits
-    digits = np.array(np.unravel_index(np.arange(local_dim**n_qudits), shape)).T
-    dist = (digits[:, None, :] != digits[None, :, :]).sum(axis=2)
-    return (-float(local_dim)) ** (-dist)
+    dist = np.zeros((local_dim**n_qudits,) * 2, dtype=np.int8)
+    for digit in np.unravel_index(np.arange(local_dim**n_qudits), shape):
+        dist += digit[:, None] != digit[None, :]
+    return (-float(local_dim)) ** (-dist.astype(float))
+
+
+# one group of qudits, a full group, a partial group and up to three groups
+@pytest.mark.parametrize("local_dim,n_qudits", [
+    (2, 1), (2, 4), (2, 5), (2, 6), (2, 10), (2, 11),
+    (3, 1), (3, 3), (3, 4), (3, 6),
+])
+def test_hamming_kernel_matches_explicit_weights(local_dim, n_qudits):
+    rows = np.random.default_rng(n_qudits).random((3, local_dim**n_qudits))
+    want = rows @ _dense_hamming(local_dim, n_qudits)
+    got = _apply_hamming_kernel(rows, local_dim, n_qudits)
+    # entries cancel to near zero, so the error is taken relative to the largest
+    assert got.shape == rows.shape
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def _dense_terms(records, cfg, which=None):
@@ -430,7 +448,8 @@ def _loo_ratio_se(y, sides):
     return math.sqrt((n - 1) / n * np.sum((theta - theta.mean()) ** 2))
 
 
-@pytest.mark.parametrize("local_dim,m,n", [(2, 2, 2), (2, 3, 1), (3, 1, 1), (3, 2, 1)])
+@pytest.mark.parametrize("local_dim,m,n", [(2, 2, 2), (2, 3, 1), (3, 1, 1), (3, 2, 1),
+                                           (2, 3, 3), (3, 2, 2)])
 @pytest.mark.parametrize("shots", [None, 200])
 @pytest.mark.parametrize("which", [None, "rho", "sigma"])
 def test_estimators_match_dense_reference(local_dim, m, n, shots, which):
@@ -590,20 +609,27 @@ def test_mean_errors_match_extended_precision():
     assert float(np.max(np.abs(got - want) / want)) <= 1e-14
 
 
-def _tampered_counts_file(tmp_path, edit):
-    """A shot-mode records file whose second setting's rho counts are edited."""
+def _records_lines(path, shots):
+    """The parsed lines of a 1+1-qubit, three-setting records file."""
     rho = random_mixed((2, 2), seed=63)
     sig = random_mixed((2, 2), seed=64)
     cfg = ProtocolConfig(local_dim=2, m=1, n=1, n_unitaries=3,
-                         shots_per_setting=50, seed=6)
-    path = tmp_path / "records.jsonl"
+                         shots_per_setting=shots, seed=6)
     write_records(path, cfg, run_protocol(rho, sig, cfg))
-    lines = path.read_text().splitlines()
-    obj = json.loads(lines[2])
-    edit(obj["rho_counts"])
-    lines[2] = json.dumps(obj, sort_keys=True)
-    path.write_text("\n".join(lines) + "\n")
+    return [json.loads(line) for line in path.read_text().splitlines()]
+
+
+def _write_lines(path, lines):
+    path.write_text("".join(json.dumps(obj, sort_keys=True) + "\n" for obj in lines))
     return path
+
+
+def _tampered_counts_file(tmp_path, edit):
+    """A shot-mode records file whose second setting's rho counts are edited."""
+    path = tmp_path / "records.jsonl"
+    lines = _records_lines(path, 50)
+    edit(lines[2]["rho_counts"])
+    return _write_lines(path, lines)
 
 
 @pytest.mark.parametrize("edit,message", [
@@ -615,6 +641,119 @@ def test_read_records_rejects_bad_counts(tmp_path, edit, message):
     path = _tampered_counts_file(tmp_path, edit)
     with pytest.raises(ValueError, match=message):
         read_records(path)
+
+
+def _set(line, key, value):
+    return lambda lines: lines[line].__setitem__(key, value)
+
+
+@pytest.mark.parametrize("shots,edit,message", [
+    (None, lambda ls: ls[2]["rho_probs"].pop(),
+     "setting 1: rho_probs must hold 4 probabilities"),
+    (None, lambda ls: ls[3].pop("sigma_probs"), "setting 2: sigma_probs is missing"),
+    (50, lambda ls: ls[2]["unitaries_a"].append(ls[2]["unitaries_a"][0]),
+     r"setting 1: unitaries_a must be a 1 x 8 array of floats"),
+    (50, lambda ls: ls[1]["unitaries_b"][0].pop(),
+     r"setting 0: unitaries_b must be a 1 x 8 array of floats"),
+    (50, lambda ls: ls[2]["sigma_counts"].update({"0": 0}),
+     "setting 1: sigma counts sum to 4[0-9], not shots_per_setting 50"),
+    (50, lambda ls: ls[2]["rho_counts"].update({"3": 1.5}),
+     "setting 1: rho_counts holds a value that is not a 64-bit integer"),
+    (50, _set(2, "rho_counts", [3, 47]), "setting 1: rho_counts is not a JSON object"),
+    (50, lambda ls: ls[1].pop("rho_counts"), "setting 0: rho_counts is missing"),
+    (50, _set(3, "setting", 1), "setting 1 appears more than once"),
+    (50, lambda ls: ls.pop(2), "setting 1 is missing"),
+    (50, _set(3, "setting", 3), r"record 2: setting 3 is not an integer in 0..2"),
+    (50, _set(3, "setting", True), r"record 2: setting True is not an integer"),
+    (None, _set(0, "protocol", {"local_dim": 2, "m": 1, "n": 1}),
+     r"missing keys \['n_unitaries'\]"),
+    (None, lambda ls: ls[0]["protocol"].update({"m": 1.5}),
+     "m must be an integer, not 1.5"),
+], ids=["probs-length", "probs-missing", "unitaries-count", "unitary-length",
+        "count-sum", "count-not-integer", "counts-not-object", "counts-missing",
+        "setting-repeated", "setting-missing", "setting-past-range", "setting-not-integer",
+        "header-key-missing", "header-not-integer"])
+def test_read_records_rejects_malformed_files(tmp_path, shots, edit, message):
+    path = tmp_path / "records.jsonl"
+    lines = _records_lines(path, shots)
+    edit(lines)
+    with pytest.raises(ValueError, match=message):
+        read_records(_write_lines(path, lines))
+
+
+# Values that are never a valid field, count or header integer: no array of
+# the right shape, no integer, no object whose counts sum to the shots.
+# Only _NOT_NUMBER may replace one entry of a probability vector or unitary.
+_NOT_NUMBER = st.one_of(
+    st.none(), st.booleans(), st.text(alphabet="xyz", max_size=3),
+    st.just([]), st.just([[1.0], []]), st.just({}),
+)
+_JUNK = st.one_of(_NOT_NUMBER, st.floats().filter(lambda x: not x.is_integer()))
+
+
+@st.composite
+def _mutations(draw):
+    """A function that breaks one field, entry or line of a well-formed file
+    of the drawn mode, or one key of its header."""
+    shots = draw(st.sampled_from([None, 50]))
+    data = "_probs" if shots is None else "_counts"
+    line = draw(st.integers(1, 3))
+    field = draw(st.sampled_from(["setting", "unitaries_a", "unitaries_b",
+                                  "rho" + data, "sigma" + data]))
+    required = ["local_dim", "m", "n", "n_unitaries"] + ["shots_per_setting"] * bool(shots)
+    key = draw(st.sampled_from(required))
+    kind = draw(st.sampled_from(["replace", "delete", "entry", "line",
+                                 "header", "header-delete"]))
+    junk = draw(_JUNK)
+    not_number = draw(_NOT_NUMBER)
+    bump = draw(st.integers(-3, 3).filter(bool))
+
+    def mutate(lines):
+        obj = lines[line]
+        if kind == "replace":
+            obj[field] = junk
+        elif kind == "delete":
+            del obj[field]
+        elif kind == "line":
+            lines[line] = junk
+        elif kind == "header":  # a required integer, or the design
+            lines[0]["protocol"][key if bump > 0 else "design"] = junk
+        elif kind == "header-delete":
+            del lines[0]["protocol"][key]
+        elif field == "setting":  # another setting's number, or out of range
+            obj[field] = (obj[field] + bump) % 3 if bump % 3 else obj[field] + 3 * bump
+        elif field.endswith("_counts"):
+            first = next(iter(obj[field]))
+            obj[field][first] = obj[field][first] + bump if bump > 0 else junk
+        else:
+            target = obj[field][0] if field.startswith("unitaries") else obj[field]
+            target[0] = not_number
+    return shots, mutate
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_mutations())
+def test_read_records_fuzz_raises_only_value_errors(tmp_path_factory, mutation):
+    shots, mutate = mutation
+    path = tmp_path_factory.mktemp("fuzz") / "records.jsonl"
+    lines = _records_lines(path, shots)
+    mutate(lines)
+    with pytest.raises(ValueError):
+        read_records(_write_lines(path, lines))
+
+
+def test_estimators_name_the_setting_that_lacks_data():
+    rho = random_mixed((2, 2), seed=63)
+    cfg = ProtocolConfig(local_dim=2, m=1, n=1, n_unitaries=4,
+                         shots_per_setting=50, seed=6)
+    records = run_protocol(rho, rho, cfg)
+    exact = run_protocol(rho, rho, ProtocolConfig(local_dim=2, m=1, n=1,
+                                                  n_unitaries=4, seed=6))
+    mixed = records[:2] + exact[2:]
+    with pytest.raises(ValueError, match="setting 2 has no rho_counts"):
+        estimate_overlaps(mixed, cfg)
+    with pytest.raises(ValueError, match="setting 1 has no sigma_probs"):
+        estimate_self_overlaps(exact[:1] + records[1:], cfg, "sigma")
 
 
 def test_config_json_roundtrip():

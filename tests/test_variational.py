@@ -1,5 +1,6 @@
 """Local-unitary optimization of the overlap ratio and the FEF link."""
 
+import os
 import subprocess
 import sys
 
@@ -245,6 +246,9 @@ def test_package_import_loads_only_numpy():
     code = ("import sys; before = set(sys.modules); import overlapcert; "
             "print(sorted({m.split('.')[0] for m in set(sys.modules) - before}"
             " - set(sys.stdlib_module_names)))")
+    # the child imports the package from the directory this test imported it from
+    src = os.path.dirname(os.path.dirname(variational.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True)
+                         text=True, check=True, env={**os.environ, "PYTHONPATH": path})
     assert out.stdout.strip() == "['numpy', 'overlapcert']"
