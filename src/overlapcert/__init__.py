@@ -20,6 +20,7 @@ from .criteria import (
     fbc_witness_value,
     ipc_bound,
     overlap_ratio,
+    overlap_ratio_table,
     p3_ppt_check,
     pt_moments,
     purity_check,

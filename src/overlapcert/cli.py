@@ -23,6 +23,7 @@ from .criteria import (
     corner_isotropic_closed_forms,
     fbc_spectrum_bound,
     overlap_ratio,
+    overlap_ratio_table,
     sn_bound_from_ratio,
 )
 from .multipartite import lambda_map_value, lambda_map_verdict, multipartite_ipc
@@ -69,11 +70,11 @@ def cmd_fig1(d: int, grid: int, r_max: int, out: str, seed: int = 0) -> int:
         raise ValueError("grid must be >= 2")
     r_cap = r_max if r_max >= 1 else d
     xs = np.linspace(1.0 / d**2, 1.0, grid)
-    states = {float(x): isotropic(d, float(x)) for x in xs}
+    states = [isotropic(d, float(x)) for x in xs]
+    table = overlap_ratio_table(states, states).tolist()
     rows = []
-    for x in xs:
-        for y in xs:
-            s = overlap_ratio(states[float(x)], states[float(y)]).s
+    for x, s_row in zip(xs, table):
+        for y, s in zip(xs, s_row):
             detected = max(0, sn_bound_from_ratio(s) - 1)
             rows.append((float(x), float(y), s, min(detected, r_cap)))
     config = {"command": "fig1", "d": d, "grid": grid, "r_max": r_cap, "seed": seed}
@@ -263,11 +264,11 @@ def cmd_rm_experiment(config_path: str, out: str, settings: int | None = None,
 def _example_isotropic(report: dict, failures: list) -> None:
     checks = []
     for d in (2, 3, 4, 6, 10):
-        target = isotropic(d, 1.0)
+        xs = np.linspace(1.0 / d**2, 1.0, 9).tolist()
+        table = overlap_ratio_table([isotropic(d, x) for x in xs], [isotropic(d, 1.0)])
         worst = 0.0
-        for x in np.linspace(1.0 / d**2, 1.0, 9):
-            s = overlap_ratio(isotropic(d, float(x)), target).s
-            worst = max(worst, abs(s - d * float(x)))
+        for x, (s,) in zip(xs, table.tolist()):
+            worst = max(worst, abs(s - d * x))
         checks.append({"d": d, "max_abs_error": worst, "ok": worst <= 1e-9})
     report["isotropic_pairs"] = checks
     failures.extend(f"isotropic d={c['d']}" for c in checks if not c["ok"])

@@ -30,6 +30,7 @@ from .qmat import (
     QState,
     _cut_layout,
     _guarded_ratios,
+    _overlap_table,
     _overlaps,
     eig_hermitian,
     partial_trace_matrix,
@@ -103,6 +104,27 @@ def overlap_ratio(rho: QState, sigma: QState,
     g, la, lb = _overlaps(rm, sm, (d_a, d_b), _BIPARTITE_SETS)
     s_a, s_b = _guarded_ratios(g, la), _guarded_ratios(g, lb)
     return OverlapRatio(g, la, lb, s_a, s_b, max(s_a, s_b))
+
+
+def overlap_ratio_table(rhos, sigmas, split: Bipartition | None = None) -> np.ndarray:
+    """The ratio s of every pair (rhos[i], sigmas[j]), as an (n, m) array.
+
+    Equal to ``overlap_ratio(rhos[i], sigmas[j], split).s`` entry by entry,
+    but each state is reduced once, not once per pair.
+    """
+    rhos, sigmas = list(rhos), list(sigmas)
+    if not rhos or not sigmas:
+        raise ValueError("need at least one rho and one sigma")
+    dims = rhos[0].dims
+    for st in rhos + sigmas:
+        if st.dims != dims:
+            raise ValueError(f"dimension mismatch: {dims} vs {st.dims}")
+    groups = [_grouped(st, split) for st in rhos + sigmas]
+    _, d_a, d_b, _, _ = groups[0]
+    mats = [gr[0] for gr in groups]
+    n = len(rhos)
+    g, la, lb = _overlap_table(mats[:n], mats[n:], (d_a, d_b), _BIPARTITE_SETS)
+    return np.maximum(_guarded_ratios(g, la), _guarded_ratios(g, lb))
 
 
 def ipc_bound(rho: QState, sigma: QState, split: Bipartition | None = None,

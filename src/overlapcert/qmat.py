@@ -185,6 +185,18 @@ def tensor(a, b):
     raise TypeError("tensor requires two QState or two PureVec arguments")
 
 
+def _reduce(m: np.ndarray, dims: tuple[int, ...], keep) -> np.ndarray:
+    """Partial trace of a plain matrix onto the sorted indices ``keep``,
+    without argument checks; the traced subsystems go last to first."""
+    t = m.reshape(dims + dims)
+    left = list(dims)
+    for idx in sorted(set(range(len(dims))) - set(keep), reverse=True):
+        t = np.trace(t, axis1=idx, axis2=idx + len(left))
+        left.pop(idx)
+    side = math.prod(left)
+    return t.reshape(side, side)
+
+
 def partial_trace_matrix(m: np.ndarray, dims, keep) -> np.ndarray:
     """Trace out every subsystem not listed in ``keep`` from a plain matrix."""
     dims = _as_dims(dims)
@@ -194,13 +206,7 @@ def partial_trace_matrix(m: np.ndarray, dims, keep) -> np.ndarray:
         raise ValueError(f"kept indices {keep} out of range for dims {dims}")
     if not keep:
         raise ValueError("cannot trace out every subsystem")
-    t = np.asarray(m).reshape(dims + dims)
-    left = list(dims)
-    for idx in sorted(set(range(n)) - set(keep), reverse=True):
-        t = np.trace(t, axis1=idx, axis2=idx + len(left))
-        left.pop(idx)
-    side = math.prod(left)
-    return t.reshape(side, side)
+    return _reduce(np.asarray(m), dims, keep)
 
 
 def partial_trace(state: QState, part: Bipartition) -> QState:
@@ -271,16 +277,21 @@ def embed_operator(m: np.ndarray, dims, positions) -> np.ndarray:
     return permute_subsystems_matrix(big, layout_dims, order)
 
 
+def _trace_product(a: np.ndarray, b: np.ndarray) -> float:
+    """Tr[a b] of two same-shape matrices whose product has a real trace."""
+    val = np.einsum("ij,ji->", a, b)
+    if abs(val.imag) > HERM_TOL:
+        raise ValueError(f"inner product has imaginary part {val.imag:.3e}")
+    return float(val.real)
+
+
 def hs_inner(a, b) -> float:
     """Hilbert-Schmidt inner product Tr[a b] of two Hermitian matrices."""
     am = a.matrix if isinstance(a, QState) else np.asarray(a)
     bm = b.matrix if isinstance(b, QState) else np.asarray(b)
     if am.shape != bm.shape:
         raise ValueError(f"dimension mismatch: {am.shape} vs {bm.shape}")
-    val = np.einsum("ij,ji->", am, bm)
-    if abs(val.imag) > HERM_TOL:
-        raise ValueError(f"inner product has imaginary part {val.imag:.3e}")
-    return float(val.real)
+    return _trace_product(am, bm)
 
 
 def eig_hermitian(m) -> tuple[np.ndarray, np.ndarray]:
@@ -309,14 +320,32 @@ def _cut_layout(dims, part: Bipartition | None) -> tuple[list[int], int]:
     return layout, math.prod(dims[i] for i in layout[:n_kept])
 
 
-def _overlaps(rho_m: np.ndarray, sigma_m: np.ndarray, dims, kept_sets) -> list[float]:
-    """Tr[rho_K sigma_K] for every kept subsystem set K of two plain matrices.
+def _overlap_table(rhos, sigmas, dims, kept_sets) -> np.ndarray:
+    """Tr[rho_K sigma_K] for every kept set K, rho and sigma, as an array of
+    shape (len(kept_sets), len(rhos), len(sigmas)).
 
-    The full set of subsystems gives the global overlap Tr[rho sigma].
+    The matrices are plain arrays on the layout ``dims``; each kept set
+    must be sorted, and the full set gives the global overlap Tr[rho sigma].  Every
+    state is reduced once per kept set, and the sigmas one at a time.
     """
-    return [hs_inner(rho_m, sigma_m) if len(k) == len(dims) else
-            hs_inner(partial_trace_matrix(rho_m, dims, k),
-                     partial_trace_matrix(sigma_m, dims, k)) for k in kept_sets]
+    dims = tuple(dims)
+    n = len(dims)
+    keeps = [None if len(k) == n else k for k in kept_sets]
+    rho_parts = [[m if k is None else _reduce(m, dims, k) for m in rhos]
+                 for k in keeps]
+    out = np.empty((len(keeps), len(rhos), len(sigmas)))
+    for j, sigma_m in enumerate(sigmas):
+        for a, k in enumerate(keeps):
+            sigma_k = sigma_m if k is None else _reduce(sigma_m, dims, k)
+            for i, rho_k in enumerate(rho_parts[a]):
+                out[a, i, j] = _trace_product(rho_k, sigma_k)
+    return out
+
+
+def _overlaps(rho_m: np.ndarray, sigma_m: np.ndarray, dims, kept_sets) -> list[float]:
+    """Tr[rho_K sigma_K] for every kept set K of two plain matrices: the
+    one-pair case of :func:`_overlap_table`."""
+    return _overlap_table([rho_m], [sigma_m], dims, kept_sets)[:, 0, 0].tolist()
 
 
 def _guarded_ratios(g, local):

@@ -31,6 +31,9 @@ import numpy as np
 from .qmat import QState, _check_json_keys, _guarded_ratios
 
 _DESIGNS = ("haar", "clifford")
+# Slack of a read exact-mode probability vector: entries >= -PROB_TOL and a
+# sum within PROB_TOL of 1.
+PROB_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -592,16 +595,32 @@ def _float_field(obj: dict, name: str, shape: tuple, setting: int,
         arr = None
     if arr is None or arr.dtype.kind not in "iuf" or arr.shape != shape:
         raise ValueError(f"setting {setting}: {name} {fault}")
-    return arr.astype(float, copy=False)
+    arr = arr.astype(float, copy=False)
+    if not np.isfinite(arr).all():
+        raise ValueError(f"setting {setting}: {name} holds a value that is not finite")
+    return arr
+
+
+def _check_probs(probs: np.ndarray, name: str, setting: int) -> None:
+    """Reject an exact-mode outcome distribution with an entry below
+    -PROB_TOL or a sum off 1 by more than PROB_TOL; computed probabilities
+    carry rounding entries of about -1e-17, which pass."""
+    if probs.min() < -PROB_TOL:
+        raise ValueError(f"setting {setting}: {name} has an entry "
+                         f"{probs.min():.3e} below -{PROB_TOL:g}")
+    total = probs.sum()
+    if abs(total - 1.0) > PROB_TOL:
+        raise ValueError(f"setting {setting}: {name} sums to {float(total)!r}, not 1")
 
 
 def read_records(path) -> tuple[ProtocolConfig, list[MeasurementRecord]]:
     """Inverse of :func:`write_records`, checked on the way in.
 
-    Every record must carry its setting, m and n unitaries, and both
-    states' probability vectors of length D (exact mode) or sparse counts
-    that sum to the shots per setting; the settings must be
-    0..n_unitaries-1, each once.  A fault raises ``ValueError`` naming it.
+    Every record must carry its setting, m and n finite unitaries, and
+    both states' probability vectors of length D, finite, nonnegative and
+    summing to 1 within ``PROB_TOL`` (exact mode), or sparse counts that
+    sum to the shots per setting; the settings must be 0..n_unitaries-1,
+    each once.  A fault raises ``ValueError`` naming it.
     """
     with open(path) as fh:
         header = json.loads(fh.readline())
@@ -630,6 +649,8 @@ def read_records(path) -> tuple[ProtocolConfig, list[MeasurementRecord]]:
                 data = {f"{w}_probs": _float_field(obj, f"{w}_probs", (total,), setting,
                                                    f"must hold {total} probabilities")
                         for w in ("rho", "sigma")}
+                for name, probs in data.items():
+                    _check_probs(probs, name, setting)
             else:
                 data = {f"{w}_counts": _dense_counts(obj, w, index,
                                                      cfg.shots_per_setting, setting)

@@ -38,7 +38,8 @@ def isotropic(d: int, x: float) -> QState:
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"fidelity parameter x={x} outside [0, 1]")
     dd = d * d
-    proj = max_entangled(d).projector().matrix
+    v = max_entangled(d).vec
+    proj = np.outer(v, v.conj())
     m = (1.0 - x) / (dd - 1) * np.eye(dd) + (dd * x - 1.0) / (dd - 1) * proj
     return QState((d, d), m)
 
@@ -58,7 +59,8 @@ def corner_isotropic(d: int, x: float) -> QState:
     diag = np.zeros(dd)
     for i in range(d - 1):
         diag[i * d : i * d + d - 1] = 1.0
-    proj = max_entangled(d).projector().matrix
+    v = max_entangled(d).vec
+    proj = np.outer(v, v.conj())
     m = (1.0 - x) / (d - 1) ** 2 * np.diag(diag) + x * proj
     return QState((d, d), m)
 
@@ -97,7 +99,8 @@ def ghz_noisy(n: int, d: int, p: float) -> QState:
     """White-noise GHZ mixture p |GHZ><GHZ| + (1-p) I / d^n."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"mixing probability p={p} outside [0, 1]")
-    proj = ghz_pure(n, d).projector().matrix
+    v = ghz_pure(n, d).vec
+    proj = np.outer(v, v.conj())
     total = d**n
     return QState((d,) * n, p * proj + (1.0 - p) * np.eye(total) / total)
 

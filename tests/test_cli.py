@@ -1,11 +1,12 @@
 """CLI commands: output schemas, reference values, reproducibility."""
 
 import json
+import tracemalloc
 
 import pytest
 
 from overlapcert import corner_isotropic, p3_ppt_check, purity_check
-from overlapcert.cli import main
+from overlapcert.cli import cmd_fig1, main
 
 
 def read_csv(path):
@@ -58,6 +59,21 @@ def test_fig1_rerun_byte_identical(tmp_path):
     main(["fig1", "--d", "3", "--grid", "7", "--out", str(a)])
     main(["fig1", "--d", "3", "--grid", "7", "--out", str(b)])
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_fig1_allocates_little_beyond_its_states(tmp_path):
+    out = str(tmp_path / "fig1.csv")
+    cmd_fig1(10, 40, 0, out)  # first call: imports and caches stay out of the count
+    tracemalloc.start()
+    try:
+        cmd_fig1(10, 40, 0, out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the 40 isotropic states hold 100 x 100 complex matrices; the ratio
+    # table reduces them one by one, and a stacked copy of them would not fit
+    states = 40 * 100 * 100 * 16
+    assert peak - states <= 2 * 2**20
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from overlapcert import (
     isotropic,
     max_entangled,
     overlap_ratio,
+    overlap_ratio_table,
     p3_ppt_check,
     pt_moments,
     purity_check,
@@ -89,6 +90,33 @@ def test_ratio_with_explicit_bipartition_matches_grouped():
 def test_ratio_requires_matching_dims():
     with pytest.raises(ValueError, match="mismatch"):
         overlap_ratio(random_mixed((2, 2), seed=0), random_mixed((2, 3), seed=0))
+
+
+@pytest.mark.parametrize("dims,split", [
+    ((3, 3), None),
+    ((2, 3, 2), Bipartition((0, 2))),
+    ((2, 3, 2), Bipartition((1,))),
+], ids=["3x3", "2x3x2-split-0-2", "2x3x2-split-1"])
+def test_ratio_table_equals_pairwise_ratios(dims, split):
+    rhos = [random_mixed(dims, seed=s) for s in range(4)]
+    sigmas = [random_mixed(dims, seed=20 + s) for s in range(3)] + [rhos[0]]
+    table = overlap_ratio_table(rhos, sigmas, split)
+    pairwise = [[overlap_ratio(rho, sig, split).s for sig in sigmas] for rho in rhos]
+    assert np.array_equal(table, pairwise)
+
+
+def test_ratio_table_keeps_the_zero_denominator_convention():
+    from overlapcert import basis_state
+
+    a = basis_state((2, 2), (0, 0)).projector()
+    b = basis_state((2, 2), (1, 1)).projector()
+    assert np.array_equal(overlap_ratio_table([a, b], [a, b]), [[1.0, 0.0], [0.0, 1.0]])
+
+
+def test_ratio_table_requires_matching_dims():
+    with pytest.raises(ValueError, match="mismatch"):
+        overlap_ratio_table([random_mixed((2, 2), seed=0)],
+                            [random_mixed((2, 2), seed=1), random_mixed((2, 3), seed=0)])
 
 
 # ---------------------------------------------------------------------------

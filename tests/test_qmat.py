@@ -20,6 +20,8 @@ from overlapcert import (
     schmidt_decompose,
     tensor,
 )
+from overlapcert.multipartite import bipartitions
+from overlapcert.qmat import _overlap_table, _overlaps
 from overlapcert.states import max_entangled, random_mixed, random_pure
 
 
@@ -240,6 +242,48 @@ def test_hs_inner_against_double_loop_oracle():
 def test_hs_inner_dimension_mismatch():
     with pytest.raises(ValueError, match="mismatch"):
         hs_inner(np.eye(2), np.eye(3))
+
+
+def _all_kept_sets(n):
+    return [tuple(i for i in range(n) if mask >> i & 1) for mask in range(1, 2**n)]
+
+
+def _multipartite_kept_sets(n):
+    # the kept sets multipartite_ipc asks for: the full set, then both
+    # sides of every cut
+    sets = [tuple(range(n))]
+    for cut in bipartitions(n):
+        sets += [cut.kept, cut.complement(n)]
+    return sets
+
+
+@pytest.mark.parametrize("dims,kept_sets", [
+    ((3, 3), [(0, 1), (0,), (1,)]),
+    ((2, 3, 2), _all_kept_sets(3)),
+    ((2, 2, 2), _multipartite_kept_sets(3)),
+    ((2,) * 4, _multipartite_kept_sets(4)),
+    ((2,) * 5, _multipartite_kept_sets(5)),
+], ids=["3x3", "2x3x2", "3-qubit", "4-qubit", "5-qubit"])
+def test_overlap_table_equals_pairwise_overlaps(dims, kept_sets):
+    rhos = [random_mixed(dims, seed=s).matrix for s in range(3)]
+    sigmas = [random_mixed(dims, seed=10 + s).matrix for s in range(2)]
+    table = _overlap_table(rhos, sigmas, dims, kept_sets)
+    assert table.shape == (len(kept_sets), 3, 2)
+    for i, rho in enumerate(rhos):
+        for j, sigma in enumerate(sigmas):
+            pairwise = [hs_inner(partial_trace_matrix(rho, dims, k),
+                                 partial_trace_matrix(sigma, dims, k))
+                        for k in kept_sets]
+            assert np.array_equal(table[:, i, j], pairwise)
+            assert _overlaps(rho, sigma, dims, kept_sets) == pairwise
+
+
+def test_overlap_table_rejects_imaginary_trace():
+    rng = np.random.default_rng(4)
+    herm = [random_hermitian(6, rng) for _ in range(2)]
+    skewed = herm[1] + 0.5j * np.eye(6)
+    with pytest.raises(ValueError, match="imaginary part"):
+        _overlap_table(herm, [herm[0], skewed], (2, 3), [(0, 1), (0,)])
 
 
 # ---------------------------------------------------------------------------

@@ -669,16 +669,40 @@ def _set(line, key, value):
      r"missing keys \['n_unitaries'\]"),
     (None, lambda ls: ls[0]["protocol"].update({"m": 1.5}),
      "m must be an integer, not 1.5"),
+    (None, _set(2, "rho_probs", [math.nan] * 4),
+     "setting 1: rho_probs holds a value that is not finite"),
+    (None, _set(3, "sigma_probs", [5, -3, 0, 0]),
+     r"setting 2: sigma_probs has an entry -3.000e\+00 below -1e-09"),
+    (None, _set(1, "rho_probs", [0.5, 0.5, 0.5, 0.0]),
+     "setting 0: rho_probs sums to 1.5, not 1"),
+    (None, lambda ls: ls[2]["unitaries_b"][0].__setitem__(3, math.inf),
+     "setting 1: unitaries_b holds a value that is not finite"),
+    (50, lambda ls: ls[1]["unitaries_a"][0].__setitem__(0, math.nan),
+     "setting 0: unitaries_a holds a value that is not finite"),
 ], ids=["probs-length", "probs-missing", "unitaries-count", "unitary-length",
         "count-sum", "count-not-integer", "counts-not-object", "counts-missing",
         "setting-repeated", "setting-missing", "setting-past-range", "setting-not-integer",
-        "header-key-missing", "header-not-integer"])
+        "header-key-missing", "header-not-integer", "probs-nan", "probs-negative",
+        "probs-sum", "unitary-inf", "unitary-nan-shots"])
 def test_read_records_rejects_malformed_files(tmp_path, shots, edit, message):
     path = tmp_path / "records.jsonl"
     lines = _records_lines(path, shots)
     edit(lines)
     with pytest.raises(ValueError, match=message):
         read_records(_write_lines(path, lines))
+
+
+def test_read_records_accepts_exact_mode_rounding(tmp_path):
+    # computed probabilities carry rounding: an entry of -1e-17 and a sum
+    # off 1 in the last digits must still read
+    path = tmp_path / "records.jsonl"
+    lines = _records_lines(path, None)
+    probs = lines[1]["rho_probs"]
+    probs[1] += probs[0] + 3e-16
+    probs[0] = -1e-17
+    _, records = read_records(_write_lines(path, lines))
+    assert records[0].rho_probs[0] == -1e-17
+    assert records[0].rho_probs.tolist() == probs
 
 
 # Values that are never a valid field, count or header integer: no array of

@@ -7,6 +7,7 @@ import pytest
 
 from overlapcert import (
     PureVec,
+    QState,
     StateSpec,
     build_density,
     corner_isotropic,
@@ -124,6 +125,26 @@ def test_corner_isotropic_affine_in_x():
 def test_corner_isotropic_needs_d3():
     with pytest.raises(ValueError):
         corner_isotropic(2, 0.5)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: isotropic(4, 0.3),
+    lambda: corner_isotropic(4, 0.3),
+    lambda: ghz_noisy(3, 3, 0.7),
+], ids=["isotropic", "corner_isotropic", "ghz_noisy"])
+def test_family_state_is_validated_once(monkeypatch, build):
+    # the projector is built from the validated vector, not as a second
+    # QState; only the final state runs the eigvalsh check
+    calls = []
+    validate = QState.__post_init__
+
+    def counted(self):
+        calls.append(self)
+        validate(self)
+
+    monkeypatch.setattr(QState, "__post_init__", counted)
+    state = build()
+    assert len(calls) == 1 and calls[0] is state
 
 
 # ---------------------------------------------------------------------------

@@ -241,6 +241,15 @@ def test_optconfig_validation():
         OptConfig(restarts=0)
 
 
+def test_optconfig_from_json_rejects_unknown_keys():
+    # misspelt keys used to fall back to the defaults without a word
+    with pytest.raises(ValueError, match=r"unknown keys \['max_iter', 'restart'\]"):
+        OptConfig.from_json({"restart": 3, "max_iter": 5})
+    with pytest.raises(ValueError, match="expected a JSON object"):
+        OptConfig.from_json([3, 5])
+    assert OptConfig.from_json({}) == OptConfig()
+
+
 def test_package_import_loads_only_numpy():
     # numpy is the one dependency; the optimizer pulls in no other package
     code = ("import sys; before = set(sys.modules); import overlapcert; "
