@@ -1,4 +1,4 @@
-"""1-D search helpers for boundary solving: golden section and bisection."""
+"""1-D search helpers: golden section, and bisection (the tests' root oracle)."""
 
 from __future__ import annotations
 
@@ -24,31 +24,6 @@ def golden_section_max(f, lo: float, hi: float, tol: float = 1e-10):
             fd = f(d)
     x = (a + b) / 2.0
     return x, f(x)
-
-
-def maximize_unimodal(f, lo: float, hi: float, tol: float = 1e-10,
-                      pre_scan: int = 33):
-    """Golden-section maximum with a coarse unimodality pre-scan.
-
-    If the pre-scan sees more than one strict local maximum, fall back to
-    a dense grid and refine only around the best grid point.
-    """
-    xs = [lo + (hi - lo) * k / (pre_scan - 1) for k in range(pre_scan)]
-    ys = [f(x) for x in xs]
-    n_peaks = sum(
-        1
-        for k in range(1, pre_scan - 1)
-        if ys[k] > ys[k - 1] and ys[k] > ys[k + 1]
-    )
-    if n_peaks <= 1:
-        return golden_section_max(f, lo, hi, tol)
-    dense = 2001
-    xs = [lo + (hi - lo) * k / (dense - 1) for k in range(dense)]
-    ys = [f(x) for x in xs]
-    k = max(range(dense), key=lambda i: ys[i])
-    a = xs[max(0, k - 1)]
-    b = xs[min(dense - 1, k + 1)]
-    return golden_section_max(f, a, b, tol)
 
 
 def bisect_root(f, lo: float, hi: float, tol: float = 1e-8) -> float:

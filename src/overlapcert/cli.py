@@ -16,11 +16,10 @@ from pathlib import Path
 
 import numpy as np
 
-from ._scan import bisect_root, golden_section_max, maximize_unimodal
+from ._scan import golden_section_max
 from .criteria import (
-    corner_delta,
+    _corner_gap_polys,
     corner_fbc_psi_boundary,
-    corner_isotropic_closed_forms,
     fbc_spectrum_bound,
     overlap_ratio,
     overlap_ratio_table,
@@ -70,8 +69,11 @@ def cmd_fig1(d: int, grid: int, r_max: int, out: str, seed: int = 0) -> int:
         raise ValueError("grid must be >= 2")
     r_cap = r_max if r_max >= 1 else d
     xs = np.linspace(1.0 / d**2, 1.0, grid)
-    states = [isotropic(d, float(x)) for x in xs]
-    table = overlap_ratio_table(states, states).tolist()
+    # isotropic(d, x) = (1-x) isotropic(d, 0) + x isotropic(d, 1)
+    ends = [isotropic(d, 0.0), isotropic(d, 1.0)]
+    weights = np.column_stack([1.0 - xs, xs])
+    table = overlap_ratio_table(ends, ends, rho_weights=weights,
+                                sigma_weights=weights).tolist()
     rows = []
     for x, s_row in zip(xs, table):
         for y, s in zip(xs, s_row):
@@ -83,82 +85,100 @@ def cmd_fig1(d: int, grid: int, r_max: int, out: str, seed: int = 0) -> int:
 
 
 # ---------------------------------------------------------------------------
-# fig3: detection bands and criteria boundaries for the corner family
+# fig3: detection bands and criteria boundaries for the corner family; each
+# boundary is a root of a polynomial of degree at most three in x
 
 
-def _corner_best_ratio(d: int, x: float, pre_scan: int = 33):
-    """max over y of the overlap ratio against the tilted probe family.
+def _roots_in(coeffs, lo: float, hi: float) -> list[float]:
+    """Ascending real roots in [lo, hi] of the polynomial ``coeffs``."""
+    roots = np.roots(coeffs)
+    real = roots.real[np.abs(roots.imag) <= 1e-12]
+    return sorted(float(x) for x in real if lo <= x <= hi)
 
-    The probe is pure and diagonal in the computational Schmidt basis, so
-    the ratio reduces to scalar arithmetic on the diagonal data.
-    """
-    m_noise = (1.0 - x) / (d - 1) ** 2
-    diag_a_bulk = (1.0 - x) / (d - 1) + x / d  # first d-1 entries of rho_A
-    diag_a_last = x / d
 
-    def ratio(y: float) -> float:
-        c2 = max(0.0, 1.0 - (d - 1) * y * y)
-        amp = (d - 1) * y + math.sqrt(c2)
-        g = m_noise * (d - 1) * y * y + (x / d) * amp * amp
-        local = diag_a_bulk * (d - 1) * y * y + diag_a_last * c2
-        return g / local if local > 0 else 0.0
+def _corner_pencil(d: int, x: float) -> tuple[float, ...]:
+    """(a11, a12, a22, b11, b22): the overlap ratio of corner_isotropic(d, x)
+    against the tilted probe y sum_{i<d-1} |ii> + c |d-1 d-1> is
+    u^T A u / u^T B u with u = (sqrt(d-1) y, c) >= 0 and B diagonal (the
+    probe is diagonal in the Schmidt basis).  Every entry is affine in x."""
+    k = x / d
+    return ((1.0 - x) / (d - 1) ** 2 + k * (d - 1), k * math.sqrt(d - 1), k,
+            (1.0 - x) / (d - 1) + k, k)
 
-    return maximize_unimodal(ratio, 0.0, 1.0 / math.sqrt(d - 1), tol=1e-10,
-                             pre_scan=pre_scan)
+
+def _pencil_top(a11, a12, a22, b11, b22) -> float:
+    """Largest root of det(A - l B) = 0, the maximum of u^T A u / u^T B u.
+
+    Its eigenvector has u2 / u1 = (l b11 - a11) / a12 >= 0, so the
+    probe's sign constraint u >= 0 does not bind."""
+    p, q = a11 * b22 + a22 * b11, a11 * b22 - a22 * b11
+    return (p + math.sqrt(q * q + 4.0 * b11 * b22 * a12 * a12)) / (2.0 * b11 * b22)
+
+
+def _ratio_boundary(d: int, r: int) -> float | None:
+    """Smallest x in [1e-8, 1] at which the probe maximum reaches r (0.0 if
+    it does at 1e-8, None if not even at 1): the smallest root of the
+    quadratic det(A(x) - r B(x)) at which r is the larger pencil root, i.e.
+    at least the mean a11/(2 b11) + a22/(2 b22) of the two."""
+    lo, hi = 1e-8, 1.0
+    if _pencil_top(*_corner_pencil(d, hi)) < r:
+        return None
+    if _pencil_top(*_corner_pencil(d, lo)) >= r:
+        return 0.0
+
+    def shifted(x):  # the entries m11, m12, m22 of A(x) - r B(x)
+        a11, a12, a22, b11, b22 = _corner_pencil(d, x)
+        return np.array([a11 - r * b11, a12, a22 - r * b22])
+
+    (m11, m12, m22), (s11, s12, s22) = shifted(0.0), shifted(1.0) - shifted(0.0)
+    det = [s11 * s22 - s12 * s12, m11 * s22 + s11 * m22 - 2.0 * m12 * s12,
+           m11 * m22 - m12 * m12]
+    for x in _roots_in(det, lo, hi):
+        a11, _, a22, b11, b22 = _corner_pencil(d, x)
+        if 2.0 * r >= a11 / b11 + a22 / b22:
+            return x
+    raise AssertionError(f"no ratio boundary for d={d}, r={r}")
 
 
 def _spectrum_boundary(d: int, r: int) -> float:
     """x above which the top eigenvalue of corner_isotropic(d, x) exceeds r/d
     (no rank-r fidelity witness detects below it); 1.0 if it never does.
-    At x = 0 it is 1/(d-1)^2 < r/d for d >= 3, so [0, 1] brackets the root."""
-    def spectrum_gap(x):
-        return corner_delta(d, x) - r / d
 
-    if spectrum_gap(1.0) <= 0:
+    ``corner_delta`` is the larger root of l^2 - (m + x) l + m x / d with
+    m = (1-x)/(d-1)^2, so it is r/d where x^2 + (r d (d-2) - 1) x + r -
+    r^2 (d-1)^2 / d = 0, a quadratic negative at 0 and positive at 1."""
+    if r >= d:  # the top eigenvalue is 1 at x = 1
         return 1.0
-    return bisect_root(spectrum_gap, 0.0, 1.0, tol=1e-8)
+    return _roots_in([1.0, r * d * (d - 2) - 1.0, r - r * r * (d - 1) ** 2 / d],
+                     0.0, 1.0)[0]
 
 
-def cmd_fig3(d_min: int, d_max: int, r_max: int, grid: int, out: str,
+def cmd_fig3(d_min: int, d_max: int, r_max: int, grid, out: str,
              seed: int = 0) -> int:
     """Emit the (d, r) detection bands (panel a) and per-d criterion
-    boundaries (panel b) for the corner-isotropic family, as two CSVs."""
+    boundaries (panel b) for the corner-isotropic family, as two CSVs.
+    ``grid`` is unused (the probe maximum is exact); it stays for callers."""
     if d_min < 3:
         raise ValueError("the corner family needs d >= 3")
-    config = {
-        "command": "fig3", "d_min": d_min, "d_max": d_max, "r_max": r_max,
-        "grid": grid, "seed": seed,
-    }
+    config = {"command": "fig3", "d_min": d_min, "d_max": d_max,
+              "r_max": r_max, "seed": seed}
     rows_a = []
     for d in range(d_min, d_max + 1):
         for r in range(1, min(r_max, d - 1) + 1):
-            def excess(x):
-                return _corner_best_ratio(d, x, pre_scan=grid)[1] - r
-
-            x_lo_domain, x_hi_domain = 1e-8, 1.0
-            if excess(x_hi_domain) < 0:
-                continue
-            if excess(x_lo_domain) >= 0:
-                x_lower = 0.0
-            else:
-                x_lower = bisect_root(excess, x_lo_domain, x_hi_domain, tol=1e-8)
-
-            rows_a.append((d, r, x_lower, _spectrum_boundary(d, r)))
+            x_lower = _ratio_boundary(d, r)
+            if x_lower is not None:
+                rows_a.append((d, r, x_lower, _spectrum_boundary(d, r)))
     path_a = out + ".a.csv"
     _write_csv(path_a, ["d", "r", "x_ratio_boundary", "x_unfaithful_boundary"],
                rows_a, config)
 
     rows_b = []
     for d in range(d_min, d_max + 1):
-        def p3_gap(x):
-            return corner_isotropic_closed_forms(d, x)["p2sq_minus_p3"]
-
-        def pc_gap(x):
-            f = corner_isotropic_closed_forms(d, x)
-            return f["purity_global"] - f["purity_local"]
-
-        x_p3 = bisect_root(p3_gap, 1e-12, 1.0, tol=1e-10)
-        x_pc = bisect_root(pc_gap, 1e-12, 1.0, tol=1e-10)
+        # both gaps are negative at x = 0 and positive at x = 1, so each
+        # first turns positive at its smallest root between them
+        purity_gap, p3_cubic = _corner_gap_polys(d)
+        x_p3 = _roots_in(p3_cubic, 1e-12, 1.0)[0]
+        x_pc = _roots_in(purity_gap, 1e-12, 1.0)[0]
         rows_b.append((d, 0.0, x_p3, corner_fbc_psi_boundary(d, 1), x_pc))
     path_b = out + ".b.csv"
     _write_csv(path_b,
@@ -205,22 +225,11 @@ def cmd_rm_experiment(config_path: str, out: str, settings: int | None = None,
     rho_spec = StateSpec.from_json(cfg_obj["rho"])
     sigma_spec = StateSpec.from_json(cfg_obj["sigma"])
     protocol = ProtocolConfig.from_json(cfg_obj["protocol"])
-    overrides = {}
-    if settings is not None:
-        overrides["n_unitaries"] = settings
-    if shots is not None:
-        overrides["shots_per_setting"] = shots
-    if exact:
-        overrides["shots_per_setting"] = None
-    if seed is not None:
-        overrides["seed"] = seed
+    overrides = {"n_unitaries": settings, "seed": seed,
+                 "shots_per_setting": "exact" if exact else shots}
+    overrides = {k: v for k, v in overrides.items() if v is not None}
     if overrides:
-        base = protocol.to_json()
-        base.update(
-            {k: ("exact" if v is None and k == "shots_per_setting" else v)
-             for k, v in overrides.items()}
-        )
-        protocol = ProtocolConfig.from_json(base)
+        protocol = ProtocolConfig.from_json({**protocol.to_json(), **overrides})
 
     rho = build_density(rho_spec)
     sigma = build_density(sigma_spec)
@@ -238,11 +247,8 @@ def cmd_rm_experiment(config_path: str, out: str, settings: int | None = None,
     # no state of either side's dimension has a larger Schmidt number
     cap = min(protocol.d_a, protocol.d_b)
     bound_point = min(sn_bound_from_ratio(estimate.s), cap) if estimate.reliable else 1
-    bound_2se = (
-        min(sn_bound_from_ratio(estimate.s - 2.0 * estimate.se_s), cap)
-        if estimate.reliable
-        else 1
-    )
+    bound_2se = (min(sn_bound_from_ratio(estimate.s - 2.0 * estimate.se_s), cap)
+                 if estimate.reliable else 1)
     report = {
         "rho": rho_spec.to_json(),
         "sigma": sigma_spec.to_json(),
@@ -264,11 +270,11 @@ def cmd_rm_experiment(config_path: str, out: str, settings: int | None = None,
 def _example_isotropic(report: dict, failures: list) -> None:
     checks = []
     for d in (2, 3, 4, 6, 10):
-        xs = np.linspace(1.0 / d**2, 1.0, 9).tolist()
-        table = overlap_ratio_table([isotropic(d, x) for x in xs], [isotropic(d, 1.0)])
-        worst = 0.0
-        for x, (s,) in zip(xs, table.tolist()):
-            worst = max(worst, abs(s - d * x))
+        xs = np.linspace(1.0 / d**2, 1.0, 9)
+        ends = [isotropic(d, 0.0), isotropic(d, 1.0)]  # as in cmd_fig1
+        table = overlap_ratio_table(ends, ends[1:],
+                                    rho_weights=np.column_stack([1.0 - xs, xs]))
+        worst = float(np.max(np.abs(table[:, 0] - d * xs)))
         checks.append({"d": d, "max_abs_error": worst, "ok": worst <= 1e-9})
     report["isotropic_pairs"] = checks
     failures.extend(f"isotropic d={c['d']}" for c in checks if not c["ok"])
@@ -288,33 +294,38 @@ def _example_sn3(report: dict, failures: list) -> None:
         "peak_parameter": t_best,
         "sn_bound": bound,
         "blocked_for_rank2_witnesses": unfaithful,
-        "ok": (
-            abs(s_best - 12.0 / 5.0) <= 1e-8
-            and abs(t_best - 7.0 / 54.0) <= 1e-6
-            and unfaithful
-            and bound == 3
-        ),
+        "ok": (abs(s_best - 12.0 / 5.0) <= 1e-8 and abs(t_best - 7.0 / 54.0) <= 1e-6
+               and unfaithful and bound == 3),
     }
     report["rank2_sn3_state"] = entry
     if not entry["ok"]:
         failures.append("rank2_sn3_state")
 
 
+def _ghz_threshold(n: int) -> float:
+    """Smallest p at which multipartite_ipc's margin for ghz_noisy(n, 2, p)
+    against |GHZ><GHZ| reaches 0.  The state and so every overlap is affine
+    in p, so the margin is the largest of the affine f(p) = f(0) + p (f(1) -
+    f(0)) over cuts and sides, and reaches 0 at the smallest -f(0) / slope
+    over the rising ones."""
+    sig = ghz_pure(n, 2).projector()
+    ends = []
+    for p in (0.0, 1.0):
+        v = multipartite_ipc(ghz_noisy(n, 2, p), sig)
+        ends.append(np.array([v.global_overlap - side for cut in v.cut_table
+                              for side in (cut.overlap_kept, cut.overlap_rest)]))
+    f0, slope = ends[0], ends[1] - ends[0]
+    rising = slope > 0.0
+    return float(np.min(-f0[rising] / slope[rising]))
+
+
 def _example_ghz_thresholds(report: dict, failures: list) -> None:
     checks = []
     for n in (3, 4, 5):
-        sig = ghz_pure(n, 2).projector()
-
-        def margin(p):
-            v = multipartite_ipc(ghz_noisy(n, 2, p), sig)
-            return v.global_overlap - v.min_value
-
-        p_star = bisect_root(margin, 1e-6, 0.999, tol=1e-9)
+        p_star = _ghz_threshold(n)
         expect = 1.0 / (2 ** (n - 1) + 1)
-        checks.append({
-            "n": n, "threshold": p_star, "expected": expect,
-            "ok": abs(p_star - expect) <= 1e-6,
-        })
+        checks.append({"n": n, "threshold": p_star, "expected": expect,
+                       "ok": abs(p_star - expect) <= 1e-6})
     report["ghz_thresholds"] = checks
     failures.extend(f"ghz n={c['n']}" for c in checks if not c["ok"])
 
@@ -410,13 +421,12 @@ def _build_parser() -> argparse.ArgumentParser:
         "x_unfaithful_boundary: the band where the ratio certifies r+1 while "
         "no rank-r fidelity witness can) and OUT.b.csv (columns d, "
         "x_ipc_boundary, x_p3ppt_boundary, x_fbc_boundary, x_pc_boundary: "
-        "smallest x detected by each criterion).",
+        "smallest x detected by each criterion).  Every boundary is solved "
+        "in closed form.",
     )
     p3.add_argument("--d-min", type=int, default=3)
     p3.add_argument("--d-max", type=int, default=10)
     p3.add_argument("--r-max", type=int, default=5)
-    p3.add_argument("--grid", type=int, default=33,
-                    help="pre-scan resolution for the probe maximization")
     p3.add_argument("--out", required=True, help="output path prefix")
     p3.add_argument("--seed", type=int, default=0)
 
@@ -467,8 +477,8 @@ def main(argv=None) -> int:
     if args.command == "fig1":
         return cmd_fig1(args.d, args.grid, args.r_max, args.out, args.seed)
     if args.command == "fig3":
-        return cmd_fig3(args.d_min, args.d_max, args.r_max, args.grid,
-                        args.out, args.seed)
+        return cmd_fig3(args.d_min, args.d_max, args.r_max, None, args.out,
+                        args.seed)
     if args.command == "rfbc-tightness":
         return cmd_rfbc_tightness(args.d_min, args.d_max, args.r_max,
                                   args.out, args.seed)

@@ -106,11 +106,16 @@ def overlap_ratio(rho: QState, sigma: QState,
     return OverlapRatio(g, la, lb, s_a, s_b, max(s_a, s_b))
 
 
-def overlap_ratio_table(rhos, sigmas, split: Bipartition | None = None) -> np.ndarray:
-    """The ratio s of every pair (rhos[i], sigmas[j]), as an (n, m) array.
+def overlap_ratio_table(rhos, sigmas, split: Bipartition | None = None,
+                        rho_weights=None, sigma_weights=None) -> np.ndarray:
+    """The ratio s of every pair (rhos[i], sigmas[j]) as an (n, m) array; with
+    W = rho_weights or V = sigma_weights, of the mixtures sum_k W[i, k] rhos[k]
+    against sum_l V[j, l] sigmas[l].
 
-    Equal to ``overlap_ratio(rhos[i], sigmas[j], split).s`` entry by entry,
-    but each state is reduced once, not once per pair.
+    Without weights each entry equals ``overlap_ratio(rhos[i], sigmas[j],
+    split).s``.  Overlaps are bilinear, so a table of mixtures is W T V^T on
+    the overlap table T of the given states, each reduced once; no mixture
+    is built, and the weights are not checked.
     """
     rhos, sigmas = list(rhos), list(sigmas)
     if not rhos or not sigmas:
@@ -123,7 +128,12 @@ def overlap_ratio_table(rhos, sigmas, split: Bipartition | None = None) -> np.nd
     _, d_a, d_b, _, _ = groups[0]
     mats = [gr[0] for gr in groups]
     n = len(rhos)
-    g, la, lb = _overlap_table(mats[:n], mats[n:], (d_a, d_b), _BIPARTITE_SETS)
+    t = _overlap_table(mats[:n], mats[n:], (d_a, d_b), _BIPARTITE_SETS)
+    if rho_weights is not None:
+        t = np.asarray(rho_weights, dtype=float) @ t
+    if sigma_weights is not None:
+        t = t @ np.asarray(sigma_weights, dtype=float).T
+    g, la, lb = t
     return np.maximum(_guarded_ratios(g, la), _guarded_ratios(g, lb))
 
 
@@ -151,6 +161,17 @@ def ipc_bound(rho: QState, sigma: QState, split: Bipartition | None = None,
     )
 
 
+def _reduction_operators(rho: QState, r: int, split: Bipartition | None):
+    """r rho_A x I - rho and r I x rho_B - rho in the cut's layout, and the
+    ``_grouped`` data of rho."""
+    if r < 1:
+        raise ValueError("r must be >= 1")
+    grouped = m, d_a, d_b, _, _ = _grouped(rho, split)
+    return (r * np.kron(partial_trace_matrix(m, (d_a, d_b), [0]), np.eye(d_b)) - m,
+            r * np.kron(np.eye(d_a), partial_trace_matrix(m, (d_a, d_b), [1])) - m,
+            grouped)
+
+
 def reduction_check(rho: QState, r: int = 1, split: Bipartition | None = None,
                     tol: float = DEFAULT_TOL) -> CriterionVerdict:
     """Positivity test of r*rho_A x I - rho and r*I x rho_B - rho.
@@ -158,14 +179,7 @@ def reduction_check(rho: QState, r: int = 1, split: Bipartition | None = None,
     A negative eigenvalue beyond tolerance on either side rules out
     Schmidt number <= r.
     """
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    m, d_a, d_b, _, _ = _grouped(rho, split)
-    dims = (d_a, d_b)
-    rho_a = partial_trace_matrix(m, dims, [0])
-    rho_b = partial_trace_matrix(m, dims, [1])
-    op_a = r * np.kron(rho_a, np.eye(d_b)) - m
-    op_b = r * np.kron(np.eye(d_a), rho_b) - m
+    op_a, op_b, _ = _reduction_operators(rho, r, split)
     min_a = float(np.linalg.eigvalsh(op_a)[0])
     min_b = float(np.linalg.eigvalsh(op_b)[0])
     min_eig = min(min_a, min_b)
@@ -193,14 +207,7 @@ def extract_ipc_witness(rho: QState, r: int = 1, split: Bipartition | None = Non
     overlap ratio strictly exceeds r.  Degenerate negative eigenspaces are
     resolved deterministically by the eigensolver's lowest index.
     """
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    m, d_a, d_b, layout, layout_dims = _grouped(rho, split)
-    dims = (d_a, d_b)
-    rho_a = partial_trace_matrix(m, dims, [0])
-    rho_b = partial_trace_matrix(m, dims, [1])
-    op_a = r * np.kron(rho_a, np.eye(d_b)) - m
-    op_b = r * np.kron(np.eye(d_a), rho_b) - m
+    op_a, op_b, (_, _, _, layout, layout_dims) = _reduction_operators(rho, r, split)
     w_a, v_a = eig_hermitian(op_a)
     w_b, v_b = eig_hermitian(op_b)
     if min(w_a[0], w_b[0]) >= -tol:
@@ -332,6 +339,17 @@ def corner_fbc_psi_boundary(d: int, r: int = 1) -> float:
     return (r * (d - 1) - 1.0) / (d * d - d - 1.0)
 
 
+def _corner_gap_polys(d: int) -> tuple[list[float], list[float]]:
+    """Coefficients, highest power first, of two polynomials in x for
+    corner_isotropic(d, x): the purity gap Tr[rho^2] - Tr[rho_A^2] (a
+    quadratic), and the cubic c with p2^2 - p3 = x c(x) / ((d-1)^4 d^2)."""
+    # purity gap = a (1-x)^2 + b x^2 + c x (1-x) in the closed forms below
+    a, b, c = -(d - 2) / (d - 1) ** 2, (d - 1) / d, -2 * (d - 2) / (d * (d - 1))
+    cubic = [(d**3 - 2 * d**2 + 2) ** 2, 2 * d**4 - 12 * d**3 + 18 * d**2 - 5 * d - 6,
+             -(d**4) + 8 * d**3 - 15 * d**2 + 10 * d + 1, -d]
+    return [a + b - c, c - 2 * a, a], cubic
+
+
 def corner_isotropic_closed_forms(d: int, x: float) -> dict:
     """Closed-form scalars for corner_isotropic(d, x).
 
@@ -343,15 +361,10 @@ def corner_isotropic_closed_forms(d: int, x: float) -> dict:
         raise ValueError("corner-isotropic family needs d >= 3")
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"x={x} outside [0, 1]")
-    poly = (
-        (d**3 - 2 * d**2 + 2) ** 2 * x**3
-        + (2 * d**4 - 12 * d**3 + 18 * d**2 - 5 * d - 6) * x**2
-        + (-(d**4) + 8 * d**3 - 15 * d**2 + 10 * d + 1) * x
-        - d
-    )
+    cubic = _corner_gap_polys(d)[1]
     return {
         "delta": corner_delta(d, x),
-        "p2sq_minus_p3": x / ((d - 1) ** 4 * d**2) * poly,
+        "p2sq_minus_p3": x / ((d - 1) ** 4 * d**2) * float(np.polyval(cubic, x)),
         "purity_global": (1 - x) ** 2 / (d - 1) ** 2 + x**2
         + 2 * (1 - x) * x / ((d - 1) * d),
         "purity_local": (1 - x) ** 2 / (d - 1) + x**2 / d + 2 * (1 - x) * x / d,

@@ -180,14 +180,15 @@ class OverlapEstimate:
 
 @functools.cache
 def _single_qubit_cliffords() -> list:
-    """The 24 single-qubit Clifford unitaries, phase-normalized and sorted."""
+    """The 24 single-qubit Clifford unitaries, phase-normalized and sorted:
+    exact products of H and S, identified and ordered by rounded keys."""
     h = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
     s = np.array([[1, 0], [0, 1j]], dtype=complex)
 
     def canon(u):
         flat = u.ravel()
         first = flat[np.argmax(np.abs(flat) > 1e-9)]
-        return np.round(u * (abs(first) / first), 12)
+        return u * (abs(first) / first)
 
     def key(u):
         return tuple((float(z.real), float(z.imag)) for z in np.round(u.ravel(), 9))

@@ -1,12 +1,32 @@
 """CLI commands: output schemas, reference values, reproducibility."""
 
 import json
+import math
 import tracemalloc
 
+import numpy as np
 import pytest
 
-from overlapcert import corner_isotropic, p3_ppt_check, purity_check
-from overlapcert.cli import cmd_fig1, main
+from overlapcert import (
+    corner_delta,
+    corner_isotropic,
+    corner_isotropic_closed_forms,
+    ghz_noisy,
+    ghz_pure,
+    multipartite_ipc,
+    overlap_ratio,
+    p3_ppt_check,
+    purity_check,
+    tilted_entangled,
+)
+from overlapcert._scan import bisect_root, golden_section_max
+from overlapcert.cli import (
+    _corner_pencil,
+    _ghz_threshold,
+    _pencil_top,
+    cmd_fig1,
+    main,
+)
 
 
 def read_csv(path):
@@ -70,10 +90,9 @@ def test_fig1_allocates_little_beyond_its_states(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the 40 isotropic states hold 100 x 100 complex matrices; the ratio
-    # table reduces them one by one, and a stacked copy of them would not fit
-    states = 40 * 100 * 100 * 16
-    assert peak - states <= 2 * 2**20
+    # fig1 builds two 100 x 100 endpoint states, not one state per grid
+    # point (40 of them would take 6.1 MiB)
+    assert peak <= 2 * 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -130,6 +149,63 @@ def test_fig3_criterion_boundaries(fig3_files):
             x0 = row[key]
             assert not check(corner_isotropic(d, x0 - 1e-4)).detected
             assert check(corner_isotropic(d, x0 + 1e-4)).detected
+
+
+def _probe_ratio(d, x, y):
+    """Overlap ratio of corner_isotropic(d, x) against tilted_entangled(d, y),
+    written out in y (vectorized over y)."""
+    c2 = np.maximum(0.0, 1.0 - (d - 1) * y * y)
+    amp = (d - 1) * y + np.sqrt(c2)
+    g = (1.0 - x) / (d - 1) * y * y + x / d * amp * amp
+    local = ((1.0 - x) / (d - 1) + x / d) * (d - 1) * y * y + x / d * c2
+    return g / local
+
+
+def test_probe_ratio_formula_matches_the_states():
+    for d, x, y in ((3, 0.3, 0.5), (5, 0.05, 0.4), (7, 0.8, 0.2)):
+        exact = overlap_ratio(corner_isotropic(d, x),
+                              tilted_entangled(d, y).projector()).s
+        assert abs(_probe_ratio(d, x, y) - exact) <= 1e-12 * exact
+
+
+def test_pencil_top_is_the_probe_maximum():
+    # a dense scan of the ratio over the probe family, refined by golden section
+    for d in range(3, 11):
+        ys = np.linspace(0.0, 1.0 / math.sqrt(d - 1), 2001)
+        for x in np.geomspace(1e-3, 1.0, 50):
+            k = int(np.argmax(_probe_ratio(d, x, ys)))
+            _, best = golden_section_max(lambda y: float(_probe_ratio(d, x, y)),
+                                         ys[max(k - 1, 0)], ys[min(k + 1, 2000)])
+            top = _pencil_top(*_corner_pencil(d, x))
+            assert abs(top - best) <= 1e-12 * best
+
+
+def test_fig3_boundaries_are_roots(tmp_path):
+    base = tmp_path / "scan"
+    assert main(["fig3", "--d-min", "3", "--d-max", "10", "--r-max", "5",
+                 "--out", str(base)]) == 0
+    _, _, rows_a = read_csv(tmp_path / "scan.a.csv")
+    assert len(rows_a) == 34
+    for row in rows_a:
+        d, r, x = int(row["d"]), row["r"], row["x_ratio_boundary"]
+        if x == 0.0:
+            assert _pencil_top(*_corner_pencil(d, 1e-8)) >= r
+        else:
+            assert abs(_pencil_top(*_corner_pencil(d, x)) - r) <= 1e-10
+            assert _pencil_top(*_corner_pencil(d, x - 1e-6)) < r
+        assert abs(corner_delta(d, row["x_unfaithful_boundary"]) - r / d) <= 1e-12
+    _, _, rows_b = read_csv(tmp_path / "scan.b.csv")
+
+    def gaps(d, x):
+        f = corner_isotropic_closed_forms(d, x)
+        return {"x_p3ppt_boundary": f["p2sq_minus_p3"],
+                "x_pc_boundary": f["purity_global"] - f["purity_local"]}
+
+    # the closed-form gaps change sign within the old bisection tolerance
+    for row in rows_b:
+        for key in ("x_p3ppt_boundary", "x_pc_boundary"):
+            assert gaps(int(row["d"]), row[key] - 1e-10)[key] < 0.0
+            assert gaps(int(row["d"]), row[key] + 1e-10)[key] > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -261,6 +337,18 @@ def test_rm_experiment_flag_overrides(tmp_path):
 
 # ---------------------------------------------------------------------------
 # examples
+
+
+def test_ghz_threshold_matches_bisection():
+    for n in (3, 4, 5):
+        sig = ghz_pure(n, 2).projector()
+
+        def margin(p):
+            v = multipartite_ipc(ghz_noisy(n, 2, p), sig)
+            return v.global_overlap - v.min_value
+
+        oracle = bisect_root(margin, 1e-6, 0.999, tol=1e-11)
+        assert abs(_ghz_threshold(n) - oracle) <= 1e-9
 
 
 def test_examples_report_all_green(tmp_path):

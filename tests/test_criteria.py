@@ -6,6 +6,7 @@ import pytest
 from corpus import random_low_schmidt_mixture, random_separable
 from overlapcert import (
     Bipartition,
+    QState,
     corner_delta,
     corner_fbc_psi_boundary,
     corner_isotropic,
@@ -103,6 +104,30 @@ def test_ratio_table_equals_pairwise_ratios(dims, split):
     table = overlap_ratio_table(rhos, sigmas, split)
     pairwise = [[overlap_ratio(rho, sig, split).s for sig in sigmas] for rho in rhos]
     assert np.array_equal(table, pairwise)
+
+
+@pytest.mark.parametrize("dims,split", [
+    ((3, 3), None),
+    ((2, 3, 2), Bipartition((0, 2))),
+], ids=["3x3", "2x3x2-split-0-2"])
+def test_ratio_table_of_mixtures_equals_table_of_built_mixtures(dims, split):
+    rhos = [random_mixed(dims, seed=s) for s in range(3)]
+    sigmas = [random_mixed(dims, seed=30 + s) for s in range(2)]
+    rng = np.random.default_rng(4)
+    w = np.vstack([np.eye(3), rng.dirichlet(np.ones(3), size=5)])
+    v = np.vstack([np.eye(2), rng.dirichlet(np.ones(2), size=4)])
+
+    def mixtures(weights, states):
+        return [QState(dims, sum(c * st.matrix for c, st in zip(row, states)))
+                for row in weights]
+
+    table = overlap_ratio_table(rhos, sigmas, split, rho_weights=w, sigma_weights=v)
+    built = overlap_ratio_table(mixtures(w, rhos), mixtures(v, sigmas), split)
+    assert np.allclose(table, built, rtol=1e-12, atol=0.0)
+    # identity weights give the unweighted table exactly
+    assert np.array_equal(
+        overlap_ratio_table(rhos, sigmas, split, np.eye(3), np.eye(2)),
+        overlap_ratio_table(rhos, sigmas, split))
 
 
 def test_ratio_table_keeps_the_zero_denominator_convention():

@@ -105,6 +105,19 @@ def test_clifford_group_closure():
         assert np.abs(u @ u.conj().T - np.eye(2)).max() <= 1e-10
 
 
+def test_clifford_elements_are_unitary_to_machine_precision():
+    # the group holds products of H and S, not copies rounded to 12 digits
+    for u in _single_qubit_cliffords():
+        assert np.abs(u @ u.conj().T - np.eye(2)).max() <= 1e-15
+    rho = random_mixed((2, 2, 2, 2), seed=7)
+    sig = random_mixed((2, 2, 2, 2), seed=8)
+    cfg = ProtocolConfig(local_dim=2, m=2, n=2, n_unitaries=200, seed=1,
+                         design="clifford")
+    for rec in run_protocol(rho, sig, cfg):
+        assert abs(rec.rho_probs.sum() - 1.0) <= 1e-14
+        assert abs(rec.sigma_probs.sum() - 1.0) <= 1e-14
+
+
 def test_clifford_design_also_unbiased():
     # single-qubit Cliffords form a 2-design, so the estimator stays valid
     rho = random_mixed((2, 2), seed=5)

@@ -1,10 +1,8 @@
 """1-D search helpers used by the boundary scans."""
 
-import math
-
 import pytest
 
-from overlapcert._scan import bisect_root, golden_section_max, maximize_unimodal
+from overlapcert._scan import bisect_root, golden_section_max
 
 
 def test_golden_section_finds_parabola_peak():
@@ -16,17 +14,6 @@ def test_golden_section_finds_parabola_peak():
 def test_golden_section_endpoint_maximum():
     x, fx = golden_section_max(lambda t: t, 0.0, 1.0, tol=1e-10)
     assert abs(x - 1.0) < 1e-8
-
-
-def test_maximize_unimodal_bimodal_fallback():
-    # two peaks: the pre-scan must detect them and the dense fallback must
-    # land on the taller one at t = 0.8
-    def f(t):
-        return math.exp(-200 * (t - 0.2) ** 2) + 1.5 * math.exp(-200 * (t - 0.8) ** 2)
-
-    x, fx = maximize_unimodal(f, 0.0, 1.0, tol=1e-10, pre_scan=41)
-    assert abs(x - 0.8) < 1e-6
-    assert abs(fx - 1.5) < 1e-6
 
 
 def test_bisect_root_linear():
