@@ -12,6 +12,7 @@ from .criteria import (
     DEFAULT_TOL,
     CriterionVerdict,
     OverlapRatio,
+    PartnerSup,
     corner_delta,
     corner_fbc_psi_boundary,
     corner_isotropic_closed_forms,
@@ -22,6 +23,7 @@ from .criteria import (
     overlap_ratio,
     overlap_ratio_table,
     p3_ppt_check,
+    partner_sup,
     pt_moments,
     purity_check,
     reduction_check,

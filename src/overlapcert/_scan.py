@@ -1,4 +1,5 @@
-"""1-D search helpers: golden section, and bisection (the tests' root oracle)."""
+"""1-D search helpers, used only as test oracles: golden section (a maximum)
+and bisection (a root).  The package solves its scans in closed form."""
 
 from __future__ import annotations
 

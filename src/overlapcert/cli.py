@@ -16,13 +16,13 @@ from pathlib import Path
 
 import numpy as np
 
-from ._scan import golden_section_max
 from .criteria import (
     _corner_gap_polys,
     corner_fbc_psi_boundary,
     fbc_spectrum_bound,
     overlap_ratio,
     overlap_ratio_table,
+    partner_sup,
     sn_bound_from_ratio,
 )
 from .multipartite import lambda_map_value, lambda_map_verdict, multipartite_ipc
@@ -34,7 +34,6 @@ from .states import (
     ghz_noisy,
     ghz_pure,
     isotropic,
-    sn3_probe_state,
     sn3_unfaithful_state,
 )
 
@@ -153,11 +152,9 @@ def _spectrum_boundary(d: int, r: int) -> float:
                      0.0, 1.0)[0]
 
 
-def cmd_fig3(d_min: int, d_max: int, r_max: int, grid, out: str,
-             seed: int = 0) -> int:
+def cmd_fig3(d_min: int, d_max: int, r_max: int, out: str, seed: int = 0) -> int:
     """Emit the (d, r) detection bands (panel a) and per-d criterion
-    boundaries (panel b) for the corner-isotropic family, as two CSVs.
-    ``grid`` is unused (the probe maximum is exact); it stays for callers."""
+    boundaries (panel b) for the corner-isotropic family, as two CSVs."""
     if d_min < 3:
         raise ValueError("the corner family needs d >= 3")
     config = {"command": "fig3", "d_min": d_min, "d_max": d_max,
@@ -282,11 +279,10 @@ def _example_isotropic(report: dict, failures: list) -> None:
 
 def _example_sn3(report: dict, failures: list) -> None:
     rho = sn3_unfaithful_state()
-
-    def ratio(t):
-        return overlap_ratio(rho, sn3_probe_state(t).projector()).s
-
-    t_best, s_best = golden_section_max(ratio, 0.0, 1.0 / 6.0, tol=1e-12)
+    best = partner_sup(rho)
+    # the optimal partner is the probe sn3_probe_state(t): sigma_00 = 1/3 + t
+    sigma = best.certificate(2).projector()  # it certifies Schmidt number 3
+    s_best, t_best = best.sup, abs(sigma.matrix[0, 0]) - 1.0 / 3.0
     unfaithful = fbc_spectrum_bound(rho, 2)
     bound = sn_bound_from_ratio(s_best)
     entry = {
@@ -477,8 +473,7 @@ def main(argv=None) -> int:
     if args.command == "fig1":
         return cmd_fig1(args.d, args.grid, args.r_max, args.out, args.seed)
     if args.command == "fig3":
-        return cmd_fig3(args.d_min, args.d_max, args.r_max, None, args.out,
-                        args.seed)
+        return cmd_fig3(args.d_min, args.d_max, args.r_max, args.out, args.seed)
     if args.command == "rfbc-tightness":
         return cmd_rfbc_tightness(args.d_min, args.d_max, args.r_max,
                                   args.out, args.seed)

@@ -7,10 +7,11 @@ The central quantity is the ratio of global to local state overlap,
 with s = max(s_A, s_B) and the convention s_X = 0 when the denominator
 vanishes.  If rho has Schmidt number at most r then s <= r for every
 sigma, so observing s > r certifies Schmidt number >= r+1 for BOTH
-states at once.  The same module implements the criteria this ratio is
-compared against: the reduction check, the purity check, fidelity-based
-witnesses with their spectral detectability bound, and the third-moment
-partial-transpose test.
+states at once.  The same module gives the largest ratio any sigma
+reaches (the partner supremum, whose threshold test is the reduction
+check) and the criteria the ratio is compared against: the purity check,
+fidelity-based witnesses with their spectral detectability bound, and the
+third-moment partial-transpose test.
 
 Every strict inequality carries the tolerance ``DEFAULT_TOL``; ratios of
 exactly r (pure states against their verifier) must not round up to a
@@ -25,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qmat import (
+    SCHMIDT_CUTOFF,
     Bipartition,
     PureVec,
     QState,
@@ -32,7 +34,6 @@ from .qmat import (
     _guarded_ratios,
     _overlap_table,
     _overlaps,
-    eig_hermitian,
     partial_trace_matrix,
     partial_transpose_matrix,
     permute_subsystems_matrix,
@@ -161,38 +162,72 @@ def ipc_bound(rho: QState, sigma: QState, split: Bipartition | None = None,
     )
 
 
-def _reduction_operators(rho: QState, r: int, split: Bipartition | None):
-    """r rho_A x I - rho and r I x rho_B - rho in the cut's layout, and the
-    ``_grouped`` data of rho."""
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    grouped = m, d_a, d_b, _, _ = _grouped(rho, split)
-    return (r * np.kron(partial_trace_matrix(m, (d_a, d_b), [0]), np.eye(d_b)) - m,
-            r * np.kron(np.eye(d_a), partial_trace_matrix(m, (d_a, d_b), [1])) - m,
-            grouped)
+@dataclass(frozen=True)
+class PartnerSup:
+    """sup over sigma of s_A and s_B, each side's optimal sigma (``vecs``, on
+    rho's layout) and its (Tr[rho sigma], Tr[rho_X sigma_X]) (``overlaps``)
+    taken from rho, which unlike the whitened sups keep their accuracy as
+    rho_X nears singular."""
+
+    sup_a: float
+    sup_b: float
+    vecs: tuple[PureVec, PureVec]
+    overlaps: tuple[tuple[float, float], tuple[float, float]]
+
+    @property
+    def sup(self) -> float:
+        return max(self.sup_a, self.sup_b)
+
+    def certificate(self, r: int, tol: float = DEFAULT_TOL) -> PureVec | None:
+        """The optimal sigma, larger side first (A on a tie), with the absolute
+        margin Tr[rho sigma] - r Tr[rho_X sigma_X] > tol (so s_X > r + tol)."""
+        if r < 1:
+            raise ValueError("r must be >= 1")
+        sides = (1, 0) if self.sup_b > self.sup_a else (0, 1)
+        return next((self.vecs[x] for x in sides
+                     if self.overlaps[x][0] - r * self.overlaps[x][1] > tol), None)
+
+
+def partner_sup(rho: QState, split: Bipartition | None = None) -> PartnerSup:
+    """The largest overlap ratio any partner state sigma reaches with ``rho``.
+
+    s_X(rho, sigma) = Tr[rho sigma] / Tr[(rho_X x I) sigma] is a ratio of two
+    linear functionals of sigma, so its supremum is the top eigenvalue of
+    rho whitened by rho_X^(-1/2) x I on supp(rho_X) (eigenvalues of rho_X
+    above ``SCHMIDT_CUTOFF`` times the largest), attained by the pure sigma
+    on its eigenvector."""
+    m, d_a, d_b, layout, layout_dims = _grouped(rho, split)
+    sups, vecs, overlaps = [], [], []
+    for kept in (0, 1):
+        rho_x = partial_trace_matrix(m, (d_a, d_b), [kept])
+        lam, u = np.linalg.eigh(rho_x)
+        on = lam > SCHMIDT_CUTOFF * lam[-1]
+        w = u[:, on] / np.sqrt(lam[on])
+        w = np.kron(w, np.eye(d_b)) if kept == 0 else np.kron(np.eye(d_a), w)
+        vals, top = np.linalg.eigh(w.conj().T @ m @ w)
+        vec = w @ top[:, -1]
+        vec /= np.linalg.norm(vec)
+        grid = vec.reshape(d_a, d_b)  # Tr[rho_X sigma_X] = <vec|rho_X x I|vec>
+        local = np.vdot(grid, rho_x @ grid if kept == 0 else grid @ rho_x.T)
+        sups.append(float(vals[-1]))
+        overlaps.append((float(np.vdot(vec, m @ vec).real), float(local.real)))
+        vecs.append(PureVec(rho.dims, permute_subsystems_vec(
+            vec, layout_dims, np.argsort(layout))))  # back to rho's layout
+    return PartnerSup(*sups, tuple(vecs), tuple(overlaps))
 
 
 def reduction_check(rho: QState, r: int = 1, split: Bipartition | None = None,
                     tol: float = DEFAULT_TOL) -> CriterionVerdict:
-    """Positivity test of r*rho_A x I - rho and r*I x rho_B - rho.
-
-    A negative eigenvalue beyond tolerance on either side rules out
-    Schmidt number <= r.
-    """
-    op_a, op_b, _ = _reduction_operators(rho, r, split)
-    min_a = float(np.linalg.eigvalsh(op_a)[0])
-    min_b = float(np.linalg.eigvalsh(op_b)[0])
-    min_eig = min(min_a, min_b)
-    detected = min_eig < -tol
+    """Reduction criterion: r*rho_A x I - rho and r*I x rho_B - rho are both
+    positive exactly when :func:`partner_sup` is <= r; detected (Schmidt
+    number > r) when :meth:`PartnerSup.certificate` finds a sigma."""
+    best = partner_sup(rho, split)
+    detected = best.certificate(r, tol) is not None
     return CriterionVerdict(
         criterion=f"reduction-r{r}",
-        values={
-            "min_eig": min_eig,
-            "min_eig_a_side": min_a,
-            "min_eig_b_side": min_b,
-            "r": float(r),
-        },
-        threshold=0.0,
+        values={"sup": best.sup, "sup_a_side": best.sup_a,
+                "sup_b_side": best.sup_b, "r": float(r)},
+        threshold=float(r),
         detected=detected,
         sn_lower_bound=r + 1 if detected else 1,
     )
@@ -200,25 +235,10 @@ def reduction_check(rho: QState, r: int = 1, split: Bipartition | None = None,
 
 def extract_ipc_witness(rho: QState, r: int = 1, split: Bipartition | None = None,
                         tol: float = DEFAULT_TOL) -> QState | None:
-    """Partner state certifying s > r, or None when the reduction check passes.
-
-    When r*rho_A x I - rho (or the B side) has a negative eigenvalue, the
-    projector onto its most negative eigenvector is a sigma for which the
-    overlap ratio strictly exceeds r.  Degenerate negative eigenspaces are
-    resolved deterministically by the eigensolver's lowest index.
-    """
-    op_a, op_b, (_, _, _, layout, layout_dims) = _reduction_operators(rho, r, split)
-    w_a, v_a = eig_hermitian(op_a)
-    w_b, v_b = eig_hermitian(op_b)
-    if min(w_a[0], w_b[0]) >= -tol:
-        return None
-    vec = v_a[:, 0] if w_a[0] <= w_b[0] else v_b[:, 0]
-    # Undo the grouping permutation so the witness lives on rho's layout.
-    n = len(rho.dims)
-    if layout != list(range(n)):
-        inverse = [layout.index(k) for k in range(n)]
-        vec = permute_subsystems_vec(vec, layout_dims, inverse)
-    return PureVec(rho.dims, vec).projector()
+    """Partner state certifying s > r, or None when the reduction check
+    passes: the optimal sigma that :meth:`PartnerSup.certificate` finds."""
+    vec = partner_sup(rho, split).certificate(r, tol)
+    return None if vec is None else vec.projector()
 
 
 def purity_check(rho: QState, split: Bipartition | None = None,

@@ -24,11 +24,11 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .qmat import QState, _check_json_keys, _guarded_ratios
+from .qmat import QState, _check_json_keys, _guarded_ratios, hs_inner
 
 _DESIGNS = ("haar", "clifford")
 # Slack of a read exact-mode probability vector: entries >= -PROB_TOL and a
@@ -162,20 +162,7 @@ class OverlapEstimate:
     n_settings: int
 
     def to_json(self) -> dict:
-        return {
-            "overlap_ab": self.overlap_ab,
-            "overlap_a": self.overlap_a,
-            "overlap_b": self.overlap_b,
-            "se_ab": self.se_ab,
-            "se_a": self.se_a,
-            "se_b": self.se_b,
-            "s_a": self.s_a,
-            "s_b": self.s_b,
-            "s": self.s,
-            "se_s": self.se_s,
-            "reliable": self.reliable,
-            "n_settings": self.n_settings,
-        }
+        return asdict(self)
 
 
 @functools.cache
@@ -488,7 +475,7 @@ def swap_test_overlap(rho: QState, sigma: QState, shots: int,
         raise ValueError("shots must be positive")
     if rho.dim != sigma.dim:
         raise ValueError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
-    overlap = float(np.einsum("ij,ji->", rho.matrix, sigma.matrix).real)
+    overlap = hs_inner(rho, sigma)
     p_zero = min(1.0, max(0.0, (1.0 + overlap) / 2.0))
     rng = np.random.default_rng(seed)
     zeros = int(rng.binomial(shots, p_zero))
@@ -505,34 +492,27 @@ def swap_test_overlap(rho: QState, sigma: QState, shots: int,
 # JSON-lines persistence so estimation can be rerun offline.
 
 
-def _complex_flat(m: np.ndarray) -> list[float]:
-    flat = np.asarray(m).ravel()
-    out = []
-    for z in flat:
-        out.extend((float(z.real), float(z.imag)))
-    return out
-
-
 def write_records(path, cfg: ProtocolConfig, records) -> None:
     """One JSON line for the config, then one line per setting."""
     with open(path, "w") as fh:
         fh.write(json.dumps({"protocol": cfg.to_json()}, sort_keys=True) + "\n")
         for rec in records:
-            obj = {
-                "setting": rec.setting,
-                "unitaries_a": [_complex_flat(u) for u in rec.unitaries_a],
-                "unitaries_b": [_complex_flat(u) for u in rec.unitaries_b],
-            }
+            obj = {"setting": rec.setting}
+            for key, mats in (("unitaries_a", rec.unitaries_a),
+                              ("unitaries_b", rec.unitaries_b)):
+                # every complex entry as its real and imaginary parts
+                obj[key] = [np.ascontiguousarray(u, dtype=complex).view(float)
+                            .ravel().tolist() for u in mats]
             if rec.rho_probs is not None:
-                obj["rho_probs"] = [float(v) for v in rec.rho_probs]
-                obj["sigma_probs"] = [float(v) for v in rec.sigma_probs]
+                obj["rho_probs"] = np.asarray(rec.rho_probs, dtype=float).tolist()
+                obj["sigma_probs"] = np.asarray(rec.sigma_probs, dtype=float).tolist()
             else:
-                obj["rho_counts"] = {
-                    str(i): int(c) for i, c in enumerate(rec.rho_counts) if c
-                }
-                obj["sigma_counts"] = {
-                    str(i): int(c) for i, c in enumerate(rec.sigma_counts) if c
-                }
+                for key, counts in (("rho_counts", rec.rho_counts),
+                                    ("sigma_counts", rec.sigma_counts)):
+                    counts = np.asarray(counts, dtype=np.int64)
+                    hits = np.flatnonzero(counts)
+                    obj[key] = dict(zip(map(str, hits.tolist()),
+                                        counts[hits].tolist()))
             fh.write(json.dumps(obj, sort_keys=True) + "\n")
 
 

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corpus import random_low_schmidt_mixture, random_separable
 from overlapcert import (
@@ -20,6 +22,7 @@ from overlapcert import (
     overlap_ratio,
     overlap_ratio_table,
     p3_ppt_check,
+    partner_sup,
     pt_moments,
     purity_check,
     random_mixed,
@@ -192,10 +195,10 @@ def test_verdict_json_shape():
 
 
 def test_reduction_detects_max_entangled():
-    # oracle: r I x rho_B - rho at d=3 has eigenvalue 1/3 - 1 = -2/3 on |Psi>
+    # oracle: whitened by rho_A = I/3, |Psi><Psi| has top eigenvalue 3
     verdict = reduction_check(max_entangled(3).projector(), 1)
     assert verdict.detected
-    assert abs(verdict.values["min_eig"] - (-2.0 / 3.0)) < 1e-10
+    assert abs(verdict.values["sup"] - 3.0) < 1e-10
     assert verdict.sn_lower_bound == 2
 
 
@@ -241,12 +244,90 @@ def test_witness_equivalence_random_corpus():
     for trial in range(60):
         d_a, d_b = rng.choice([2, 3, 4], size=2)
         rho = random_mixed((int(d_a), int(d_b)), seed=int(rng.integers(1 << 30)))
+        # reference: the eigenvalues of r rho_A x I - rho and r I x rho_B - rho
+        t = rho.matrix.reshape(d_a, d_b, d_a, d_b)
+        rho_a, rho_b = np.einsum("ajbj->ab", t), np.einsum("iaib->ab", t)
         for r in (1, 2, 3):
             detected = reduction_check(rho, r).detected
             wit = extract_ipc_witness(rho, r)
             assert detected == (wit is not None)
+            ops = (r * np.kron(rho_a, np.eye(d_b)) - rho.matrix,
+                   r * np.kron(np.eye(d_a), rho_b) - rho.matrix)
+            assert detected == any(np.linalg.eigvalsh(op)[0] < -EPS for op in ops)
             if wit is not None:
                 assert overlap_ratio(rho, wit).s > r + EPS
+
+
+@pytest.mark.parametrize("eps", [1e-8, 1e-9, 1e-10, 1e-11])
+def test_no_certificate_for_separable_with_near_singular_marginal(eps):
+    # whitening by a rho_X with eigenvalue eps scales rounding errors in the
+    # sup by 1/eps; the verdict must not follow them over the tolerance
+    rng = np.random.default_rng(17)
+    for d_a, d_b in ((2, 2), (3, 3), (2, 4)):
+        for _ in range(10):
+            g = rng.normal(size=(d_a, d_a)) + 1j * rng.normal(size=(d_a, d_a))
+            u = np.linalg.qr(g)[0][:, :2]
+            a = u @ np.diag([1.0 - eps, eps]) @ u.conj().T
+            b = random_pure((d_b,), seed=int(rng.integers(1 << 30))).projector().matrix
+            for dims, m in (((d_a, d_b), np.kron(a, b)), ((d_b, d_a), np.kron(b, a))):
+                rho = QState(dims, (m + m.conj().T) / 2)
+                assert not reduction_check(rho, 1).detected
+                assert extract_ipc_witness(rho, 1) is None
+
+
+# ---------------------------------------------------------------------------
+# partner supremum
+
+_SEEDS = st.integers(0, 2**31 - 1)
+_SIDES = st.sampled_from([2, 3, 4])
+_PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+@_PROPERTY
+@given(_SIDES, _SIDES, st.integers(1, 3), _SEEDS)
+def test_partner_sup_at_most_r_below_schmidt_number_r(d_a, d_b, r, seed):
+    rho = random_low_schmidt_mixture(d_a, d_b, r, np.random.default_rng(seed))
+    assert partner_sup(rho).sup <= r + 1e-9
+
+
+@_PROPERTY
+@given(_SIDES, _SIDES, _SEEDS, _SEEDS)
+def test_ratio_at_most_both_partner_sups(d_a, d_b, seed_rho, seed_sigma):
+    dims = (d_a, d_b)
+    rank = np.random.default_rng(seed_rho).integers(1, d_a * d_b + 1)
+    rho = random_mixed(dims, rank=int(rank), seed=seed_rho)
+    sigma = random_mixed(dims, seed=seed_sigma)
+    bound = min(partner_sup(rho).sup, partner_sup(sigma).sup)
+    assert overlap_ratio(rho, sigma).s <= bound + 1e-12
+
+
+@_PROPERTY
+@given(_SEEDS, st.integers(1, 12))
+def test_partner_sup_sigma_attains_the_sup(seed, rank):
+    for dims, split in (((3, 4), None), ((2, 3, 2), Bipartition((0, 2)))):
+        rho = random_mixed(dims, rank=rank, seed=seed)
+        best = partner_sup(rho, split)
+        for side, sup in enumerate((best.sup_a, best.sup_b)):
+            sigma = best.vecs[side].projector()
+            assert sigma.dims == dims
+            ratio = overlap_ratio(rho, sigma, split)
+            assert abs((ratio.s_a, ratio.s_b)[side] - sup) <= 1e-10 * sup
+
+
+def test_partner_sup_closed_forms():
+    for d in (2, 3, 5, 8):
+        assert abs(partner_sup(max_entangled(d).projector()).sup - d) <= 1e-12 * d
+        for x in np.linspace(1.0 / d**2, 1.0, 9):
+            assert abs(partner_sup(isotropic(d, x)).sup - d * x) <= 1e-12 * d
+
+
+def test_partner_sup_is_the_corner_pencil_top():
+    from overlapcert.cli import _corner_pencil, _pencil_top
+
+    for d in range(3, 11):
+        for x in np.geomspace(1e-3, 1.0, 50):
+            top = _pencil_top(*_corner_pencil(d, x))
+            assert abs(partner_sup(corner_isotropic(d, x)).sup - top) <= 1e-12 * top
 
 
 # ---------------------------------------------------------------------------

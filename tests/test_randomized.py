@@ -603,6 +603,51 @@ def test_records_roundtrip_counts(tmp_path):
     assert estimate_overlaps(records2, cfg2) == estimate_overlaps(records, cfg)
 
 
+_PINNED_UNITARIES = (
+    '"unitaries_a": [[0.6, 0.0, -0.0, -0.8, -0.0, -0.8, 0.6, 0.0]], '
+    '"unitaries_b": [[0.6, 0.0, 0.8, 0.0, -0.8, 0.0, 0.6, 0.0]]}\n')
+_PINNED_RECORDS = {
+    None: ['"rho_probs": [0.1, 0.2, 0.3, 0.4], "setting": 0, "sigma_probs": '
+           '[0.3333333333333333, 0.16666666666666666, 0.5, 0.0], ',
+           '"rho_probs": [0.25, 0.25, 0.25, 0.25], "setting": 1, '
+           '"sigma_probs": [0.0, 1.0, 0.0, 0.0], '],
+    5: ['"rho_counts": {"1": 2, "3": 3}, "setting": 0, "sigma_counts": {"0": 5}, ',
+        '"rho_counts": {"0": 1, "1": 1, "2": 1, "3": 2}, "setting": 1, '
+        '"sigma_counts": {"2": 4, "3": 1}, '],
+}
+
+
+@pytest.mark.parametrize("shots", [None, 5])
+def test_write_records_bytes_are_pinned(tmp_path, shots):
+    # the expected text is what write_records wrote before its unitaries
+    # and counts were vectorized; the -0.0 entries, a real transposed
+    # unitary and zero counts are the cases a conversion could change
+    u = np.array([[0.6, -0.8j], [complex(-0.0, -0.8), 0.6]])
+    v = np.array([[0.6, -0.8], [0.8, 0.6]]).T
+    if shots is None:
+        data = [{"rho_probs": np.array([0.1, 0.2, 0.3, 0.4]),
+                 "sigma_probs": np.array([1 / 3, 1 / 6, 0.5, 0.0])},
+                {"rho_probs": np.full(4, 0.25),
+                 "sigma_probs": np.array([0.0, 1.0, 0.0, 0.0])}]
+    else:
+        data = [{"rho_counts": np.array([0, 2, 0, 3]),
+                 "sigma_counts": np.array([5, 0, 0, 0])},
+                {"rho_counts": np.array([1, 1, 1, 2]),
+                 "sigma_counts": np.array([0, 0, 4, 1])}]
+    cfg = ProtocolConfig(local_dim=2, m=1, n=1, n_unitaries=2,
+                         shots_per_setting=shots, seed=3)
+    path = tmp_path / "records.jsonl"
+    write_records(path, cfg, [MeasurementRecord(setting=k, unitaries_a=(u,),
+                                                unitaries_b=(v,), **d)
+                              for k, d in enumerate(data)])
+    mode = '"exact"' if shots is None else str(shots)
+    header = ('{"protocol": {"design": "haar", "local_dim": 2, "m": 1, "n": 1, '
+              '"n_unitaries": 2, "seed": 3, "shots_per_setting": ' + mode + "}}\n")
+    want = header + "".join("{" + line + _PINNED_UNITARIES
+                            for line in _PINNED_RECORDS[shots])
+    assert path.read_text() == want
+
+
 def test_mean_errors_match_extended_precision():
     # se_b / overlap_b is about 9e-5 here; differencing leave-one-out
     # replicates lost three to four digits of se_b to cancellation
