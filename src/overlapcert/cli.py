@@ -3,7 +3,7 @@ the worked-example checks, all emitting deterministic CSV/JSON.
 
 Every output file starts with a comment line recording the full
 configuration and seed, so a rerun with identical flags is byte-identical.
-Exit codes: 0 success, 1 assertion failure in ``examples``, 2 usage error.
+Exit codes: 0 success, 1 assertion failure in ``examples``, 2 a bad flag or config.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,7 @@ from .criteria import (
     sn_bound_from_ratio,
 )
 from .multipartite import lambda_map_value, lambda_map_verdict, multipartite_ipc
-from .qmat import QState, hs_inner
+from .qmat import QState, _from_json, hs_inner
 from .randomized import ProtocolConfig, estimate_overlaps, run_protocol, write_records
 from .states import (
     StateSpec,
@@ -62,10 +63,8 @@ def _write_json(path, obj) -> None:
 
 def cmd_fig1(d: int, grid: int, r_max: int, out: str, seed: int = 0) -> int:
     """Scan the overlap ratio of isotropic pairs over the fidelity square."""
-    if d < 2:
-        raise ValueError("d must be >= 2")
-    if grid < 2:
-        raise ValueError("grid must be >= 2")
+    if d < 2 or grid < 2:
+        raise ValueError(f"d and grid must be >= 2, not {d}, {grid}")
     r_cap = r_max if r_max >= 1 else d
     xs = np.linspace(1.0 / d**2, 1.0, grid)
     # isotropic(d, x) = (1-x) isotropic(d, 0) + x isotropic(d, 1)
@@ -155,8 +154,9 @@ def _spectrum_boundary(d: int, r: int) -> float:
 def cmd_fig3(d_min: int, d_max: int, r_max: int, out: str, seed: int = 0) -> int:
     """Emit the (d, r) detection bands (panel a) and per-d criterion
     boundaries (panel b) for the corner-isotropic family, as two CSVs."""
-    if d_min < 3:
-        raise ValueError("the corner family needs d >= 3")
+    if not 3 <= d_min <= d_max or r_max < 1:  # the corner family needs d >= 3
+        raise ValueError("need 3 <= d_min <= d_max and r_max >= 1, not "
+                         f"{d_min}, {d_max}, {r_max}")
     config = {"command": "fig3", "d_min": d_min, "d_max": d_max,
               "r_max": r_max, "seed": seed}
     rows_a = []
@@ -197,8 +197,9 @@ def cmd_rfbc_tightness(d_min: int, d_max: int, r_max: int, out: str,
     starts detecting; the spectrum curve is where detection by any witness
     becomes possible at all.  Emitted only for r <= d.
     """
-    if d_min < 3:
-        raise ValueError("the corner family needs d >= 3")
+    if not 3 <= d_min <= d_max or r_max < 1:  # the corner family needs d >= 3
+        raise ValueError("need 3 <= d_min <= d_max and r_max >= 1, not "
+                         f"{d_min}, {d_max}, {r_max}")
     rows = []
     for d in range(d_min, d_max + 1):
         for r in range(1, min(r_max, d) + 1):
@@ -214,22 +215,29 @@ def cmd_rfbc_tightness(d_min: int, d_max: int, r_max: int, out: str,
 # rm-experiment: full measurement pipeline
 
 
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """The ``rm-experiment`` config file: two states and a protocol."""
+
+    rho: StateSpec
+    sigma: StateSpec
+    protocol: ProtocolConfig
+
+
 def cmd_rm_experiment(config_path: str, out: str, settings: int | None = None,
                       shots: int | None = None, exact: bool = False,
                       seed: int | None = None) -> int:
     """Build both states, run the protocol, estimate, and certify."""
-    cfg_obj = json.loads(Path(config_path).read_text())
-    rho_spec = StateSpec.from_json(cfg_obj["rho"])
-    sigma_spec = StateSpec.from_json(cfg_obj["sigma"])
-    protocol = ProtocolConfig.from_json(cfg_obj["protocol"])
+    cfg = _from_json(ExperimentConfig, json.loads(Path(config_path).read_text()),
+                     rho=StateSpec.from_json, sigma=StateSpec.from_json,
+                     protocol=ProtocolConfig.from_json)
     overrides = {"n_unitaries": settings, "seed": seed,
                  "shots_per_setting": "exact" if exact else shots}
     overrides = {k: v for k, v in overrides.items() if v is not None}
-    if overrides:
-        protocol = ProtocolConfig.from_json({**protocol.to_json(), **overrides})
+    protocol = ProtocolConfig.from_json({**cfg.protocol.to_json(), **overrides})
 
-    rho = build_density(rho_spec)
-    sigma = build_density(sigma_spec)
+    rho = build_density(cfg.rho)
+    sigma = build_density(cfg.sigma)
     records = run_protocol(rho, sigma, protocol)
     estimate = estimate_overlaps(records, protocol)
 
@@ -247,8 +255,8 @@ def cmd_rm_experiment(config_path: str, out: str, settings: int | None = None,
     bound_2se = (min(sn_bound_from_ratio(estimate.s - 2.0 * estimate.se_s), cap)
                  if estimate.reliable else 1)
     report = {
-        "rho": rho_spec.to_json(),
-        "sigma": sigma_spec.to_json(),
+        "rho": cfg.rho.to_json(),
+        "sigma": cfg.sigma.to_json(),
         "protocol": protocol.to_json(),
         "estimate": estimate.to_json(),
         "sn_bound_point": bound_point,
@@ -469,20 +477,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    if args.command == "fig1":
-        return cmd_fig1(args.d, args.grid, args.r_max, args.out, args.seed)
-    if args.command == "fig3":
-        return cmd_fig3(args.d_min, args.d_max, args.r_max, args.out, args.seed)
-    if args.command == "rfbc-tightness":
-        return cmd_rfbc_tightness(args.d_min, args.d_max, args.r_max,
-                                  args.out, args.seed)
-    if args.command == "rm-experiment":
-        return cmd_rm_experiment(args.config, args.out, args.settings,
-                                 args.shots, args.exact, args.seed)
-    if args.command == "examples":
-        return cmd_examples(args.out, args.seed)
-    raise AssertionError(f"unhandled command {args.command}")
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    run = {
+        "fig1": lambda: cmd_fig1(args.d, args.grid, args.r_max, args.out, args.seed),
+        "fig3": lambda: cmd_fig3(args.d_min, args.d_max, args.r_max, args.out,
+                                 args.seed),
+        "rfbc-tightness": lambda: cmd_rfbc_tightness(
+            args.d_min, args.d_max, args.r_max, args.out, args.seed),
+        "rm-experiment": lambda: cmd_rm_experiment(
+            args.config, args.out, args.settings, args.shots, args.exact, args.seed),
+        "examples": lambda: cmd_examples(args.out, args.seed),
+    }[args.command]
+    try:
+        return run()
+    except ValueError as err:  # what every check of a flag or a config raises
+        parser.error(f"{args.command}: {err}")
 
 
 if __name__ == "__main__":

@@ -13,9 +13,9 @@ check) and the criteria the ratio is compared against: the purity check,
 fidelity-based witnesses with their spectral detectability bound, and the
 third-moment partial-transpose test.
 
-Every strict inequality carries the tolerance ``DEFAULT_TOL``; ratios of
-exactly r (pure states against their verifier) must not round up to a
-certificate of r+1.
+Every strict inequality carries the fixed tolerance ``DEFAULT_TOL``, which
+no function takes as a parameter: a ratio of exactly r (a pure state
+against its verifier) certifies r, never r+1, only under one fixed cut-off.
 """
 
 from __future__ import annotations
@@ -44,9 +44,9 @@ from .qmat import (
 DEFAULT_TOL = 1e-9
 
 
-def sn_bound_from_ratio(s: float, tol: float = DEFAULT_TOL) -> int:
+def sn_bound_from_ratio(s: float) -> int:
     """Certified Schmidt-number lower bound from an overlap ratio."""
-    return max(1, math.ceil(s - tol))
+    return max(1, math.ceil(s - DEFAULT_TOL))
 
 
 @dataclass(frozen=True)
@@ -138,14 +138,14 @@ def overlap_ratio_table(rhos, sigmas, split: Bipartition | None = None,
     return np.maximum(_guarded_ratios(g, la), _guarded_ratios(g, lb))
 
 
-def ipc_bound(rho: QState, sigma: QState, split: Bipartition | None = None,
-              tol: float = DEFAULT_TOL) -> CriterionVerdict:
+def ipc_bound(rho: QState, sigma: QState,
+              split: Bipartition | None = None) -> CriterionVerdict:
     """Schmidt-number lower bound from the overlap ratio.
 
     The certified bound applies simultaneously to ``rho`` and ``sigma``.
     """
     ratio = overlap_ratio(rho, sigma, split)
-    bound = sn_bound_from_ratio(ratio.s, tol)
+    bound = sn_bound_from_ratio(ratio.s)
     return CriterionVerdict(
         criterion="ipc",
         values={
@@ -178,14 +178,14 @@ class PartnerSup:
     def sup(self) -> float:
         return max(self.sup_a, self.sup_b)
 
-    def certificate(self, r: int, tol: float = DEFAULT_TOL) -> PureVec | None:
+    def certificate(self, r: int) -> PureVec | None:
         """The optimal sigma, larger side first (A on a tie), with the absolute
-        margin Tr[rho sigma] - r Tr[rho_X sigma_X] > tol (so s_X > r + tol)."""
+        margin Tr[rho sigma] - r Tr[rho_X sigma_X] > ``DEFAULT_TOL``."""
         if r < 1:
             raise ValueError("r must be >= 1")
         sides = (1, 0) if self.sup_b > self.sup_a else (0, 1)
-        return next((self.vecs[x] for x in sides
-                     if self.overlaps[x][0] - r * self.overlaps[x][1] > tol), None)
+        return next((self.vecs[x] for x in sides if self.overlaps[x][0]
+                     - r * self.overlaps[x][1] > DEFAULT_TOL), None)
 
 
 def partner_sup(rho: QState, split: Bipartition | None = None) -> PartnerSup:
@@ -216,13 +216,13 @@ def partner_sup(rho: QState, split: Bipartition | None = None) -> PartnerSup:
     return PartnerSup(*sups, tuple(vecs), tuple(overlaps))
 
 
-def reduction_check(rho: QState, r: int = 1, split: Bipartition | None = None,
-                    tol: float = DEFAULT_TOL) -> CriterionVerdict:
+def reduction_check(rho: QState, r: int = 1,
+                    split: Bipartition | None = None) -> CriterionVerdict:
     """Reduction criterion: r*rho_A x I - rho and r*I x rho_B - rho are both
     positive exactly when :func:`partner_sup` is <= r; detected (Schmidt
     number > r) when :meth:`PartnerSup.certificate` finds a sigma."""
     best = partner_sup(rho, split)
-    detected = best.certificate(r, tol) is not None
+    detected = best.certificate(r) is not None
     return CriterionVerdict(
         criterion=f"reduction-r{r}",
         values={"sup": best.sup, "sup_a_side": best.sup_a,
@@ -233,16 +233,15 @@ def reduction_check(rho: QState, r: int = 1, split: Bipartition | None = None,
     )
 
 
-def extract_ipc_witness(rho: QState, r: int = 1, split: Bipartition | None = None,
-                        tol: float = DEFAULT_TOL) -> QState | None:
+def extract_ipc_witness(rho: QState, r: int = 1,
+                        split: Bipartition | None = None) -> QState | None:
     """Partner state certifying s > r, or None when the reduction check
     passes: the optimal sigma that :meth:`PartnerSup.certificate` finds."""
-    vec = partner_sup(rho, split).certificate(r, tol)
+    vec = partner_sup(rho, split).certificate(r)
     return None if vec is None else vec.projector()
 
 
-def purity_check(rho: QState, split: Bipartition | None = None,
-                 tol: float = DEFAULT_TOL) -> CriterionVerdict:
+def purity_check(rho: QState, split: Bipartition | None = None) -> CriterionVerdict:
     """Global purity against the smaller local purity.
 
     Detection (Tr[rho^2] above the minimum local purity) certifies
@@ -255,20 +254,19 @@ def purity_check(rho: QState, split: Bipartition | None = None,
     g, la, lb = _overlaps(m, m, (d_a, d_b), _BIPARTITE_SETS)
     min_local = min(la, lb)
     s = _guarded_ratios(g, min_local)
-    bound = sn_bound_from_ratio(s, tol)
+    bound = sn_bound_from_ratio(s)
     return CriterionVerdict(
         criterion="purity",
         values={"purity_global": g, "purity_a": la, "purity_b": lb,
                 "purity_ratio": s},
         threshold=min_local,
-        detected=g > min_local + tol,
+        detected=g > min_local + DEFAULT_TOL,
         sn_lower_bound=bound,
     )
 
 
 def fbc_witness_value(rho: QState, phi: PureVec, r: int = 1,
-                      split: Bipartition | None = None,
-                      tol: float = DEFAULT_TOL) -> CriterionVerdict:
+                      split: Bipartition | None = None) -> CriterionVerdict:
     """Expectation of the rank-r fidelity witness built from ``phi``.
 
     The witness is (sum of the top r squared Schmidt coefficients of phi)
@@ -285,7 +283,7 @@ def fbc_witness_value(rho: QState, phi: PureVec, r: int = 1,
     top_r = float(np.sum(sd.coeffs[:r]))
     fidelity = float(np.real(phi.vec.conj() @ (rho.matrix @ phi.vec)))
     value = top_r - fidelity
-    detected = value < -tol
+    detected = value < -DEFAULT_TOL
     return CriterionVerdict(
         criterion=f"fbc-r{r}",
         values={"witness_value": value, "fidelity": fidelity, "top_r_sum": top_r,
@@ -296,8 +294,8 @@ def fbc_witness_value(rho: QState, phi: PureVec, r: int = 1,
     )
 
 
-def fbc_spectrum_bound(rho: QState, r: int = 1, split: Bipartition | None = None,
-                       tol: float = DEFAULT_TOL) -> bool:
+def fbc_spectrum_bound(rho: QState, r: int = 1,
+                       split: Bipartition | None = None) -> bool:
     """True when no rank-r fidelity witness can detect ``rho``.
 
     If the largest eigenvalue of rho is at most max(r/d_A, r/d_B), every
@@ -308,7 +306,7 @@ def fbc_spectrum_bound(rho: QState, r: int = 1, split: Bipartition | None = None
         raise ValueError("r must be >= 1")
     _, d_a, d_b, _, _ = _grouped(rho, split)
     lam_max = float(np.linalg.eigvalsh(rho.matrix)[-1])
-    return lam_max <= max(r / d_a, r / d_b) + tol
+    return lam_max <= max(r / d_a, r / d_b) + DEFAULT_TOL
 
 
 def pt_moments(rho: QState, k_max: int = 3,
@@ -322,11 +320,10 @@ def pt_moments(rho: QState, k_max: int = 3,
     return [float(np.sum(eigs**k)) for k in range(1, k_max + 1)]
 
 
-def p3_ppt_check(rho: QState, split: Bipartition | None = None,
-                 tol: float = DEFAULT_TOL) -> CriterionVerdict:
+def p3_ppt_check(rho: QState, split: Bipartition | None = None) -> CriterionVerdict:
     """Third-moment partial-transpose test: separable states obey p2^2 <= p3."""
     p1, p2, p3 = pt_moments(rho, 3, split)
-    detected = p2 * p2 > p3 + tol
+    detected = p2 * p2 > p3 + DEFAULT_TOL
     return CriterionVerdict(
         criterion="p3-ppt",
         values={"p1": p1, "p2": p2, "p3": p3, "gap": p2 * p2 - p3},

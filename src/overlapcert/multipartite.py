@@ -79,8 +79,7 @@ def bipartitions(n_subsystems: int) -> list[Bipartition]:
     return cuts
 
 
-def multipartite_ipc(rho: QState, sigma: QState,
-                     tol: float = DEFAULT_TOL) -> MultiVerdict:
+def multipartite_ipc(rho: QState, sigma: QState) -> MultiVerdict:
     """Bipartition-scan overlap criterion for n >= 3 parties.
 
     Detection means the global overlap exceeds, beyond tolerance, the
@@ -105,7 +104,7 @@ def multipartite_ipc(rho: QState, sigma: QState,
         cut_table=tuple(table),
         min_cut=best.kept,
         min_value=best.min_side,
-        detected=global_overlap > best.min_side + tol,
+        detected=global_overlap > best.min_side + DEFAULT_TOL,
     )
 
 
@@ -198,8 +197,7 @@ class LambdaMapVerdict:
         }
 
 
-def lambda_map_verdict(rho: QState, sigma: QState, r: int = 1,
-                       tol: float = DEFAULT_TOL) -> LambdaMapVerdict:
+def lambda_map_verdict(rho: QState, sigma: QState, r: int = 1) -> LambdaMapVerdict:
     """Evaluate the map at level r and report the detection disjunction.
 
     The conclusion applies to both input states.  ``r_op`` is found by
@@ -210,13 +208,13 @@ def lambda_map_verdict(rho: QState, sigma: QState, r: int = 1,
         raise ValueError("r must be >= 1")
     overlaps = _lambda_overlaps(rho, sigma)
     value = _lambda_value(overlaps, r)
-    detected = value < -tol
+    detected = value < -DEFAULT_TOL
 
     # value(level) = A - B/level with A, B >= 0 and A - B = value(1), so
-    # it is negative exactly for level < B/(A + tol).
+    # it is negative exactly for level < B/(A + DEFAULT_TOL).
     b_part = overlaps[2] + overlaps[3]
     a_part = _lambda_value(overlaps, 1) + b_part
-    r_op = max(0, math.ceil(b_part / (a_part + tol)) - 1)
-    while r_op >= 1 and _lambda_value(overlaps, r_op) >= -tol:
+    r_op = max(0, math.ceil(b_part / (a_part + DEFAULT_TOL)) - 1)
+    while r_op >= 1 and _lambda_value(overlaps, r_op) >= -DEFAULT_TOL:
         r_op -= 1
     return LambdaMapVerdict(r=r, value=value, detected=detected, r_op=r_op)

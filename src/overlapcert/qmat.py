@@ -34,20 +34,47 @@ def _as_dims(dims) -> tuple[int, ...]:
     return out
 
 
-def _check_json_keys(cls, obj: dict) -> None:
-    """Reject a JSON value unless it is an object that holds every required
-    field of dataclass ``cls`` and no key that is not one of its fields."""
+def _json_number(owner: str, key: str, value, kind=int):
+    """``value`` as ``kind``, never from a bool: an int from an integral
+    number or a decimal string (not 2.5), a float from any number or string."""
+    try:
+        out = kind(value)
+        if not isinstance(value, bool) and (kind is float or isinstance(value, str)
+                                            or out == value):
+            return out
+    except (TypeError, ValueError, OverflowError):
+        pass
+    noun = "an integer" if kind is int else "a number"
+    raise ValueError(f"{owner}: {key} must be {noun}, not {value!r}")
+
+
+def _from_json(cls, obj: dict, **decode):
+    """Dataclass ``cls`` from a JSON object with every field that has no
+    default and no other key; a missing key takes the field's default.  A key
+    in ``decode`` goes through that function first.  Int and float fields
+    (bar None in an ``int | None`` one) then follow :func:`_json_number`."""
+    name, allowed = cls.__name__, [f.name for f in fields(cls)]
     if not isinstance(obj, dict):
-        raise ValueError(f"{cls.__name__}: expected a JSON object, not {obj!r}")
-    allowed = [f.name for f in fields(cls)]
+        raise ValueError(f"{name}: expected a JSON object, not {obj!r}")
     unknown = sorted(set(obj) - set(allowed))
     if unknown:
-        raise ValueError(f"{cls.__name__}: unknown keys {unknown}; "
-                         f"allowed keys are {allowed}")
+        raise ValueError(f"{name}: unknown keys {unknown}; allowed keys are {allowed}")
     missing = [f.name for f in fields(cls) if f.name not in obj
                and f.default is MISSING and f.default_factory is MISSING]
     if missing:
-        raise ValueError(f"{cls.__name__}: missing keys {missing}")
+        raise ValueError(f"{name}: missing keys {missing}")
+    kwargs = {}
+    for f in fields(cls):
+        if f.name in obj:
+            value = decode.get(f.name, lambda v: v)(obj[f.name])
+            kind = {"int": int, "int | None": int, "float": float}.get(f.type)
+            if kind and not (value is None and f.type.endswith("| None")):
+                value = _json_number(name, f.name, value, kind)
+            elif f.type == "dict" and not isinstance(value, dict):
+                raise ValueError(f"{name}: {f.name} must be a JSON object, "
+                                 f"not {value!r}")
+            kwargs[f.name] = value
+    return cls(**kwargs)
 
 
 @dataclass(frozen=True)
@@ -371,14 +398,14 @@ def bipartite_view(state: QState, part: Bipartition | None = None) -> QState:
     return QState((d_s, state.dim // d_s), m)
 
 
-def schmidt_decompose(v: PureVec, part: Bipartition | None = None,
-                      cutoff: float = SCHMIDT_CUTOFF) -> SchmidtDecomp:
-    """Schmidt decomposition of a pure state across a bipartite cut."""
+def schmidt_decompose(v: PureVec, part: Bipartition | None = None) -> SchmidtDecomp:
+    """Schmidt decomposition of a pure state across a bipartite cut; squared
+    coefficients at or below ``SCHMIDT_CUTOFF`` are dropped."""
     layout, d_left = _cut_layout(v.dims, part)
     vec = permute_subsystems_vec(v.vec, v.dims, layout)
     coeff_matrix = vec.reshape(d_left, -1)
     u, s, vh = np.linalg.svd(coeff_matrix, full_matrices=False)
-    mask = s * s > cutoff
+    mask = s * s > SCHMIDT_CUTOFF
     return SchmidtDecomp(
         coeffs=(s[mask] ** 2),
         left_vecs=u[:, mask],

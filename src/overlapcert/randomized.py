@@ -28,7 +28,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .qmat import QState, _check_json_keys, _guarded_ratios, hs_inner
+from .qmat import QState, _from_json, _guarded_ratios, hs_inner
 
 _DESIGNS = ("haar", "clifford")
 # Slack of a read exact-mode probability vector: entries >= -PROB_TOL and a
@@ -80,44 +80,13 @@ class ProtocolConfig:
     def exact(self) -> bool:
         return self.shots_per_setting is None
 
-    def to_json(self) -> dict:
-        return {
-            "local_dim": self.local_dim,
-            "m": self.m,
-            "n": self.n,
-            "n_unitaries": self.n_unitaries,
-            "shots_per_setting": "exact" if self.exact else self.shots_per_setting,
-            "seed": self.seed,
-            "design": self.design,
-        }
+    def to_json(self) -> dict:  # "exact" is the JSON form of None shots
+        return {**asdict(self), "shots_per_setting": self.shots_per_setting or "exact"}
 
     @classmethod
     def from_json(cls, obj: dict) -> "ProtocolConfig":
-        _check_json_keys(cls, obj)
-
-        def integer(key, default=None):
-            # an integral number or a decimal string; not a bool, not 2.5
-            value = obj.get(key, default)
-            try:
-                if not isinstance(value, bool) and (isinstance(value, str)
-                                                    or int(value) == value):
-                    return int(value)
-            except (TypeError, ValueError, OverflowError):
-                pass
-            raise ValueError(f"{cls.__name__}: {key} must be an integer, "
-                             f"not {value!r}")
-
-        shots = obj.get("shots_per_setting", "exact")
-        return cls(
-            local_dim=integer("local_dim"),
-            m=integer("m"),
-            n=integer("n"),
-            n_unitaries=integer("n_unitaries"),
-            shots_per_setting=None if shots in ("exact", None)
-            else integer("shots_per_setting"),
-            seed=integer("seed", 0),
-            design=obj.get("design", "haar"),
-        )
+        return _from_json(cls, obj,
+                          shots_per_setting=lambda v: None if v == "exact" else v)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qmat import PureVec, QState, _check_json_keys, schmidt_decompose
+from .qmat import PureVec, QState, _from_json, _json_number, schmidt_decompose
 
 
 def max_entangled(d: int) -> PureVec:
@@ -203,28 +203,32 @@ class StateSpec:
 
     @classmethod
     def from_json(cls, obj: dict) -> "StateSpec":
-        _check_json_keys(cls, obj)
-        return cls(
-            family=obj["family"],
-            params=dict(obj.get("params", {})),
-            seed=int(obj.get("seed", 0)),
-        )
+        return _from_json(cls, obj)
 
     def build(self):
-        """Construct the described state (QState or PureVec)."""
-        p = self.params
+        """Construct the described state (QState or PureVec); the integer
+        params d, n, rank and dims are checked as :meth:`from_json` does."""
+        p, owner = dict(self.params), f"StateSpec {self.family}"
+        for key in ("d", "n", "rank"):
+            if p.get(key) is not None:
+                p[key] = _json_number(owner, key, p[key])
+        if "dims" in p:
+            if not isinstance(p["dims"], (list, tuple)):
+                raise ValueError(f"{owner}: dims must be a JSON array, "
+                                 f"not {p['dims']!r}")
+            p["dims"] = tuple(_json_number(owner, "dims", d) for d in p["dims"])
         if self.family == "isotropic":
-            return isotropic(int(p["d"]), float(p["x"]))
+            return isotropic(p["d"], float(p["x"]))
         if self.family == "example2":
-            return corner_isotropic(int(p["d"]), float(p["x"]))
+            return corner_isotropic(p["d"], float(p["x"]))
         if self.family == "theta":
-            return tilted_entangled(int(p["d"]), float(p["y"]))
+            return tilted_entangled(p["d"], float(p["y"]))
         if self.family == "ghz-noisy":
-            return ghz_noisy(int(p["n"]), int(p["d"]), float(p["p"]))
+            return ghz_noisy(p["n"], p["d"], float(p["p"]))
         if self.family == "ghz-pure":
-            return ghz_pure(int(p["n"]), int(p["d"]))
+            return ghz_pure(p["n"], p["d"])
         if self.family == "max-entangled":
-            return max_entangled(int(p["d"]))
+            return max_entangled(p["d"])
         if self.family == "example3":
             return sn3_unfaithful_state()
         if self.family == "verifier":
@@ -233,9 +237,9 @@ class StateSpec:
                 raise ValueError("verifier family requires a pure base state")
             return verifier_state(base)
         if self.family == "random-mixed":
-            return random_mixed(tuple(p["dims"]), p.get("rank"), seed=self.seed)
+            return random_mixed(p["dims"], p.get("rank"), seed=self.seed)
         if self.family == "random-pure":
-            return random_pure(tuple(p["dims"]), seed=self.seed)
+            return random_pure(p["dims"], seed=self.seed)
         raise AssertionError(f"unhandled family {self.family}")
 
 

@@ -29,7 +29,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .qmat import (QState, _check_json_keys, _guarded_ratios, _overlaps,
+from .qmat import (QState, _from_json, _guarded_ratios, _overlaps,
                    partial_trace_matrix)
 from .randomized import sample_local_unitary
 from .states import max_entangled
@@ -65,13 +65,7 @@ class OptConfig:
 
     @classmethod
     def from_json(cls, obj: dict) -> "OptConfig":
-        _check_json_keys(cls, obj)
-        return cls(
-            restarts=int(obj.get("restarts", 8)),
-            max_iters=int(obj.get("max_iters", 300)),
-            tol=float(obj.get("tol", 1e-12)),
-            seed=int(obj.get("seed", 0)),
-        )
+        return _from_json(cls, obj)
 
 
 @dataclass(frozen=True)

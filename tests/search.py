@@ -1,5 +1,5 @@
-"""1-D search helpers, used only as test oracles: golden section (a maximum)
-and bisection (a root).  The package solves its scans in closed form."""
+"""1-D search oracles for the tests: golden section (a maximum) and
+bisection (a root).  The package solves its scans in closed form."""
 
 from __future__ import annotations
 

@@ -46,8 +46,8 @@ from overlapcert import (
     sn_bound_from_ratio,
     verify_shat_fef_identity,
 )
-from overlapcert._scan import bisect_root, golden_section_max
 from overlapcert.cli import cmd_fig3
+from search import bisect_root, golden_section_max
 
 EPS = 1e-9
 

@@ -19,14 +19,16 @@ from overlapcert import (
     purity_check,
     tilted_entangled,
 )
-from overlapcert._scan import bisect_root, golden_section_max
+from overlapcert import cli
 from overlapcert.cli import (
     _corner_pencil,
     _ghz_threshold,
     _pencil_top,
     cmd_fig1,
+    cmd_rm_experiment,
     main,
 )
+from search import bisect_root, golden_section_max
 
 
 def read_csv(path):
@@ -375,3 +377,56 @@ def test_missing_required_flag_exits_2():
     with pytest.raises(SystemExit) as err:
         main(["fig1", "--grid", "5", "--out", "x.csv"])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["fig1", "--d", "1"], "d and grid must be >= 2, not 1, 20"),
+    (["fig1", "--d", "3", "--grid", "1"], "d and grid must be >= 2, not 3, 1"),
+    (["fig3", "--d-min", "2"], "not 2, 10, 5"),
+    (["rfbc-tightness", "--d-min", "2"], "not 2, 10, 4"),
+    (["fig3", "--d-min", "5", "--d-max", "3"], "not 5, 3, 5"),
+    (["rfbc-tightness", "--d-min", "5", "--d-max", "3"], "not 5, 3, 4"),
+    (["fig3", "--r-max", "0"], "d_min <= d_max and r_max >= 1, not 3, 10, 0"),
+    (["rfbc-tightness", "--r-max", "0"], "not 3, 10, 0"),
+])
+def test_bad_flag_values_exit_2_and_write_nothing(tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as err:
+        main(argv + ["--out", str(out)])
+    assert err.value.code == 2
+    err_text = capsys.readouterr().err
+    assert f"error: {argv[0]}: " in err_text and message in err_text
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda c: c.update(protcol=c.pop("protocol")),
+     r"ExperimentConfig: unknown keys \['protcol'\]; allowed keys are "
+     r"\['rho', 'sigma', 'protocol'\]"),
+    (lambda c: c.update(notes="run 3"), r"unknown keys \['notes'\]"),
+    (lambda c: c.pop("sigma"), r"ExperimentConfig: missing keys \['sigma'\]"),
+    (lambda c: c["protocol"].update(n_unitaries=2.5),
+     "ProtocolConfig: n_unitaries must be an integer, not 2.5"),
+    (lambda c: c["rho"]["params"].update(d=4.7), "StateSpec isotropic: d must be"),
+])
+def test_rm_experiment_config_checked_at_the_boundary(tmp_path, capsys, edit, message):
+    cfg_path = tmp_path / "cfg.json"
+    write_rm_config(cfg_path)
+    cfg = json.loads(cfg_path.read_text())
+    edit(cfg)
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "report.json"
+    with pytest.raises(ValueError, match=message):
+        cmd_rm_experiment(str(cfg_path), str(out))
+    with pytest.raises(SystemExit) as err:
+        main(["rm-experiment", "--config", str(cfg_path), "--out", str(out)])
+    assert err.value.code == 2
+    assert "error: rm-experiment: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_failed_examples_check_exits_1(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_ghz_threshold", lambda n: 0.0)
+    out = tmp_path / "examples.json"
+    assert main(["examples", "--out", str(out)]) == 1
+    assert json.loads(out.read_text())["failures"] == ["ghz n=3", "ghz n=4", "ghz n=5"]

@@ -1,6 +1,7 @@
 """Core linear-algebra operations against independent oracles."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -22,7 +23,9 @@ from overlapcert import (
 )
 from overlapcert.multipartite import bipartitions
 from overlapcert.qmat import _overlap_table, _overlaps
-from overlapcert.states import max_entangled, random_mixed, random_pure
+from overlapcert.states import (StateSpec, build_density, isotropic, max_entangled,
+                                random_mixed, random_pure)
+from overlapcert.variational import OptConfig
 
 
 def random_hermitian(dim, rng):
@@ -450,3 +453,63 @@ def test_bipartite_view_groups_noncontiguous_cut():
     direct = partial_trace(s, Bipartition((0, 2)))
     via_view = partial_trace(grouped, Bipartition((0,)))
     np.testing.assert_allclose(via_view.matrix, direct.matrix, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the JSON boundary shared by every config
+
+
+@pytest.mark.parametrize("cls,obj,key", [
+    (OptConfig, {}, "restarts"),
+    (OptConfig, {}, "max_iters"),
+    (OptConfig, {}, "seed"),
+    (StateSpec, {"family": "example3"}, "seed"),
+])
+@pytest.mark.parametrize("value", [2.7, True, "x", None, [3]])
+def test_integer_fields_take_only_integers(cls, obj, key, value):
+    with pytest.raises(ValueError, match=f"{cls.__name__}: {key} must be an "
+                                         f"integer, not {re.escape(repr(value))}"):
+        cls.from_json({**obj, key: value})
+
+
+def test_integer_fields_take_integral_numbers_and_decimal_strings():
+    assert OptConfig.from_json({"restarts": 3.0, "max_iters": "40", "seed": 2}) \
+        == OptConfig(restarts=3, max_iters=40, seed=2)
+    assert StateSpec.from_json({"family": "example3", "seed": "4"}).seed == 4
+
+
+def test_float_field_rejects_bool_and_text():
+    for value in (True, "x"):
+        with pytest.raises(ValueError, match=r"OptConfig: tol must be a number"):
+            OptConfig.from_json({"tol": value})
+    assert OptConfig.from_json({"tol": 0}).tol == 0.0
+
+
+def test_statespec_params_must_be_an_object():
+    for value in ([["d", 3]], "d=3", None):
+        with pytest.raises(ValueError, match="StateSpec: params must be a JSON object"):
+            StateSpec.from_json({"family": "isotropic", "params": value})
+
+
+@pytest.mark.parametrize("family,params,key", [
+    ("isotropic", {"d": 4.7, "x": 0.5}, "d"),
+    ("max-entangled", {"d": True}, "d"),
+    ("ghz-noisy", {"n": 3.5, "d": 2, "p": 0.5}, "n"),
+    ("ghz-pure", {"n": 3, "d": "two"}, "d"),
+    ("random-mixed", {"dims": [2, 2], "rank": 2.5}, "rank"),
+    ("random-mixed", {"dims": [2, 2.5]}, "dims"),
+    ("random-pure", {"dims": [True, 2]}, "dims"),
+])
+def test_statespec_build_checks_integer_params(family, params, key):
+    with pytest.raises(ValueError, match=f"StateSpec {family}: {key} must be an int"):
+        StateSpec(family, params).build()
+
+
+def test_statespec_build_dims_must_be_an_array():
+    with pytest.raises(ValueError, match="dims must be a JSON array"):
+        StateSpec("random-pure", {"dims": "22"}).build()
+
+
+def test_statespec_build_takes_decimal_strings_like_numbers():
+    as_text = build_density(StateSpec("isotropic", {"d": "3", "x": 0.5}))
+    assert np.array_equal(as_text.matrix, isotropic(3, 0.5).matrix)

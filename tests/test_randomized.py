@@ -843,6 +843,8 @@ def test_config_json_roundtrip():
                          shots_per_setting=None, seed=7, design="clifford")
     assert ProtocolConfig.from_json(cfg.to_json()) == cfg
     assert cfg.to_json()["shots_per_setting"] == "exact"
+    shots = ProtocolConfig(local_dim=3, m=1, n=2, n_unitaries=4, shots_per_setting=100)
+    assert ProtocolConfig.from_json(shots.to_json()) == shots
 
 
 def test_config_rejects_unknown_keys():

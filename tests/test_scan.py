@@ -1,8 +1,8 @@
-"""1-D search helpers used by the boundary scans."""
+"""The 1-D search oracles that the boundary tests compare against."""
 
 import pytest
 
-from overlapcert._scan import bisect_root, golden_section_max
+from search import bisect_root, golden_section_max
 
 
 def test_golden_section_finds_parabola_peak():

@@ -232,8 +232,8 @@ def test_identity_white_noise():
 
 
 def test_optconfig_json_roundtrip():
-    cfg = OptConfig(restarts=3, max_iters=77, tol=1e-10, seed=5)
-    assert OptConfig.from_json(cfg.to_json()) == cfg
+    for cfg in (OptConfig(restarts=3, max_iters=77, tol=1e-10, seed=5), OptConfig()):
+        assert OptConfig.from_json(cfg.to_json()) == cfg
 
 
 def test_optconfig_validation():
