@@ -3,7 +3,8 @@ the worked-example checks, all emitting deterministic CSV/JSON.
 
 Every output file starts with a comment line recording the full
 configuration and seed, so a rerun with identical flags is byte-identical.
-Exit codes: 0 success, 1 assertion failure in ``examples``, 2 a bad flag or config.
+Exit codes: 0 success, 1 assertion failure in ``examples``, 2 a bad flag or an
+unreadable or bad config.
 """
 
 from __future__ import annotations
@@ -228,7 +229,11 @@ def cmd_rm_experiment(config_path: str, out: str, settings: int | None = None,
                       shots: int | None = None, exact: bool = False,
                       seed: int | None = None) -> int:
     """Build both states, run the protocol, estimate, and certify."""
-    cfg = _from_json(ExperimentConfig, json.loads(Path(config_path).read_text()),
+    try:
+        text = Path(config_path).read_text()
+    except OSError as err:
+        raise ValueError(f"cannot read config {config_path}: {err.strerror}") from err
+    cfg = _from_json(ExperimentConfig, json.loads(text),
                      rho=StateSpec.from_json, sigma=StateSpec.from_json,
                      protocol=ProtocolConfig.from_json)
     overrides = {"n_unitaries": settings, "seed": seed,

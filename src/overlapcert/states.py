@@ -172,18 +172,20 @@ def random_mixed(dims, rank: int | None = None, seed: int = 0) -> QState:
     return QState(tuple(dims), m / np.trace(m).real)
 
 
-_FAMILIES = (
-    "isotropic",
-    "example2",
-    "theta",
-    "ghz-noisy",
-    "ghz-pure",
-    "max-entangled",
-    "example3",
-    "verifier",
-    "random-mixed",
-    "random-pure",
-)
+# family -> (params it needs, params it may take)
+_PARAMS = {
+    "isotropic": (("d", "x"), ()),
+    "example2": (("d", "x"), ()),
+    "theta": (("d", "y"), ()),
+    "ghz-noisy": (("n", "d", "p"), ()),
+    "ghz-pure": (("n", "d"), ()),
+    "max-entangled": (("d",), ()),
+    "example3": ((), ()),
+    "verifier": (("base",), ()),
+    "random-mixed": (("dims",), ("rank",)),
+    "random-pure": (("dims",), ()),
+}
+_PARAM_KINDS = {"d": int, "n": int, "rank": int, "x": float, "y": float, "p": float}
 
 
 @dataclass(frozen=True)
@@ -195,8 +197,9 @@ class StateSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.family not in _FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}; expected one of {_FAMILIES}")
+        if self.family not in _PARAMS:
+            raise ValueError(f"unknown family {self.family!r}; "
+                             f"expected one of {tuple(_PARAMS)}")
 
     def to_json(self) -> dict:
         return {"family": self.family, "params": dict(self.params), "seed": self.seed}
@@ -206,25 +209,34 @@ class StateSpec:
         return _from_json(cls, obj)
 
     def build(self):
-        """Construct the described state (QState or PureVec); the integer
-        params d, n, rank and dims are checked as :meth:`from_json` does."""
+        """Construct the described state (QState or PureVec).  The params must
+        be exactly those the family takes; numbers and the entries of dims
+        are checked as :meth:`from_json` checks its fields."""
         p, owner = dict(self.params), f"StateSpec {self.family}"
-        for key in ("d", "n", "rank"):
-            if p.get(key) is not None:
-                p[key] = _json_number(owner, key, p[key])
+        required, optional = _PARAMS[self.family]
+        unknown = sorted(set(p) - set(required) - set(optional))
+        missing = [key for key in required if key not in p]
+        if unknown or missing:
+            faults = [f"{what} params {keys}" for what, keys
+                      in (("unknown", unknown), ("missing", missing)) if keys]
+            raise ValueError(f"{owner}: {', '.join(faults)}; the family takes "
+                             f"{list(required + optional)}")
+        for key, kind in _PARAM_KINDS.items():  # an optional param may be null
+            if key in p and not (key in optional and p[key] is None):
+                p[key] = _json_number(owner, key, p[key], kind)
         if "dims" in p:
             if not isinstance(p["dims"], (list, tuple)):
                 raise ValueError(f"{owner}: dims must be a JSON array, "
                                  f"not {p['dims']!r}")
             p["dims"] = tuple(_json_number(owner, "dims", d) for d in p["dims"])
         if self.family == "isotropic":
-            return isotropic(p["d"], float(p["x"]))
+            return isotropic(p["d"], p["x"])
         if self.family == "example2":
-            return corner_isotropic(p["d"], float(p["x"]))
+            return corner_isotropic(p["d"], p["x"])
         if self.family == "theta":
-            return tilted_entangled(p["d"], float(p["y"]))
+            return tilted_entangled(p["d"], p["y"])
         if self.family == "ghz-noisy":
-            return ghz_noisy(p["n"], p["d"], float(p["p"]))
+            return ghz_noisy(p["n"], p["d"], p["p"])
         if self.family == "ghz-pure":
             return ghz_pure(p["n"], p["d"])
         if self.family == "max-entangled":

@@ -17,6 +17,11 @@ Cayley curve (I - tG/2)^-1 (I + tG/2) U, which stays unitary, with t set
 by Armijo backtracking and doubling.  All reported values are lower
 bounds on the supremum; no global-optimality claim is made.
 
+No s_X can exceed min(sup_X rho, sup_X sigma), the partner suprema of
+:func:`~overlapcert.criteria.partner_sup`: the ratio is symmetric in the
+two states and sup_X is invariant under local unitaries.  Once the best
+value found reaches that bound, the remaining ascents of s_X are skipped.
+
 Against the maximally entangled state the optimized ratio collapses to
 d times the fully entangled fraction, which this module also computes
 with the same gradient code so the two routes can be cross-checked.
@@ -29,8 +34,8 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .qmat import (QState, _from_json, _guarded_ratios, _overlaps,
-                   partial_trace_matrix)
+from .criteria import partner_sup
+from .qmat import QState, _from_json, _guarded_ratios, _reduce, _trace_product
 from .randomized import sample_local_unitary
 from .states import max_entangled
 
@@ -38,6 +43,11 @@ from .states import max_entangled
 # keeps overlong steps once doubling has found them, and the ascent then
 # stalls on the hidden-rotation recoveries.
 ARMIJO = 0.3
+
+# Relative slack on a partner-supremum bound: the computed value and the
+# computed bound each carry rounding errors, so an ascent may end a few
+# ulps above the bound it cannot exceed in exact arithmetic.
+BOUND_SLACK = 1e-13
 
 
 @dataclass(frozen=True)
@@ -74,6 +84,8 @@ class OptResult:
     best-so-far value after each accepted step of the ascent that found it.
 
     ``converged`` is True when that ascent stopped before its step budget.
+    ``bound`` is an upper bound on the supremum (``math.inf`` when none is
+    known), so ``bound - value`` is the largest possible shortfall.
     """
 
     value: float
@@ -81,6 +93,7 @@ class OptResult:
     trajectory: tuple[float, ...]
     restarts: int
     converged: bool
+    bound: float
 
 
 def _objective(rho_m: np.ndarray, sigma_m: np.ndarray, dims, local: int | None):
@@ -89,30 +102,37 @@ def _objective(rho_m: np.ndarray, sigma_m: np.ndarray, dims, local: int | None):
     rho' = (U x V) rho (U x V)^dag, X is subsystem ``local``, and with
     ``local=None`` the global overlap Tr[rho' sigma] itself is the
     objective.  Both functions take the factors [U, V]; the gradients come
-    back as one skew-Hermitian matrix per factor.
+    back as one skew-Hermitian matrix per factor.  sigma_X is reduced once
+    here, and the overlaps are the overlap core's own trace products.
     """
-    kept = [(0, 1)] if local is None else [(0, 1), (local,)]
+    dims = tuple(dims)
+    side = math.prod(dims)
     if local is not None:
-        sigma_x = partial_trace_matrix(sigma_m, dims, [local])
+        keep = (local,)
+        sigma_x = _reduce(sigma_m, dims, keep)
 
     def rotated(factors):
-        w = np.kron(*factors)
+        u, v = factors  # U x V as one broadcast product, entry for entry np.kron's
+        w = (u[:, None, :, None] * v[None, :, None, :]).reshape(side, side)
         return w @ rho_m @ w.conj().T
 
     def value(factors) -> float:
-        overlaps = _overlaps(rotated(factors), sigma_m, dims, kept)
-        return overlaps[0] if local is None else _guarded_ratios(*overlaps)
+        rot = rotated(factors)
+        g = _trace_product(rot, sigma_m)
+        if local is None:
+            return g
+        return _guarded_ratios(g, _trace_product(_reduce(rot, dims, keep), sigma_x))
 
     def grad(factors) -> list[np.ndarray]:
         rot = rotated(factors)
         comm = sigma_m @ rot - rot @ sigma_m
-        grads = [partial_trace_matrix(comm, dims, [k]) for k in (0, 1)]
+        grads = [_reduce(comm, dims, (k,)) for k in (0, 1)]
         if local is None:
             return grads
-        g, l_x = _overlaps(rot, sigma_m, dims, kept)
+        rot_x = _reduce(rot, dims, keep)
+        g, l_x = _trace_product(rot, sigma_m), _trace_product(rot_x, sigma_x)
         if l_x <= 0.0:
             return [np.zeros_like(gr) for gr in grads]
-        rot_x = partial_trace_matrix(rot, dims, [local])
         grads = [gr / l_x for gr in grads]
         grads[local] = grads[local] - g / l_x**2 * (sigma_x @ rot_x - rot_x @ sigma_x)
         return grads
@@ -164,12 +184,15 @@ def _ascend(value, grad, factors, rotate, cfg: OptConfig):
     return factors, trajectory, False
 
 
-def _maximize(objectives, dims, rotate, cfg: OptConfig) -> OptResult:
+def _maximize(objectives, bounds, dims, rotate, cfg: OptConfig) -> OptResult:
     """Ascend every objective from every start and keep the best end point.
 
     The starts are the identity and ``cfg.restarts - 1`` Haar draws of the
     rotated factors.  As within one ascent, an end point replaces the best
     so far only when it improves on it by more than ``cfg.tol`` relative.
+    ``bounds`` holds an upper bound on each objective; once the best value
+    is within ``cfg.tol`` of one, no ascent of that objective could replace
+    it, and the remaining ones are skipped.
     """
     rng = np.random.default_rng(cfg.seed)
     eye = [np.eye(d, dtype=complex) for d in dims]
@@ -180,7 +203,10 @@ def _maximize(objectives, dims, rotate, cfg: OptConfig) -> OptResult:
     ]
     best = None
     for start in starts:
-        for value, grad in objectives:
+        for (value, grad), bound in zip(objectives, bounds):
+            if best is not None and (bound * (1.0 + BOUND_SLACK) - best[1][-1]
+                                     <= cfg.tol * abs(best[1][-1])):
+                continue
             factors, trajectory, converged = _ascend(value, grad, start, rotate, cfg)
             gain = math.inf if best is None else trajectory[-1] - best[1][-1]
             if gain > cfg.tol * abs(trajectory[-1]):
@@ -192,6 +218,7 @@ def _maximize(objectives, dims, rotate, cfg: OptConfig) -> OptResult:
         trajectory=tuple(trajectory),  # accepted steps only ever increase it
         restarts=cfg.restarts,
         converged=converged,
+        bound=max(bounds),
     )
 
 
@@ -205,7 +232,8 @@ def s_hat(rho: QState, sigma: QState, cfg: OptConfig = OptConfig(),
     ``sides`` restricts which side gets rotated ("both", "a", or "b");
     the identity is always a candidate, so the result is never below the
     plain overlap ratio.  The certified Schmidt bound ceil(value) applies
-    to both states.
+    to both states.  ``bound`` is max_X min(sup_X rho, sup_X sigma) from
+    :func:`~overlapcert.criteria.partner_sup`.
     """
     if sides not in _ROTATED:
         raise ValueError("sides must be 'both', 'a' or 'b'")
@@ -213,7 +241,9 @@ def s_hat(rho: QState, sigma: QState, cfg: OptConfig = OptConfig(),
         raise ValueError("both states must share the same two-subsystem layout")
     objectives = [_objective(rho.matrix, sigma.matrix, rho.dims, local)
                   for local in (0, 1)]
-    return _maximize(objectives, rho.dims, _ROTATED[sides], cfg)
+    sups = [partner_sup(rho), partner_sup(sigma)]
+    bounds = [min(sup.sup_a for sup in sups), min(sup.sup_b for sup in sups)]
+    return _maximize(objectives, bounds, rho.dims, _ROTATED[sides], cfg)
 
 
 def fully_entangled_fraction(rho: QState, cfg: OptConfig = OptConfig()) -> float:
@@ -226,7 +256,7 @@ def fully_entangled_fraction(rho: QState, cfg: OptConfig = OptConfig()) -> float
         raise ValueError("fully entangled fraction needs equal local dimensions")
     psi = max_entangled(rho.dims[0]).projector().matrix
     objective = _objective(psi, rho.matrix, rho.dims, None)
-    return _maximize([objective], rho.dims, _ROTATED["b"], cfg).value
+    return _maximize([objective], [math.inf], rho.dims, _ROTATED["b"], cfg).value
 
 
 def verify_shat_fef_identity(rho: QState, cfg: OptConfig = OptConfig()) -> dict:

@@ -3,6 +3,7 @@
 import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from overlapcert import (
     purity_check,
     tilted_entangled,
 )
-from overlapcert import cli
+from overlapcert import StateSpec, build_density, cli
 from overlapcert.cli import (
     _corner_pencil,
     _ghz_threshold,
@@ -408,6 +409,9 @@ def test_bad_flag_values_exit_2_and_write_nothing(tmp_path, capsys, argv, messag
     (lambda c: c["protocol"].update(n_unitaries=2.5),
      "ProtocolConfig: n_unitaries must be an integer, not 2.5"),
     (lambda c: c["rho"]["params"].update(d=4.7), "StateSpec isotropic: d must be"),
+    (lambda c: c["rho"]["params"].update(y=3),
+     r"StateSpec isotropic: unknown params \['y'\]; the family takes \['d', 'x'\]"),
+    (lambda c: c["sigma"]["params"].pop("x"), r"StateSpec isotropic: missing params \['x'\]"),
 ])
 def test_rm_experiment_config_checked_at_the_boundary(tmp_path, capsys, edit, message):
     cfg_path = tmp_path / "cfg.json"
@@ -423,6 +427,26 @@ def test_rm_experiment_config_checked_at_the_boundary(tmp_path, capsys, edit, me
     assert err.value.code == 2
     assert "error: rm-experiment: " in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_rm_experiment_unreadable_config_exits_2(tmp_path, capsys):
+    # a missing file used to end in a FileNotFoundError traceback, exit 1
+    missing = tmp_path / "nope.json"
+    with pytest.raises(ValueError, match=f"cannot read config {missing}"):
+        cmd_rm_experiment(str(missing), str(tmp_path / "report.json"))
+    with pytest.raises(SystemExit) as err:
+        main(["rm-experiment", "--config", str(missing), "--out", str(tmp_path / "r.json")])
+    assert err.value.code == 2
+    assert f"error: rm-experiment: cannot read config {missing}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_readme_rm_config_builds():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("An `rm-experiment` config holds")[1].split("```json")[1]
+    cfg = json.loads(block.split("```")[0])
+    for side in ("rho", "sigma"):
+        assert build_density(StateSpec.from_json(cfg[side])).dims == (4, 4)
 
 
 def test_failed_examples_check_exits_1(tmp_path, monkeypatch):

@@ -313,6 +313,31 @@ def test_statespec_roundtrip_and_build(spec):
     assert np.array_equal(out.matrix, out2.matrix)
 
 
+@pytest.mark.parametrize("family,params,fault", [
+    ("isotropic", {"d": 4, "x": 0.9, "y": 3, "dimz": 7}, r"unknown params \['dimz', 'y'\]"),
+    ("isotropic", {"d": 4}, r"missing params \['x'\]"),
+    ("example2", {"x": 0.3}, r"missing params \['d'\]"),
+    ("theta", {"d": 4, "x": 0.4}, r"unknown params \['x'\], missing params \['y'\]"),
+    ("ghz-noisy", {"n": 3, "d": 2}, r"missing params \['p'\]"),
+    ("ghz-pure", {"n": 3, "d": 2, "p": 0.5}, r"unknown params \['p'\]"),
+    ("max-entangled", {"d": 3, "x": 1.0}, r"unknown params \['x'\]"),
+    ("example3", {"d": 3}, r"unknown params \['d'\]"),
+    ("verifier", {}, r"missing params \['base'\]"),
+    ("random-mixed", {"rank": 2}, r"missing params \['dims'\]"),
+    ("random-pure", {"dims": [2, 2], "rank": 2}, r"unknown params \['rank'\]"),
+])
+def test_statespec_build_takes_exactly_the_family_params(family, params, fault):
+    # unused keys used to build and echo silently, and a missing one ended
+    # in a bare KeyError
+    with pytest.raises(ValueError, match=f"StateSpec {family}: {fault}; the family takes"):
+        StateSpec(family, params).build()
+
+
+def test_statespec_optional_rank_may_be_null():
+    full = build_density(StateSpec("random-mixed", {"dims": [2, 2], "rank": None}, seed=9))
+    assert np.array_equal(full.matrix, random_mixed((2, 2), seed=9).matrix)
+
+
 def test_statespec_rejects_unknown_family():
     with pytest.raises(ValueError, match="family"):
         StateSpec("werner", {})

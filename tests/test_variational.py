@@ -1,5 +1,7 @@
 """Local-unitary optimization of the overlap ratio and the FEF link."""
 
+import dataclasses
+import math
 import os
 import subprocess
 import sys
@@ -20,7 +22,8 @@ from overlapcert import (
     sample_local_unitary,
     verify_shat_fef_identity,
 )
-from overlapcert import variational
+from overlapcert import partial_trace_matrix, partner_sup, variational
+from overlapcert.qmat import _guarded_ratios, _overlaps
 
 FAST = OptConfig(restarts=4, seed=11)
 
@@ -66,6 +69,36 @@ def test_gradient_matches_central_difference(local):
             numeric = (value(plus) - value(minus)) / (2 * h)
             analytic = np.vdot(omega, grads[k]).real
             assert abs(numeric - analytic) <= 1e-9 * max(1.0, abs(analytic))
+
+
+@pytest.mark.parametrize("dims", [(2, 3), (3, 2)])
+@pytest.mark.parametrize("local", [0, 1, None])
+def test_objective_is_the_overlap_core_on_the_rotated_state(dims, local):
+    # bit for bit: the value is the overlap core's ratio of (U x V) rho
+    # (U x V)^dag, built with np.kron, and the gradient is the formula on
+    # that matrix; a non-square layout exposes a swapped Kronecker order
+    rng = np.random.default_rng(23)
+    rho = random_mixed(dims, seed=75)
+    sig = random_mixed(dims, seed=76)
+    value, grad = variational._objective(rho.matrix, sig.matrix, dims, local)
+    kept = [(0, 1)] if local is None else [(0, 1), (local,)]
+    for _ in range(3):
+        factors = [sample_local_unitary(d, rng) for d in dims]
+        rot = rotated(rho, *factors).matrix
+        overlaps = _overlaps(rot, sig.matrix, dims, kept)
+        assert value(factors) == (overlaps[0] if local is None
+                                  else _guarded_ratios(*overlaps))
+        comm = sig.matrix @ rot - rot @ sig.matrix
+        expected = [partial_trace_matrix(comm, dims, [k]) for k in (0, 1)]
+        if local is not None:
+            g, l_x = overlaps
+            rot_x = partial_trace_matrix(rot, dims, [local])
+            sig_x = partial_trace_matrix(sig.matrix, dims, [local])
+            expected = [gr / l_x for gr in expected]
+            expected[local] = (expected[local]
+                               - g / l_x**2 * (sig_x @ rot_x - rot_x @ sig_x))
+        for got, want in zip(grad(factors), expected):
+            assert np.array_equal(got, want)
 
 
 def test_iterates_stay_unitary():
@@ -150,6 +183,101 @@ def test_converged_is_that_of_the_returned_restart(monkeypatch, outcomes,
     assert next(scripted, None) is None
     assert res.value == 0.9
     assert res.converged is converged
+
+
+def squeezed(rho: QState, eps: float) -> QState:
+    """rho filtered by diag(1, ..., sqrt(eps)) on A: rho_A nearly singular."""
+    d_a, d_b = rho.dims
+    w = np.kron(np.diag([1.0] * (d_a - 1) + [math.sqrt(eps)]), np.eye(d_b))
+    m = w @ rho.matrix @ w.T
+    return QState(rho.dims, m / np.trace(m).real)
+
+
+def bound_corpus():
+    """Pairs over (2, 2), (2, 3) and (3, 3): sigma of every rank, rho with a
+    marginal eigenvalue below 1e-8, and pairs whose bound is attained, at
+    the identity or only after hidden local rotations are undone."""
+    rng = np.random.default_rng(29)
+    pairs = []
+    for i, dims in enumerate([(2, 2), (2, 3), (3, 3)]):
+        for rank in (1, 2, None):
+            pairs.append((random_mixed(dims, seed=200 + 10 * i + (rank or 9)),
+                          random_mixed(dims, rank=rank, seed=300 + 10 * i + (rank or 9))))
+    pairs.append((random_mixed((2, 3), rank=1, seed=401), random_mixed((2, 3), seed=402)))
+    for dims in [(2, 3), (3, 3)]:
+        pairs.append((squeezed(random_mixed(dims, seed=403), 1e-9),
+                      random_mixed(dims, seed=404)))
+    tight = squeezed(random_mixed((3, 3), seed=901), 1e-9)
+    pairs.append((tight, partner_sup(tight).vecs[0].projector()))
+    pairs.append((isotropic(3, 0.7), max_entangled(3).projector()))
+    u, v, u2, v2 = (sample_local_unitary(3, rng) for _ in range(4))
+    pairs.append((rotated(isotropic(3, 0.8), u, v), max_entangled(3).projector()))
+    rho = random_mixed((3, 3), seed=901)
+    pairs.append((rho, rotated(partner_sup(rho).vecs[0].projector(), u2, v2)))
+    return pairs
+
+
+def test_bound_corpus_covers_a_nearly_singular_marginal():
+    smallest = min(np.linalg.eigvalsh(partial_trace_matrix(rho.matrix, rho.dims, [k]))[0]
+                   for rho, _ in bound_corpus() for k in (0, 1))
+    assert 0.0 < smallest <= 1e-8
+
+
+def without_bound(monkeypatch):
+    monkeypatch.setattr(variational, "partner_sup", lambda rho: dataclasses.replace(
+        partner_sup(rho), sup_a=math.inf, sup_b=math.inf))
+
+
+def counting_ascents(monkeypatch):
+    calls = []
+    ascend = variational._ascend
+
+    def counted(*args):
+        calls.append(1)
+        return ascend(*args)
+
+    monkeypatch.setattr(variational, "_ascend", counted)
+    return calls
+
+
+def test_partner_bound_holds_and_stopping_at_it_changes_no_result(monkeypatch):
+    # no value exceeds the bound, and a skipped ascent could not have
+    # replaced the best end point, so the result is the one every ascent
+    # gives, bit for bit
+    calls = counting_ascents(monkeypatch)
+    runs = [(rho, sig, OptConfig(restarts=2, max_iters=50, seed=j), sides)
+            for j, (rho, sig) in enumerate(bound_corpus())
+            for sides in ("both", "a", "b")]
+    with_stop = []
+    for rho, sig, cfg, sides in runs:
+        sups = [partner_sup(rho), partner_sup(sig)]
+        res = s_hat(rho, sig, cfg, sides=sides)
+        assert res.bound == max(min(s.sup_a for s in sups), min(s.sup_b for s in sups))
+        assert res.value <= res.bound * (1 + 1e-12)
+        with_stop.append(res)
+    n_with = len(calls)
+    without_bound(monkeypatch)
+    for (rho, sig, cfg, sides), stopped in zip(runs, with_stop):
+        full = s_hat(rho, sig, cfg, sides=sides)
+        assert full.value == stopped.value
+        assert all(np.array_equal(a, b) for a, b in zip(full.params, stopped.params))
+        assert full.trajectory == stopped.trajectory
+        assert full.converged is stopped.converged
+        assert full.bound == math.inf
+    assert n_with < len(calls) - n_with  # the stop fired somewhere
+
+
+def test_stop_skips_the_ascents_once_the_bound_is_reached(monkeypatch):
+    # s_hat = d x = sup at the identity start: the first ascent reaches it
+    calls = counting_ascents(monkeypatch)
+    rho, sig = isotropic(3, 0.7), max_entangled(3).projector()
+    res = s_hat(rho, sig, OptConfig(restarts=2), sides="b")
+    assert len(calls) == 1
+    assert abs(res.value - 2.1) <= 1e-12
+    without_bound(monkeypatch)
+    calls.clear()
+    assert s_hat(rho, sig, OptConfig(restarts=2), sides="b").value == res.value
+    assert len(calls) == 4
 
 
 def test_certified_bound_invariant_under_local_rotation():
