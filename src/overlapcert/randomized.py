@@ -206,27 +206,27 @@ def sample_local_unitary(local_dim: int, rng: np.random.Generator,
     return _local_unitaries(_draw_local(local_dim, rng, design, 1), design)[0]
 
 
-def _product_unitaries(factors: np.ndarray) -> np.ndarray:
-    """Kronecker products of (..., q, l, l) factors, leading qudit first."""
-    out = factors[..., 0, :, :]
-    for k in range(1, factors.shape[-3]):
-        rows = out.shape[-1] * factors.shape[-1]
-        out = (out[..., :, None, :, None] * factors[..., None, k, :, None, :]) \
-            .reshape(out.shape[:-2] + (rows, rows))
-    return out
+def _outcome_probs(factors: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """diag(U rho U^dag) for each setting of a (B, q, l, l) block of local
+    factors, U their Kronecker product (leading qudit first), never built.
+
+    ``x`` is rho with each qudit's row and column index adjacent, shape
+    (l^2, l^(2q-2)).  Qudit k's axis is contracted with T_k[s, (t, t')] =
+    u_k[s, t] conj(u_k[s, t']), which leaves its outcome index s: one GEMM
+    shared by the block for the first qudit, batched products for the
+    rest, about 2 l D^2 operations per setting instead of D^3.
+    """
+    b, q, l = factors.shape[:3]
+    t = (factors[..., :, None] * factors.conj()[..., None, :]).reshape(b, q, l, l * l)
+    y = t[:, 0].reshape(b * l, l * l) @ x
+    for k in range(1, q):
+        y = np.matmul(t[:, k, None], y.reshape(b, l**k, l * l, -1))
+    return y.reshape(b, -1).real
 
 
-def _outcome_probs(u: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Re <u_i|rho|u_i> for every row u_i of a complex, C-ordered U:
-    diag(U rho U^dag) for one D x D unitary, or for each D-row block of a
-    (k D, D) stack of them."""
-    # Re(m_ik conj(u_ik)) summed over k is the dot of their (re, im) views
-    return np.einsum("ij,ij->i", (u @ rho).view(float), u.view(float))
-
-
-# Bytes of product unitaries per probability block.  The block's matrix
-# products amortize the per-call overhead; a 1 MiB block already raised
-# the peak RSS of a 3+3-qubit, 300-setting rm-experiment by about 6%.
+# Bytes of kernel intermediates (the first qudit's B D^2 / l complex
+# entries) per probability block.  A 1 MiB block is no faster on 3+3 qubits
+# and 300 settings, and raises the peak RSS of the run by about 1 MiB.
 _BLOCK_BYTES = 256 * 1024
 
 
@@ -258,12 +258,15 @@ def run_protocol(rho: QState, sigma: QState, cfg: ProtocolConfig) -> list[Measur
     factors = _local_unitaries(
         np.array([_draw_local(cfg.local_dim, rng, cfg.design, cfg.m + cfg.n)
                   for rng in rngs]), cfg.design)
+    q, l = cfg.m + cfg.n, cfg.local_dim
+    perm = [axis for k in range(q) for axis in (k, q + k)]
+    xs = [s.matrix.reshape((l,) * 2 * q).transpose(perm).reshape(l * l, -1)
+          for s in (rho, sigma)]
     probs = np.empty((2, cfg.n_unitaries, total))
-    block = max(1, _BLOCK_BYTES // (factors.itemsize * total * total))
+    block = max(1, _BLOCK_BYTES * l // (factors.itemsize * total * total))
     for start in range(0, cfg.n_unitaries, block):
-        u = _product_unitaries(factors[start:start + block]).reshape(-1, total)
-        for p, state in zip(probs, (rho, sigma)):
-            p[start:start + block] = _outcome_probs(u, state.matrix).reshape(-1, total)
+        for p, x in zip(probs, xs):
+            p[start:start + block] = _outcome_probs(factors[start:start + block], x)
     records = []
     for u_idx, rng in enumerate(rngs):
         locals_a = tuple(factors[u_idx, :cfg.m])
@@ -461,28 +464,38 @@ def swap_test_overlap(rho: QState, sigma: QState, shots: int,
 # JSON-lines persistence so estimation can be rerun offline.
 
 
+@functools.cache
+def _count_keys(total: int) -> tuple:
+    """Outcomes 0..total-1 sorted as JSON keys are, and their '"k": ' texts."""
+    order = np.array(sorted(range(total), key=str))
+    return order, tuple(f'"{k}": ' for k in order.tolist())
+
+
 def write_records(path, cfg: ProtocolConfig, records) -> None:
-    """One JSON line for the config, then one line per setting."""
+    """One JSON line for the config, then one line per setting, its keys
+    sorted: the bytes of ``json.dumps(obj, sort_keys=True)`` per line."""
+    order, keys = _count_keys(cfg.local_dim ** (cfg.m + cfg.n))
+
+    def counts_text(counts):
+        counts = np.asarray(counts, dtype=np.int64)[order].tolist()
+        return "{" + ", ".join([k + str(c) for k, c in zip(keys, counts) if c]) + "}"
+
     with open(path, "w") as fh:
         fh.write(json.dumps({"protocol": cfg.to_json()}, sort_keys=True) + "\n")
         for rec in records:
-            obj = {"setting": rec.setting}
-            for key, mats in (("unitaries_a", rec.unitaries_a),
-                              ("unitaries_b", rec.unitaries_b)):
-                # every complex entry as its real and imaginary parts
-                obj[key] = [np.ascontiguousarray(u, dtype=complex).view(float)
-                            .ravel().tolist() for u in mats]
+            # every complex entry of a side's unitaries as its (re, im) parts
+            ua, ub = (json.dumps(np.asarray(mats, dtype=complex).view(float)
+                                 .reshape(len(mats), -1).tolist())
+                      for mats in (rec.unitaries_a, rec.unitaries_b))
             if rec.rho_probs is not None:
-                obj["rho_probs"] = np.asarray(rec.rho_probs, dtype=float).tolist()
-                obj["sigma_probs"] = np.asarray(rec.sigma_probs, dtype=float).tolist()
+                kind, data = "probs", [json.dumps(np.asarray(p, dtype=float).tolist())
+                                       for p in (rec.rho_probs, rec.sigma_probs)]
             else:
-                for key, counts in (("rho_counts", rec.rho_counts),
-                                    ("sigma_counts", rec.sigma_counts)):
-                    counts = np.asarray(counts, dtype=np.int64)
-                    hits = np.flatnonzero(counts)
-                    obj[key] = dict(zip(map(str, hits.tolist()),
-                                        counts[hits].tolist()))
-            fh.write(json.dumps(obj, sort_keys=True) + "\n")
+                kind, data = "counts", [counts_text(c)
+                                        for c in (rec.rho_counts, rec.sigma_counts)]
+            fh.write(f'{{"rho_{kind}": {data[0]}, "setting": {json.dumps(rec.setting)}, '
+                     f'"sigma_{kind}": {data[1]}, "unitaries_a": {ua}, '
+                     f'"unitaries_b": {ub}}}\n')
 
 
 class _OutcomeIndex(dict):

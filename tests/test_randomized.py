@@ -14,6 +14,8 @@ from overlapcert import (
     basis_state,
     estimate_overlaps,
     estimate_self_overlaps,
+    ghz_noisy,
+    ghz_pure,
     hs_inner,
     isotropic,
     max_entangled,
@@ -176,10 +178,37 @@ def test_identical_states_identical_distributions():
         np.testing.assert_allclose(rec.rho_probs, rec.sigma_probs, atol=1e-14)
 
 
+def _interleaved(matrix, local_dim, q):
+    """A D x D matrix with each qudit's row and column index adjacent, as
+    run_protocol lays out rho for _outcome_probs."""
+    perm = [axis for k in range(q) for axis in (k, q + k)]
+    return matrix.reshape((local_dim,) * 2 * q).transpose(perm) \
+        .reshape(local_dim**2, -1)
+
+
 def test_outcome_concentrates_without_rotation():
     rho = basis_state((2, 2), (0, 0)).projector()
-    probs = _outcome_probs(np.eye(4, dtype=complex), rho.matrix)
+    identity = np.broadcast_to(np.eye(2, dtype=complex), (1, 2, 2, 2))
+    probs = _outcome_probs(identity, _interleaved(rho.matrix, 2, 2))[0]
     np.testing.assert_allclose(probs, [1, 0, 0, 0], atol=1e-14)
+
+
+@pytest.mark.parametrize("local_dim, q", [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5),
+                                          (3, 1), (3, 2), (3, 3)])
+def test_outcome_probs_match_kron_product_unitary(local_dim, q):
+    # the qudit-by-qudit kernel against diag(U rho U^dag) with U = np.kron chain
+    rho = random_mixed((local_dim,) * q, seed=40 + q).matrix
+    rng = np.random.default_rng(q)
+    factors = np.array([[sample_local_unitary(local_dim, rng) for _ in range(q)]
+                        for _ in range(6)])
+    got = _outcome_probs(factors, _interleaved(rho, local_dim, q))
+    assert got.shape == (6, local_dim**q)
+    for p, fs in zip(got, factors):
+        u = fs[0]
+        for f in fs[1:]:
+            u = np.kron(u, f)
+        want = np.einsum("ij,jk,ik->i", u, rho, u.conj()).real
+        assert np.abs(p - want).max() <= 1e-15
 
 
 def test_counts_sum_to_shots():
@@ -225,10 +254,10 @@ def _reference_protocol(rho, sigma, cfg):
     ("clifford", 2, 3, 1, 50, (8, 2)),
 ])
 def test_protocol_matches_per_setting_reference(design, local_dim, m, n, shots, dims):
-    # 70 settings span more than one probability block at D = 16 and D = 27
+    # 140 settings span more than one probability block at D = 16 and D = 27
     rho = random_mixed(dims, seed=31)
     sig = random_mixed(dims, seed=32)
-    cfg = ProtocolConfig(local_dim=local_dim, m=m, n=n, n_unitaries=70,
+    cfg = ProtocolConfig(local_dim=local_dim, m=m, n=n, n_unitaries=140,
                          shots_per_setting=shots, seed=8, design=design)
     records = run_protocol(rho, sig, cfg)
     reference = _reference_protocol(rho, sig, cfg)
@@ -259,6 +288,22 @@ def test_protocol_allocates_within_block_budget():
     assert len(records) == 300
     # beyond what the records keep, the run needs its probability blocks
     assert peak - held <= 2**20
+
+
+def test_ten_qubit_probabilities_match_local_application():
+    # an independent oracle: each local factor applied to psi's tensor
+    psi = ghz_pure(10, 2)
+    cfg = ProtocolConfig(local_dim=2, m=5, n=5, n_unitaries=20, seed=4)
+    records = run_protocol(ghz_noisy(10, 2, 0.8), psi.projector(), cfg)
+    assert len(records) == 20
+    for rec in records:
+        amp = psi.vec.reshape((2,) * 10)
+        for k, u in enumerate(rec.unitaries_a + rec.unitaries_b):
+            amp = np.moveaxis(np.tensordot(u, amp, axes=(1, k)), 0, k)
+        want = np.abs(amp.ravel()) ** 2
+        assert np.abs(rec.sigma_probs - want).max() <= 1e-14
+        for probs in (rec.rho_probs, rec.sigma_probs):
+            assert abs(probs.sum() - 1.0) <= 1e-12
 
 
 def test_protocol_rejects_wrong_dimensions():
@@ -646,6 +691,28 @@ def test_write_records_bytes_are_pinned(tmp_path, shots):
     want = header + "".join("{" + line + _PINNED_UNITARIES
                             for line in _PINNED_RECORDS[shots])
     assert path.read_text() == want
+
+
+@pytest.mark.parametrize("design, local_dim, shots", [
+    ("haar", 2, 1000), ("clifford", 2, 1000), ("haar", 3, 50), ("haar", 2, None),
+    ("haar", 3, None),
+])
+def test_write_records_lines_are_sorted_json(tmp_path, design, local_dim, shots):
+    # every line is json.dumps of its own parse with sorted keys, count
+    # objects included (keys sorted as strings: "10" before "2")
+    dims = (local_dim,) * 4 if local_dim == 2 else (local_dim,) * 3
+    rho = random_mixed(dims, seed=71)
+    sig = random_mixed(dims, seed=72)
+    cfg = ProtocolConfig(local_dim=local_dim, m=2, n=len(dims) - 2, n_unitaries=30,
+                         shots_per_setting=shots, seed=9, design=design)
+    path = tmp_path / "records.jsonl"
+    write_records(path, cfg, run_protocol(rho, sig, cfg))
+    lines = path.read_text().splitlines()
+    assert len(lines) == 31
+    for line in lines:
+        assert line == json.dumps(json.loads(line), sort_keys=True)
+    if shots is not None:
+        assert any(len(json.loads(line)["rho_counts"]) > 10 for line in lines[1:])
 
 
 def test_mean_errors_match_extended_precision():
