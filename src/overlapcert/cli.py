@@ -20,15 +20,15 @@ import numpy as np
 
 from .criteria import (
     _corner_gap_polys,
+    _matrix_ratio,
     corner_fbc_psi_boundary,
     fbc_spectrum_bound,
-    overlap_ratio,
     overlap_ratio_table,
     partner_sup,
     sn_bound_from_ratio,
 )
 from .multipartite import lambda_map_value, lambda_map_verdict, multipartite_ipc
-from .qmat import QState, _from_json, hs_inner
+from .qmat import _from_json, hs_inner
 from .randomized import ProtocolConfig, estimate_overlaps, run_protocol, write_records
 from .states import (
     StateSpec,
@@ -249,10 +249,9 @@ def cmd_rm_experiment(config_path: str, out: str, settings: int | None = None,
     records_path = out + ".records.jsonl"
     write_records(records_path, protocol, records)
 
-    # ground truth is available because the run is simulated
-    grouped_rho = QState((protocol.d_a, protocol.d_b), rho.matrix)
-    grouped_sigma = QState((protocol.d_a, protocol.d_b), sigma.matrix)
-    exact_ratio = overlap_ratio(grouped_rho, grouped_sigma).s
+    # ground truth is available because the run is simulated; both states
+    # are checked already, and run_protocol checked that A is a prefix of each
+    exact_ratio = _matrix_ratio(rho.matrix, sigma.matrix, protocol.d_a, protocol.d_b).s
 
     # no state of either side's dimension has a larger Schmidt number
     cap = min(protocol.d_a, protocol.d_b)

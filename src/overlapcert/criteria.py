@@ -101,7 +101,11 @@ def overlap_ratio(rho: QState, sigma: QState,
     if rho.dims != sigma.dims:
         raise ValueError(f"dimension mismatch: {rho.dims} vs {sigma.dims}")
     rm, d_a, d_b, _, _ = _grouped(rho, split)
-    sm, _, _, _, _ = _grouped(sigma, split)
+    return _matrix_ratio(rm, _grouped(sigma, split)[0], d_a, d_b)
+
+
+def _matrix_ratio(rm: np.ndarray, sm: np.ndarray, d_a: int, d_b: int) -> OverlapRatio:
+    """:func:`overlap_ratio` of two unchecked matrices in (A, B) layout."""
     g, la, lb = _overlaps(rm, sm, (d_a, d_b), _BIPARTITE_SETS)
     s_a, s_b = _guarded_ratios(g, la), _guarded_ratios(g, lb)
     return OverlapRatio(g, la, lb, s_a, s_b, max(s_a, s_b))

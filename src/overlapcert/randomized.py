@@ -24,6 +24,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import re
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -498,35 +499,56 @@ def write_records(path, cfg: ProtocolConfig, records) -> None:
                      f'"unitaries_b": {ub}}}\n')
 
 
-class _OutcomeIndex(dict):
-    """Outcome index of each sparse-count key string met so far; a key that
-    is not an integer in 0..total-1 maps to -1."""
-
-    def __init__(self, total: int):
-        super().__init__()
-        self.total = total
-
-    def __missing__(self, key):
-        try:
-            index = int(key)
-        except ValueError:
-            index = -1
-        if not 0 <= index < self.total:
-            index = -1
-        self[key] = index
-        return index
+# A shot-mode line as write_records writes it, up to its unitaries: each
+# count body is '"key": count' pairs joined by ", ", or none.  Numbers have
+# at most 18 digits, so each fits in an int64.
+_INT = "(?:0|[1-9][0-9]{0,17})"
+_BODY = f'((?:"{_INT}": {_INT}, )*"{_INT}": {_INT}|)'
+_WRITTEN = re.compile(r'\{"rho_counts": \{' + _BODY + r'\}, "setting": ([0-9]+), '
+                      r'"sigma_counts": \{' + _BODY + r'\}, "unitaries_a": ', re.ASCII)
+_BODY_TO_CSV = str.maketrans({'"': None, " ": None, ":": ","})
 
 
-def _dense_counts(obj: dict, which: str, index: _OutcomeIndex, shots: int,
-                  setting: int) -> np.ndarray:
-    """Dense count vector from the sparse {outcome: count} JSON of one
-    state, checked."""
+def _written_counts(line: str, total: int):
+    """(object, text) of a line in the writer's shot-mode layout with both
+    count bodies emptied, and (keys, values, keys) of each body, decoded by
+    numpy; None for any other line, or a key past total-1 or twice in a body."""
+    layout = _WRITTEN.match(line)
+    if not layout:
+        return None
+    counts = []
+    for body in layout[1], layout[3]:
+        pairs = (np.fromstring(body.translate(_BODY_TO_CSV), dtype=np.int64, sep=",")
+                 if body else np.empty(0, dtype=np.int64))
+        keys = pairs[0::2]
+        if keys.size and (keys.max() >= total or np.bincount(keys).max() > 1):
+            return None
+        counts.append((keys, pairs[1::2], keys))
+    rest = ('{"rho_counts": {}, "setting": ' + layout[2] + ', "sigma_counts": {}, '
+            '"unitaries_a": ' + line[layout.end():])
+    try:
+        obj = json.loads(rest)
+    except ValueError:
+        return None
+    # ten quotes and five keys: no other key repeats a count field
+    return (obj, rest, counts) if rest.count('"') == 10 and len(obj) == 5 else None
+
+
+def _outcome(key: str, total: int) -> int:
+    """The outcome a sparse-count key names, or -1 if it names none."""
+    try:
+        return int(key) if 0 <= int(key) < total else -1
+    except ValueError:
+        return -1
+
+
+def _parsed_counts(obj: dict, which: str, total: int, setting: int):
+    """(keys, values, key texts) of one state's parsed {outcome: count} JSON."""
     sparse = obj.get(which + "_counts")
     if not isinstance(sparse, dict):
         fault = "is missing" if sparse is None else "is not a JSON object"
         raise ValueError(f"setting {setting}: {which}_counts {fault}")
-    keys = np.fromiter(map(index.__getitem__, sparse), dtype=np.int64,
-                       count=len(sparse))
+    keys = np.array([_outcome(key, total) for key in sparse], dtype=np.int64)
     try:
         values = np.array(list(sparse.values()), dtype=None if sparse else np.int64)
     except ValueError:  # ragged nesting
@@ -534,13 +556,21 @@ def _dense_counts(obj: dict, which: str, index: _OutcomeIndex, shots: int,
     if values is None or values.dtype.kind != "i" or values.ndim != 1:
         raise ValueError(f"setting {setting}: {which}_counts holds a value that "
                          f"is not a 64-bit integer")
-    for bad, fault in ((keys < 0, f"is outside 0..{index.total - 1}"),
-                       (values < 0, "has a negative count")):
+    return keys, values, list(sparse)
+
+
+def _dense_counts(keys: np.ndarray, values: np.ndarray, names, which: str,
+                  total: int, shots: int, setting: int) -> np.ndarray:
+    """Dense count vector of one state from its sparse keys and values,
+    checked; ``names[i]`` is the text of key i."""
+    for bad, fault in (((keys < 0) | (keys >= total), f"is outside 0..{total - 1}"),
+                       (values < 0, "has a negative count"),
+                       (values > shots, "has a count above shots_per_setting")):
         if bad.any():
-            key = list(sparse)[int(np.argmax(bad))]
+            key = str(names[int(np.argmax(bad))])
             raise ValueError(f"setting {setting}: {which} outcome key {key!r} {fault}")
-    counts = np.zeros(index.total, dtype=np.int64)
-    counts[keys] = values
+    counts = np.zeros(total, dtype=np.int64)
+    counts[keys] = values  # at most total counts of at most shots: no wraparound
     if counts.sum() != shots:
         raise ValueError(f"setting {setting}: {which} counts sum to "
                          f"{counts.sum()}, not shots_per_setting {shots}")
@@ -581,9 +611,11 @@ def read_records(path) -> tuple[ProtocolConfig, list[MeasurementRecord]]:
 
     Every record must carry its setting, m and n finite unitaries, and
     both states' probability vectors of length D, finite, nonnegative and
-    summing to 1 within ``PROB_TOL`` (exact mode), or sparse counts that
-    sum to the shots per setting; the settings must be 0..n_unitaries-1,
-    each once.  A fault raises ``ValueError`` naming it.
+    summing to 1 within ``PROB_TOL`` (exact mode), or sparse counts, none
+    above the shots per setting, that sum to them; the settings must be
+    0..n_unitaries-1, each once.  A fault raises ``ValueError`` naming it.
+    Count bodies in write_records' own layout are decoded by numpy; any
+    other valid JSON layout reads through json.
     """
     with open(path) as fh:
         header = json.loads(fh.readline())
@@ -593,10 +625,11 @@ def read_records(path) -> tuple[ProtocolConfig, list[MeasurementRecord]]:
         cfg = ProtocolConfig.from_json(header["protocol"])
         total, floats = cfg.local_dim ** (cfg.m + cfg.n), 2 * cfg.local_dim**2
         sides = (("unitaries_a", cfg.m), ("unitaries_b", cfg.n))
-        index = _OutcomeIndex(total)
         records = []
         for line in fh:
-            obj = json.loads(line)
+            written = None if cfg.exact else _written_counts(line, total)
+            # a written line's text without its count bodies holds any boolean
+            obj, line, counts = written or (json.loads(line), line, None)
             setting = obj.get("setting") if isinstance(obj, dict) else None
             if type(setting) is not int or not 0 <= setting < cfg.n_unitaries:
                 raise ValueError(f"record {len(records)}: setting {setting!r} is "
@@ -615,9 +648,10 @@ def read_records(path) -> tuple[ProtocolConfig, list[MeasurementRecord]]:
                 for name, probs in data.items():
                     _check_probs(probs, name, setting)
             else:
-                data = {f"{w}_counts": _dense_counts(obj, w, index,
-                                                     cfg.shots_per_setting, setting)
-                        for w in ("rho", "sigma")}
+                data = {f"{w}_counts": _dense_counts(
+                    *(counts[i] if counts else _parsed_counts(obj, w, total, setting)),
+                    w, total, cfg.shots_per_setting, setting)
+                    for i, w in enumerate(("rho", "sigma"))}
             records.append(MeasurementRecord(setting=setting, unitaries_a=ua,
                                              unitaries_b=ub, **data))
     seen = np.bincount(np.array([rec.setting for rec in records], dtype=np.int64),

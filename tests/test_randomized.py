@@ -35,6 +35,7 @@ from overlapcert.randomized import (
     _outcome_rows,
     _setting_terms,
     _single_qubit_cliffords,
+    _written_counts,
 )
 
 
@@ -761,7 +762,13 @@ def _tampered_counts_file(tmp_path, edit):
     (lambda c: c.update({"-1": 3}), "setting 1: rho outcome key '-1' is outside 0..3"),
     (lambda c: c.update({"4": 3}), "setting 1: rho outcome key '4' is outside 0..3"),
     (lambda c: c.update({"2": -5}), "setting 1: rho outcome key '2' has a negative"),
-], ids=["negative-key", "key-past-dimension", "negative-count"])
+    # three counts whose int64 sum wraps around to exactly the 50 shots
+    (lambda c: (c.clear(), c.update(dict.fromkeys("012", 6148914691236517222))),
+     "setting 1: rho outcome key '0' has a count above shots_per_setting"),
+    (lambda c: c.update({"3": 51}),
+     "setting 1: rho outcome key '3' has a count above shots_per_setting"),
+], ids=["negative-key", "key-past-dimension", "negative-count", "sum-wraps-to-shots",
+        "count-above-shots"])
 def test_read_records_rejects_bad_counts(tmp_path, edit, message):
     path = _tampered_counts_file(tmp_path, edit)
     with pytest.raises(ValueError, match=message):
@@ -889,6 +896,165 @@ def test_read_records_fuzz_raises_only_value_errors(tmp_path_factory, mutation):
     mutate(lines)
     with pytest.raises(ValueError):
         read_records(_write_lines(path, lines))
+
+
+def _compact(path, lines, sort_keys):
+    """The parsed lines rewritten without spaces, a layout read through json."""
+    path.write_text("".join(json.dumps(json.loads(line), sort_keys=sort_keys,
+                                       separators=(",", ":")) + "\n" for line in lines))
+    return path
+
+
+def _read_or_fault(path):
+    try:
+        return read_records(path)
+    except ValueError as err:
+        return f"ValueError: {err}"
+
+
+def _assert_same_reads(got, want):
+    """Equal faults, or the same config and bit-identical records."""
+    assert type(got) is type(want)
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert got[0] == want[0] and len(got[1]) == len(want[1])
+    for a, b in zip(got[1], want[1]):
+        assert a.setting == b.setting
+        for name in ("rho_counts", "sigma_counts", "unitaries_a", "unitaries_b"):
+            x, y = (np.asarray(getattr(r, name)) for r in (a, b))
+            assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes())
+
+
+@pytest.mark.parametrize("design, local_dim", [("haar", 2), ("haar", 3), ("clifford", 2)])
+@pytest.mark.parametrize("parties", [2, 3])
+def test_read_records_decode_paths_agree(tmp_path, design, local_dim, parties):
+    # the writer's own lines are decoded by numpy, compact ones through json
+    dims = (local_dim,) * (parties + 1)
+    rho = random_mixed(dims, seed=81)
+    sig = random_mixed(dims, seed=82)
+    cfg = ProtocolConfig(local_dim=local_dim, m=parties, n=1, n_unitaries=40,
+                         shots_per_setting=300, seed=4, design=design)
+    path = tmp_path / "records.jsonl"
+    write_records(path, cfg, run_protocol(rho, sig, cfg))
+    lines = path.read_text().splitlines(keepends=True)
+    compact = _compact(tmp_path / "compact.jsonl", lines, sort_keys=True)
+    total = local_dim ** (parties + 1)
+    assert all(_written_counts(line, total) for line in lines[1:])
+    assert not any(_written_counts(line, total)
+                   for line in compact.read_text().splitlines()[1:])
+    got, want = read_records(path), read_records(compact)
+    _assert_same_reads(got, want)
+    assert estimate_overlaps(got[1], cfg) == estimate_overlaps(want[1], cfg)
+    for which in ("rho", "sigma"):
+        assert (estimate_self_overlaps(got[1], cfg, which)
+                == estimate_self_overlaps(want[1], cfg, which))
+
+
+@pytest.mark.parametrize("where", ["setting", "end"])
+def test_read_records_repeated_count_field_reads_as_json_does(tmp_path, where):
+    # json keeps the later of two rho_counts fields, whatever the layout
+    path = tmp_path / "records.jsonl"
+    _records_lines(path, 50)
+    lines = path.read_text().splitlines(keepends=True)
+    extra = '"rho_counts": {"2": 50}'
+    old, new = (('"setting": 0', f'"setting": 0, {extra}') if where == "setting"
+                else ("]]}\n", f"]], {extra}}}\n"))
+    lines[1] = lines[1].replace(old, new)
+    path.write_text("".join(lines))
+    got = read_records(path)
+    assert got[1][0].rho_counts.tolist() == [0, 0, 50, 0]
+    _assert_same_reads(got, read_records(_compact(tmp_path / "c.jsonl", lines, False)))
+
+
+def test_read_records_places_a_json_fault_in_the_line_as_written(tmp_path):
+    # a written line broken after its count bodies reports json's own
+    # message for that line, with the column in the line as written
+    path = tmp_path / "records.jsonl"
+    _records_lines(path, 50)
+    lines = path.read_text().splitlines(keepends=True)
+    lines[2] = lines[2].replace("]]}", "]],}")
+    path.write_text("".join(lines))
+    with pytest.raises(ValueError) as fault:
+        json.loads(lines[2])
+    with pytest.raises(ValueError) as err:
+        read_records(path)
+    assert str(err.value) == str(fault.value)
+
+
+# Edits of one "key": count pair of a written count body, as (key, sep, value)
+# texts; "append" and "copy" add a pair, "trail" leaves a trailing ", ".
+_PAIR_EDITS = {
+    "value-leading-zero": lambda k, s, v, n: (k, s, "0" + v),
+    "key-leading-zero": lambda k, s, v, n: ("0" + k, s, v),
+    "value-19-digits": lambda k, s, v, n: (k, s, str(n)),
+    "value-plus": lambda k, s, v, n: (k, s, "+" + v),
+    "value-minus": lambda k, s, v, n: (k, s, "-" + v),
+    "value-float": lambda k, s, v, n: (k, s, v + ".0"),
+    "value-one-point-zero": lambda k, s, v, n: (k, s, "1.0"),
+    "no-space": lambda k, s, v, n: (k, ":", v),
+    "extra-space": lambda k, s, v, n: (k, ":  ", v),
+    "key-arabic-digit": lambda k, s, v, n: ("\u0663", s, v),
+    "key-empty": lambda k, s, v, n: ("", s, v),
+    "value-above-shots": lambda k, s, v, n: (k, s, str(50 + n % 3)),
+    "key-18-digits": lambda k, s, v, n: (str(n // 10), s, v),
+}
+
+
+@st.composite
+def _body_edits(draw):
+    """A function that edits the text of one count body of a written line."""
+    line = draw(st.integers(1, 3))
+    which = draw(st.sampled_from(["rho", "sigma"]))
+    kind = draw(st.sampled_from(sorted(_PAIR_EDITS) + ["append", "copy", "trail",
+                                                       "comma-no-space"]))
+    pick = draw(st.integers(0, 2**16))
+    number = draw(st.integers(10**18, 10**19 - 1))
+
+    def edit(lines):
+        counts = json.loads(lines[line])[f"{which}_counts"]
+        old = ", ".join(f'"{k}": {v}' for k, v in counts.items())
+        assert f'"{which}_counts": {{{old}}}' in lines[line]
+        pairs = [(k, ": ", str(v)) for k, v in counts.items()]
+        i = pick % len(pairs)
+        if kind in _PAIR_EDITS:
+            pairs[i] = _PAIR_EDITS[kind](*pairs[i], number)
+        elif kind == "append":  # an outcome written nowhere, counted once
+            pairs.append((str(number % 4), ": ", "1"))
+        elif kind == "copy":  # a repeated key; json keeps the later count
+            pairs.insert(i + number % 2, (pairs[i][0], ": ", str(51 + number % 9)))
+        new = ", ".join(f'"{k}"{s}{v}' for k, s, v in pairs)
+        if kind == "trail":
+            new += ", "
+        elif kind == "comma-no-space":
+            new = new.replace(", ", ",", 1)
+        lines[line] = lines[line].replace(f'"{which}_counts": {{{old}}}',
+                                          f'"{which}_counts": {{{new}}}')
+        return lines[line]
+    return edit
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_body_edits())
+def test_read_records_edited_count_body_reads_as_json_does(tmp_path_factory, edit):
+    # the oracle: a line json rejects is a fault, and any other reads as its
+    # parse rewritten in a layout that always goes through json; the key
+    # order is kept, as two keys such as "3" and "\u0663" name one outcome
+    folder = tmp_path_factory.mktemp("body")
+    path = folder / "records.jsonl"
+    _records_lines(path, 50)
+    lines = path.read_text().splitlines(keepends=True)
+    line = edit(lines)
+    path.write_text("".join(lines))
+    try:
+        json.loads(line)
+    except ValueError:
+        with pytest.raises(ValueError):
+            read_records(path)
+        return
+    _assert_same_reads(_read_or_fault(path),
+                       _read_or_fault(_compact(folder / "compact.jsonl", lines,
+                                               sort_keys=False)))
 
 
 def test_estimators_name_the_setting_that_lacks_data():
