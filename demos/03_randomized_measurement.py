@@ -9,11 +9,9 @@ strings), so one data set yields the whole certificate.
 from overlapcert import (
     ProtocolConfig,
     estimate_overlaps,
-    hs_inner,
     isotropic,
     run_protocol,
     sn_bound_from_ratio,
-    swap_test_overlap,
 )
 
 rho = isotropic(4, 0.9)    # two qubits per side
@@ -35,10 +33,3 @@ est = estimate_overlaps(run_protocol(rho, sigma, cfg), cfg)
 conservative = sn_bound_from_ratio(est.s - 2 * est.se_s)
 print(f"  1000 settings x 1000 shots: s = {est.s:.3f} +- {est.se_s:.3f}")
 print(f"  certified SN >= {conservative} (point estimate minus two sigma)")
-
-print()
-print("== swap-test alternative for the global overlap only ==")
-out = swap_test_overlap(rho, sigma, shots=200_000, seed=9)
-print(f"  swap test: Tr[rho sigma] = {out.estimate:.4f} +- {out.std_error:.4f} "
-      f"(truth {hs_inner(rho, sigma):.4f})")
-print("  (the swap test gives no local overlaps, hence no ratio by itself)")

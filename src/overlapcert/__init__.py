@@ -43,14 +43,10 @@ from .qmat import (
     PureVec,
     QState,
     SchmidtDecomp,
-    basis_state,
-    bipartite_view,
-    eig_hermitian,
     embed_operator,
     hs_inner,
     partial_trace,
     partial_trace_matrix,
-    partial_transpose,
     partial_transpose_matrix,
     permute_subsystems_matrix,
     permute_subsystems_vec,
@@ -61,13 +57,11 @@ from .randomized import (
     MeasurementRecord,
     OverlapEstimate,
     ProtocolConfig,
-    SwapTestResult,
     estimate_overlaps,
     estimate_self_overlaps,
     read_records,
     run_protocol,
     sample_local_unitary,
-    swap_test_overlap,
     write_records,
 )
 from .states import (

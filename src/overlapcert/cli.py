@@ -27,7 +27,13 @@ from .criteria import (
     partner_sup,
     sn_bound_from_ratio,
 )
-from .multipartite import lambda_map_value, lambda_map_verdict, multipartite_ipc
+from .multipartite import (
+    _lambda_overlaps,
+    _lambda_r_op,
+    _lambda_value,
+    apply_lambda_map,
+    multipartite_ipc,
+)
 from .qmat import _from_json, hs_inner
 from .randomized import ProtocolConfig, estimate_overlaps, run_protocol, write_records
 from .states import (
@@ -339,35 +345,35 @@ def _example_ghz_thresholds(report: dict, failures: list) -> None:
 
 
 def _example_inversion_map(report: dict, failures: list) -> None:
-    from .multipartite import apply_lambda_map
-
-    worst = 0.0
+    # ghz_noisy(3, d, p) is affine in p and the map is linear in it, so the
+    # overlaps and explicit inner products at p are the (1 - p, p) mixture
+    # of those at p = 0 and p = 1
+    rs, worst, level_checks = (1, 2, 3), 0.0, []
     for d in (2, 3, 4):
         sig = ghz_pure(3, d).projector()
+        ends = [ghz_noisy(3, d, p) for p in (0.0, 1.0)]
+        overlaps = np.array([_lambda_overlaps(rho, sig) for rho in ends])
+        explicit = np.array([[hs_inner(apply_lambda_map(rho, r), sig.matrix)
+                              for r in rs] for rho in ends])
         for p in (0.2, 0.6, 0.95):
-            rho = ghz_noisy(3, d, p)
-            for r in (1, 2, 3):
-                closed = lambda_map_value(rho, sig, r)
-                explicit = hs_inner(apply_lambda_map(rho, r), sig.matrix)
-                worst = max(worst, abs(closed - explicit))
-    grid_ok = worst <= 1e-9
+            weights = np.array([1.0 - p, p])
+            t, e = (weights @ overlaps).tolist(), (weights @ explicit).tolist()
+            worst = max(worst, *(abs(_lambda_value(t, r) - e_r)
+                                 for r, e_r in zip(rs, e)))
 
-    # detection levels on a (d, p) grid; the expected r_op follows from the
-    # overlap expansion of the map value (affine in p, increasing in r)
-    level_checks = []
-    for d in (2, 3, 4):
-        sig = ghz_pure(3, d).projector()
+        # detection levels on a (d, p) grid; the expected r_op follows from
+        # the overlap expansion of the map value (affine in p, increasing in r)
         for p in (0.8, 0.9, 0.95, 0.99):
-            rho = ghz_noisy(3, d, p)
-            verdict = lambda_map_verdict(rho, sig, 1)
+            r_op = _lambda_r_op((np.array([1.0 - p, p]) @ overlaps).tolist())
             boundary = (d + 1) * (p * d * d + (1 - p)) / (
                 2 * p * d * d + (1 - p) * d * (d + 1)
             )
             expected = max(0, math.ceil(boundary - 1e-12) - 1)
             level_checks.append({
-                "d": d, "p": p, "r_op": verdict.r_op, "expected": expected,
-                "ok": verdict.r_op == expected,
+                "d": d, "p": p, "r_op": r_op, "expected": expected,
+                "ok": r_op == expected,
             })
+    grid_ok = worst <= 1e-9
     report["inversion_map"] = {
         "closed_vs_explicit_max_error": worst,
         "closed_vs_explicit_ok": grid_ok,

@@ -130,6 +130,19 @@ def _lambda_value(overlaps, r: int) -> float:
     return t_c + t_bc - (t_ac + t_full) / r
 
 
+def _lambda_r_op(overlaps) -> int:
+    """Largest level at which the map value of these overlaps is negative
+    beyond tolerance, 0 if none."""
+    # value(level) = A - B/level with A, B >= 0 and A - B = value(1), so
+    # it is negative exactly for level < B/(A + DEFAULT_TOL).
+    b_part = overlaps[2] + overlaps[3]
+    a_part = _lambda_value(overlaps, 1) + b_part
+    r_op = max(0, math.ceil(b_part / (a_part + DEFAULT_TOL)) - 1)
+    while r_op >= 1 and _lambda_value(overlaps, r_op) >= -DEFAULT_TOL:
+        r_op -= 1
+    return r_op
+
+
 def lambda_map_value(rho: QState, sigma: QState, r: int = 1) -> float:
     """Inner product <L(rho), sigma> of the tripartite inversion map.
 
@@ -208,13 +221,5 @@ def lambda_map_verdict(rho: QState, sigma: QState, r: int = 1) -> LambdaMapVerdi
         raise ValueError("r must be >= 1")
     overlaps = _lambda_overlaps(rho, sigma)
     value = _lambda_value(overlaps, r)
-    detected = value < -DEFAULT_TOL
-
-    # value(level) = A - B/level with A, B >= 0 and A - B = value(1), so
-    # it is negative exactly for level < B/(A + DEFAULT_TOL).
-    b_part = overlaps[2] + overlaps[3]
-    a_part = _lambda_value(overlaps, 1) + b_part
-    r_op = max(0, math.ceil(b_part / (a_part + DEFAULT_TOL)) - 1)
-    while r_op >= 1 and _lambda_value(overlaps, r_op) >= -DEFAULT_TOL:
-        r_op -= 1
-    return LambdaMapVerdict(r=r, value=value, detected=detected, r_op=r_op)
+    return LambdaMapVerdict(r=r, value=value, detected=value < -DEFAULT_TOL,
+                            r_op=_lambda_r_op(overlaps))

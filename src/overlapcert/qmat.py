@@ -187,22 +187,6 @@ class SchmidtDecomp:
         return mat.reshape(-1)
 
 
-def basis_state(dims, indices) -> PureVec:
-    """Computational-basis product state |i_1 i_2 ...> on the given layout."""
-    dims = _as_dims(dims)
-    indices = tuple(int(i) for i in indices)
-    if len(indices) != len(dims):
-        raise ValueError("one basis index per subsystem required")
-    flat = 0
-    for d, i in zip(dims, indices):
-        if not 0 <= i < d:
-            raise ValueError(f"basis index {i} out of range for dimension {d}")
-        flat = flat * d + i
-    v = np.zeros(math.prod(dims), dtype=complex)
-    v[flat] = 1.0
-    return PureVec(dims, v)
-
-
 def tensor(a, b):
     """Kronecker composition of two states of the same kind."""
     if isinstance(a, QState) and isinstance(b, QState):
@@ -257,12 +241,6 @@ def partial_transpose_matrix(m: np.ndarray, dims, transposed) -> np.ndarray:
         perm[idx], perm[n + idx] = perm[n + idx], perm[idx]
     side = math.prod(dims)
     return np.asarray(m).reshape(dims + dims).transpose(perm).reshape(side, side)
-
-
-def partial_transpose(state: QState, part: Bipartition) -> np.ndarray:
-    """Partial transpose of a state; Hermitian but not necessarily PSD."""
-    part.validate(len(state.dims), proper=False)
-    return partial_transpose_matrix(state.matrix, state.dims, part.kept)
 
 
 def permute_subsystems_matrix(m: np.ndarray, dims, order) -> np.ndarray:
@@ -321,16 +299,6 @@ def hs_inner(a, b) -> float:
     return _trace_product(am, bm)
 
 
-def eig_hermitian(m) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and orthonormal eigenvectors (columns)."""
-    mm = m.matrix if isinstance(m, QState) else np.asarray(m, dtype=complex)
-    scale = max(1.0, float(np.abs(mm).max()))
-    if np.abs(mm - mm.conj().T).max() > HERM_TOL * scale:
-        raise ValueError("input is not Hermitian within tolerance")
-    w, v = np.linalg.eigh(mm)
-    return w, v
-
-
 def _cut_layout(dims, part: Bipartition | None) -> tuple[list[int], int]:
     """Subsystem order of a cut, kept side first, and the kept side's dimension.
 
@@ -382,20 +350,6 @@ def _guarded_ratios(g, local):
         return g / local if local > 0.0 else 0.0
     out = np.zeros(np.broadcast(g, local).shape)
     return np.divide(g, local, out=out, where=local > 0.0)
-
-
-def bipartite_view(state: QState, part: Bipartition | None = None) -> QState:
-    """View a multi-qudit state as two subsystems, S and its complement.
-
-    Subsystems in ``part.kept`` are permuted to the front and merged; the
-    rest are merged behind them.  With two subsystems and no explicit cut
-    this is the identity.
-    """
-    layout, d_s = _cut_layout(state.dims, part)
-    if part is None:
-        return state
-    m = permute_subsystems_matrix(state.matrix, state.dims, layout)
-    return QState((d_s, state.dim // d_s), m)
 
 
 def schmidt_decompose(v: PureVec, part: Bipartition | None = None) -> SchmidtDecomp:

@@ -29,7 +29,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .qmat import QState, _from_json, _guarded_ratios, hs_inner
+from .qmat import QState, _from_json, _guarded_ratios
 
 _DESIGNS = ("haar", "clifford")
 # Slack of a read exact-mode probability vector: entries >= -PROB_TOL and a
@@ -433,34 +433,6 @@ def estimate_self_overlaps(records, cfg: ProtocolConfig, which: str = "rho",
     return _summarize(_setting_terms(f, f, cfg, shots), snr_guard)
 
 
-@dataclass(frozen=True)
-class SwapTestResult:
-    estimate: float
-    std_error: float
-    p_zero: float
-    shots: int
-
-
-def swap_test_overlap(rho: QState, sigma: QState, shots: int,
-                      seed: int = 0) -> SwapTestResult:
-    """Ancilla-based overlap estimate: P(0) = (1 + Tr[rho sigma]) / 2."""
-    if shots < 1:
-        raise ValueError("shots must be positive")
-    if rho.dim != sigma.dim:
-        raise ValueError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
-    overlap = hs_inner(rho, sigma)
-    p_zero = min(1.0, max(0.0, (1.0 + overlap) / 2.0))
-    rng = np.random.default_rng(seed)
-    zeros = int(rng.binomial(shots, p_zero))
-    freq = zeros / shots
-    return SwapTestResult(
-        estimate=2.0 * freq - 1.0,
-        std_error=2.0 * math.sqrt(max(freq * (1.0 - freq), 0.0) / shots),
-        p_zero=freq,
-        shots=shots,
-    )
-
-
 # ---------------------------------------------------------------------------
 # JSON-lines persistence so estimation can be rerun offline.
 
@@ -563,12 +535,22 @@ def _dense_counts(keys: np.ndarray, values: np.ndarray, names, which: str,
                   total: int, shots: int, setting: int) -> np.ndarray:
     """Dense count vector of one state from its sparse keys and values,
     checked; ``names[i]`` is the text of key i."""
-    for bad, fault in (((keys < 0) | (keys >= total), f"is outside 0..{total - 1}"),
-                       (values < 0, "has a negative count"),
-                       (values > shots, "has a count above shots_per_setting")):
+    def check(bad, fault):
         if bad.any():
             key = str(names[int(np.argmax(bad))])
             raise ValueError(f"setting {setting}: {which} outcome key {key!r} {fault}")
+
+    check((keys < 0) | (keys >= total), f"is outside 0..{total - 1}")
+    # two key texts, such as "3" and "03", that int reads as one outcome:
+    # the later count would replace the earlier one
+    if keys.size and np.bincount(keys).max() > 1:
+        first = int(np.argmax(np.bincount(keys)[keys] > 1))
+        second = first + 1 + int(np.argmax(keys[first + 1:] == keys[first]))
+        raise ValueError(f"setting {setting}: {which} outcome {keys[first]} is "
+                         f"named by two keys, {str(names[first])!r} and "
+                         f"{str(names[second])!r}")
+    check(values < 0, "has a negative count")
+    check(values > shots, "has a count above shots_per_setting")
     counts = np.zeros(total, dtype=np.int64)
     counts[keys] = values  # at most total counts of at most shots: no wraparound
     if counts.sum() != shots:

@@ -172,18 +172,27 @@ def random_mixed(dims, rank: int | None = None, seed: int = 0) -> QState:
     return QState(tuple(dims), m / np.trace(m).real)
 
 
-# family -> (params it needs, params it may take)
-_PARAMS = {
-    "isotropic": (("d", "x"), ()),
-    "example2": (("d", "x"), ()),
-    "theta": (("d", "y"), ()),
-    "ghz-noisy": (("n", "d", "p"), ()),
-    "ghz-pure": (("n", "d"), ()),
-    "max-entangled": (("d",), ()),
-    "example3": ((), ()),
-    "verifier": (("base",), ()),
-    "random-mixed": (("dims",), ("rank",)),
-    "random-pure": (("dims",), ()),
+def _verifier_of(base: dict) -> PureVec:
+    """The verifier of the pure state that the JSON spec ``base`` describes."""
+    state = StateSpec.from_json(base).build()
+    if not isinstance(state, PureVec):
+        raise ValueError("verifier family requires a pure base state")
+    return verifier_state(state)
+
+
+# family -> (constructor, params it needs, params it may take); each
+# constructor takes those params in that order, a random family's the seed too
+_FAMILIES = {
+    "isotropic": (isotropic, ("d", "x"), ()),
+    "example2": (corner_isotropic, ("d", "x"), ()),
+    "theta": (tilted_entangled, ("d", "y"), ()),
+    "ghz-noisy": (ghz_noisy, ("n", "d", "p"), ()),
+    "ghz-pure": (ghz_pure, ("n", "d"), ()),
+    "max-entangled": (max_entangled, ("d",), ()),
+    "example3": (sn3_unfaithful_state, (), ()),
+    "verifier": (_verifier_of, ("base",), ()),
+    "random-mixed": (random_mixed, ("dims",), ("rank",)),
+    "random-pure": (random_pure, ("dims",), ()),
 }
 _PARAM_KINDS = {"d": int, "n": int, "rank": int, "x": float, "y": float, "p": float}
 
@@ -197,9 +206,9 @@ class StateSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.family not in _PARAMS:
+        if self.family not in _FAMILIES:
             raise ValueError(f"unknown family {self.family!r}; "
-                             f"expected one of {tuple(_PARAMS)}")
+                             f"expected one of {tuple(_FAMILIES)}")
 
     def to_json(self) -> dict:
         return {"family": self.family, "params": dict(self.params), "seed": self.seed}
@@ -213,7 +222,7 @@ class StateSpec:
         be exactly those the family takes; numbers and the entries of dims
         are checked as :meth:`from_json` checks its fields."""
         p, owner = dict(self.params), f"StateSpec {self.family}"
-        required, optional = _PARAMS[self.family]
+        build, required, optional = _FAMILIES[self.family]
         unknown = sorted(set(p) - set(required) - set(optional))
         missing = [key for key in required if key not in p]
         if unknown or missing:
@@ -229,30 +238,10 @@ class StateSpec:
                 raise ValueError(f"{owner}: dims must be a JSON array, "
                                  f"not {p['dims']!r}")
             p["dims"] = tuple(_json_number(owner, "dims", d) for d in p["dims"])
-        if self.family == "isotropic":
-            return isotropic(p["d"], p["x"])
-        if self.family == "example2":
-            return corner_isotropic(p["d"], p["x"])
-        if self.family == "theta":
-            return tilted_entangled(p["d"], p["y"])
-        if self.family == "ghz-noisy":
-            return ghz_noisy(p["n"], p["d"], p["p"])
-        if self.family == "ghz-pure":
-            return ghz_pure(p["n"], p["d"])
-        if self.family == "max-entangled":
-            return max_entangled(p["d"])
-        if self.family == "example3":
-            return sn3_unfaithful_state()
-        if self.family == "verifier":
-            base = StateSpec.from_json(p["base"]).build()
-            if not isinstance(base, PureVec):
-                raise ValueError("verifier family requires a pure base state")
-            return verifier_state(base)
-        if self.family == "random-mixed":
-            return random_mixed(p["dims"], p.get("rank"), seed=self.seed)
-        if self.family == "random-pure":
-            return random_pure(p["dims"], seed=self.seed)
-        raise AssertionError(f"unhandled family {self.family}")
+        args = [p.get(key) for key in required + optional]
+        if self.family.startswith("random-"):
+            return build(*args, seed=self.seed)
+        return build(*args)
 
 
 def build_density(spec: StateSpec) -> QState:

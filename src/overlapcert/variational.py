@@ -101,9 +101,12 @@ def _objective(rho_m: np.ndarray, sigma_m: np.ndarray, dims, local: int | None):
 
     rho' = (U x V) rho (U x V)^dag, X is subsystem ``local``, and with
     ``local=None`` the global overlap Tr[rho' sigma] itself is the
-    objective.  Both functions take the factors [U, V]; the gradients come
-    back as one skew-Hermitian matrix per factor.  sigma_X is reduced once
-    here, and the overlaps are the overlap core's own trace products.
+    objective.  The returned function takes the factors [U, V] and gives
+    the value and a function of no arguments for the gradients, one
+    skew-Hermitian matrix per factor, taken from the same rho' and
+    overlaps, so a point whose gradient is never asked for costs one
+    rotation.  sigma_X is reduced once here, and the overlaps are the
+    overlap core's own trace products.
     """
     dims = tuple(dims)
     side = math.prod(dims)
@@ -111,33 +114,29 @@ def _objective(rho_m: np.ndarray, sigma_m: np.ndarray, dims, local: int | None):
         keep = (local,)
         sigma_x = _reduce(sigma_m, dims, keep)
 
-    def rotated(factors):
-        u, v = factors  # U x V as one broadcast product, entry for entry np.kron's
-        w = (u[:, None, :, None] * v[None, :, None, :]).reshape(side, side)
-        return w @ rho_m @ w.conj().T
-
-    def value(factors) -> float:
-        rot = rotated(factors)
-        g = _trace_product(rot, sigma_m)
-        if local is None:
-            return g
-        return _guarded_ratios(g, _trace_product(_reduce(rot, dims, keep), sigma_x))
-
-    def grad(factors) -> list[np.ndarray]:
-        rot = rotated(factors)
+    def gradient(rot, g, rot_x, l_x) -> list[np.ndarray]:
         comm = sigma_m @ rot - rot @ sigma_m
         grads = [_reduce(comm, dims, (k,)) for k in (0, 1)]
         if local is None:
             return grads
-        rot_x = _reduce(rot, dims, keep)
-        g, l_x = _trace_product(rot, sigma_m), _trace_product(rot_x, sigma_x)
         if l_x <= 0.0:
             return [np.zeros_like(gr) for gr in grads]
         grads = [gr / l_x for gr in grads]
         grads[local] = grads[local] - g / l_x**2 * (sigma_x @ rot_x - rot_x @ sigma_x)
         return grads
 
-    return value, grad
+    def evaluate(factors):
+        u, v = factors  # U x V as one broadcast product, entry for entry np.kron's
+        w = (u[:, None, :, None] * v[None, :, None, :]).reshape(side, side)
+        rot = w @ rho_m @ w.conj().T
+        g = _trace_product(rot, sigma_m)
+        if local is None:
+            return g, lambda: gradient(rot, g, None, None)
+        rot_x = _reduce(rot, dims, keep)
+        l_x = _trace_product(rot_x, sigma_x)
+        return _guarded_ratios(g, l_x), lambda: gradient(rot, g, rot_x, l_x)
+
+    return evaluate
 
 
 def _cayley(a: np.ndarray) -> np.ndarray:
@@ -146,18 +145,19 @@ def _cayley(a: np.ndarray) -> np.ndarray:
     return np.linalg.solve(eye - a / 2.0, eye + a / 2.0)
 
 
-def _ascend(value, grad, factors, rotate, cfg: OptConfig):
-    """One steepest ascent of ``value`` over the factors listed in ``rotate``.
+def _ascend(evaluate, factors, rotate, cfg: OptConfig):
+    """One steepest ascent of the objective ``evaluate`` over the factors
+    listed in ``rotate``; only an accepted point's gradient is computed.
 
     Returns the final factors, the objective after each accepted step
     (starting value first) and whether the ascent stopped before
     ``cfg.max_iters`` steps.
     """
     factors = list(factors)
-    f, t = value(factors), 1.0
+    (f, grad), t = evaluate(factors), 1.0
     trajectory = [f]
     for _ in range(cfg.max_iters):
-        grads = grad(factors)
+        grads = grad()
         sq_norm = sum(float(np.vdot(grads[k], grads[k]).real) for k in rotate)
         if sq_norm == 0.0:
             return factors, trajectory, True
@@ -165,19 +165,19 @@ def _ascend(value, grad, factors, rotate, cfg: OptConfig):
         def trial(step):
             moved = [_cayley(step * g) @ u if k in rotate else u
                      for k, (u, g) in enumerate(zip(factors, grads))]
-            f_moved = value(moved)
-            return moved, f_moved, f_moved - f >= ARMIJO * step * sq_norm
+            f_moved, grad_moved = evaluate(moved)
+            return moved, f_moved, grad_moved, f_moved - f >= ARMIJO * step * sq_norm
 
-        moved, f_moved, enough = trial(t)
+        moved, f_moved, grad_moved, enough = trial(t)
         if enough:  # double the step while the longer one still gains enough
-            while (longer := trial(2.0 * t))[2]:
-                t, (moved, f_moved, _) = 2.0 * t, longer
+            while (longer := trial(2.0 * t))[3]:
+                t, (moved, f_moved, grad_moved, _) = 2.0 * t, longer
         while not enough:  # otherwise halve it until one does
             t /= 2.0
             if t * math.sqrt(sq_norm) < np.finfo(float).eps:
                 return factors, trajectory, True  # no representable ascent
-            moved, f_moved, enough = trial(t)
-        gain, factors, f = f_moved - f, moved, f_moved
+            moved, f_moved, grad_moved, enough = trial(t)
+        gain, factors, f, grad = f_moved - f, moved, f_moved, grad_moved
         trajectory.append(f)
         if gain <= cfg.tol * abs(f):
             return factors, trajectory, True
@@ -203,11 +203,11 @@ def _maximize(objectives, bounds, dims, rotate, cfg: OptConfig) -> OptResult:
     ]
     best = None
     for start in starts:
-        for (value, grad), bound in zip(objectives, bounds):
+        for evaluate, bound in zip(objectives, bounds):
             if best is not None and (bound * (1.0 + BOUND_SLACK) - best[1][-1]
                                      <= cfg.tol * abs(best[1][-1])):
                 continue
-            factors, trajectory, converged = _ascend(value, grad, start, rotate, cfg)
+            factors, trajectory, converged = _ascend(evaluate, start, rotate, cfg)
             gain = math.inf if best is None else trajectory[-1] - best[1][-1]
             if gain > cfg.tol * abs(trajectory[-1]):
                 best = factors, trajectory, converged

@@ -9,11 +9,15 @@ import numpy as np
 import pytest
 
 from overlapcert import (
+    apply_lambda_map,
     corner_delta,
     corner_isotropic,
     corner_isotropic_closed_forms,
     ghz_noisy,
     ghz_pure,
+    hs_inner,
+    lambda_map_value,
+    lambda_map_verdict,
     multipartite_ipc,
     overlap_ratio,
     p3_ppt_check,
@@ -352,6 +356,27 @@ def test_ghz_threshold_matches_bisection():
 
         oracle = bisect_root(margin, 1e-6, 0.999, tol=1e-11)
         assert abs(_ghz_threshold(n) - oracle) <= 1e-9
+
+
+def test_inversion_map_example_matches_the_per_point_evaluation():
+    # the example mixes the overlaps of p = 0 and p = 1; the reference builds
+    # the state at every point, as the example did before
+    report, failures = {}, []
+    cli._example_inversion_map(report, failures)
+    assert failures == []
+    levels, worst = [], 0.0
+    for d in (2, 3, 4):
+        sig = ghz_pure(3, d).projector()
+        for p in (0.2, 0.6, 0.95):
+            rho = ghz_noisy(3, d, p)
+            for r in (1, 2, 3):
+                explicit = hs_inner(apply_lambda_map(rho, r), sig.matrix)
+                worst = max(worst, abs(lambda_map_value(rho, sig, r) - explicit))
+        for p in (0.8, 0.9, 0.95, 0.99):
+            levels.append((d, p, lambda_map_verdict(ghz_noisy(3, d, p), sig, 1).r_op))
+    got = report["inversion_map"]
+    assert [(c["d"], c["p"], c["r_op"]) for c in got["levels"]] == levels
+    assert abs(got["closed_vs_explicit_max_error"] - worst) <= 1e-12
 
 
 def test_examples_report_all_green(tmp_path):

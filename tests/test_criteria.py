@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from corpus import random_low_schmidt_mixture, random_separable
 from overlapcert import (
     Bipartition,
+    PureVec,
     QState,
     corner_delta,
     corner_fbc_psi_boundary,
@@ -68,10 +69,8 @@ def test_sn3_state_peak_ratio():
 
 def test_ratio_zero_denominator_convention():
     # orthogonal product states: global and local overlaps all vanish
-    from overlapcert import basis_state
-
-    a = basis_state((2, 2), (0, 0)).projector()
-    b = basis_state((2, 2), (1, 1)).projector()
+    a = PureVec((2, 2), [1, 0, 0, 0]).projector()  # |00>
+    b = PureVec((2, 2), [0, 0, 0, 1]).projector()  # |11>
     r = overlap_ratio(a, b)
     assert r.s == 0.0 and r.s_a == 0.0 and r.s_b == 0.0
 
@@ -134,10 +133,8 @@ def test_ratio_table_of_mixtures_equals_table_of_built_mixtures(dims, split):
 
 
 def test_ratio_table_keeps_the_zero_denominator_convention():
-    from overlapcert import basis_state
-
-    a = basis_state((2, 2), (0, 0)).projector()
-    b = basis_state((2, 2), (1, 1)).projector()
+    a = PureVec((2, 2), [1, 0, 0, 0]).projector()  # |00>
+    b = PureVec((2, 2), [0, 0, 0, 1]).projector()  # |11>
     assert np.array_equal(overlap_ratio_table([a, b], [a, b]), [[1.0, 0.0], [0.0, 1.0]])
 
 
@@ -395,9 +392,7 @@ def test_fbc_pure_state_self_witness():
 
 
 def test_fbc_rejects_low_rank_witness():
-    from overlapcert import basis_state
-
-    phi = basis_state((3, 3), (0, 0))
+    phi = PureVec((3, 3), np.eye(9)[0])  # |00>
     with pytest.raises(ValueError, match="rank"):
         fbc_witness_value(random_mixed((3, 3), seed=1), phi, 2)
 

@@ -10,13 +10,11 @@ from overlapcert import (
     Bipartition,
     PureVec,
     QState,
-    basis_state,
-    eig_hermitian,
     embed_operator,
     hs_inner,
     partial_trace,
     partial_trace_matrix,
-    partial_transpose,
+    partial_transpose_matrix,
     permute_subsystems_matrix,
     schmidt_decompose,
     tensor,
@@ -76,7 +74,7 @@ def test_state_matrices_are_immutable():
 
 
 def test_tensor_basis_product():
-    v = tensor(basis_state((2,), (0,)), basis_state((2,), (0,)))
+    v = tensor(PureVec((2,), [1, 0]), PureVec((2,), [1, 0]))
     assert v.dims == (2, 2)
     np.testing.assert_allclose(v.vec, [1, 0, 0, 0])
 
@@ -168,14 +166,14 @@ def test_partial_transpose_product_state_stays_psd():
     rho = random_mixed((2,), seed=8)
     sig = random_mixed((3,), seed=9)
     joint = tensor(rho, sig)
-    pt = partial_transpose(joint, Bipartition((0,)))
+    pt = partial_transpose_matrix(joint.matrix, joint.dims, [0])
     np.testing.assert_allclose(pt, np.kron(rho.matrix.T, sig.matrix), atol=1e-12)
     assert np.linalg.eigvalsh(pt)[0] > -1e-12
 
 
 def test_partial_transpose_bell_eigenvalues():
     bell = max_entangled(2).projector()
-    pt = partial_transpose(bell, Bipartition((0,)))
+    pt = partial_transpose_matrix(bell.matrix, bell.dims, [0])
     eigs = np.linalg.eigvalsh(pt)
     np.testing.assert_allclose(sorted(eigs), [-0.5, 0.5, 0.5, 0.5], atol=1e-12)
 
@@ -184,7 +182,7 @@ def test_partial_transpose_max_entangled_is_swap_over_d():
     # (|Psi><Psi|)^T_A = S/d with S built from symmetric/antisymmetric pairs
     for d in (2, 3):
         rho = max_entangled(d).projector()
-        pt = partial_transpose(rho, Bipartition((0,)))
+        pt = partial_transpose_matrix(rho.matrix, rho.dims, [0])
         expect = np.zeros((d * d, d * d), dtype=complex)
         def ket(i, j):
             v = np.zeros(d * d)
@@ -203,12 +201,10 @@ def test_partial_transpose_max_entangled_is_swap_over_d():
 
 
 def test_partial_transpose_involution_and_invariants():
-    from overlapcert.qmat import partial_transpose_matrix
-
     rng = np.random.default_rng(21)
     for dims in [(2, 2), (3, 2), (3, 3)]:
         s = random_mixed(dims, seed=int(rng.integers(1000)))
-        pt = partial_transpose(s, Bipartition((0,)))
+        pt = partial_transpose_matrix(s.matrix, dims, [0])
         again = partial_transpose_matrix(pt, dims, [0])
         np.testing.assert_allclose(again, s.matrix, atol=1e-13)
         assert abs(np.trace(pt) - 1) < 1e-12
@@ -293,27 +289,6 @@ def test_overlap_table_rejects_imaginary_trace():
 # eigendecomposition
 
 
-def test_eig_identity():
-    w, v = eig_hermitian(np.eye(5))
-    np.testing.assert_allclose(w, np.ones(5))
-
-
-def test_eig_rejects_non_hermitian():
-    with pytest.raises(ValueError, match="Hermitian"):
-        eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-def test_eig_residual_and_orthonormality():
-    rng = np.random.default_rng(17)
-    m = random_hermitian(12, rng)
-    w, v = eig_hermitian(m)
-    scale = np.linalg.norm(m)
-    for k in range(12):
-        assert np.linalg.norm(m @ v[:, k] - w[k] * v[:, k]) <= 1e-8 * scale
-    np.testing.assert_allclose(v.conj().T @ v, np.eye(12), atol=1e-9)
-    assert all(np.diff(w) >= -1e-12)
-
-
 def test_eig_corner_quadratic_form_matrix():
     # explicit d=3 quadratic-form matrix with m = n = 1/4: its spectrum is
     # {1/4} plus the roots of l^2 - l + 1/16
@@ -321,7 +296,7 @@ def test_eig_corner_quadratic_form_matrix():
     p = np.full((3, 3), n_)
     p[0, 0] += m_
     p[1, 1] += m_
-    w, _ = eig_hermitian(p)
+    w = np.linalg.eigvalsh(p)
     roots = sorted(np.roots([1.0, -1.0, 1.0 / 16.0]).real)
     np.testing.assert_allclose(sorted(w), sorted([0.25] + roots), atol=1e-12)
 
@@ -331,7 +306,7 @@ def test_eig_corner_quadratic_form_matrix():
 
 
 def test_schmidt_product_state():
-    sd = schmidt_decompose(basis_state((2, 2), (0, 0)))
+    sd = schmidt_decompose(PureVec((2, 2), [1, 0, 0, 0]))
     assert sd.rank == 1
     np.testing.assert_allclose(sd.coeffs, [1.0])
 
@@ -406,10 +381,10 @@ def test_negative_eigenvector_direction():
     rng = np.random.default_rng(29)
     for _ in range(20):
         p = random_hermitian(6, rng)
-        w, v = eig_hermitian(p)
+        w, v = np.linalg.eigh(p)
         if w[0] >= 0:
             p = p - (w[0] + 1.0) * np.eye(6)
-            w, v = eig_hermitian(p)
+            w, v = np.linalg.eigh(p)
         proj = np.outer(v[:, 0], v[:, 0].conj())
         assert abs(hs_inner(p, proj) - w[0]) < 1e-10
         assert hs_inner(p, proj) < 0
@@ -439,12 +414,9 @@ def test_permute_subsystems_roundtrip():
     np.testing.assert_allclose(back, s.matrix, atol=1e-14)
 
 
-def test_bipartite_view_groups_noncontiguous_cut():
-    from overlapcert import bipartite_view
-
+def test_permuted_subsystems_group_a_noncontiguous_cut():
     s = random_mixed((2, 3, 2), seed=77)
-    grouped = bipartite_view(s, Bipartition((0, 2)))
-    assert grouped.dims == (4, 3)
+    grouped = QState((4, 3), permute_subsystems_matrix(s.matrix, s.dims, [0, 2, 1]))
     # spectra and purity are permutation invariants
     np.testing.assert_allclose(
         np.linalg.eigvalsh(grouped.matrix), np.linalg.eigvalsh(s.matrix), atol=1e-12

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from overlapcert import (
     ProtocolConfig,
-    basis_state,
+    PureVec,
     estimate_overlaps,
     estimate_self_overlaps,
     ghz_noisy,
@@ -23,7 +23,6 @@ from overlapcert import (
     read_records,
     run_protocol,
     sample_local_unitary,
-    swap_test_overlap,
     write_records,
 )
 from overlapcert.randomized import (
@@ -188,7 +187,7 @@ def _interleaved(matrix, local_dim, q):
 
 
 def test_outcome_concentrates_without_rotation():
-    rho = basis_state((2, 2), (0, 0)).projector()
+    rho = PureVec((2, 2), [1, 0, 0, 0]).projector()  # |00>
     identity = np.broadcast_to(np.eye(2, dtype=complex), (1, 2, 2, 2))
     probs = _outcome_probs(identity, _interleaved(rho.matrix, 2, 2))[0]
     np.testing.assert_allclose(probs, [1, 0, 0, 0], atol=1e-14)
@@ -342,8 +341,8 @@ def test_exact_mode_recovers_unity_overlap():
 
 
 def test_exact_mode_orthogonal_states():
-    a = basis_state((2, 2), (0, 0)).projector()
-    b = basis_state((2, 2), (1, 1)).projector()
+    a = PureVec((2, 2), [1, 0, 0, 0]).projector()  # |00>
+    b = PureVec((2, 2), [0, 0, 0, 1]).projector()  # |11>
     cfg = ProtocolConfig(local_dim=2, m=1, n=1, n_unitaries=400, seed=22)
     est = estimate_overlaps(run_protocol(a, b, cfg), cfg)
     assert abs(est.overlap_ab) <= max(4 * est.se_ab, 1e-3)
@@ -583,38 +582,6 @@ def test_estimation_allocates_no_dense_weight_matrix():
 
 
 # ---------------------------------------------------------------------------
-# swap test
-
-
-def test_swap_test_identical_pure():
-    rho = max_entangled(2).projector()
-    out = swap_test_overlap(rho, rho, shots=1000, seed=1)
-    assert out.p_zero == 1.0
-    assert out.estimate == 1.0
-
-
-def test_swap_test_orthogonal_pure():
-    a = basis_state((2,), (0,)).projector()
-    b = basis_state((2,), (1,)).projector()
-    out = swap_test_overlap(a, b, shots=100_000, seed=2)
-    assert abs(out.p_zero - 0.5) < 0.01
-    assert abs(out.estimate) <= 4 * out.std_error
-
-
-def test_swap_test_matches_inner_product():
-    rho = random_mixed((3,), seed=51)
-    sig = random_mixed((3,), seed=52)
-    out = swap_test_overlap(rho, sig, shots=100_000, seed=3)
-    assert abs(out.estimate - hs_inner(rho, sig)) <= 3 * out.std_error
-
-
-def test_swap_test_rejects_zero_shots():
-    rho = random_mixed((2,), seed=1)
-    with pytest.raises(ValueError, match="shots"):
-        swap_test_overlap(rho, rho, shots=0)
-
-
-# ---------------------------------------------------------------------------
 # persistence
 
 
@@ -767,8 +734,13 @@ def _tampered_counts_file(tmp_path, edit):
      "setting 1: rho outcome key '0' has a count above shots_per_setting"),
     (lambda c: c.update({"3": 51}),
      "setting 1: rho outcome key '3' has a count above shots_per_setting"),
+    # two key texts that int reads as one outcome; the counts still sum to 50
+    (lambda c: c.update({"00": c["0"]}),
+     "setting 1: rho outcome 0 is named by two keys, '0' and '00'"),
+    (lambda c: c.update({"\u0663": c["3"]}),
+     "setting 1: rho outcome 3 is named by two keys, '3' and '\u0663'"),
 ], ids=["negative-key", "key-past-dimension", "negative-count", "sum-wraps-to-shots",
-        "count-above-shots"])
+        "count-above-shots", "outcome-named-twice", "outcome-named-by-a-digit-variant"])
 def test_read_records_rejects_bad_counts(tmp_path, edit, message):
     path = _tampered_counts_file(tmp_path, edit)
     with pytest.raises(ValueError, match=message):

@@ -23,7 +23,7 @@ from overlapcert import (
     verify_shat_fef_identity,
 )
 from overlapcert import partial_trace_matrix, partner_sup, variational
-from overlapcert.qmat import _guarded_ratios, _overlaps
+from overlapcert.qmat import _guarded_ratios, _overlaps, _reduce, _trace_product
 
 FAST = OptConfig(restarts=4, seed=11)
 
@@ -55,18 +55,18 @@ def test_gradient_matches_central_difference(local):
     rng = np.random.default_rng(5)
     rho = random_mixed((2, 3), seed=71)
     sig = random_mixed((2, 3), seed=72)
-    value, grad = variational._objective(rho.matrix, sig.matrix, (2, 3), local)
+    evaluate = variational._objective(rho.matrix, sig.matrix, (2, 3), local)
     h = 1e-5
     for _ in range(3):
         factors = [sample_local_unitary(2, rng), sample_local_unitary(3, rng)]
-        grads = grad(factors)
+        grads = evaluate(factors)[1]()
         for k, d in enumerate((2, 3)):
             omega = random_skew(d, rng)
             assert np.abs(grads[k] + grads[k].conj().T).max() <= 1e-14
             plus, minus = list(factors), list(factors)
             plus[k] = skew_exp(h * omega) @ factors[k]
             minus[k] = skew_exp(-h * omega) @ factors[k]
-            numeric = (value(plus) - value(minus)) / (2 * h)
+            numeric = (evaluate(plus)[0] - evaluate(minus)[0]) / (2 * h)
             analytic = np.vdot(omega, grads[k]).real
             assert abs(numeric - analytic) <= 1e-9 * max(1.0, abs(analytic))
 
@@ -80,14 +80,14 @@ def test_objective_is_the_overlap_core_on_the_rotated_state(dims, local):
     rng = np.random.default_rng(23)
     rho = random_mixed(dims, seed=75)
     sig = random_mixed(dims, seed=76)
-    value, grad = variational._objective(rho.matrix, sig.matrix, dims, local)
+    evaluate = variational._objective(rho.matrix, sig.matrix, dims, local)
     kept = [(0, 1)] if local is None else [(0, 1), (local,)]
     for _ in range(3):
         factors = [sample_local_unitary(d, rng) for d in dims]
+        value, grad = evaluate(factors)
         rot = rotated(rho, *factors).matrix
         overlaps = _overlaps(rot, sig.matrix, dims, kept)
-        assert value(factors) == (overlaps[0] if local is None
-                                  else _guarded_ratios(*overlaps))
+        assert value == (overlaps[0] if local is None else _guarded_ratios(*overlaps))
         comm = sig.matrix @ rot - rot @ sig.matrix
         expected = [partial_trace_matrix(comm, dims, [k]) for k in (0, 1)]
         if local is not None:
@@ -97,7 +97,7 @@ def test_objective_is_the_overlap_core_on_the_rotated_state(dims, local):
             expected = [gr / l_x for gr in expected]
             expected[local] = (expected[local]
                                - g / l_x**2 * (sig_x @ rot_x - rot_x @ sig_x))
-        for got, want in zip(grad(factors), expected):
+        for got, want in zip(grad(), expected):
             assert np.array_equal(got, want)
 
 
@@ -173,7 +173,7 @@ def test_converged_is_that_of_the_returned_restart(monkeypatch, outcomes,
     # two starts, each ascending s_A and then s_B
     scripted = iter(outcomes)
 
-    def fake_ascend(value, grad, factors, rotate, cfg):
+    def fake_ascend(evaluate, factors, rotate, cfg):
         end, success = next(scripted)
         return list(factors), [0.0, end], success
 
@@ -278,6 +278,84 @@ def test_stop_skips_the_ascents_once_the_bound_is_reached(monkeypatch):
     calls.clear()
     assert s_hat(rho, sig, OptConfig(restarts=2), sides="b").value == res.value
     assert len(calls) == 4
+
+
+def reference_objective(rho_m, sigma_m, dims, local):
+    """The objective with a gradient that rotates rho afresh from the
+    factors, as the ascent did before it kept the value's rotation."""
+    dims = tuple(dims)
+    side = math.prod(dims)
+    if local is not None:
+        keep = (local,)
+        sigma_x = _reduce(sigma_m, dims, keep)
+
+    def rotated(factors):
+        u, v = factors
+        w = (u[:, None, :, None] * v[None, :, None, :]).reshape(side, side)
+        return w @ rho_m @ w.conj().T
+
+    def value(factors):
+        rot = rotated(factors)
+        g = _trace_product(rot, sigma_m)
+        if local is None:
+            return g
+        return _guarded_ratios(g, _trace_product(_reduce(rot, dims, keep), sigma_x))
+
+    def grad(factors):
+        rot = rotated(factors)
+        comm = sigma_m @ rot - rot @ sigma_m
+        grads = [_reduce(comm, dims, (k,)) for k in (0, 1)]
+        if local is None:
+            return grads
+        rot_x = _reduce(rot, dims, keep)
+        g, l_x = _trace_product(rot, sigma_m), _trace_product(rot_x, sigma_x)
+        if l_x <= 0.0:
+            return [np.zeros_like(gr) for gr in grads]
+        grads = [gr / l_x for gr in grads]
+        grads[local] = grads[local] - g / l_x**2 * (sigma_x @ rot_x - rot_x @ sigma_x)
+        return grads
+
+    return lambda factors: (value(factors), lambda: grad(factors))
+
+
+def maximized(monkeypatch, run) -> list:
+    """Every OptResult that ``_maximize`` returns while ``run()`` runs."""
+    results, maximize = [], variational._maximize
+
+    def recorded(*args):
+        results.append(maximize(*args))
+        return results[-1]
+
+    monkeypatch.setattr(variational, "_maximize", recorded)
+    run()
+    monkeypatch.setattr(variational, "_maximize", maximize)
+    return results
+
+
+def test_ascent_matches_the_reference_that_recomputes_each_gradient(monkeypatch):
+    # the gradient taken from the value's own rotation changes no bit of
+    # any result: on the bound corpus and on the variational benchmark's
+    # inputs, for s_hat and for the fully entangled fraction
+    def run():
+        for j, (rho, sig) in enumerate(bound_corpus()):
+            cfg = OptConfig(restarts=2, max_iters=50, seed=j)
+            s_hat(rho, sig, cfg)
+            if rho.dims[0] == rho.dims[1]:
+                fully_entangled_fraction(rho, cfg)
+        s_hat(isotropic(4, 0.6), random_mixed((4, 4), rank=2, seed=3),
+              OptConfig(restarts=2))
+        verify_shat_fef_identity(isotropic(3, 0.7), OptConfig(restarts=2))
+
+    kept = maximized(monkeypatch, run)
+    monkeypatch.setattr(variational, "_objective", reference_objective)
+    reference = maximized(monkeypatch, run)
+    assert len(kept) == len(reference) > len(bound_corpus())
+    for got, want in zip(kept, reference):
+        assert got.value == want.value
+        assert all(np.array_equal(a, b) for a, b in zip(got.params, want.params))
+        assert got.trajectory == want.trajectory
+        assert got.converged is want.converged
+        assert got.bound == want.bound
 
 
 def test_certified_bound_invariant_under_local_rotation():
