@@ -49,7 +49,6 @@ from .qmat import (
     partial_trace_matrix,
     partial_transpose_matrix,
     permute_subsystems_matrix,
-    permute_subsystems_vec,
     schmidt_decompose,
     tensor,
 )

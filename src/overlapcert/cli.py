@@ -1,8 +1,9 @@
 """Command-line harness: figure-data scans, the measurement pipeline, and
 the worked-example checks, all emitting deterministic CSV/JSON.
 
-Every output file starts with a comment line recording the full
-configuration and seed, so a rerun with identical flags is byte-identical.
+Every CSV starts with a comment line recording the command's flags, and the
+``rm-experiment`` report records its config with the seed, so a rerun with
+identical flags is byte-identical; no other command draws a random number.
 Exit codes: 0 success, 1 assertion failure in ``examples``, 2 a bad flag or an
 unreadable or bad config.
 """
@@ -68,7 +69,7 @@ def _write_json(path, obj) -> None:
 # fig1: detection region for isotropic pairs
 
 
-def cmd_fig1(d: int, grid: int, r_max: int, out: str, seed: int = 0) -> int:
+def cmd_fig1(d: int, grid: int, r_max: int, out: str) -> int:
     """Scan the overlap ratio of isotropic pairs over the fidelity square."""
     if d < 2 or grid < 2:
         raise ValueError(f"d and grid must be >= 2, not {d}, {grid}")
@@ -84,7 +85,7 @@ def cmd_fig1(d: int, grid: int, r_max: int, out: str, seed: int = 0) -> int:
         for y, s in zip(xs, s_row):
             detected = max(0, sn_bound_from_ratio(s) - 1)
             rows.append((float(x), float(y), s, min(detected, r_cap)))
-    config = {"command": "fig1", "d": d, "grid": grid, "r_max": r_cap, "seed": seed}
+    config = {"command": "fig1", "d": d, "grid": grid, "r_max": r_cap}
     _write_csv(out, ["x", "y", "s_value", "max_r_detected"], rows, config)
     return 0
 
@@ -158,14 +159,13 @@ def _spectrum_boundary(d: int, r: int) -> float:
                      0.0, 1.0)[0]
 
 
-def cmd_fig3(d_min: int, d_max: int, r_max: int, out: str, seed: int = 0) -> int:
+def cmd_fig3(d_min: int, d_max: int, r_max: int, out: str) -> int:
     """Emit the (d, r) detection bands (panel a) and per-d criterion
     boundaries (panel b) for the corner-isotropic family, as two CSVs."""
     if not 3 <= d_min <= d_max or r_max < 1:  # the corner family needs d >= 3
         raise ValueError("need 3 <= d_min <= d_max and r_max >= 1, not "
                          f"{d_min}, {d_max}, {r_max}")
-    config = {"command": "fig3", "d_min": d_min, "d_max": d_max,
-              "r_max": r_max, "seed": seed}
+    config = {"command": "fig3", "d_min": d_min, "d_max": d_max, "r_max": r_max}
     rows_a = []
     for d in range(d_min, d_max + 1):
         for r in range(1, min(r_max, d - 1) + 1):
@@ -196,8 +196,7 @@ def cmd_fig3(d_min: int, d_max: int, r_max: int, out: str, seed: int = 0) -> int
 # rfbc-tightness: witness boundary vs spectrum boundary
 
 
-def cmd_rfbc_tightness(d_min: int, d_max: int, r_max: int, out: str,
-                       seed: int = 0) -> int:
+def cmd_rfbc_tightness(d_min: int, d_max: int, r_max: int, out: str) -> int:
     """Both detectability boundaries of rank-r fidelity witnesses per (d, r).
 
     The witness curve is where the particular maximally entangled witness
@@ -212,7 +211,7 @@ def cmd_rfbc_tightness(d_min: int, d_max: int, r_max: int, out: str,
         for r in range(1, min(r_max, d) + 1):
             rows.append((d, r, _spectrum_boundary(d, r), corner_fbc_psi_boundary(d, r)))
     config = {"command": "rfbc-tightness", "d_min": d_min, "d_max": d_max,
-              "r_max": r_max, "seed": seed}
+              "r_max": r_max}
     _write_csv(out, ["d", "r", "x_spectrum_boundary", "x_witness_boundary"],
                rows, config)
     return 0
@@ -386,9 +385,9 @@ def _example_inversion_map(report: dict, failures: list) -> None:
     )
 
 
-def cmd_examples(out: str, seed: int = 0) -> int:
+def cmd_examples(out: str) -> int:
     """Run every worked example and compare against its reference numbers."""
-    report: dict = {"seed": seed}
+    report: dict = {}
     failures: list[str] = []
     _example_isotropic(report, failures)
     _example_sn3(report, failures)
@@ -426,7 +425,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p1.add_argument("--r-max", type=int, default=0,
                     help="cap for the reported detection level (default d)")
     p1.add_argument("--out", required=True, help="output CSV path")
-    p1.add_argument("--seed", type=int, default=0)
 
     p3 = sub.add_parser(
         "fig3",
@@ -442,7 +440,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p3.add_argument("--d-max", type=int, default=10)
     p3.add_argument("--r-max", type=int, default=5)
     p3.add_argument("--out", required=True, help="output path prefix")
-    p3.add_argument("--seed", type=int, default=0)
 
     pt = sub.add_parser(
         "rfbc-tightness",
@@ -455,7 +452,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pt.add_argument("--d-max", type=int, default=10)
     pt.add_argument("--r-max", type=int, default=4)
     pt.add_argument("--out", required=True)
-    pt.add_argument("--seed", type=int, default=0)
 
     pr = sub.add_parser(
         "rm-experiment",
@@ -481,7 +477,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "is missed beyond tolerance.",
     )
     pe.add_argument("--out", required=True)
-    pe.add_argument("--seed", type=int, default=0)
 
     return parser
 
@@ -490,14 +485,13 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     run = {
-        "fig1": lambda: cmd_fig1(args.d, args.grid, args.r_max, args.out, args.seed),
-        "fig3": lambda: cmd_fig3(args.d_min, args.d_max, args.r_max, args.out,
-                                 args.seed),
+        "fig1": lambda: cmd_fig1(args.d, args.grid, args.r_max, args.out),
+        "fig3": lambda: cmd_fig3(args.d_min, args.d_max, args.r_max, args.out),
         "rfbc-tightness": lambda: cmd_rfbc_tightness(
-            args.d_min, args.d_max, args.r_max, args.out, args.seed),
+            args.d_min, args.d_max, args.r_max, args.out),
         "rm-experiment": lambda: cmd_rm_experiment(
             args.config, args.out, args.settings, args.shots, args.exact, args.seed),
-        "examples": lambda: cmd_examples(args.out, args.seed),
+        "examples": lambda: cmd_examples(args.out),
     }[args.command]
     try:
         return run()

@@ -11,7 +11,9 @@ states at once.  The same module gives the largest ratio any sigma
 reaches (the partner supremum, whose threshold test is the reduction
 check) and the criteria the ratio is compared against: the purity check,
 fidelity-based witnesses with their spectral detectability bound, and the
-third-moment partial-transpose test.
+third-moment partial-transpose test.  Each takes states of two subsystems,
+A then B, as laid out; regroup any other layout with
+``permute_subsystems_matrix`` first.
 
 Every strict inequality carries the fixed tolerance ``DEFAULT_TOL``, which
 no function takes as a parameter: a ratio of exactly r (a pure state
@@ -27,17 +29,14 @@ import numpy as np
 
 from .qmat import (
     SCHMIDT_CUTOFF,
-    Bipartition,
     PureVec,
     QState,
-    _cut_layout,
+    _bipartite,
     _guarded_ratios,
     _overlap_table,
     _overlaps,
     partial_trace_matrix,
     partial_transpose_matrix,
-    permute_subsystems_matrix,
-    permute_subsystems_vec,
     schmidt_decompose,
 )
 
@@ -84,24 +83,17 @@ class CriterionVerdict:
 _BIPARTITE_SETS = ((0, 1), (0,), (1,))
 
 
-def _grouped(state: QState, split: Bipartition | None):
-    """Matrix in (S, S-bar) layout plus bookkeeping to undo the grouping."""
-    layout, d_a = _cut_layout(state.dims, split)
-    layout_dims = tuple(state.dims[i] for i in layout)
-    if layout == list(range(len(state.dims))):
-        m = state.matrix
-    else:
-        m = permute_subsystems_matrix(state.matrix, state.dims, layout)
-    return m, d_a, state.dim // d_a, layout, layout_dims
+def _grouped(state: QState):
+    """The state's matrix and (d_A, d_B); it must have two subsystems."""
+    return state.matrix, *_bipartite(state.dims)
 
 
-def overlap_ratio(rho: QState, sigma: QState,
-                  split: Bipartition | None = None) -> OverlapRatio:
+def overlap_ratio(rho: QState, sigma: QState) -> OverlapRatio:
     """Global-to-local overlap ratios of two states with identical layout."""
     if rho.dims != sigma.dims:
         raise ValueError(f"dimension mismatch: {rho.dims} vs {sigma.dims}")
-    rm, d_a, d_b, _, _ = _grouped(rho, split)
-    return _matrix_ratio(rm, _grouped(sigma, split)[0], d_a, d_b)
+    rm, d_a, d_b = _grouped(rho)
+    return _matrix_ratio(rm, sigma.matrix, d_a, d_b)
 
 
 def _matrix_ratio(rm: np.ndarray, sm: np.ndarray, d_a: int, d_b: int) -> OverlapRatio:
@@ -111,16 +103,16 @@ def _matrix_ratio(rm: np.ndarray, sm: np.ndarray, d_a: int, d_b: int) -> Overlap
     return OverlapRatio(g, la, lb, s_a, s_b, max(s_a, s_b))
 
 
-def overlap_ratio_table(rhos, sigmas, split: Bipartition | None = None,
-                        rho_weights=None, sigma_weights=None) -> np.ndarray:
+def overlap_ratio_table(rhos, sigmas, rho_weights=None,
+                        sigma_weights=None) -> np.ndarray:
     """The ratio s of every pair (rhos[i], sigmas[j]) as an (n, m) array; with
     W = rho_weights or V = sigma_weights, of the mixtures sum_k W[i, k] rhos[k]
     against sum_l V[j, l] sigmas[l].
 
-    Without weights each entry equals ``overlap_ratio(rhos[i], sigmas[j],
-    split).s``.  Overlaps are bilinear, so a table of mixtures is W T V^T on
-    the overlap table T of the given states, each reduced once; no mixture
-    is built, and the weights are not checked.
+    Without weights each entry equals ``overlap_ratio(rhos[i], sigmas[j]).s``.
+    Overlaps are bilinear, so a table of mixtures is W T V^T on the overlap
+    table T of the given states, each reduced once; no mixture is built, and
+    the weights are not checked.
     """
     rhos, sigmas = list(rhos), list(sigmas)
     if not rhos or not sigmas:
@@ -129,11 +121,8 @@ def overlap_ratio_table(rhos, sigmas, split: Bipartition | None = None,
     for st in rhos + sigmas:
         if st.dims != dims:
             raise ValueError(f"dimension mismatch: {dims} vs {st.dims}")
-    groups = [_grouped(st, split) for st in rhos + sigmas]
-    _, d_a, d_b, _, _ = groups[0]
-    mats = [gr[0] for gr in groups]
-    n = len(rhos)
-    t = _overlap_table(mats[:n], mats[n:], (d_a, d_b), _BIPARTITE_SETS)
+    t = _overlap_table([st.matrix for st in rhos], [st.matrix for st in sigmas],
+                       _bipartite(dims), _BIPARTITE_SETS)
     if rho_weights is not None:
         t = np.asarray(rho_weights, dtype=float) @ t
     if sigma_weights is not None:
@@ -142,13 +131,12 @@ def overlap_ratio_table(rhos, sigmas, split: Bipartition | None = None,
     return np.maximum(_guarded_ratios(g, la), _guarded_ratios(g, lb))
 
 
-def ipc_bound(rho: QState, sigma: QState,
-              split: Bipartition | None = None) -> CriterionVerdict:
+def ipc_bound(rho: QState, sigma: QState) -> CriterionVerdict:
     """Schmidt-number lower bound from the overlap ratio.
 
     The certified bound applies simultaneously to ``rho`` and ``sigma``.
     """
-    ratio = overlap_ratio(rho, sigma, split)
+    ratio = overlap_ratio(rho, sigma)
     bound = sn_bound_from_ratio(ratio.s)
     return CriterionVerdict(
         criterion="ipc",
@@ -168,10 +156,10 @@ def ipc_bound(rho: QState, sigma: QState,
 
 @dataclass(frozen=True)
 class PartnerSup:
-    """sup over sigma of s_A and s_B, each side's optimal sigma (``vecs``, on
-    rho's layout) and its (Tr[rho sigma], Tr[rho_X sigma_X]) (``overlaps``)
-    taken from rho, which unlike the whitened sups keep their accuracy as
-    rho_X nears singular."""
+    """sup over sigma of s_A and s_B, each side's optimal sigma (``vecs``)
+    and its (Tr[rho sigma], Tr[rho_X sigma_X]) (``overlaps``) taken from
+    rho, which unlike the whitened sups keep their accuracy as rho_X nears
+    singular."""
 
     sup_a: float
     sup_b: float
@@ -192,7 +180,7 @@ class PartnerSup:
                      - r * self.overlaps[x][1] > DEFAULT_TOL), None)
 
 
-def partner_sup(rho: QState, split: Bipartition | None = None) -> PartnerSup:
+def partner_sup(rho: QState) -> PartnerSup:
     """The largest overlap ratio any partner state sigma reaches with ``rho``.
 
     s_X(rho, sigma) = Tr[rho sigma] / Tr[(rho_X x I) sigma] is a ratio of two
@@ -200,7 +188,7 @@ def partner_sup(rho: QState, split: Bipartition | None = None) -> PartnerSup:
     rho whitened by rho_X^(-1/2) x I on supp(rho_X) (eigenvalues of rho_X
     above ``SCHMIDT_CUTOFF`` times the largest), attained by the pure sigma
     on its eigenvector."""
-    m, d_a, d_b, layout, layout_dims = _grouped(rho, split)
+    m, d_a, d_b = _grouped(rho)
     sups, vecs, overlaps = [], [], []
     for kept in (0, 1):
         rho_x = partial_trace_matrix(m, (d_a, d_b), [kept])
@@ -215,17 +203,15 @@ def partner_sup(rho: QState, split: Bipartition | None = None) -> PartnerSup:
         local = np.vdot(grid, rho_x @ grid if kept == 0 else grid @ rho_x.T)
         sups.append(float(vals[-1]))
         overlaps.append((float(np.vdot(vec, m @ vec).real), float(local.real)))
-        vecs.append(PureVec(rho.dims, permute_subsystems_vec(
-            vec, layout_dims, np.argsort(layout))))  # back to rho's layout
+        vecs.append(PureVec(rho.dims, vec))
     return PartnerSup(*sups, tuple(vecs), tuple(overlaps))
 
 
-def reduction_check(rho: QState, r: int = 1,
-                    split: Bipartition | None = None) -> CriterionVerdict:
+def reduction_check(rho: QState, r: int = 1) -> CriterionVerdict:
     """Reduction criterion: r*rho_A x I - rho and r*I x rho_B - rho are both
     positive exactly when :func:`partner_sup` is <= r; detected (Schmidt
     number > r) when :meth:`PartnerSup.certificate` finds a sigma."""
-    best = partner_sup(rho, split)
+    best = partner_sup(rho)
     detected = best.certificate(r) is not None
     return CriterionVerdict(
         criterion=f"reduction-r{r}",
@@ -237,15 +223,14 @@ def reduction_check(rho: QState, r: int = 1,
     )
 
 
-def extract_ipc_witness(rho: QState, r: int = 1,
-                        split: Bipartition | None = None) -> QState | None:
+def extract_ipc_witness(rho: QState, r: int = 1) -> QState | None:
     """Partner state certifying s > r, or None when the reduction check
     passes: the optimal sigma that :meth:`PartnerSup.certificate` finds."""
-    vec = partner_sup(rho, split).certificate(r)
+    vec = partner_sup(rho).certificate(r)
     return None if vec is None else vec.projector()
 
 
-def purity_check(rho: QState, split: Bipartition | None = None) -> CriterionVerdict:
+def purity_check(rho: QState) -> CriterionVerdict:
     """Global purity against the smaller local purity.
 
     Detection (Tr[rho^2] above the minimum local purity) certifies
@@ -254,7 +239,7 @@ def purity_check(rho: QState, split: Bipartition | None = None) -> CriterionVerd
     gap, g_X > log2(r) certifies Schmidt number >= r+1, so the bound is
     ceil(max_X 2^{g_X}) with the usual tolerance guard.
     """
-    m, d_a, d_b, _, _ = _grouped(rho, split)
+    m, d_a, d_b = _grouped(rho)
     g, la, lb = _overlaps(m, m, (d_a, d_b), _BIPARTITE_SETS)
     min_local = min(la, lb)
     s = _guarded_ratios(g, min_local)
@@ -269,8 +254,7 @@ def purity_check(rho: QState, split: Bipartition | None = None) -> CriterionVerd
     )
 
 
-def fbc_witness_value(rho: QState, phi: PureVec, r: int = 1,
-                      split: Bipartition | None = None) -> CriterionVerdict:
+def fbc_witness_value(rho: QState, phi: PureVec, r: int = 1) -> CriterionVerdict:
     """Expectation of the rank-r fidelity witness built from ``phi``.
 
     The witness is (sum of the top r squared Schmidt coefficients of phi)
@@ -281,7 +265,7 @@ def fbc_witness_value(rho: QState, phi: PureVec, r: int = 1,
         raise ValueError("r must be >= 1")
     if rho.dims != phi.dims:
         raise ValueError(f"dimension mismatch: {rho.dims} vs {phi.dims}")
-    sd = schmidt_decompose(phi, split)
+    sd = schmidt_decompose(phi)
     if sd.rank < r:
         raise ValueError(f"witness state has Schmidt rank {sd.rank} < r={r}")
     top_r = float(np.sum(sd.coeffs[:r]))
@@ -298,8 +282,7 @@ def fbc_witness_value(rho: QState, phi: PureVec, r: int = 1,
     )
 
 
-def fbc_spectrum_bound(rho: QState, r: int = 1,
-                       split: Bipartition | None = None) -> bool:
+def fbc_spectrum_bound(rho: QState, r: int = 1) -> bool:
     """True when no rank-r fidelity witness can detect ``rho``.
 
     If the largest eigenvalue of rho is at most max(r/d_A, r/d_B), every
@@ -308,25 +291,24 @@ def fbc_spectrum_bound(rho: QState, r: int = 1,
     """
     if r < 1:
         raise ValueError("r must be >= 1")
-    _, d_a, d_b, _, _ = _grouped(rho, split)
+    _, d_a, d_b = _grouped(rho)
     lam_max = float(np.linalg.eigvalsh(rho.matrix)[-1])
     return lam_max <= max(r / d_a, r / d_b) + DEFAULT_TOL
 
 
-def pt_moments(rho: QState, k_max: int = 3,
-               split: Bipartition | None = None) -> list[float]:
+def pt_moments(rho: QState, k_max: int = 3) -> list[float]:
     """Moments p_k = Tr[(rho^T_A)^k] for k = 1 .. k_max."""
     if k_max < 2:
         raise ValueError("k_max must be >= 2")
-    m, d_a, d_b, _, _ = _grouped(rho, split)
+    m, d_a, d_b = _grouped(rho)
     pt = partial_transpose_matrix(m, (d_a, d_b), [0])
     eigs = np.linalg.eigvalsh(pt)
     return [float(np.sum(eigs**k)) for k in range(1, k_max + 1)]
 
 
-def p3_ppt_check(rho: QState, split: Bipartition | None = None) -> CriterionVerdict:
+def p3_ppt_check(rho: QState) -> CriterionVerdict:
     """Third-moment partial-transpose test: separable states obey p2^2 <= p3."""
-    p1, p2, p3 = pt_moments(rho, 3, split)
+    p1, p2, p3 = pt_moments(rho, 3)
     detected = p2 * p2 > p3 + DEFAULT_TOL
     return CriterionVerdict(
         criterion="p3-ppt",

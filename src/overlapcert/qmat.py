@@ -86,14 +86,6 @@ class Bipartition:
     def __post_init__(self):
         object.__setattr__(self, "kept", tuple(sorted(set(int(i) for i in self.kept))))
 
-    def validate(self, n_subsystems: int, proper: bool = True) -> None:
-        if any(i < 0 or i >= n_subsystems for i in self.kept):
-            raise ValueError(
-                f"bipartition {self.kept} out of range for {n_subsystems} subsystems"
-            )
-        if proper and not 0 < len(self.kept) < n_subsystems:
-            raise ValueError("bipartition must keep a nonempty proper subset")
-
     def complement(self, n_subsystems: int) -> tuple[int, ...]:
         return tuple(i for i in range(n_subsystems) if i not in self.kept)
 
@@ -222,9 +214,6 @@ def partial_trace_matrix(m: np.ndarray, dims, keep) -> np.ndarray:
 
 def partial_trace(state: QState, part: Bipartition) -> QState:
     """Reduced state on the kept subsystems, Tr over the complement."""
-    part.validate(len(state.dims), proper=False)
-    if not part.kept:
-        raise ValueError("bipartition keeps no subsystem")
     reduced = partial_trace_matrix(state.matrix, state.dims, part.kept)
     return QState(tuple(state.dims[i] for i in part.kept), reduced)
 
@@ -253,14 +242,6 @@ def permute_subsystems_matrix(m: np.ndarray, dims, order) -> np.ndarray:
     perm = order + [i + n for i in order]
     side = math.prod(dims)
     return np.asarray(m).reshape(dims + dims).transpose(perm).reshape(side, side)
-
-
-def permute_subsystems_vec(v: np.ndarray, dims, order) -> np.ndarray:
-    dims = _as_dims(dims)
-    order = [int(i) for i in order]
-    if sorted(order) != list(range(len(dims))):
-        raise ValueError(f"order {order} is not a permutation")
-    return np.asarray(v).reshape(dims).transpose(order).reshape(-1)
 
 
 def embed_operator(m: np.ndarray, dims, positions) -> np.ndarray:
@@ -299,20 +280,12 @@ def hs_inner(a, b) -> float:
     return _trace_product(am, bm)
 
 
-def _cut_layout(dims, part: Bipartition | None) -> tuple[list[int], int]:
-    """Subsystem order of a cut, kept side first, and the kept side's dimension.
-
-    Without a cut the state must already have exactly two subsystems.
-    """
-    n = len(dims)
-    if part is None:
-        if n != 2:
-            raise ValueError("state is not bipartite as laid out; pass a Bipartition")
-        layout, n_kept = [0, 1], 1
-    else:
-        part.validate(n)
-        layout, n_kept = list(part.kept) + list(part.complement(n)), len(part.kept)
-    return layout, math.prod(dims[i] for i in layout[:n_kept])
+def _bipartite(dims) -> tuple[int, int]:
+    """(d_A, d_B) of a two-subsystem layout; any other layout is a fault."""
+    if len(dims) != 2:
+        raise ValueError(f"dims {tuple(dims)} are not bipartite as laid out; regroup "
+                         "the subsystems first with permute_subsystems_matrix")
+    return dims
 
 
 def _overlap_table(rhos, sigmas, dims, kept_sets) -> np.ndarray:
@@ -352,13 +325,10 @@ def _guarded_ratios(g, local):
     return np.divide(g, local, out=out, where=local > 0.0)
 
 
-def schmidt_decompose(v: PureVec, part: Bipartition | None = None) -> SchmidtDecomp:
-    """Schmidt decomposition of a pure state across a bipartite cut; squared
-    coefficients at or below ``SCHMIDT_CUTOFF`` are dropped."""
-    layout, d_left = _cut_layout(v.dims, part)
-    vec = permute_subsystems_vec(v.vec, v.dims, layout)
-    coeff_matrix = vec.reshape(d_left, -1)
-    u, s, vh = np.linalg.svd(coeff_matrix, full_matrices=False)
+def schmidt_decompose(v: PureVec) -> SchmidtDecomp:
+    """Schmidt decomposition of a two-subsystem pure state across its cut;
+    squared coefficients at or below ``SCHMIDT_CUTOFF`` are dropped."""
+    u, s, vh = np.linalg.svd(v.vec.reshape(_bipartite(v.dims)), full_matrices=False)
     mask = s * s > SCHMIDT_CUTOFF
     return SchmidtDecomp(
         coeffs=(s[mask] ** 2),

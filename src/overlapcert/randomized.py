@@ -35,6 +35,9 @@ _DESIGNS = ("haar", "clifford")
 # Slack of a read exact-mode probability vector: entries >= -PROB_TOL and a
 # sum within PROB_TOL of 1.
 PROB_TOL = 1e-9
+# A local overlap enters the ratio only when its mean is above SNR_GUARD
+# times its standard error.
+SNR_GUARD = 10.0
 
 
 @dataclass(frozen=True)
@@ -112,7 +115,7 @@ class OverlapEstimate:
     """Estimated overlaps, their jackknife standard errors, and the ratio.
 
     ``s`` is the larger of the local ratio estimates whose denominator
-    clears the instability guard (mean above ``snr_guard`` times its
+    clears the instability guard (mean above ``SNR_GUARD`` times its
     standard error), and ``se_s`` is the jackknife error of that guarded
     maximum.  When neither denominator clears it, ``s = se_s = 0`` and
     ``reliable`` is False.
@@ -376,7 +379,7 @@ def _jackknife_se(loo: np.ndarray) -> np.ndarray:
     return np.sqrt((n - 1) / n * np.sum(dev**2, axis=-1))
 
 
-def _summarize(y: np.ndarray, snr_guard: float) -> OverlapEstimate:
+def _summarize(y: np.ndarray) -> OverlapEstimate:
     """Means and jackknife errors of the AB, A, B rows, and the guarded ratio.
 
     The sides that clear the guard are chosen on the full sample, and
@@ -389,7 +392,7 @@ def _summarize(y: np.ndarray, snr_guard: float) -> OverlapEstimate:
     # leave-one-out replicates cancels), floored at the mean's rounding unit
     spread = np.sum((y - means[:, None]) ** 2, axis=1) / (n * (n - 1))
     ses = np.maximum(np.sqrt(spread), np.finfo(float).eps * np.abs(means))
-    ok = means[1:] > snr_guard * ses[1:]
+    ok = means[1:] > SNR_GUARD * ses[1:]
     s_sides = _guarded_ratios(means[0], means[1:])
     reliable = bool(ok.any())
     s = se_s = 0.0
@@ -405,21 +408,20 @@ def _summarize(y: np.ndarray, snr_guard: float) -> OverlapEstimate:
     )
 
 
-def estimate_overlaps(records, cfg: ProtocolConfig,
-                      snr_guard: float = 10.0) -> OverlapEstimate:
+def estimate_overlaps(records, cfg: ProtocolConfig) -> OverlapEstimate:
     """Cross-correlation estimate of Tr[rho_X sigma_X] for X in {A, B, AB}.
 
     Standard errors come from leave-one-setting-out jackknife.  The ratio
     is flagged unreliable (and reported as 0) when no local denominator
-    exceeds ``snr_guard`` times its own standard error.
+    exceeds ``SNR_GUARD`` times its own standard error.
     """
     f_rho, _ = _outcome_rows(records, "rho")
     f_sigma, _ = _outcome_rows(records, "sigma")
-    return _summarize(_setting_terms(f_rho, f_sigma, cfg), snr_guard)
+    return _summarize(_setting_terms(f_rho, f_sigma, cfg))
 
 
-def estimate_self_overlaps(records, cfg: ProtocolConfig, which: str = "rho",
-                           snr_guard: float = 10.0) -> OverlapEstimate:
+def estimate_self_overlaps(records, cfg: ProtocolConfig,
+                           which: str = "rho") -> OverlapEstimate:
     """Purity-type estimate Tr[rho_X^2] from a single state's records.
 
     Shot mode pairs only distinct shots of the same record (the diagonal
@@ -430,7 +432,7 @@ def estimate_self_overlaps(records, cfg: ProtocolConfig, which: str = "rho",
     f, shots = _outcome_rows(records, which)
     if shots is not None and shots.min() < 2:
         raise ValueError("within-state estimation needs >= 2 shots")
-    return _summarize(_setting_terms(f, f, cfg, shots), snr_guard)
+    return _summarize(_setting_terms(f, f, cfg, shots))
 
 
 # ---------------------------------------------------------------------------
@@ -481,10 +483,10 @@ _WRITTEN = re.compile(r'\{"rho_counts": \{' + _BODY + r'\}, "setting": ([0-9]+),
 _BODY_TO_CSV = str.maketrans({'"': None, " ": None, ":": ","})
 
 
-def _written_counts(line: str, total: int):
+def _written_counts(line: str):
     """(object, text) of a line in the writer's shot-mode layout with both
     count bodies emptied, and (keys, values, keys) of each body, decoded by
-    numpy; None for any other line, or a key past total-1 or twice in a body."""
+    numpy; None for any other line."""
     layout = _WRITTEN.match(line)
     if not layout:
         return None
@@ -492,10 +494,7 @@ def _written_counts(line: str, total: int):
     for body in layout[1], layout[3]:
         pairs = (np.fromstring(body.translate(_BODY_TO_CSV), dtype=np.int64, sep=",")
                  if body else np.empty(0, dtype=np.int64))
-        keys = pairs[0::2]
-        if keys.size and (keys.max() >= total or np.bincount(keys).max() > 1):
-            return None
-        counts.append((keys, pairs[1::2], keys))
+        counts.append((pairs[0::2], pairs[1::2], pairs[0::2]))
     rest = ('{"rho_counts": {}, "setting": ' + layout[2] + ', "sigma_counts": {}, '
             '"unitaries_a": ' + line[layout.end():])
     try:
@@ -514,21 +513,33 @@ def _outcome(key: str, total: int) -> int:
         return -1
 
 
+class _JsonObject(dict):
+    """A parsed JSON object that also keeps its (key, value) pairs as
+    written, a repeated key included; the dict keeps the later value."""
+
+    def __init__(self, pairs):
+        super().__init__(pairs)
+        self.pairs = pairs
+
+
 def _parsed_counts(obj: dict, which: str, total: int, setting: int):
-    """(keys, values, key texts) of one state's parsed {outcome: count} JSON."""
+    """(keys, values, key texts) of one state's {outcome: count} JSON, pair
+    by pair as written."""
     sparse = obj.get(which + "_counts")
     if not isinstance(sparse, dict):
         fault = "is missing" if sparse is None else "is not a JSON object"
         raise ValueError(f"setting {setting}: {which}_counts {fault}")
-    keys = np.array([_outcome(key, total) for key in sparse], dtype=np.int64)
+    names = [key for key, _ in sparse.pairs]
+    keys = np.array([_outcome(key, total) for key in names], dtype=np.int64)
     try:
-        values = np.array(list(sparse.values()), dtype=None if sparse else np.int64)
+        values = np.array([v for _, v in sparse.pairs],
+                          dtype=None if names else np.int64)
     except ValueError:  # ragged nesting
         values = None
     if values is None or values.dtype.kind != "i" or values.ndim != 1:
         raise ValueError(f"setting {setting}: {which}_counts holds a value that "
                          f"is not a 64-bit integer")
-    return keys, values, list(sparse)
+    return keys, values, names
 
 
 def _dense_counts(keys: np.ndarray, values: np.ndarray, names, which: str,
@@ -541,8 +552,8 @@ def _dense_counts(keys: np.ndarray, values: np.ndarray, names, which: str,
             raise ValueError(f"setting {setting}: {which} outcome key {key!r} {fault}")
 
     check((keys < 0) | (keys >= total), f"is outside 0..{total - 1}")
-    # two key texts, such as "3" and "03", that int reads as one outcome:
-    # the later count would replace the earlier one
+    # one key text twice, or two such as "3" and "03" that int reads as one
+    # outcome: the later count would replace the earlier one
     if keys.size and np.bincount(keys).max() > 1:
         first = int(np.argmax(np.bincount(keys)[keys] > 1))
         second = first + 1 + int(np.argmax(keys[first + 1:] == keys[first]))
@@ -593,9 +604,10 @@ def read_records(path) -> tuple[ProtocolConfig, list[MeasurementRecord]]:
 
     Every record must carry its setting, m and n finite unitaries, and
     both states' probability vectors of length D, finite, nonnegative and
-    summing to 1 within ``PROB_TOL`` (exact mode), or sparse counts, none
-    above the shots per setting, that sum to them; the settings must be
-    0..n_unitaries-1, each once.  A fault raises ``ValueError`` naming it.
+    summing to 1 within ``PROB_TOL`` (exact mode), or sparse counts, each
+    outcome under one key and none above the shots per setting, that sum to
+    them; the settings must be 0..n_unitaries-1, each once.  A fault raises
+    ``ValueError`` naming it.
     Count bodies in write_records' own layout are decoded by numpy; any
     other valid JSON layout reads through json.
     """
@@ -609,9 +621,10 @@ def read_records(path) -> tuple[ProtocolConfig, list[MeasurementRecord]]:
         sides = (("unitaries_a", cfg.m), ("unitaries_b", cfg.n))
         records = []
         for line in fh:
-            written = None if cfg.exact else _written_counts(line, total)
+            written = None if cfg.exact else _written_counts(line)
             # a written line's text without its count bodies holds any boolean
-            obj, line, counts = written or (json.loads(line), line, None)
+            obj, line, counts = written or (
+                json.loads(line, object_pairs_hook=_JsonObject), line, None)
             setting = obj.get("setting") if isinstance(obj, dict) else None
             if type(setting) is not int or not 0 <= setting < cfg.n_unitaries:
                 raise ValueError(f"record {len(records)}: setting {setting!r} is "

@@ -2,7 +2,20 @@
 
 import numpy as np
 
-from overlapcert import PureVec, QState, schmidt_decompose
+from overlapcert import PureVec, QState, criteria, schmidt_decompose
+
+
+def memoize_partner_sup(monkeypatch):
+    """Make ``criteria.partner_sup`` keep its last answer: reduction_check and
+    extract_ipc_witness solve it once per r, and it does not depend on r."""
+    solve, last = criteria.partner_sup, {}
+
+    def cached(rho):
+        if last.get("rho") is not rho:
+            last.update(rho=rho, sup=solve(rho))
+        return last["sup"]
+
+    monkeypatch.setattr(criteria, "partner_sup", cached)
 
 
 def random_product_pure(d_a, d_b, rng):

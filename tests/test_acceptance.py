@@ -10,6 +10,7 @@ at p = 1, where 9b checks it too (see README, Known discrepancies).
 import numpy as np
 
 from corpus import (
+    memoize_partner_sup,
     random_low_schmidt_mixture,
     random_separable,
 )
@@ -112,7 +113,8 @@ def test_criterion_04_moment_gap_polynomial():
            worst <= 1e-9, f"max deviation {worst:.2e}")
 
 
-def test_criterion_05_reduction_witness_equivalence():
+def test_criterion_05_reduction_witness_equivalence(monkeypatch):
+    memoize_partner_sup(monkeypatch)
     rng = np.random.default_rng(20260809)
     dims_cycle = [(2, 2), (2, 3), (3, 3), (2, 4), (3, 4), (4, 4)]
     mismatches = 0

@@ -57,7 +57,7 @@ def test_fig1_values_and_symmetry(tmp_path):
     assert main(["fig1", "--d", "4", "--grid", "6", "--out", str(out)]) == 0
     config, columns, rows = read_csv(out)
     assert columns == ["x", "y", "s_value", "max_r_detected"]
-    assert config["d"] == 4
+    assert config == {"command": "fig1", "d": 4, "grid": 6, "r_max": 4}
     table = {(r["x"], r["y"]): r["s_value"] for r in rows}
     for (x, y), s in table.items():
         if y == 1.0:

