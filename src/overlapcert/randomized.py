@@ -271,26 +271,18 @@ def run_protocol(rho: QState, sigma: QState, cfg: ProtocolConfig) -> list[Measur
     for start in range(0, cfg.n_unitaries, block):
         for p, x in zip(probs, xs):
             p[start:start + block] = _outcome_probs(factors[start:start + block], x)
+    if not cfg.exact:  # the shots sample the clipped, renormalised probabilities
+        np.clip(probs, 0.0, None, out=probs)
+        probs /= probs.sum(axis=2, keepdims=True)
     records = []
     for u_idx, rng in enumerate(rngs):
-        locals_a = tuple(factors[u_idx, :cfg.m])
-        locals_b = tuple(factors[u_idx, cfg.m:])
         p_rho, p_sigma = probs[:, u_idx]
-        if cfg.exact:
-            records.append(MeasurementRecord(
-                setting=u_idx, unitaries_a=locals_a, unitaries_b=locals_b,
-                rho_probs=p_rho, sigma_probs=p_sigma,
-            ))
-        else:
-            shots = cfg.shots_per_setting
-            pr = np.clip(p_rho, 0.0, None)
-            ps = np.clip(p_sigma, 0.0, None)
-            c_rho = rng.multinomial(shots, pr / pr.sum())
-            c_sigma = rng.multinomial(shots, ps / ps.sum())
-            records.append(MeasurementRecord(
-                setting=u_idx, unitaries_a=locals_a, unitaries_b=locals_b,
-                rho_counts=c_rho, sigma_counts=c_sigma,
-            ))
+        data = ({"rho_probs": p_rho, "sigma_probs": p_sigma} if cfg.exact else
+                {"rho_counts": rng.multinomial(cfg.shots_per_setting, p_rho),
+                 "sigma_counts": rng.multinomial(cfg.shots_per_setting, p_sigma)})
+        records.append(MeasurementRecord(
+            setting=u_idx, unitaries_a=tuple(factors[u_idx, :cfg.m]),
+            unitaries_b=tuple(factors[u_idx, cfg.m:]), **data))
     return records
 
 
@@ -474,27 +466,27 @@ def write_records(path, cfg: ProtocolConfig, records) -> None:
 
 
 # A shot-mode line as write_records writes it, up to its unitaries: each
-# count body is '"key": count' pairs joined by ", ", or none.  Numbers have
-# at most 18 digits, so each fits in an int64.
-_INT = "(?:0|[1-9][0-9]{0,17})"
-_BODY = f'((?:"{_INT}": {_INT}, )*"{_INT}": {_INT}|)'
+# count body is '"key": count' pairs joined by ", ", or none, numbers of at
+# most 18 digits (each fits in an int64) without a leading zero, and counts
+# above 0; key "0", first in JSON's key order, is the one number that is 0.
+_INT = "[1-9][0-9]{0,17}"
+_BODY = f'((?:"0": {_INT}, )?(?:"{_INT}": {_INT}, )*"{_INT}": {_INT}|"0": {_INT}|)'
 _WRITTEN = re.compile(r'\{"rho_counts": \{' + _BODY + r'\}, "setting": ([0-9]+), '
                       r'"sigma_counts": \{' + _BODY + r'\}, "unitaries_a": ', re.ASCII)
-_BODY_TO_CSV = str.maketrans({'"': None, " ": None, ":": ","})
+_COLON_TO_COMMA = bytes.maketrans(b":", b",")
+_KEY = re.compile(f"0|{_INT}", re.ASCII)  # the one text of each outcome
 
 
 def _written_counts(line: str):
     """(object, text) of a line in the writer's shot-mode layout with both
-    count bodies emptied, and (keys, values, keys) of each body, decoded by
+    count bodies emptied, and (keys, counts, None) of each body, decoded by
     numpy; None for any other line."""
     layout = _WRITTEN.match(line)
     if not layout:
         return None
-    counts = []
-    for body in layout[1], layout[3]:
-        pairs = (np.fromstring(body.translate(_BODY_TO_CSV), dtype=np.int64, sep=",")
-                 if body else np.empty(0, dtype=np.int64))
-        counts.append((pairs[0::2], pairs[1::2], pairs[0::2]))
+    pairs = [np.fromstring(body.encode().translate(_COLON_TO_COMMA, b'" '),
+                           dtype=np.int64, sep=",") if body else np.empty(0, dtype=np.int64)
+             for body in (layout[1], layout[3])]
     rest = ('{"rho_counts": {}, "setting": ' + layout[2] + ', "sigma_counts": {}, '
             '"unitaries_a": ' + line[layout.end():])
     try:
@@ -502,15 +494,8 @@ def _written_counts(line: str):
     except ValueError:
         return None
     # ten quotes and five keys: no other key repeats a count field
-    return (obj, rest, counts) if rest.count('"') == 10 and len(obj) == 5 else None
-
-
-def _outcome(key: str, total: int) -> int:
-    """The outcome a sparse-count key names, or -1 if it names none."""
-    try:
-        return int(key) if 0 <= int(key) < total else -1
-    except ValueError:
-        return -1
+    return ((obj, rest, [(p[0::2], p[1::2], None) for p in pairs])
+            if rest.count('"') == 10 and len(obj) == 5 else None)
 
 
 class _JsonObject(dict):
@@ -523,80 +508,91 @@ class _JsonObject(dict):
 
 
 def _parsed_counts(obj: dict, which: str, total: int, setting: int):
-    """(keys, values, key texts) of one state's {outcome: count} JSON, pair
-    by pair as written."""
+    """(keys, counts, key texts) of one state's {outcome: count} JSON, pair
+    by pair as written; a key that is not an outcome's text reads as -1."""
     sparse = obj.get(which + "_counts")
     if not isinstance(sparse, dict):
         fault = "is missing" if sparse is None else "is not a JSON object"
         raise ValueError(f"setting {setting}: {which}_counts {fault}")
-    names = [key for key, _ in sparse.pairs]
-    keys = np.array([_outcome(key, total) for key in names], dtype=np.int64)
-    try:
-        values = np.array([v for _, v in sparse.pairs],
-                          dtype=None if names else np.int64)
-    except ValueError:  # ragged nesting
-        values = None
-    if values is None or values.dtype.kind != "i" or values.ndim != 1:
+    names, values = [key for key, _ in sparse.pairs], [v for _, v in sparse.pairs]
+    if not all(type(v) is int and -2**63 <= v < 2**63 for v in values):
         raise ValueError(f"setting {setting}: {which}_counts holds a value that "
                          f"is not a 64-bit integer")
+    keys = [int(k) if _KEY.fullmatch(k) and int(k) < total else -1 for k in names]
     return keys, values, names
 
 
-def _dense_counts(keys: np.ndarray, values: np.ndarray, names, which: str,
-                  total: int, shots: int, setting: int) -> np.ndarray:
-    """Dense count vector of one state from its sparse keys and values,
-    checked; ``names[i]`` is the text of key i."""
-    def check(bad, fault):
-        if bad.any():
-            key = str(names[int(np.argmax(bad))])
-            raise ValueError(f"setting {setting}: {which} outcome key {key!r} {fault}")
-
-    check((keys < 0) | (keys >= total), f"is outside 0..{total - 1}")
-    # one key text twice, or two such as "3" and "03" that int reads as one
-    # outcome: the later count would replace the earlier one
-    if keys.size and np.bincount(keys).max() > 1:
-        first = int(np.argmax(np.bincount(keys)[keys] > 1))
-        second = first + 1 + int(np.argmax(keys[first + 1:] == keys[first]))
-        raise ValueError(f"setting {setting}: {which} outcome {keys[first]} is "
-                         f"named by two keys, {str(names[first])!r} and "
-                         f"{str(names[second])!r}")
-    check(values < 0, "has a negative count")
-    check(values > shots, "has a count above shots_per_setting")
-    counts = np.zeros(total, dtype=np.int64)
-    counts[keys] = values  # at most total counts of at most shots: no wraparound
-    if counts.sum() != shots:
-        raise ValueError(f"setting {setting}: {which} counts sum to "
-                         f"{counts.sum()}, not shots_per_setting {shots}")
-    return counts
+def _fault_at_first(bad: np.ndarray, settings: list, fault) -> None:
+    """Raise ``fault(j)`` as a fault of the first line j where ``bad`` holds."""
+    if bad.any():
+        j = int(np.argmax(bad))
+        raise ValueError(f"setting {settings[j]}: {fault(j)}")
 
 
-def _float_field(obj: dict, name: str, shape: tuple, setting: int,
-                 fault: str) -> np.ndarray:
-    """``obj[name]`` as a float array of ``shape``; anything else is a fault."""
-    try:
-        arr = np.asarray(obj[name])
-    except KeyError:
-        raise ValueError(f"setting {setting}: {name} is missing") from None
-    except ValueError:  # ragged nesting
-        arr = None
-    if arr is None or arr.dtype.kind not in "iuf" or arr.shape != shape:
-        raise ValueError(f"setting {setting}: {name} {fault}")
-    arr = arr.astype(float, copy=False)
-    if not np.isfinite(arr).all():
-        raise ValueError(f"setting {setting}: {name} holds a value that is not finite")
-    return arr
+class _Counts:
+    """One state's count bodies, kept line by line and checked once per file:
+    line j's keys and counts are ``keys[ends[j]:ends[j + 1]]`` and the same
+    slice of ``values``, ``texts[j]`` its key texts if read through json."""
+
+    def __init__(self, which: str, size: int):  # size fits a file without faults
+        self.which, self.ends, self.texts = which, [0], []
+        self.keys, self.values = np.empty(size, np.int64), np.empty(size, np.int64)
+
+    def add(self, keys, values, texts) -> None:
+        start, stop = self.ends[-1], self.ends[-1] + len(values)
+        if stop > len(self.keys):  # only a file with faults gets here
+            self.keys, self.values = (np.resize(a, 2 * stop)
+                                      for a in (self.keys, self.values))
+        self.keys[start:stop], self.values[start:stop] = keys, values
+        self.ends.append(stop)
+        self.texts.append(texts)
+
+    def dense(self, settings: list, total: int, shots: int) -> np.ndarray:
+        """The (lines, total) count block, checked."""
+        keys, values = self.keys[:self.ends[-1]], self.values[:self.ends[-1]]
+
+        def check(bad, fault):  # a fault of the first pair where bad holds
+            if bad.any():
+                p = int(np.argmax(bad))
+                j = int(np.searchsorted(self.ends, p, side="right")) - 1
+                key = self.texts[j][p - self.ends[j]] if self.texts[j] else str(keys[p])
+                raise ValueError(f"setting {settings[j]}: {self.which} outcome {fault(key)}")
+
+        check((keys < 0) | (keys >= total), lambda k: f"key {k!r} is outside 0..{total - 1}")
+        flat = np.zeros(len(settings) * total, dtype=np.int64)
+        cells = np.repeat(np.arange(0, flat.size, total), np.diff(self.ends))
+        cells += keys
+        np.add.at(flat, cells, 1)
+        # an outcome under two keys: json would keep the later count
+        check(flat[cells] > 1, lambda k: f"{k} is named by two keys, {k!r} and {k!r}")
+        check(values < 0, lambda k: f"key {k!r} has a negative count")
+        check(values > shots, lambda k: f"key {k!r} has a count above shots_per_setting")
+        flat[cells] = values  # at most total counts of at most shots: no wraparound
+        sums = flat.reshape(-1, total).sum(axis=1)
+        _fault_at_first(sums != shots, settings, lambda j: f"{self.which} counts sum to "
+                        f"{sums[j]}, not shots_per_setting {shots}")
+        return flat.reshape(-1, total)
 
 
-def _check_probs(probs: np.ndarray, name: str, setting: int) -> None:
-    """Reject an exact-mode outcome distribution with an entry below
-    -PROB_TOL or a sum off 1 by more than PROB_TOL; computed probabilities
-    carry rounding entries of about -1e-17, which pass."""
-    if probs.min() < -PROB_TOL:
-        raise ValueError(f"setting {setting}: {name} has an entry "
-                         f"{probs.min():.3e} below -{PROB_TOL:g}")
-    total = probs.sum()
-    if abs(total - 1.0) > PROB_TOL:
-        raise ValueError(f"setting {setting}: {name} sums to {float(total)!r}, not 1")
+def _float_rows(rows: list, shape: tuple, name: str, settings: list,
+                fault: str) -> np.ndarray:
+    """Each line's ``name`` as a row of one finite float array of shape
+    (lines, *shape); a row of another shape or not all numbers is ``fault``."""
+    def array(obj, shape):
+        try:
+            arr = np.asarray(obj)
+        except ValueError:  # ragged nesting
+            return None
+        return arr if arr.dtype.kind in "iuf" and arr.shape == shape else None
+
+    block = array(rows, (len(rows), *shape))
+    if block is None:  # rows that each pass stack to a block that passes
+        _fault_at_first(np.array([array(row, shape) is None for row in rows]),
+                        settings, lambda j: f"{name} {fault}")
+    block = block.astype(float, copy=False)
+    _fault_at_first(~np.isfinite(block).reshape(len(rows), -1).all(axis=1), settings,
+                    lambda j: f"{name} holds a value that is not finite")
+    return block
 
 
 def read_records(path) -> tuple[ProtocolConfig, list[MeasurementRecord]]:
@@ -604,12 +600,14 @@ def read_records(path) -> tuple[ProtocolConfig, list[MeasurementRecord]]:
 
     Every record must carry its setting, m and n finite unitaries, and
     both states' probability vectors of length D, finite, nonnegative and
-    summing to 1 within ``PROB_TOL`` (exact mode), or sparse counts, each
-    outcome under one key and none above the shots per setting, that sum to
-    them; the settings must be 0..n_unitaries-1, each once.  A fault raises
-    ``ValueError`` naming it.
-    Count bodies in write_records' own layout are decoded by numpy; any
-    other valid JSON layout reads through json.
+    summing to 1 within ``PROB_TOL`` (exact mode), or sparse counts keyed by
+    outcomes as the writer writes them, each under one key, none negative or
+    above the shots per setting, that sum to them; the settings must be
+    0..n_unitaries-1, each once.  A fault raises ``ValueError`` naming it: a
+    line that is not JSON or lacks a field at that line, any other after the
+    last line, each check over the whole file naming the first line it fails.
+    Count bodies in write_records' own layout are decoded by numpy, any other
+    JSON layout through json; the records' arrays are rows of one per field.
     """
     with open(path) as fh:
         header = json.loads(fh.readline())
@@ -617,41 +615,55 @@ def read_records(path) -> tuple[ProtocolConfig, list[MeasurementRecord]]:
             raise ValueError("the first line must be a JSON object with a "
                              "'protocol' key")
         cfg = ProtocolConfig.from_json(header["protocol"])
-        total, floats = cfg.local_dim ** (cfg.m + cfg.n), 2 * cfg.local_dim**2
-        sides = (("unitaries_a", cfg.m), ("unitaries_b", cfg.n))
-        records = []
+        total, shots = cfg.local_dim ** (cfg.m + cfg.n), cfg.shots_per_setting
+        fields = {name: [] for name in ("unitaries_a", "unitaries_b")
+                  + ("rho_probs", "sigma_probs") * cfg.exact}
+        states = [] if cfg.exact else [_Counts(w, cfg.n_unitaries * total)
+                                       for w in ("rho", "sigma")]
+        settings = []
         for line in fh:
             written = None if cfg.exact else _written_counts(line)
             # a written line's text without its count bodies holds any boolean
-            obj, line, counts = written or (
+            obj, line, bodies = written or (
                 json.loads(line, object_pairs_hook=_JsonObject), line, None)
             setting = obj.get("setting") if isinstance(obj, dict) else None
             if type(setting) is not int or not 0 <= setting < cfg.n_unitaries:
-                raise ValueError(f"record {len(records)}: setting {setting!r} is "
+                raise ValueError(f"record {len(settings)}: setting {setting!r} is "
                                  f"not an integer in 0..{cfg.n_unitaries - 1}")
             # numpy would read a boolean among numbers as 0 or 1
             if "true" in line or "false" in line:
                 raise ValueError(f"setting {setting}: a value is a JSON boolean")
-            ua, ub = (tuple(_float_field(obj, name, (q, floats), setting,
-                                         f"must be a {q} x {floats} array of floats")
-                            .view(complex).reshape(q, cfg.local_dim, cfg.local_dim))
-                      for name, q in sides)
-            if cfg.exact:
-                data = {f"{w}_probs": _float_field(obj, f"{w}_probs", (total,), setting,
-                                                   f"must hold {total} probabilities")
-                        for w in ("rho", "sigma")}
-                for name, probs in data.items():
-                    _check_probs(probs, name, setting)
-            else:
-                data = {f"{w}_counts": _dense_counts(
-                    *(counts[i] if counts else _parsed_counts(obj, w, total, setting)),
-                    w, total, cfg.shots_per_setting, setting)
-                    for i, w in enumerate(("rho", "sigma"))}
-            records.append(MeasurementRecord(setting=setting, unitaries_a=ua,
-                                             unitaries_b=ub, **data))
-    seen = np.bincount(np.array([rec.setting for rec in records], dtype=np.int64),
-                       minlength=cfg.n_unitaries)
+            for name, rows in fields.items():
+                if name not in obj:
+                    raise ValueError(f"setting {setting}: {name} is missing")
+                rows.append(obj[name])
+            for i, state in enumerate(states):
+                state.add(*(bodies[i] if bodies
+                            else _parsed_counts(obj, state.which, total, setting)))
+            settings.append(setting)
+    seen = np.bincount(np.array(settings, dtype=np.int64), minlength=cfg.n_unitaries)
     for bad, fault in ((seen > 1, "appears more than once"), (seen == 0, "is missing")):
         if bad.any():
             raise ValueError(f"setting {int(np.argmax(bad))} {fault}")
-    return cfg, records
+    l, floats = cfg.local_dim, 2 * cfg.local_dim**2
+    ua, ub = (_float_rows(fields[name], (q, floats), name, settings,
+                          f"must be a {q} x {floats} array of floats")
+              .view(complex).reshape(-1, q, l, l)
+              for name, q in (("unitaries_a", cfg.m), ("unitaries_b", cfg.n)))
+    if cfg.exact:
+        rho, sigma = (_float_rows(fields[name], (total,), name, settings,
+                                  f"must hold {total} probabilities")
+                      for name in ("rho_probs", "sigma_probs"))
+        # computed probabilities carry rounding entries of about -1e-17
+        for name, probs in (("rho_probs", rho), ("sigma_probs", sigma)):
+            low, sums = probs.min(axis=1), probs.sum(axis=1)
+            _fault_at_first(low < -PROB_TOL, settings, lambda j: f"{name} has an "
+                            f"entry {low[j]:.3e} below -{PROB_TOL:g}")
+            _fault_at_first(np.abs(sums - 1.0) > PROB_TOL, settings,
+                            lambda j: f"{name} sums to {float(sums[j])!r}, not 1")
+    else:
+        rho, sigma = (state.dense(settings, total, shots) for state in states)
+    kind = "probs" if cfg.exact else "counts"
+    return cfg, [MeasurementRecord(setting=s, unitaries_a=tuple(a), unitaries_b=tuple(b),
+                                   **{f"rho_{kind}": r, f"sigma_{kind}": g})
+                 for s, a, b, r, g in zip(settings, ua, ub, rho, sigma)]

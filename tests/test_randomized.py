@@ -743,17 +743,22 @@ def _tampered_counts_file(tmp_path, edit):
      "setting 1: rho outcome key '0' has a count above shots_per_setting"),
     (lambda c: c.update({"3": 51}),
      "setting 1: rho outcome key '3' has a count above shots_per_setting"),
-    # two key texts that int reads as one outcome; the counts still sum to 50
-    (lambda c: c.update({"00": c["0"]}),
-     "setting 1: rho outcome 0 is named by two keys, '0' and '00'"),
+    # a key is decimal text as the writer writes it, or it names no outcome,
+    # even where int would read it as one; the counts still sum to 50
+    (lambda c: c.update({"00": c["0"]}), "setting 1: rho outcome key '00' is outside 0..3"),
     (lambda c: c.update({"\u0663": c["3"]}),
-     "setting 1: rho outcome 3 is named by two keys, '3' and '\u0663'"),
+     "setting 1: rho outcome key '\u0663' is outside 0..3"),
+    (lambda c: c.update({"0_2": c.pop("2")}), "setting 1: rho outcome key '0_2' is outside"),
+    (lambda c: c.update({" 2 ": c.pop("2")}), "setting 1: rho outcome key ' 2 ' is outside"),
+    (lambda c: c.update({"+2": c.pop("2")}), r"setting 1: rho outcome key '\+2' is outside"),
+    (lambda c: c.update({"02": c.pop("2")}), "setting 1: rho outcome key '02' is outside"),
     # one key text twice, in the writer's layout and in a compact one: json
     # would keep the later count, and these still sum to 50
     ('"0": 99, ', "setting 1: rho outcome 0 is named by two keys, '0' and '0'"),
     ('"0":99,', "setting 1: rho outcome 0 is named by two keys, '0' and '0'"),
 ], ids=["negative-key", "key-past-dimension", "negative-count", "sum-wraps-to-shots",
         "count-above-shots", "outcome-named-twice", "outcome-named-by-a-digit-variant",
+        "key-underscore", "key-spaces", "key-plus", "key-leading-zero",
         "key-repeated", "key-repeated-compact"])
 def test_read_records_rejects_bad_counts(tmp_path, edit, message):
     path = _tampered_counts_file(tmp_path, edit)
@@ -803,6 +808,42 @@ def _set(line, key, value):
         "header-key-missing", "header-not-integer", "probs-nan", "probs-negative",
         "probs-sum", "unitary-inf", "unitary-nan-shots"])
 def test_read_records_rejects_malformed_files(tmp_path, shots, edit, message):
+    path = tmp_path / "records.jsonl"
+    lines = _records_lines(path, shots)
+    edit(lines)
+    with pytest.raises(ValueError, match=message):
+        read_records(_write_lines(path, lines))
+
+
+def _bump(counts, by):
+    """Add ``by`` to the first count of a parsed count body."""
+    counts[next(iter(counts))] += by
+
+
+@pytest.mark.parametrize("shots,edit,message", [
+    # a line that fails to parse raises as it is read, before the checks
+    # that run once per file, of earlier lines too
+    (50, lambda ls: (ls[1]["rho_counts"].update({"3": 51}),
+                     ls[3]["sigma_counts"].update({"0": 1.5})),
+     "setting 2: sigma_counts holds a value that is not a 64-bit integer"),
+    (None, lambda ls: (ls[1].__setitem__("rho_probs", [0.5, 0.5, 0.5, 0.0]),
+                       ls[3].pop("sigma_probs")),
+     "setting 2: sigma_probs is missing"),
+    # each check runs over the whole file in turn and names the first line
+    # it fails: the settings first, key ranges before signs
+    (50, lambda ls: (_bump(ls[1]["rho_counts"], 1), ls[3].__setitem__("setting", 1)),
+     "setting 1 appears more than once"),
+    (50, lambda ls: (ls[1]["rho_counts"].update({"3": -1}),
+                     ls[3]["rho_counts"].update({"4": 1})),
+     "setting 2: rho outcome key '4' is outside 0..3"),
+    (50, lambda ls: (_bump(ls[3]["sigma_counts"], -1), _bump(ls[2]["sigma_counts"], -1)),
+     "setting 1: sigma counts sum to 49, not shots_per_setting 50"),
+    (None, lambda ls: (ls[3].__setitem__("rho_probs", [0.5, 0.5, 0.5, 0.0]),
+                       ls[2].__setitem__("rho_probs", [1.0, 1.0, 0.0, 0.0])),
+     "setting 1: rho_probs sums to 2.0, not 1"),
+], ids=["parse-after-count-fault", "missing-after-probs-fault", "settings-first",
+        "range-before-sign", "first-line-of-a-sum", "first-line-of-a-probs-sum"])
+def test_read_records_orders_faults_on_two_lines(tmp_path, shots, edit, message):
     path = tmp_path / "records.jsonl"
     lines = _records_lines(path, shots)
     edit(lines)
@@ -912,20 +953,28 @@ def _assert_same_reads(got, want):
             assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes())
 
 
-@pytest.mark.parametrize("design, local_dim", [("haar", 2), ("haar", 3), ("clifford", 2)])
-@pytest.mark.parametrize("parties", [2, 3])
-def test_read_records_decode_paths_agree(tmp_path, design, local_dim, parties):
+# (design, local_dim, m, n, settings, shots) by test id; 5+5 qubits has
+# four-digit keys
+_DECODE_CASES = {f"{m}-{design}-{local_dim}": (design, local_dim, m, 1, 40, 300)
+                 for m in (2, 3) for design, local_dim in
+                 (("clifford", 2), ("haar", 2), ("haar", 3))}
+_DECODE_CASES["5+5-haar-2"] = ("haar", 2, 5, 5, 20, 1000)
+
+
+@pytest.mark.parametrize("design, local_dim, m, n, settings, shots",
+                         list(_DECODE_CASES.values()), ids=list(_DECODE_CASES))
+def test_read_records_decode_paths_agree(tmp_path, design, local_dim, m, n, settings,
+                                         shots):
     # the writer's own lines are decoded by numpy, compact ones through json
-    dims = (local_dim,) * (parties + 1)
+    dims = (local_dim,) * (m + n)
     rho = random_mixed(dims, seed=81)
     sig = random_mixed(dims, seed=82)
-    cfg = ProtocolConfig(local_dim=local_dim, m=parties, n=1, n_unitaries=40,
-                         shots_per_setting=300, seed=4, design=design)
+    cfg = ProtocolConfig(local_dim=local_dim, m=m, n=n, n_unitaries=settings,
+                         shots_per_setting=shots, seed=4, design=design)
     path = tmp_path / "records.jsonl"
     write_records(path, cfg, run_protocol(rho, sig, cfg))
     lines = path.read_text().splitlines(keepends=True)
     compact = _compact(tmp_path / "compact.jsonl", lines, sort_keys=True)
-    total = local_dim ** (parties + 1)
     assert all(_written_counts(line) for line in lines[1:])
     assert not any(_written_counts(line)
                    for line in compact.read_text().splitlines()[1:])
