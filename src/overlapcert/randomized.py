@@ -67,6 +67,8 @@ class ProtocolConfig:
             raise ValueError("n_unitaries must be >= 1")
         if self.shots_per_setting is not None and self.shots_per_setting < 1:
             raise ValueError("shots_per_setting must be positive or None for exact")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.design not in _DESIGNS:
             raise ValueError(f"design must be one of {_DESIGNS}")
         if self.design == "clifford" and self.local_dim != 2:
@@ -210,26 +212,52 @@ def sample_local_unitary(local_dim: int, rng: np.random.Generator,
     return _local_unitaries(_draw_local(local_dim, rng, design, 1), design)[0]
 
 
-def _outcome_probs(factors: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """diag(U rho U^dag) for each setting of a (B, q, l, l) block of local
-    factors, U their Kronecker product (leading qudit first), never built.
+@functools.cache
+def _hermitian_basis(local_dim: int) -> np.ndarray:
+    """Rows H_a (flattened) of an orthonormal Hermitian basis of l x l matrices:
+    E_tt, (E_tu + E_ut)/sqrt(2) for t < u and i(E_tu - E_ut)/sqrt(2) for t > u."""
+    h = np.zeros((local_dim,) * 4, dtype=complex)
+    for t, u in np.ndindex(local_dim, local_dim):
+        h[t, u, t, u] = 1.0 if t == u else math.sqrt(0.5) * (1 if t < u else 1j)
+        h[t, u, u, t] = h[t, u, t, u].conjugate()
+    h.flags.writeable = False
+    return h.reshape(local_dim**2, local_dim**2)
 
-    ``x`` is rho with each qudit's row and column index adjacent, shape
-    (l^2, l^(2q-2)).  Qudit k's axis is contracted with T_k[s, (t, t')] =
-    u_k[s, t] conj(u_k[s, t']), which leaves its outcome index s: one GEMM
-    shared by the block for the first qudit, batched products for the
-    rest, about 2 l D^2 operations per setting instead of D^3.
-    """
+
+def _basis_coefficients(matrices, local_dim: int, q: int) -> np.ndarray:
+    """Real c[a_0..a_(q-1)] = Tr[(H_a0 (x) ... (x) H_a(q-1)) rho] of each Hermitian
+    rho on q qudits, stacked on a trailing axis: (l^2, l^(2q-2) K).  Row a_0 is
+    built from Tr_0[(H_a0 (x) I) rho] alone, a D^2/l^2 temporary, laid out with each
+    qudit's (row, column) pair adjacent; a product turns the first pair into a_k last."""
+    l, hc = local_dim, _hermitian_basis(local_dim).conj()
+    rest = [axis for k in range(1, q) for axis in (k, q + k)]
+    out = np.empty((l * l, l ** (2 * q - 2), len(matrices)))
+    for i, rho in enumerate(matrices):
+        for a, h in enumerate(hc.reshape(-1, l, l)):
+            x = np.einsum(h, [0, q], rho.reshape((l,) * 2 * q), list(range(2 * q)), rest)
+            for _ in range(q - 1):
+                x = x.reshape(l * l, -1).T @ hc.T
+            out[a, :, i] = x.real.ravel()
+    return out.reshape(l * l, -1)
+
+
+def _outcome_probs(factors: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """diag(U rho U^dag), shape (B, D, K), for a (B, q, l, l) block of local
+    factors, U their Kronecker product (never built), and K states' coefficients
+    ``c``: sum_a c_a prod_k M_k[s_k, a_k], M_k[s, a] = <s|u_k H_a u_k^dag|s> real.
+    One GEMM with M_0 shared by the block, batched products for the other
+    qudits: about 2 l D^2 real multiply-adds per setting and state, not D^3."""
     b, q, l = factors.shape[:3]
     t = (factors[..., :, None] * factors.conj()[..., None, :]).reshape(b, q, l, l * l)
-    y = t[:, 0].reshape(b * l, l * l) @ x
+    m = (t @ _hermitian_basis(l).T).real
+    y = m[:, 0].reshape(b * l, l * l) @ c
     for k in range(1, q):
-        y = np.matmul(t[:, k, None], y.reshape(b, l**k, l * l, -1))
-    return y.reshape(b, -1).real
+        y = np.matmul(m[:, k, None], y.reshape(b, l**k, l * l, -1))
+    return y.reshape(b, l**q, -1)
 
 
-# Bytes of kernel intermediates (the first qudit's B D^2 / l complex
-# entries) per probability block.  A 1 MiB block is no faster on 3+3 qubits
+# Bytes of kernel intermediates (the first qudit's B D^2 / l reals per
+# state) per probability block.  A 1 MiB block is no faster on 3+3 qubits
 # and 300 settings, and raises the peak RSS of the run by about 1 MiB.
 _BLOCK_BYTES = 256 * 1024
 
@@ -240,37 +268,29 @@ def run_protocol(rho: QState, sigma: QState, cfg: ProtocolConfig) -> list[Measur
     Returns one record per setting.  Per-setting randomness comes from a
     counter-based split of the seed, so records are reproducible and
     independent of evaluation order.  Each setting's stream draws its m+n
-    local unitaries and then, in shot mode, the counts of rho and sigma;
-    the outcome probabilities are computed for blocks of settings at once.
+    local unitaries and then, in shot mode, the counts of rho and sigma.
+    Both states' outcome probabilities come from one kernel call per block
+    of settings, on their real Hermitian-basis coefficients (computed once).
     """
     total = cfg.local_dim ** (cfg.m + cfg.n)
     if rho.dim != total or sigma.dim != total:
-        raise ValueError(
-            f"states of dimension {rho.dim}/{sigma.dim} do not match the "
-            f"protocol layout {cfg.local_dim}^({cfg.m}+{cfg.n})={total}"
-        )
+        raise ValueError(f"states of dimension {rho.dim}/{sigma.dim} do not match the "
+                         f"protocol layout {cfg.local_dim}^({cfg.m}+{cfg.n})={total}")
     for state, name in ((rho, "rho"), (sigma, "sigma")):
         # some prefix of the state's subsystems must form side A
-        prefixes = {math.prod(state.dims[:k]) for k in range(1, len(state.dims))}
-        if cfg.d_a not in prefixes:
-            raise ValueError(
-                f"{name} dims {state.dims} admit no A|B cut at dimension "
-                f"{cfg.d_a}|{cfg.d_b}"
-            )
+        if cfg.d_a not in {math.prod(state.dims[:k]) for k in range(1, len(state.dims))}:
+            raise ValueError(f"{name} dims {state.dims} admit no A|B cut at "
+                             f"dimension {cfg.d_a}|{cfg.d_b}")
     rngs = [np.random.default_rng(s)
             for s in np.random.SeedSequence(cfg.seed).spawn(cfg.n_unitaries)]
     factors = _local_unitaries(
         np.array([_draw_local(cfg.local_dim, rng, cfg.design, cfg.m + cfg.n)
                   for rng in rngs]), cfg.design)
-    q, l = cfg.m + cfg.n, cfg.local_dim
-    perm = [axis for k in range(q) for axis in (k, q + k)]
-    xs = [s.matrix.reshape((l,) * 2 * q).transpose(perm).reshape(l * l, -1)
-          for s in (rho, sigma)]
+    c = _basis_coefficients([rho.matrix, sigma.matrix], cfg.local_dim, cfg.m + cfg.n)
     probs = np.empty((2, cfg.n_unitaries, total))
-    block = max(1, _BLOCK_BYTES * l // (factors.itemsize * total * total))
-    for start in range(0, cfg.n_unitaries, block):
-        for p, x in zip(probs, xs):
-            p[start:start + block] = _outcome_probs(factors[start:start + block], x)
+    block = max(1, _BLOCK_BYTES * cfg.local_dim // (c.itemsize * 2 * total * total))
+    for i in range(0, cfg.n_unitaries, block):
+        probs[:, i:i + block] = np.moveaxis(_outcome_probs(factors[i:i + block], c), 2, 0)
     if not cfg.exact:  # the shots sample the clipped, renormalised probabilities
         np.clip(probs, 0.0, None, out=probs)
         probs /= probs.sum(axis=2, keepdims=True)

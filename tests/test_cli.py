@@ -433,6 +433,7 @@ def test_bad_flag_values_exit_2_and_write_nothing(tmp_path, capsys, argv, messag
     (lambda c: c.pop("sigma"), r"ExperimentConfig: missing keys \['sigma'\]"),
     (lambda c: c["protocol"].update(n_unitaries=2.5),
      "ProtocolConfig: n_unitaries must be an integer, not 2.5"),
+    (lambda c: c["protocol"].update(seed=-1), "seed must be >= 0"),
     (lambda c: c["rho"]["params"].update(d=4.7), "StateSpec isotropic: d must be"),
     (lambda c: c["rho"]["params"].update(y=3),
      r"StateSpec isotropic: unknown params \['y'\]; the family takes \['d', 'x'\]"),
@@ -451,6 +452,18 @@ def test_rm_experiment_config_checked_at_the_boundary(tmp_path, capsys, edit, me
         main(["rm-experiment", "--config", str(cfg_path), "--out", str(out)])
     assert err.value.code == 2
     assert "error: rm-experiment: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_rm_experiment_negative_seed_flag_exits_2(tmp_path, capsys):
+    # numpy's own SeedSequence error used to be the message, naming no field
+    cfg_path = tmp_path / "cfg.json"
+    write_rm_config(cfg_path, settings=20)
+    out = tmp_path / "report.json"
+    with pytest.raises(SystemExit) as err:
+        main(["rm-experiment", "--config", str(cfg_path), "--out", str(out), "--seed", "-1"])
+    assert err.value.code == 2
+    assert "error: rm-experiment: seed must be >= 0" in capsys.readouterr().err
     assert not out.exists()
 
 

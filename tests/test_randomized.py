@@ -1,5 +1,6 @@
 """Randomized-measurement protocol: sampling, estimation, persistence."""
 
+import functools
 import json
 import math
 import tracemalloc
@@ -29,7 +30,9 @@ from overlapcert import (
 from overlapcert.randomized import (
     MeasurementRecord,
     _apply_hamming_kernel,
+    _basis_coefficients,
     _draw_local,
+    _hermitian_basis,
     _local_unitaries,
     _outcome_probs,
     _outcome_rows,
@@ -179,37 +182,52 @@ def test_identical_states_identical_distributions():
         np.testing.assert_allclose(rec.rho_probs, rec.sigma_probs, atol=1e-14)
 
 
-def _interleaved(matrix, local_dim, q):
-    """A D x D matrix with each qudit's row and column index adjacent, as
-    run_protocol lays out rho for _outcome_probs."""
-    perm = [axis for k in range(q) for axis in (k, q + k)]
-    return matrix.reshape((local_dim,) * 2 * q).transpose(perm) \
-        .reshape(local_dim**2, -1)
-
-
 def test_outcome_concentrates_without_rotation():
-    rho = PureVec((2, 2), [1, 0, 0, 0]).projector()  # |00>
+    # both states in one call, |00> and |11>, so a swapped state axis shows
+    states = [PureVec((2, 2), v).projector().matrix for v in ([1, 0, 0, 0], [0, 0, 0, 1])]
     identity = np.broadcast_to(np.eye(2, dtype=complex), (1, 2, 2, 2))
-    probs = _outcome_probs(identity, _interleaved(rho.matrix, 2, 2))[0]
-    np.testing.assert_allclose(probs, [1, 0, 0, 0], atol=1e-14)
+    probs = _outcome_probs(identity, _basis_coefficients(states, 2, 2))[0]
+    np.testing.assert_allclose(probs.T, [[1, 0, 0, 0], [0, 0, 0, 1]], atol=1e-14)
 
 
 @pytest.mark.parametrize("local_dim, q", [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5),
                                           (3, 1), (3, 2), (3, 3)])
 def test_outcome_probs_match_kron_product_unitary(local_dim, q):
     # the qudit-by-qudit kernel against diag(U rho U^dag) with U = np.kron chain
-    rho = random_mixed((local_dim,) * q, seed=40 + q).matrix
+    states = [random_mixed((local_dim,) * q, seed=seed).matrix for seed in (40 + q, 60 + q)]
     rng = np.random.default_rng(q)
     factors = np.array([[sample_local_unitary(local_dim, rng) for _ in range(q)]
                         for _ in range(6)])
-    got = _outcome_probs(factors, _interleaved(rho, local_dim, q))
-    assert got.shape == (6, local_dim**q)
+    got = _outcome_probs(factors, _basis_coefficients(states, local_dim, q))
+    assert got.shape == (6, local_dim**q, 2)
     for p, fs in zip(got, factors):
         u = fs[0]
         for f in fs[1:]:
             u = np.kron(u, f)
-        want = np.einsum("ij,jk,ik->i", u, rho, u.conj()).real
-        assert np.abs(p - want).max() <= 1e-15
+        for k, rho in enumerate(states):
+            want = np.einsum("ij,jk,ik->i", u, rho, u.conj()).real
+            assert np.abs(p[:, k] - want).max() <= 1e-15
+
+
+@pytest.mark.parametrize("local_dim", [2, 3, 4])
+def test_hermitian_basis_is_orthonormal(local_dim):
+    h = _hermitian_basis(local_dim)
+    mats = h.reshape(-1, local_dim, local_dim)
+    assert np.array_equal(mats, mats.conj().transpose(0, 2, 1))
+    assert np.abs(h.conj() @ h.T - np.eye(local_dim**2)).max() <= 1e-15
+
+
+@pytest.mark.parametrize("local_dim, q", [(2, 1), (2, 2), (2, 3), (2, 4),
+                                          (3, 1), (3, 2), (3, 3)])
+def test_basis_coefficients_rebuild_the_states(local_dim, q):
+    # rho = sum_a c_a H_a0 (x) ... (x) H_a(q-1), for each stacked state
+    states = [random_mixed((local_dim,) * q, seed=seed).matrix for seed in (80 + q, 90 + q)]
+    c = _basis_coefficients(states, local_dim, q).reshape((local_dim**2,) * q + (2,))
+    h = _hermitian_basis(local_dim).reshape(-1, local_dim, local_dim)
+    for k, rho in enumerate(states):
+        got = sum(c[idx + (k,)] * functools.reduce(np.kron, h[list(idx)])
+                  for idx in np.ndindex(c.shape[:-1]))
+        assert np.abs(got - rho).max() <= 1e-15
 
 
 def test_counts_sum_to_shots():
@@ -792,6 +810,7 @@ def _set(line, key, value):
      r"missing keys \['n_unitaries'\]"),
     (None, lambda ls: ls[0]["protocol"].update({"m": 1.5}),
      "m must be an integer, not 1.5"),
+    (None, lambda ls: ls[0]["protocol"].update({"seed": -1}), "seed must be >= 0"),
     (None, _set(2, "rho_probs", [math.nan] * 4),
      "setting 1: rho_probs holds a value that is not finite"),
     (None, _set(3, "sigma_probs", [5, -3, 0, 0]),
@@ -805,8 +824,8 @@ def _set(line, key, value):
 ], ids=["probs-length", "probs-missing", "unitaries-count", "unitary-length",
         "count-sum", "count-not-integer", "counts-not-object", "counts-missing",
         "setting-repeated", "setting-missing", "setting-past-range", "setting-not-integer",
-        "header-key-missing", "header-not-integer", "probs-nan", "probs-negative",
-        "probs-sum", "unitary-inf", "unitary-nan-shots"])
+        "header-key-missing", "header-not-integer", "header-negative-seed", "probs-nan",
+        "probs-negative", "probs-sum", "unitary-inf", "unitary-nan-shots"])
 def test_read_records_rejects_malformed_files(tmp_path, shots, edit, message):
     path = tmp_path / "records.jsonl"
     lines = _records_lines(path, shots)
