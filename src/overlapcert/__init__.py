@@ -56,6 +56,7 @@ from .randomized import (
     MeasurementRecord,
     OverlapEstimate,
     ProtocolConfig,
+    Records,
     estimate_overlaps,
     estimate_self_overlaps,
     read_records,

@@ -25,7 +25,9 @@ import functools
 import json
 import math
 import re
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -100,7 +102,8 @@ class MeasurementRecord:
     """Outcome data of one setting: the sampled locals plus both states' data.
 
     Exact mode fills the ``*_probs`` fields with full outcome probability
-    vectors; shot mode fills ``*_counts`` with dense count vectors.
+    vectors; shot mode fills ``*_counts`` with dense count vectors.  The
+    items of a :class:`Records` are these, holding views of its arrays.
     """
 
     setting: int
@@ -110,6 +113,77 @@ class MeasurementRecord:
     sigma_probs: np.ndarray | None = None
     rho_counts: np.ndarray | None = None
     sigma_counts: np.ndarray | None = None
+
+
+@dataclass(frozen=True, eq=False)
+class Records(Sequence):
+    """The outcome data of all settings of one run, as read-only arrays.
+
+    ``settings`` (N,) are the setting numbers in file order, ``unitaries``
+    (N, m+n, l, l) their local factors, side A's first, and ``data``
+    (2, N, D) the outcome probabilities (float) or counts (int64) of rho,
+    then sigma.  An item is one setting as a :class:`MeasurementRecord` of
+    views, a slice a list of them.  The estimators read one per-setting
+    table of kernel products, built on first use (:func:`_kernel_dots`).
+    """
+
+    cfg: ProtocolConfig
+    settings: np.ndarray
+    unitaries: np.ndarray
+    data: np.ndarray
+
+    def __post_init__(self):  # the cached table must not go stale
+        for arr in (self.settings, self.unitaries, self.data):
+            arr.flags.writeable = False
+
+    @property
+    def exact(self) -> bool:
+        return self.data.dtype.kind == "f"
+
+    def __len__(self) -> int:
+        return len(self.settings)
+
+    def __getitem__(self, j):
+        if isinstance(j, slice):
+            return [self[k] for k in range(*j.indices(len(self)))]
+        kind, us = "probs" if self.exact else "counts", tuple(self.unitaries[j])
+        return MeasurementRecord(int(self.settings[j]), us[:self.cfg.m], us[self.cfg.m:], **{
+            f"rho_{kind}": self.data[0, j], f"sigma_{kind}": self.data[1, j]})
+
+    @classmethod
+    def of(cls, records, cfg: ProtocolConfig, lead: str = "rho") -> "Records":
+        """``records`` under ``cfg``: a Records made under cfg as it is, any
+        other sequence of :class:`MeasurementRecord` checked and stacked.
+        The first record's ``lead`` state decides whether every record must
+        carry both states' probs or both states' counts, and lead's data is
+        checked first; a fault raises ``ValueError`` naming the setting."""
+        if isinstance(records, Records) and records.cfg == cfg:
+            return records
+        records, l, total = list(records), cfg.local_dim, cfg.d_a * cfg.d_b
+        if not records:
+            raise ValueError("there are no records")
+        exact = getattr(records[0], lead + "_probs") is not None
+        names = [w + ("_probs" if exact else "_counts") for w in ("rho", "sigma")]
+        for name in names if lead == "rho" else names[::-1]:
+            lacking = next((rec.setting for rec in records if getattr(rec, name) is None), None)
+            if lacking is not None:
+                raise ValueError(f"setting {lacking} has no {name}")
+        settings = [rec.setting for rec in records]
+
+        def block(name, shape, fault, dtype):  # one field of every record, checked
+            return _rows([getattr(rec, name) for rec in records], shape, name, settings,
+                         fault, dtype)
+
+        unitaries = [block(name, (q, l, l), f"must be {q} {l} x {l} unitaries", complex)
+                     for name, q in (("unitaries_a", cfg.m), ("unitaries_b", cfg.n))]
+        fault = f"must hold {total} " + ("probabilities" if exact else "integer counts")
+        data = [block(name, (total,), fault, float if exact else np.int64) for name in names]
+        return cls(cfg, np.array(settings, dtype=np.int64), np.concatenate(unitaries, axis=1),
+                   np.stack(data))
+
+    @functools.cached_property
+    def _dots(self) -> np.ndarray:
+        return _kernel_dots(self.data, self.cfg)
 
 
 @dataclass(frozen=True)
@@ -262,12 +336,12 @@ def _outcome_probs(factors: np.ndarray, c: np.ndarray) -> np.ndarray:
 _BLOCK_BYTES = 256 * 1024
 
 
-def run_protocol(rho: QState, sigma: QState, cfg: ProtocolConfig) -> list[MeasurementRecord]:
+def run_protocol(rho: QState, sigma: QState, cfg: ProtocolConfig) -> Records:
     """Measure both states under identical sampled settings.
 
-    Returns one record per setting.  Per-setting randomness comes from a
-    counter-based split of the seed, so records are reproducible and
-    independent of evaluation order.  Each setting's stream draws its m+n
+    Returns the records of settings 0..n_unitaries-1.  Per-setting randomness
+    comes from a counter-based split of the seed, so records are reproducible
+    and independent of evaluation order.  Each setting's stream draws its m+n
     local unitaries and then, in shot mode, the counts of rho and sigma.
     Both states' outcome probabilities come from one kernel call per block
     of settings, on their real Hermitian-basis coefficients (computed once).
@@ -291,19 +365,15 @@ def run_protocol(rho: QState, sigma: QState, cfg: ProtocolConfig) -> list[Measur
     block = max(1, _BLOCK_BYTES * cfg.local_dim // (c.itemsize * 2 * total * total))
     for i in range(0, cfg.n_unitaries, block):
         probs[:, i:i + block] = np.moveaxis(_outcome_probs(factors[i:i + block], c), 2, 0)
+    data = probs
     if not cfg.exact:  # the shots sample the clipped, renormalised probabilities
         np.clip(probs, 0.0, None, out=probs)
         probs /= probs.sum(axis=2, keepdims=True)
-    records = []
-    for u_idx, rng in enumerate(rngs):
-        p_rho, p_sigma = probs[:, u_idx]
-        data = ({"rho_probs": p_rho, "sigma_probs": p_sigma} if cfg.exact else
-                {"rho_counts": rng.multinomial(cfg.shots_per_setting, p_rho),
-                 "sigma_counts": rng.multinomial(cfg.shots_per_setting, p_sigma)})
-        records.append(MeasurementRecord(
-            setting=u_idx, unitaries_a=tuple(factors[u_idx, :cfg.m]),
-            unitaries_b=tuple(factors[u_idx, cfg.m:]), **data))
-    return records
+        data = np.empty(probs.shape, dtype=np.int64)
+        for u, rng in enumerate(rngs):
+            data[0, u] = rng.multinomial(cfg.shots_per_setting, probs[0, u])
+            data[1, u] = rng.multinomial(cfg.shots_per_setting, probs[1, u])
+    return Records(cfg, np.arange(cfg.n_unitaries), factors, data)
 
 
 # Largest dimension l^k of one qudit group's dense kernel factor.  Larger
@@ -321,65 +391,74 @@ def _kernel_factor(local_dim: int, n_qudits: int) -> np.ndarray:
     return out
 
 
-def _apply_hamming_kernel(rows: np.ndarray, local_dim: int, n_qudits: int) -> np.ndarray:
+def _apply_hamming_kernel(rows: np.ndarray, local_dim: int, n_qudits: int,
+                          out: np.ndarray | None = None) -> np.ndarray:
     """Every row of ``rows`` times W[s, t] = (-local_dim)^(-Hamming(s, t)).
 
     W is a tensor power of the single-qudit kernel, so it is applied one
     group of qudits at a time as a product with that group's small dense
     factor (at most ``_GROUP_DIM`` wide), never as a D x D matrix.  A
-    partial group goes first, so the last group is one 2-D product.
+    partial group goes first, so the last group is one 2-D product.  With
+    ``out``, a contiguous array of rows' shape, the products alternate between
+    out and rows (overwritten) and allocate nothing; the result is in either.
     """
     k = 1
     while local_dim ** (k + 1) <= _GROUP_DIM:
         k += 1
     sizes = [n_qudits % k] * (n_qudits % k > 0) + [k] * (n_qudits // k)
-    t, pre = rows, 1
+    t, spare, pre = rows, out, 1
     for size in sizes:
         width = local_dim**size
         post = rows.shape[1] // (pre * width)
         f = _kernel_factor(local_dim, size)
+        a = t.reshape(-1, width) if post == 1 else t.reshape(len(rows) * pre, width, post)
+        dst = None if out is None else spare.reshape(a.shape)
         # f is symmetric, so right-multiplying the last group applies it too
-        t = (t.reshape(-1, width) @ f if post == 1
-             else f @ t.reshape(len(rows) * pre, width, post))
+        t, spare = np.matmul(a, f, out=dst) if post == 1 else np.matmul(f, a, out=dst), t
         pre *= width
     return t.reshape(rows.shape)
 
 
-def _outcome_rows(records, which: str):
-    """One state's frequencies, shape (n_settings, D), and per-setting shot
-    counts (None for exact probabilities).  The first record decides which
-    kind of data every record must carry."""
+def _kernel_dots(data: np.ndarray, cfg: ProtocolConfig) -> np.ndarray:
+    """Per-setting f_i,X . W_X f_j,X, shape (3, 3, N), of the outcome frequencies
+    f of rho (0) and sigma (1) in a (2, N, D) data block, for the state pairs
+    (i, j) = (0, 1), (0, 0), (1, 1) and the kept sets X = AB, A, B: one kernel
+    pass per state and kept set.  The AB passes run in two (N, D) blocks: the
+    kernel overwrites f_j, and each f_i is divided out again into the spare."""
+    n, l, pairs = data.shape[1], cfg.local_dim, ((0, 1), (0, 0), (1, 1))
+    norms = data.sum(axis=2, keepdims=True) if data.dtype.kind in "iu" else np.ones((2, 1, 1))
+    a, b = np.empty(data.shape[1:]), np.empty(data.shape[1:])
+    dots, sides = np.empty((3, 3, n)), [None, None]
+    for j in (0, 1):
+        cube = np.divide(data[j], norms[j], out=a).reshape(n, cfg.d_a, cfg.d_b)
+        sides[j] = (cube.sum(axis=2), cube.sum(axis=1))
+        kernel = _apply_hamming_kernel(a, l, cfg.m + cfg.n, out=b)
+        spare = b if np.may_share_memory(kernel, a) else a
+        for p, (i, kernel_state) in enumerate(pairs):
+            if kernel_state == j:
+                f = np.divide(data[i], norms[i], out=spare)
+                dots[p, 0] = np.einsum("ui,ui->u", f, kernel)
+    del a, b, cube, kernel, spare, f  # the blocks go before the kept sets A and B
+    for x, q in ((1, cfg.m), (2, cfg.n)):
+        kernels = [_apply_hamming_kernel(side[x - 1], l, q) for side in sides]
+        dots[:, x] = [np.einsum("ui,ui->u", sides[i][x - 1], kernels[j]) for i, j in pairs]
+    return dots
+
+
+def _setting_terms(records, cfg: ProtocolConfig, pair: int) -> np.ndarray:
+    """Per-setting d_X f_i,X . W_X f_j,X, rows X = AB, A, B, of ``records``'
+    pair 0 (rho, sigma), 1 (rho, rho) or 2 (sigma, sigma).  A state paired
+    with its own counts leaves out the pairs of a shot with itself (W has unit
+    diagonal), which gives the distinct-pair U-statistic (N f.Wf - 1) / (N - 1).
+    """
     if len(records) < 2:
         raise ValueError("estimation needs at least two settings")
-    exact = getattr(records[0], which + "_probs") is not None
-    field = which + ("_probs" if exact else "_counts")
-    rows = [getattr(rec, field) for rec in records]
-    lacking = next((rec.setting for rec, r in zip(records, rows) if r is None), None)
-    if lacking is not None:
-        raise ValueError(f"setting {lacking} has no {field}")
-    data = np.asarray(rows, dtype=float)
-    if exact:
-        return data, None
-    shots = data.sum(axis=1)
-    return data / shots[:, None], shots
-
-
-def _setting_terms(f: np.ndarray, g: np.ndarray, cfg: ProtocolConfig,
-                   shots: np.ndarray | None = None) -> np.ndarray:
-    """Per-setting d_X f_X . W_X g_X, one row each for X = AB, A, B.
-
-    ``shots`` is passed only when f and g are the same record; the pairs
-    of a shot with itself are then left out (W has unit diagonal), which
-    gives the distinct-pair U-statistic (N f.Wf - 1) / (N - 1).
-    """
-    n = len(f)
-    cube_f, cube_g = f.reshape(n, cfg.d_a, cfg.d_b), g.reshape(n, cfg.d_a, cfg.d_b)
-    sides = ((f, g, cfg.m + cfg.n),
-             (cube_f.sum(axis=2), cube_g.sum(axis=2), cfg.m),
-             (cube_f.sum(axis=1), cube_g.sum(axis=1), cfg.n))
-    y = np.array([np.einsum("ui,ui->u", fx, _apply_hamming_kernel(gx, cfg.local_dim, q))
-                  for fx, gx, q in sides])
-    if shots is not None:
+    records = Records.of(records, cfg, "sigma" if pair == 2 else "rho")
+    y = records._dots[pair]
+    if pair and not records.exact:
+        shots = records.data[pair - 1].sum(axis=1)
+        if shots.min() < 2:
+            raise ValueError("within-state estimation needs >= 2 shots")
         y = (shots * y - 1.0) / (shots - 1.0)
     return np.array([[cfg.d_a * cfg.d_b], [cfg.d_a], [cfg.d_b]]) * y
 
@@ -427,9 +506,7 @@ def estimate_overlaps(records, cfg: ProtocolConfig) -> OverlapEstimate:
     is flagged unreliable (and reported as 0) when no local denominator
     exceeds ``SNR_GUARD`` times its own standard error.
     """
-    f_rho, _ = _outcome_rows(records, "rho")
-    f_sigma, _ = _outcome_rows(records, "sigma")
-    return _summarize(_setting_terms(f_rho, f_sigma, cfg))
+    return _summarize(_setting_terms(records, cfg, 0))
 
 
 def estimate_self_overlaps(records, cfg: ProtocolConfig,
@@ -441,48 +518,36 @@ def estimate_self_overlaps(records, cfg: ProtocolConfig,
     """
     if which not in ("rho", "sigma"):
         raise ValueError("which must be 'rho' or 'sigma'")
-    f, shots = _outcome_rows(records, which)
-    if shots is not None and shots.min() < 2:
-        raise ValueError("within-state estimation needs >= 2 shots")
-    return _summarize(_setting_terms(f, f, cfg, shots))
+    return _summarize(_setting_terms(records, cfg, 1 + (which == "sigma")))
 
 
 # ---------------------------------------------------------------------------
 # JSON-lines persistence so estimation can be rerun offline.
 
 
-@functools.cache
-def _count_keys(total: int) -> tuple:
-    """Outcomes 0..total-1 sorted as JSON keys are, and their '"k": ' texts."""
-    order = np.array(sorted(range(total), key=str))
-    return order, tuple(f'"{k}": ' for k in order.tolist())
-
-
 def write_records(path, cfg: ProtocolConfig, records) -> None:
     """One JSON line for the config, then one line per setting, its keys
-    sorted: the bytes of ``json.dumps(obj, sort_keys=True)`` per line."""
-    order, keys = _count_keys(cfg.local_dim ** (cfg.m + cfg.n))
-
-    def counts_text(counts):
-        counts = np.asarray(counts, dtype=np.int64)[order].tolist()
-        return "{" + ", ".join([k + str(c) for k, c in zip(keys, counts) if c]) + "}"
-
+    sorted: the bytes of ``json.dumps(obj, sort_keys=True)`` per line.
+    ``records`` is a :class:`Records` or goes through :meth:`Records.of`."""
+    records = Records.of(records, cfg)
+    order = np.array(sorted(range(cfg.d_a * cfg.d_b), key=str))  # JSON key order
+    kind, fmts = "probs" if records.exact else "counts", [f'"{k}": %d' for k in order.tolist()]
+    # every complex entry of a setting's unitaries as its (re, im) parts
+    floats = np.ascontiguousarray(records.unitaries).view(float).reshape(
+        len(records), cfg.m + cfg.n, -1)
     with open(path, "w") as fh:
         fh.write(json.dumps({"protocol": cfg.to_json()}, sort_keys=True) + "\n")
-        for rec in records:
-            # every complex entry of a side's unitaries as its (re, im) parts
-            ua, ub = (json.dumps(np.asarray(mats, dtype=complex).view(float)
-                                 .reshape(len(mats), -1).tolist())
-                      for mats in (rec.unitaries_a, rec.unitaries_b))
-            if rec.rho_probs is not None:
-                kind, data = "probs", [json.dumps(np.asarray(p, dtype=float).tolist())
-                                       for p in (rec.rho_probs, rec.sigma_probs)]
-            else:
-                kind, data = "counts", [counts_text(c)
-                                        for c in (rec.rho_counts, rec.sigma_counts)]
-            fh.write(f'{{"rho_{kind}": {data[0]}, "setting": {json.dumps(rec.setting)}, '
-                     f'"sigma_{kind}": {data[1]}, "unitaries_a": {ua}, '
-                     f'"unitaries_b": {ub}}}\n')
+        for j, setting in enumerate(records.settings.tolist()):
+            if records.exact:
+                data = [json.dumps(row) for row in records.data[:, j].tolist()]
+            else:  # the nonzero counts, in JSON key order
+                data = ["{" + ", ".join(compress(fmts, row)) % tuple(filter(None, row)) + "}"
+                        for row in records.data[:, j, order].tolist()]
+            unitaries = floats[j].tolist()
+            fh.write(f'{{"rho_{kind}": {data[0]}, "setting": {setting}, '
+                     f'"sigma_{kind}": {data[1]}, "unitaries_a": '
+                     f'{json.dumps(unitaries[:cfg.m])}, "unitaries_b": '
+                     f'{json.dumps(unitaries[cfg.m:])}}}\n')
 
 
 # A shot-mode line as write_records writes it, up to its unitaries: each
@@ -567,8 +632,9 @@ class _Counts:
         self.ends.append(stop)
         self.texts.append(texts)
 
-    def dense(self, settings: list, total: int, shots: int) -> np.ndarray:
-        """The (lines, total) count block, checked."""
+    def dense(self, settings: list, total: int, shots: int, out: np.ndarray) -> None:
+        """Fill ``out``, a zeroed contiguous (lines, total) int64 block, with the
+        counts, checked."""
         keys, values = self.keys[:self.ends[-1]], self.values[:self.ends[-1]]
 
         def check(bad, fault):  # a fault of the first pair where bad holds
@@ -579,7 +645,7 @@ class _Counts:
                 raise ValueError(f"setting {settings[j]}: {self.which} outcome {fault(key)}")
 
         check((keys < 0) | (keys >= total), lambda k: f"key {k!r} is outside 0..{total - 1}")
-        flat = np.zeros(len(settings) * total, dtype=np.int64)
+        flat = out.reshape(-1)
         cells = np.repeat(np.arange(0, flat.size, total), np.diff(self.ends))
         cells += keys
         np.add.at(flat, cells, 1)
@@ -591,31 +657,33 @@ class _Counts:
         sums = flat.reshape(-1, total).sum(axis=1)
         _fault_at_first(sums != shots, settings, lambda j: f"{self.which} counts sum to "
                         f"{sums[j]}, not shots_per_setting {shots}")
-        return flat.reshape(-1, total)
 
 
-def _float_rows(rows: list, shape: tuple, name: str, settings: list,
-                fault: str) -> np.ndarray:
-    """Each line's ``name`` as a row of one finite float array of shape
-    (lines, *shape); a row of another shape or not all numbers is ``fault``."""
+def _rows(rows: list, shape: tuple, name: str, settings: list, fault: str,
+          dtype=float) -> np.ndarray:
+    """Each line's ``name`` as a row of one finite ``dtype`` array of shape
+    (lines, *shape); a row of another shape, or not all numbers (integers
+    for an integer dtype, no complex ones for a real dtype), is ``fault``."""
+    kinds = {"i": "iu", "f": "iuf", "c": "iufc"}[np.dtype(dtype).kind]
+
     def array(obj, shape):
         try:
             arr = np.asarray(obj)
         except ValueError:  # ragged nesting
             return None
-        return arr if arr.dtype.kind in "iuf" and arr.shape == shape else None
+        return arr if arr.dtype.kind in kinds and arr.shape == shape else None
 
     block = array(rows, (len(rows), *shape))
     if block is None:  # rows that each pass stack to a block that passes
         _fault_at_first(np.array([array(row, shape) is None for row in rows]),
                         settings, lambda j: f"{name} {fault}")
-    block = block.astype(float, copy=False)
+    block = block.astype(dtype, copy=False)
     _fault_at_first(~np.isfinite(block).reshape(len(rows), -1).all(axis=1), settings,
                     lambda j: f"{name} holds a value that is not finite")
     return block
 
 
-def read_records(path) -> tuple[ProtocolConfig, list[MeasurementRecord]]:
+def read_records(path) -> tuple[ProtocolConfig, Records]:
     """Inverse of :func:`write_records`, checked on the way in.
 
     Every record must carry its setting, m and n finite unitaries, and
@@ -627,7 +695,7 @@ def read_records(path) -> tuple[ProtocolConfig, list[MeasurementRecord]]:
     line that is not JSON or lacks a field at that line, any other after the
     last line, each check over the whole file naming the first line it fails.
     Count bodies in write_records' own layout are decoded by numpy, any other
-    JSON layout through json; the records' arrays are rows of one per field.
+    JSON layout through json, into one (2, N, D) count block.
     """
     with open(path) as fh:
         header = json.loads(fh.readline())
@@ -666,24 +734,23 @@ def read_records(path) -> tuple[ProtocolConfig, list[MeasurementRecord]]:
         if bad.any():
             raise ValueError(f"setting {int(np.argmax(bad))} {fault}")
     l, floats = cfg.local_dim, 2 * cfg.local_dim**2
-    ua, ub = (_float_rows(fields[name], (q, floats), name, settings,
-                          f"must be a {q} x {floats} array of floats")
-              .view(complex).reshape(-1, q, l, l)
-              for name, q in (("unitaries_a", cfg.m), ("unitaries_b", cfg.n)))
+    unitaries = np.concatenate(
+        [_rows(fields[name], (q, floats), name, settings,
+               f"must be a {q} x {floats} array of floats").view(complex).reshape(-1, q, l, l)
+         for name, q in (("unitaries_a", cfg.m), ("unitaries_b", cfg.n))], axis=1)
     if cfg.exact:
-        rho, sigma = (_float_rows(fields[name], (total,), name, settings,
-                                  f"must hold {total} probabilities")
-                      for name in ("rho_probs", "sigma_probs"))
+        data = np.stack([_rows(fields[name], (total,), name, settings,
+                               f"must hold {total} probabilities")
+                         for name in ("rho_probs", "sigma_probs")])
         # computed probabilities carry rounding entries of about -1e-17
-        for name, probs in (("rho_probs", rho), ("sigma_probs", sigma)):
+        for name, probs in zip(("rho_probs", "sigma_probs"), data):
             low, sums = probs.min(axis=1), probs.sum(axis=1)
             _fault_at_first(low < -PROB_TOL, settings, lambda j: f"{name} has an "
                             f"entry {low[j]:.3e} below -{PROB_TOL:g}")
             _fault_at_first(np.abs(sums - 1.0) > PROB_TOL, settings,
                             lambda j: f"{name} sums to {float(sums[j])!r}, not 1")
     else:
-        rho, sigma = (state.dense(settings, total, shots) for state in states)
-    kind = "probs" if cfg.exact else "counts"
-    return cfg, [MeasurementRecord(setting=s, unitaries_a=tuple(a), unitaries_b=tuple(b),
-                                   **{f"rho_{kind}": r, f"sigma_{kind}": g})
-                 for s, a, b, r, g in zip(settings, ua, ub, rho, sigma)]
+        data = np.zeros((2, len(settings), total), dtype=np.int64)
+        for state, out in zip(states, data):
+            state.dense(settings, total, shots, out)
+    return cfg, Records(cfg, np.array(settings, dtype=np.int64), unitaries, data)

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from overlapcert import (
     ProtocolConfig,
     PureVec,
+    Records,
     estimate_overlaps,
     estimate_self_overlaps,
     ghz_noisy,
@@ -35,9 +36,9 @@ from overlapcert.randomized import (
     _hermitian_basis,
     _local_unitaries,
     _outcome_probs,
-    _outcome_rows,
     _setting_terms,
     _single_qubit_cliffords,
+    _summarize,
     _written_counts,
 )
 
@@ -525,6 +526,28 @@ def _loo_ratio_se(y, sides):
     return math.sqrt((n - 1) / n * np.sum((theta - theta.mean()) ** 2))
 
 
+def _per_call_terms(records, cfg, which=None):
+    """The per-setting AB, A, B terms of one pair, computed call by call as
+    the reference for the cached term table: stack the rows, divide them by
+    their shots, and apply the kernel to the second state of the pair."""
+    kind = "_probs" if records[0].rho_probs is not None else "_counts"
+
+    def freqs(name):
+        data = np.asarray([getattr(rec, name + kind) for rec in records], dtype=float)
+        shots = data.sum(axis=1)
+        return (data, None) if kind == "_probs" else (data / shots[:, None], shots)
+
+    (f, shots), g = freqs(which or "rho"), freqs(which or "sigma")[0]
+    cube_f, cube_g = (x.reshape(len(x), cfg.d_a, cfg.d_b) for x in (f, g))
+    sides = ((f, g, cfg.m + cfg.n), (cube_f.sum(axis=2), cube_g.sum(axis=2), cfg.m),
+             (cube_f.sum(axis=1), cube_g.sum(axis=1), cfg.n))
+    y = np.array([np.einsum("ui,ui->u", fx, _apply_hamming_kernel(gx, cfg.local_dim, q))
+                  for fx, gx, q in sides])
+    if which is not None and shots is not None:
+        y = (shots * y - 1.0) / (shots - 1.0)
+    return np.array([[cfg.d_a * cfg.d_b], [cfg.d_a], [cfg.d_b]]) * y
+
+
 @pytest.mark.parametrize("local_dim,m,n", [(2, 2, 2), (2, 3, 1), (3, 1, 1), (3, 2, 1),
                                            (2, 3, 3), (3, 2, 2)])
 @pytest.mark.parametrize("shots", [None, 200])
@@ -537,10 +560,18 @@ def test_estimators_match_dense_reference(monkeypatch, local_dim, m, n, shots, w
     cfg = ProtocolConfig(local_dim=local_dim, m=m, n=n, n_unitaries=40,
                          shots_per_setting=shots, seed=7)
     records = run_protocol(rho, sig, cfg)
-    if which is None:
-        est = estimate_overlaps(records, cfg)
-    else:
-        est = estimate_self_overlaps(records, cfg, which)
+    assert isinstance(records, Records)
+
+    def estimate(recs):
+        if which is None:
+            return estimate_overlaps(recs, cfg)
+        return estimate_self_overlaps(recs, cfg, which)
+
+    # the Records' term table, the same rows as a list, and the per-call path
+    est, rows = estimate(records), list(records)
+    for other in (estimate(rows), _summarize(_per_call_terms(rows, cfg, which))):
+        np.testing.assert_allclose(list(other.to_json().values()),
+                                   list(est.to_json().values()), rtol=1e-12, atol=0.0)
     y = _dense_terms(records, cfg, which)
     means = y.mean(axis=1)
     ses = y.std(axis=1, ddof=1) / math.sqrt(y.shape[1])
@@ -584,8 +615,9 @@ def test_estimation_allocates_no_dense_weight_matrix():
     dim = cfg.d_a * cfg.d_b
     rng = np.random.default_rng(5)
     uniform = np.full(dim, 1.0 / dim)
+    eye = (np.eye(2),) * 5
     records = [
-        MeasurementRecord(setting=u, unitaries_a=(), unitaries_b=(),
+        MeasurementRecord(setting=u, unitaries_a=eye, unitaries_b=eye,
                           rho_counts=rng.multinomial(100, uniform),
                           sigma_counts=rng.multinomial(100, uniform))
         for u in range(cfg.n_unitaries)
@@ -703,6 +735,165 @@ def test_write_records_lines_are_sorted_json(tmp_path, design, local_dim, shots)
         assert any(len(json.loads(line)["rho_counts"]) > 10 for line in lines[1:])
 
 
+@pytest.mark.parametrize("local_dim, shots", [(2, 1000), (3, 50), (2, None), (3, None)])
+def test_write_records_takes_records_or_rows(tmp_path, local_dim, shots):
+    dims = (local_dim,) * 3
+    cfg = ProtocolConfig(local_dim=local_dim, m=2, n=1, n_unitaries=30,
+                         shots_per_setting=shots, seed=9)
+    records = run_protocol(random_mixed(dims, seed=71), random_mixed(dims, seed=72), cfg)
+    write_records(tmp_path / "a.jsonl", cfg, records)
+    write_records(tmp_path / "b.jsonl", cfg, list(records))
+    assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
+
+
+def _one_setting(shots, **fields):
+    """A 1+1-qubit record of setting 0, with ``fields`` replaced."""
+    data = ({"rho_probs": np.full(4, 0.25), "sigma_probs": np.full(4, 0.25)}
+            if shots is None else
+            {"rho_counts": np.array([1, 2, 0, 2]), "sigma_counts": np.array([5, 0, 0, 0])})
+    eye = (np.eye(2, dtype=complex),)
+    return MeasurementRecord(**{"setting": 0, "unitaries_a": eye, "unitaries_b": eye,
+                                **data, **fields})
+
+
+@pytest.mark.parametrize("shots, fields, message", [
+    # each would otherwise be written without some of its counts, fail
+    # with an error that names no setting, or give a file that
+    # read_records refuses
+    (5, {"rho_counts": np.array([1, 2, 0, 2, 3])}, "setting 0: rho_counts must hold 4 "),
+    (5, {"sigma_counts": np.array([5, 0, 0])}, "setting 0: sigma_counts must hold 4 "),
+    (5, {"unitaries_a": (np.eye(2),) * 2}, "setting 0: unitaries_a must be 1 2 x 2 unitaries"),
+    (5, {"unitaries_b": (np.eye(3),)}, "setting 0: unitaries_b must be 1 2 x 2 unitaries"),
+    (5, {"rho_counts": np.full(4, 1.25)}, "setting 0: rho_counts must hold 4 integer counts"),
+    (5, {"unitaries_a": (np.full((2, 2), np.nan),)},
+     "setting 0: unitaries_a holds a value that is not finite"),
+    (None, {"rho_probs": [0.5, 0.5]}, "setting 0: rho_probs must hold 4 probabilities"),
+    (5, {"unitaries_a": ([[1, 0], [0]],)}, "setting 0: unitaries_a must be 1 2 x 2 unitaries"),
+    (5, {"sigma_counts": None, "sigma_probs": np.full(4, 0.25)},
+     "setting 0 has no sigma_counts"),
+], ids=["counts-longer", "counts-shorter", "two-unitaries-on-a", "qutrit-unitary-on-b",
+        "counts-not-integer", "unitary-nan", "probs-shorter", "unitary-ragged",
+        "one-kind-of-data"])
+def test_write_records_rejects_malformed_records(tmp_path, shots, fields, message):
+    cfg = ProtocolConfig(local_dim=2, m=1, n=1, n_unitaries=2, shots_per_setting=shots)
+    records = [_one_setting(shots, setting=1), _one_setting(shots, **fields)]
+    path = tmp_path / "records.jsonl"
+    with pytest.raises(ValueError, match=message):
+        write_records(path, cfg, records)
+    assert not path.exists()
+    with pytest.raises(ValueError, match=message):
+        estimate_overlaps(records, cfg)
+
+
+def test_write_records_rejects_no_records(tmp_path):
+    cfg = ProtocolConfig(local_dim=2, m=1, n=1, n_unitaries=2)
+    with pytest.raises(ValueError, match="there are no records"):
+        write_records(tmp_path / "records.jsonl", cfg, [])
+
+
+def _assert_same_record(got, want):
+    assert type(got) is MeasurementRecord and got.setting == want.setting
+    for name in ("unitaries_a", "unitaries_b"):
+        assert len(getattr(got, name)) == len(getattr(want, name))
+        assert all(np.array_equal(a, b) for a, b in zip(getattr(got, name),
+                                                        getattr(want, name)))
+    for name in ("rho_probs", "sigma_probs", "rho_counts", "sigma_counts"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a is None and b is None) or np.array_equal(a, b)
+
+
+def _file_records(path, cfg):
+    """The records of a written file, parsed line by line through json."""
+    out = []
+    for line in path.read_text().splitlines()[1:]:
+        obj = json.loads(line)
+        us = [np.array(u).view(complex).reshape(cfg.local_dim, cfg.local_dim)
+              for u in obj["unitaries_a"] + obj["unitaries_b"]]
+        data = {}
+        for name in ("rho", "sigma"):
+            if cfg.exact:
+                data[name + "_probs"] = np.array(obj[name + "_probs"])
+            else:
+                dense = np.zeros(cfg.d_a * cfg.d_b, dtype=np.int64)
+                for key, count in obj[name + "_counts"].items():
+                    dense[int(key)] = count
+                data[name + "_counts"] = dense
+        out.append(MeasurementRecord(setting=obj["setting"], unitaries_a=tuple(us[:cfg.m]),
+                                     unitaries_b=tuple(us[cfg.m:]), **data))
+    return out
+
+
+@pytest.mark.parametrize("source", ["run_protocol", "read_records"])
+@pytest.mark.parametrize("local_dim, m, n, shots", [(2, 2, 1, None), (2, 1, 2, 40),
+                                                    (3, 1, 1, None), (3, 1, 1, 40)])
+def test_records_rows_are_measurement_records(tmp_path, source, local_dim, m, n, shots):
+    dims = (local_dim,) * (m + n)
+    rho, sig = random_mixed(dims, seed=21), random_mixed(dims, seed=22)
+    cfg = ProtocolConfig(local_dim=local_dim, m=m, n=n, n_unitaries=12,
+                         shots_per_setting=shots, seed=5)
+    records = run_protocol(rho, sig, cfg)
+    if source == "run_protocol":  # the per-setting reference protocol
+        want = [MeasurementRecord(
+            setting=u, unitaries_a=tuple(factors[:m]), unitaries_b=tuple(factors[m:]),
+            **({"rho_probs": probs[0], "sigma_probs": probs[1]} if shots is None else
+               {"rho_counts": counts[0], "sigma_counts": counts[1]}))
+            for u, (factors, probs, counts) in enumerate(_reference_protocol(rho, sig, cfg))]
+        if shots is None:  # probabilities agree to rounding, the rest exactly
+            for rec, ref in zip(records, want):
+                assert np.abs(rec.rho_probs - ref.rho_probs).max() <= 1e-15
+                assert np.abs(rec.sigma_probs - ref.sigma_probs).max() <= 1e-15
+            want = [MeasurementRecord(setting=ref.setting, unitaries_a=ref.unitaries_a,
+                                      unitaries_b=ref.unitaries_b, rho_probs=rec.rho_probs,
+                                      sigma_probs=rec.sigma_probs)
+                    for rec, ref in zip(records, want)]
+    else:
+        # a file whose lines are out of setting order reads in file order
+        path = tmp_path / "records.jsonl"
+        write_records(path, cfg, records)
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:1] + lines[:0:-1]))
+        cfg2, records = read_records(path)
+        assert cfg2 == cfg
+        want = _file_records(path, cfg)
+        assert [rec.setting for rec in want] == list(range(11, -1, -1))
+    assert isinstance(records, Records) and len(records) == len(want) == 12
+    for got, ref in zip(records, want):  # iteration
+        _assert_same_record(got, ref)
+    for j in (0, 5, 11, -1, -12):
+        _assert_same_record(records[j], want[j])
+    for part in (slice(None), slice(3, 7), slice(None, None, -2), slice(10, 40)):
+        rows = records[part]
+        assert type(rows) is list and len(rows) == len(want[part])
+        for got, ref in zip(rows, want[part]):
+            _assert_same_record(got, ref)
+    with pytest.raises(IndexError):
+        records[12]
+
+
+def test_reestimation_holds_two_blocks():
+    # the three estimates of a 5+5-qubit Records build one term table, whose
+    # kernel pass over the full outcome rows runs in two (N, D) float blocks
+    cfg = ProtocolConfig(local_dim=2, m=5, n=5, n_unitaries=300,
+                         shots_per_setting=1000, seed=0)
+    settings, dim = cfg.n_unitaries, cfg.d_a * cfg.d_b
+    rng = np.random.default_rng(5)
+    data = rng.multinomial(1000, np.full(dim, 1.0 / dim), size=(2, settings))
+    eye = np.broadcast_to(np.eye(2, dtype=complex), (settings, 10, 2, 2)).copy()
+    records = Records(cfg, np.arange(settings), eye, data)
+    tracemalloc.start()
+    try:
+        estimate_overlaps(records, cfg)
+        estimate_self_overlaps(records, cfg, "rho")
+        estimate_self_overlaps(records, cfg, "sigma")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # beyond the two blocks: each state's A and B outcome marginals, (N, 32)
+    # floats each, and half a MiB for the ufuncs' buffers; a third block
+    # would add 2.4 MiB
+    assert peak <= 8 * settings * (2 * dim + 2 * (cfg.d_a + cfg.d_b)) + 2**19
+
+
 def test_mean_errors_match_extended_precision():
     # se_b / overlap_b is about 9e-5 here; differencing leave-one-out
     # replicates lost three to four digits of se_b to cancellation
@@ -712,8 +903,7 @@ def test_mean_errors_match_extended_precision():
     cfg = ProtocolConfig(local_dim=3, m=2, n=1, n_unitaries=2000, seed=0)
     records = run_protocol(rho, sig, cfg)
     est = estimate_overlaps(records, cfg)
-    y = _setting_terms(_outcome_rows(records, "rho")[0],
-                       _outcome_rows(records, "sigma")[0], cfg).astype(np.longdouble)
+    y = _setting_terms(records, cfg, 0).astype(np.longdouble)
     n = y.shape[1]
     want = np.sqrt(np.sum((y - y.mean(axis=1, keepdims=True)) ** 2, axis=1)
                    / (n * (n - 1)))
