@@ -11,6 +11,7 @@ unreadable or bad config.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -406,6 +407,7 @@ def cmd_examples(out: str) -> int:
 # argument parsing
 
 
+@functools.cache  # one parser per process: building it costs about 1 ms
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="overlapcert",

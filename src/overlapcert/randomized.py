@@ -25,6 +25,8 @@ import functools
 import json
 import math
 import re
+import warnings
+from array import array
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass
 from itertools import compress
@@ -550,37 +552,11 @@ def write_records(path, cfg: ProtocolConfig, records) -> None:
                      f'{json.dumps(unitaries[cfg.m:])}}}\n')
 
 
-# A shot-mode line as write_records writes it, up to its unitaries: each
-# count body is '"key": count' pairs joined by ", ", or none, numbers of at
-# most 18 digits (each fits in an int64) without a leading zero, and counts
-# above 0; key "0", first in JSON's key order, is the one number that is 0.
-_INT = "[1-9][0-9]{0,17}"
-_BODY = f'((?:"0": {_INT}, )?(?:"{_INT}": {_INT}, )*"{_INT}": {_INT}|"0": {_INT}|)'
-_WRITTEN = re.compile(r'\{"rho_counts": \{' + _BODY + r'\}, "setting": ([0-9]+), '
-                      r'"sigma_counts": \{' + _BODY + r'\}, "unitaries_a": ', re.ASCII)
+# A shot-mode line as write_records writes it, up to its unitaries.
+_WRITTEN = re.compile(r'\{"rho_counts": \{([^}]*)\}, "setting": ([0-9]+), '
+                      r'"sigma_counts": \{([^}]*)\}, "unitaries_a": ', re.ASCII)
 _COLON_TO_COMMA = bytes.maketrans(b":", b",")
-_KEY = re.compile(f"0|{_INT}", re.ASCII)  # the one text of each outcome
-
-
-def _written_counts(line: str):
-    """(object, text) of a line in the writer's shot-mode layout with both
-    count bodies emptied, and (keys, counts, None) of each body, decoded by
-    numpy; None for any other line."""
-    layout = _WRITTEN.match(line)
-    if not layout:
-        return None
-    pairs = [np.fromstring(body.encode().translate(_COLON_TO_COMMA, b'" '),
-                           dtype=np.int64, sep=",") if body else np.empty(0, dtype=np.int64)
-             for body in (layout[1], layout[3])]
-    rest = ('{"rho_counts": {}, "setting": ' + layout[2] + ', "sigma_counts": {}, '
-            '"unitaries_a": ' + line[layout.end():])
-    try:
-        obj = json.loads(rest)
-    except ValueError:
-        return None
-    # ten quotes and five keys: no other key repeats a count field
-    return ((obj, rest, [(p[0::2], p[1::2], None) for p in pairs])
-            if rest.count('"') == 10 and len(obj) == 5 else None)
+_KEY = re.compile("0|[1-9][0-9]{0,17}", re.ASCII)  # the one text of each outcome
 
 
 class _JsonObject(dict):
@@ -590,21 +566,6 @@ class _JsonObject(dict):
     def __init__(self, pairs):
         super().__init__(pairs)
         self.pairs = pairs
-
-
-def _parsed_counts(obj: dict, which: str, total: int, setting: int):
-    """(keys, counts, key texts) of one state's {outcome: count} JSON, pair
-    by pair as written; a key that is not an outcome's text reads as -1."""
-    sparse = obj.get(which + "_counts")
-    if not isinstance(sparse, dict):
-        fault = "is missing" if sparse is None else "is not a JSON object"
-        raise ValueError(f"setting {setting}: {which}_counts {fault}")
-    names, values = [key for key, _ in sparse.pairs], [v for _, v in sparse.pairs]
-    if not all(type(v) is int and -2**63 <= v < 2**63 for v in values):
-        raise ValueError(f"setting {setting}: {which}_counts holds a value that "
-                         f"is not a 64-bit integer")
-    keys = [int(k) if _KEY.fullmatch(k) and int(k) < total else -1 for k in names]
-    return keys, values, names
 
 
 def _fault_at_first(bad: np.ndarray, settings: list, fault) -> None:
@@ -617,31 +578,63 @@ def _fault_at_first(bad: np.ndarray, settings: list, fault) -> None:
 class _Counts:
     """One state's count bodies, kept line by line and checked once per file:
     line j's keys and counts are ``keys[ends[j]:ends[j + 1]]`` and the same
-    slice of ``values``, ``texts[j]`` its key texts if read through json."""
+    slice of ``values``, ``texts`` their key texts if read through json."""
 
-    def __init__(self, which: str, size: int):  # size fits a file without faults
+    def __init__(self, which: str):
         self.which, self.ends, self.texts = which, [0], []
-        self.keys, self.values = np.empty(size, np.int64), np.empty(size, np.int64)
+        self.keys, self.values, self.csv, self.digits = array("q"), array("q"), [], 0
 
-    def add(self, keys, values, texts) -> None:
-        start, stop = self.ends[-1], self.ends[-1] + len(values)
-        if stop > len(self.keys):  # only a file with faults gets here
-            self.keys, self.values = (np.resize(a, 2 * stop)
-                                      for a in (self.keys, self.values))
-        self.keys[start:stop], self.values[start:stop] = keys, values
-        self.ends.append(stop)
-        self.texts.append(texts)
+    def add(self, obj: dict, total: int, setting: int) -> None:
+        """Keep a line's {outcome: count} JSON pair by pair as written; a key
+        that is not an outcome's text reads as -1."""
+        sparse = obj.get(self.which + "_counts")
+        if not isinstance(sparse, dict):
+            fault = "is missing" if sparse is None else "is not a JSON object"
+            raise ValueError(f"setting {setting}: {self.which}_counts {fault}")
+        names, values = [key for key, _ in sparse.pairs], [v for _, v in sparse.pairs]
+        if not all(type(v) is int and -2**63 <= v < 2**63 for v in values):
+            raise ValueError(f"setting {setting}: {self.which}_counts holds a value "
+                             f"that is not a 64-bit integer")
+        self.keys.extend(int(k) if _KEY.fullmatch(k) and int(k) < total else -1 for k in names)
+        self.values.extend(values)
+        self.texts += names
+        self.ends.append(len(self.keys))
+
+    def add_written(self, body: str) -> None:
+        """Keep a body in the writer's layout as CSV bytes: '"key": count'
+        pairs joined by ", ", with only digits in each key and count."""
+        body = body.encode()
+        skeleton = body.translate(None, b"0123456789")
+        pairs = skeleton.count(b":")
+        if skeleton != (b'"": , ' * pairs)[:-2]:
+            raise ValueError("a count body not in the writer's layout")
+        if pairs:
+            self.csv.append(body.translate(_COLON_TO_COMMA, b'" '))
+        self.ends.append(self.ends[-1] + pairs)
+        self.digits += len(body) - len(skeleton)
+
+    def decode(self) -> None:
+        """Decode the kept bodies with numpy, as json would read them: each
+        number nonempty, of at most 18 digits, without a leading zero."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy < 2 warns at an empty number
+            numbers = np.fromstring(b",".join(self.csv), dtype=np.int64, sep=",")
+        top = numbers.max(initial=0)  # the lengths: 1 each, +1 per power of 10 reached
+        if (numbers.size != 2 * self.ends[-1] or top >= 10**18 or self.digits != numbers.size
+                + sum(np.count_nonzero(numbers >= 10**d) for d in range(1, len(str(top))))):
+            raise ValueError("a count body not in the writer's layout")
+        self.keys, self.values = numbers[0::2], numbers[1::2]
 
     def dense(self, settings: list, total: int, shots: int, out: np.ndarray) -> None:
         """Fill ``out``, a zeroed contiguous (lines, total) int64 block, with the
         counts, checked."""
-        keys, values = self.keys[:self.ends[-1]], self.values[:self.ends[-1]]
+        keys, values = (np.asarray(a, dtype=np.int64) for a in (self.keys, self.values))
 
         def check(bad, fault):  # a fault of the first pair where bad holds
             if bad.any():
                 p = int(np.argmax(bad))
                 j = int(np.searchsorted(self.ends, p, side="right")) - 1
-                key = self.texts[j][p - self.ends[j]] if self.texts[j] else str(keys[p])
+                key = self.texts[p] if self.texts else str(keys[p])
                 raise ValueError(f"setting {settings[j]}: {self.which} outcome {fault(key)}")
 
         check((keys < 0) | (keys >= total), lambda k: f"key {k!r} is outside 0..{total - 1}")
@@ -683,6 +676,46 @@ def _rows(rows: list, shape: tuple, name: str, settings: list, fault: str,
     return block
 
 
+def _read_lines(lines, cfg: ProtocolConfig, written: bool):
+    """(settings, fields, counts of each state) of the record lines, each
+    line checked as it is read.  ``written``: every line must be in the
+    writer's shot-mode layout, its count bodies decoded once per file and
+    state by numpy, or ValueError is raised, with no other check run."""
+    total = cfg.local_dim ** (cfg.m + cfg.n)
+    fields = {name: [] for name in ("unitaries_a", "unitaries_b")
+              + ("rho_probs", "sigma_probs") * cfg.exact}
+    states, settings = [] if cfg.exact else [_Counts("rho"), _Counts("sigma")], []
+    for line in lines:
+        layout = written and _WRITTEN.match(line)
+        if layout:  # the line without its count bodies holds any boolean
+            line = ('{"rho_counts": {}, "setting": ' + layout[2] + ', "sigma_counts": {}, '
+                    '"unitaries_a": ' + line[layout.end():])
+        obj = json.loads(line, object_pairs_hook=_JsonObject)
+        # ten quotes and five keys: no other key repeats a count field
+        if written and not (layout and line.count('"') == 10 and len(obj) == 5):
+            raise ValueError("a line not in the writer's layout")
+        setting = obj.get("setting") if isinstance(obj, dict) else None
+        if type(setting) is not int or not 0 <= setting < cfg.n_unitaries:
+            raise ValueError(f"record {len(settings)}: setting {setting!r} is "
+                             f"not an integer in 0..{cfg.n_unitaries - 1}")
+        # numpy would read a boolean among numbers as 0 or 1
+        if "true" in line or "false" in line:
+            raise ValueError(f"setting {setting}: a value is a JSON boolean")
+        for name, rows in fields.items():
+            if name not in obj:
+                raise ValueError(f"setting {setting}: {name} is missing")
+            rows.append(obj[name])
+        for i, state in enumerate(states):
+            if written:
+                state.add_written(layout[2 * i + 1])
+            else:
+                state.add(obj, total, setting)
+        settings.append(setting)
+    for state in states if written else ():
+        state.decode()
+    return settings, fields, states
+
+
 def read_records(path) -> tuple[ProtocolConfig, Records]:
     """Inverse of :func:`write_records`, checked on the way in.
 
@@ -694,8 +727,10 @@ def read_records(path) -> tuple[ProtocolConfig, Records]:
     0..n_unitaries-1, each once.  A fault raises ``ValueError`` naming it: a
     line that is not JSON or lacks a field at that line, any other after the
     last line, each check over the whole file naming the first line it fails.
-    Count bodies in write_records' own layout are decoded by numpy, any other
-    JSON layout through json, into one (2, N, D) count block.
+    A shot-mode file whose every line is in write_records' own layout has
+    its count bodies decoded by numpy, once per file and state; a file with
+    any line off that layout is read again through json, line by line, to
+    the same records and faults.
     """
     with open(path) as fh:
         header = json.loads(fh.readline())
@@ -703,32 +738,15 @@ def read_records(path) -> tuple[ProtocolConfig, Records]:
             raise ValueError("the first line must be a JSON object with a "
                              "'protocol' key")
         cfg = ProtocolConfig.from_json(header["protocol"])
-        total, shots = cfg.local_dim ** (cfg.m + cfg.n), cfg.shots_per_setting
-        fields = {name: [] for name in ("unitaries_a", "unitaries_b")
-                  + ("rho_probs", "sigma_probs") * cfg.exact}
-        states = [] if cfg.exact else [_Counts(w, cfg.n_unitaries * total)
-                                       for w in ("rho", "sigma")]
-        settings = []
-        for line in fh:
-            written = None if cfg.exact else _written_counts(line)
-            # a written line's text without its count bodies holds any boolean
-            obj, line, bodies = written or (
-                json.loads(line, object_pairs_hook=_JsonObject), line, None)
-            setting = obj.get("setting") if isinstance(obj, dict) else None
-            if type(setting) is not int or not 0 <= setting < cfg.n_unitaries:
-                raise ValueError(f"record {len(settings)}: setting {setting!r} is "
-                                 f"not an integer in 0..{cfg.n_unitaries - 1}")
-            # numpy would read a boolean among numbers as 0 or 1
-            if "true" in line or "false" in line:
-                raise ValueError(f"setting {setting}: a value is a JSON boolean")
-            for name, rows in fields.items():
-                if name not in obj:
-                    raise ValueError(f"setting {setting}: {name} is missing")
-                rows.append(obj[name])
-            for i, state in enumerate(states):
-                state.add(*(bodies[i] if bodies
-                            else _parsed_counts(obj, state.which, total, setting)))
-            settings.append(setting)
+        read = None
+        if not cfg.exact:
+            try:
+                read = _read_lines(fh, cfg, written=True)
+            except (ValueError, DeprecationWarning):  # json reads it again, fault by fault
+                fh.seek(0)
+                fh.readline()
+        settings, fields, states = read or _read_lines(fh, cfg, written=False)
+    total, shots = cfg.local_dim ** (cfg.m + cfg.n), cfg.shots_per_setting
     seen = np.bincount(np.array(settings, dtype=np.int64), minlength=cfg.n_unitaries)
     for bad, fault in ((seen > 1, "appears more than once"), (seen == 0, "is missing")):
         if bad.any():

@@ -405,6 +405,29 @@ def test_missing_required_flag_exits_2():
     assert err.value.code == 2
 
 
+def test_main_reuses_one_parser_as_a_fresh_one_would_parse(tmp_path, capsys):
+    # main builds its parser once per process; calls with other commands and
+    # a bad flag in between parse and fail as a fresh parser does
+    argvs = [["fig1", "--d", "3", "--grid", "5", "--out", str(tmp_path / "a.csv")],
+             ["rfbc-tightness", "--d-min", "3", "--d-max", "4", "--r-max", "2",
+              "--out", str(tmp_path / "b.csv")],
+             ["fig1", "--d", "3", "--grid", "5", "--out", str(tmp_path / "c.csv")]]
+    bad = ["fig3", "--d-min", "3", "--no-such-flag", "--out", str(tmp_path / "d")]
+    assert main(argvs[0]) == 0 and main(argvs[1]) == 0
+    with pytest.raises(SystemExit) as err:
+        main(bad)
+    assert err.value.code == 2 and cli._build_parser() is cli._build_parser()
+    assert main(argvs[2]) == 0
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "c.csv").read_bytes()
+    cached_err = capsys.readouterr().err
+    fresh = cli._build_parser.__wrapped__()
+    for argv in argvs:
+        assert cli._build_parser().parse_args(argv) == fresh.parse_args(argv)
+    with pytest.raises(SystemExit) as err:
+        fresh.parse_args(bad)
+    assert err.value.code == 2 and capsys.readouterr().err == cached_err
+
+
 @pytest.mark.parametrize("argv,message", [
     (["fig1", "--d", "1"], "d and grid must be >= 2, not 1, 20"),
     (["fig1", "--d", "3", "--grid", "1"], "d and grid must be >= 2, not 3, 1"),

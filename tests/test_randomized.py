@@ -3,7 +3,10 @@
 import functools
 import json
 import math
+import re
 import tracemalloc
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -39,7 +42,6 @@ from overlapcert.randomized import (
     _setting_terms,
     _single_qubit_cliffords,
     _summarize,
-    _written_counts,
 )
 
 
@@ -951,6 +953,9 @@ def _tampered_counts_file(tmp_path, edit):
      "setting 1: rho outcome key '0' has a count above shots_per_setting"),
     (lambda c: c.update({"3": 51}),
      "setting 1: rho outcome key '3' has a count above shots_per_setting"),
+    # numpy would read this count as 2**63 - 1, above the shots
+    (lambda c: c.update({"3": 10**19 - 1}),
+     "setting 1: rho_counts holds a value that is not a 64-bit integer"),
     # a key is decimal text as the writer writes it, or it names no outcome,
     # even where int would read it as one; the counts still sum to 50
     (lambda c: c.update({"00": c["0"]}), "setting 1: rho outcome key '00' is outside 0..3"),
@@ -965,9 +970,9 @@ def _tampered_counts_file(tmp_path, edit):
     ('"0": 99, ', "setting 1: rho outcome 0 is named by two keys, '0' and '0'"),
     ('"0":99,', "setting 1: rho outcome 0 is named by two keys, '0' and '0'"),
 ], ids=["negative-key", "key-past-dimension", "negative-count", "sum-wraps-to-shots",
-        "count-above-shots", "outcome-named-twice", "outcome-named-by-a-digit-variant",
-        "key-underscore", "key-spaces", "key-plus", "key-leading-zero",
-        "key-repeated", "key-repeated-compact"])
+        "count-above-shots", "count-past-int64", "outcome-named-twice",
+        "outcome-named-by-a-digit-variant", "key-underscore", "key-spaces", "key-plus",
+        "key-leading-zero", "key-repeated", "key-repeated-compact"])
 def test_read_records_rejects_bad_counts(tmp_path, edit, message):
     path = _tampered_counts_file(tmp_path, edit)
     with pytest.raises(ValueError, match=message):
@@ -1029,6 +1034,12 @@ def _bump(counts, by):
     counts[next(iter(counts))] += by
 
 
+def _lead_zero(counts):
+    """Write the first key of a parsed count body with a leading zero."""
+    key = next(iter(counts))
+    counts["0" + key] = counts.pop(key)
+
+
 @pytest.mark.parametrize("shots,edit,message", [
     # a line that fails to parse raises as it is read, before the checks
     # that run once per file, of earlier lines too
@@ -1050,8 +1061,17 @@ def _bump(counts, by):
     (None, lambda ls: (ls[3].__setitem__("rho_probs", [0.5, 0.5, 0.5, 0.0]),
                        ls[2].__setitem__("rho_probs", [1.0, 1.0, 0.0, 0.0])),
      "setting 1: rho_probs sums to 2.0, not 1"),
+    # a fault on any line sends the whole file through json, which raises
+    # the faults of earlier lines, in the writer's layout, first
+    (50, lambda ls: (ls[1]["rho_counts"].update({"0": 10**19 - 1}),
+                     ls[2].__setitem__("setting", 7)),
+     "setting 0: rho_counts holds a value that is not a 64-bit integer"),
+    (50, lambda ls: (_lead_zero(ls[1]["rho_counts"]),
+                     ls[3]["unitaries_a"][0].__setitem__(0, True)),
+     "setting 2: a value is a JSON boolean"),
 ], ids=["parse-after-count-fault", "missing-after-probs-fault", "settings-first",
-        "range-before-sign", "first-line-of-a-sum", "first-line-of-a-probs-sum"])
+        "range-before-sign", "first-line-of-a-sum", "first-line-of-a-probs-sum",
+        "19-digits-before-setting", "boolean-before-key-leading-zero"])
 def test_read_records_orders_faults_on_two_lines(tmp_path, shots, edit, message):
     path = tmp_path / "records.jsonl"
     lines = _records_lines(path, shots)
@@ -1148,6 +1168,12 @@ def _read_or_fault(path):
         return f"ValueError: {err}"
 
 
+def _read_through_json(path):
+    """_read_or_fault with every line off the writer's layout: the json pass."""
+    with mock.patch.object(randomized, "_WRITTEN", re.compile("(?!)")):
+        return _read_or_fault(path)
+
+
 def _assert_same_reads(got, want):
     """Equal faults, or the same config and bit-identical records."""
     assert type(got) is type(want)
@@ -1172,9 +1198,9 @@ _DECODE_CASES["5+5-haar-2"] = ("haar", 2, 5, 5, 20, 1000)
 
 @pytest.mark.parametrize("design, local_dim, m, n, settings, shots",
                          list(_DECODE_CASES.values()), ids=list(_DECODE_CASES))
-def test_read_records_decode_paths_agree(tmp_path, design, local_dim, m, n, settings,
-                                         shots):
-    # the writer's own lines are decoded by numpy, compact ones through json
+def test_read_records_decode_paths_agree(monkeypatch, tmp_path, design, local_dim, m, n,
+                                         settings, shots):
+    # the writer's own file is decoded by numpy, a compact one through json
     dims = (local_dim,) * (m + n)
     rho = random_mixed(dims, seed=81)
     sig = random_mixed(dims, seed=82)
@@ -1184,10 +1210,13 @@ def test_read_records_decode_paths_agree(tmp_path, design, local_dim, m, n, sett
     write_records(path, cfg, run_protocol(rho, sig, cfg))
     lines = path.read_text().splitlines(keepends=True)
     compact = _compact(tmp_path / "compact.jsonl", lines, sort_keys=True)
-    assert all(_written_counts(line) for line in lines[1:])
-    assert not any(_written_counts(line)
-                   for line in compact.read_text().splitlines()[1:])
-    got, want = read_records(path), read_records(compact)
+    passes, read_lines = [], randomized._read_lines
+    monkeypatch.setattr(randomized, "_read_lines", lambda lines, cfg, written: (
+        passes.append(written), read_lines(lines, cfg, written))[1])
+    got = read_records(path)
+    assert passes == [True]
+    want = read_records(compact)
+    assert passes == [True, True, False]
     _assert_same_reads(got, want)
     assert estimate_overlaps(got[1], cfg) == estimate_overlaps(want[1], cfg)
     for which in ("rho", "sigma"):
@@ -1209,6 +1238,28 @@ def test_read_records_repeated_count_field_reads_as_json_does(tmp_path, where):
     got = read_records(path)
     assert got[1][0].rho_counts.tolist() == [0, 0, 50, 0]
     _assert_same_reads(got, read_records(_compact(tmp_path / "c.jsonl", lines, False)))
+
+
+@pytest.mark.parametrize("body,message", [
+    ('"": 5', "setting 2: rho outcome key '' is outside 0..3"),
+    ('"3": , "4": 1', "Expecting value: line 1 column 22 (char 21)"),
+    ('"0": 50, "3": ', "Expecting value: line 1 column 31 (char 30)"),
+], ids=["empty-key", "empty-count", "empty-last-count"])
+def test_read_records_empty_number_reads_as_json_does(tmp_path, body, message):
+    # a body whose digits are gone is a skeleton of the writer's layout; its
+    # empty number sends the file through json, and numpy warns of nothing;
+    # the last line's body ends the joined numbers, where numpy reads an
+    # empty last number as none
+    path = tmp_path / "records.jsonl"
+    _records_lines(path, 50)
+    lines = path.read_text().splitlines(keepends=True)
+    lines[3] = re.sub(r'"rho_counts": \{[^}]*\}', '"rho_counts": {' + body + '}', lines[3])
+    path.write_text("".join(lines))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _read_or_fault(path)
+    assert got.startswith(f"ValueError: {message}")
+    assert got == _read_through_json(path)
 
 
 def test_read_records_places_a_json_fault_in_the_line_as_written(tmp_path):
@@ -1246,9 +1297,9 @@ _PAIR_EDITS = {
 
 
 @st.composite
-def _body_edits(draw):
-    """A function that edits the text of one count body of a written line."""
-    line = draw(st.integers(1, 3))
+def _body_edit(draw, line):
+    """A function that edits the text of one count body of written line
+    ``line`` and returns the line."""
     which = draw(st.sampled_from(["rho", "sigma"]))
     kind = draw(st.sampled_from(sorted(_PAIR_EDITS) + ["append", "copy", "trail",
                                                        "comma-no-space"]))
@@ -1278,33 +1329,44 @@ def _body_edits(draw):
     return edit
 
 
+@st.composite
+def _body_edits(draw):
+    """A function that edits one count body of one written line, or of each
+    of two lines, and returns the edited lines."""
+    targets = draw(st.lists(st.integers(1, 3), min_size=1, max_size=2, unique=True))
+    edits = [draw(_body_edit(line)) for line in targets]
+    return lambda lines: [edit(lines) for edit in edits]
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(_body_edits())
 def test_read_records_edited_count_body_reads_as_json_does(tmp_path_factory, edit):
-    # the oracle: a line json rejects is a fault, a count body that repeats a
-    # key is a fault, and any other line reads as its parse rewritten in a
-    # layout that always goes through json; the key order is kept, as two
+    # the oracles: the file reads as its json pass does; a line json rejects
+    # is a fault; a count body that repeats a key is a fault, the only one
+    # if it is the one edit; and any other file reads as its parse rewritten
+    # in a layout that always goes through json, the key order kept, as two
     # keys such as "3" and "\u0663" name one outcome
     folder = tmp_path_factory.mktemp("body")
     path = folder / "records.jsonl"
     _records_lines(path, 50)
     lines = path.read_text().splitlines(keepends=True)
-    line = edit(lines)
+    edited = edit(lines)
     path.write_text("".join(lines))
+    got = _read_or_fault(path)
+    _assert_same_reads(got, _read_through_json(path))
     bodies = []
     try:
-        json.loads(line, object_pairs_hook=lambda pairs: bodies.append(pairs) or {})
+        for line in edited:
+            json.loads(line, object_pairs_hook=lambda pairs: bodies.append(pairs) or {})
     except ValueError:
-        with pytest.raises(ValueError):
-            read_records(path)
+        assert isinstance(got, str)
         return
     if any(len({key for key, _ in pairs}) < len(pairs) for pairs in bodies):
-        with pytest.raises(ValueError, match="is named by two keys"):
-            read_records(path)
+        assert isinstance(got, str)
+        assert len(edited) > 1 or "is named by two keys" in got
         return
-    _assert_same_reads(_read_or_fault(path),
-                       _read_or_fault(_compact(folder / "compact.jsonl", lines,
-                                               sort_keys=False)))
+    _assert_same_reads(got, _read_or_fault(_compact(folder / "compact.jsonl", lines,
+                                                    sort_keys=False)))
 
 
 def test_estimators_name_the_setting_that_lacks_data():
