@@ -104,6 +104,8 @@ class QState:
 
     dims: tuple[int, ...]
     matrix: np.ndarray
+    # (v, b, c) of a state b|v><v| + c I built by _pure_plus_noise, else None
+    _pure_form = None
 
     def __post_init__(self):
         dims = _as_dims(self.dims)
@@ -152,7 +154,37 @@ class PureVec:
         return math.prod(self.dims)
 
     def projector(self) -> QState:
-        return QState(self.dims, np.outer(self.vec, self.vec.conj()))
+        return _pure_plus_noise(self.dims, self.vec)
+
+
+def _pure_plus_noise(dims, vec, b: float = 1.0, c: float = 0.0) -> QState:
+    """The state b|v><v| + c I of a unit vector v, whose eigenvalues b + c and c
+    and trace b + cD check it without an eigensolve; (v, b, c) stay on it."""
+    dims, v = _as_dims(dims), np.array(vec, dtype=complex).ravel()
+    side = math.prod(dims)
+    if v.shape != (side,) or abs(np.linalg.norm(v) - 1.0) > NORM_TOL:
+        raise ValueError(f"vector of shape {v.shape} is not a unit vector on dims {dims}")
+    if min(c, b + c) < -PSD_TOL or abs(b + c * side - 1.0) > TRACE_TOL:
+        raise ValueError(f"b={b}, c={c} give eigenvalues {b + c} and {c} and trace "
+                         f"{b + c * side}: not a state within tolerance")
+    m = np.outer(v, v.conj())
+    if (b, c) != (1.0, 0.0):  # bit for bit b * m + c * np.eye(side)
+        m *= b
+        m += c * np.eye(side)
+    m.flags.writeable = v.flags.writeable = False
+    state = object.__new__(QState)  # frozen, so its fields go in through vars()
+    vars(state).update(dims=dims, matrix=m, _pure_form=(v, b, c))
+    return state
+
+
+def _product_probs(form, factors: np.ndarray) -> np.ndarray:
+    """b|Uv|^2 + c, shape (B, D), of a state's ``_pure_form`` (v, b, c) under a
+    (B, q, l, l) block of local factors, U their Kronecker product: one batched
+    l x l product per qudit, whose axis then cycles to the end."""
+    (psi, b, c), (n, q, l) = form, factors.shape[:3]
+    for k in range(q):
+        psi = (factors[:, k] @ psi.reshape(-1, l, l ** (q - 1))).transpose(0, 2, 1)
+    return b * (psi.real**2 + psi.imag**2).reshape(n, -1) + c
 
 
 @dataclass(frozen=True)

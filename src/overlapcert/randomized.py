@@ -33,7 +33,7 @@ from itertools import compress
 
 import numpy as np
 
-from .qmat import QState, _from_json, _guarded_ratios
+from .qmat import QState, _from_json, _guarded_ratios, _product_probs
 
 _DESIGNS = ("haar", "clifford")
 # Slack of a read exact-mode probability vector: entries >= -PROB_TOL and a
@@ -317,24 +317,30 @@ def _basis_coefficients(matrices, local_dim: int, q: int) -> np.ndarray:
     return out.reshape(l * l, -1)
 
 
-def _outcome_probs(factors: np.ndarray, c: np.ndarray) -> np.ndarray:
+def _outcome_probs(factors: np.ndarray, c: np.ndarray | None, forms=None) -> np.ndarray:
     """diag(U rho U^dag), shape (B, D, K), for a (B, q, l, l) block of local
-    factors, U their Kronecker product (never built), and K states' coefficients
-    ``c``: sum_a c_a prod_k M_k[s_k, a_k], M_k[s, a] = <s|u_k H_a u_k^dag|s> real.
-    One GEMM with M_0 shared by the block, batched products for the other
-    qudits: about 2 l D^2 real multiply-adds per setting and state, not D^3."""
+    factors, U their Kronecker product (never built), and K states.  A state
+    whose ``forms`` entry is a (v, b, c0) gets :func:`~.qmat._product_probs`.
+    The rest (None; all without ``forms``) use their coefficients ``c``:
+    sum_a c_a prod_k M_k[s_k, a_k], M_k[s, a] = <s|u_k H_a u_k^dag|s> real.  One
+    GEMM with M_0 shared by the block, batched products for the other qudits:
+    about 2 l D^2 real multiply-adds per setting and state, not D^3."""
     b, q, l = factors.shape[:3]
-    t = (factors[..., :, None] * factors.conj()[..., None, :]).reshape(b, q, l, l * l)
-    m = (t @ _hermitian_basis(l).T).real
-    y = m[:, 0].reshape(b * l, l * l) @ c
-    for k in range(1, q):
-        y = np.matmul(m[:, k, None], y.reshape(b, l**k, l * l, -1))
-    return y.reshape(b, l**q, -1)
+    forms = forms or [None] * (c.size // l ** (2 * q))
+    if c is not None:
+        t = (factors[..., :, None] * factors.conj()[..., None, :]).reshape(b, q, l, l * l)
+        m = (t @ _hermitian_basis(l).T).real
+        y = m[:, 0].reshape(b * l, l * l) @ c
+        for k in range(1, q):
+            y = np.matmul(m[:, k, None], y.reshape(b, l**k, l * l, -1))
+        dense = iter(np.moveaxis(y.reshape(b, l**q, -1), 2, 0))
+    return np.stack([next(dense) if form is None else _product_probs(form, factors)
+                     for form in forms], axis=2)
 
 
-# Bytes of kernel intermediates (the first qudit's B D^2 / l reals per
-# state) per probability block.  A 1 MiB block is no faster on 3+3 qubits
-# and 300 settings, and raises the peak RSS of the run by about 1 MiB.
+# Bytes of kernel intermediates (B D^2 / l reals per state, or B D amplitudes
+# if no state needs those) per block.  On 3+3 qubits and 300 settings 1 MiB is
+# no faster, at 1 MiB more peak RSS; the vector kernel is 2x faster at 128 than 8.
 _BLOCK_BYTES = 256 * 1024
 
 
@@ -346,7 +352,7 @@ def run_protocol(rho: QState, sigma: QState, cfg: ProtocolConfig) -> Records:
     and independent of evaluation order.  Each setting's stream draws its m+n
     local unitaries and then, in shot mode, the counts of rho and sigma.
     Both states' outcome probabilities come from one kernel call per block
-    of settings, on their real Hermitian-basis coefficients (computed once).
+    of settings, on their vectors or real Hermitian-basis coefficients.
     """
     total = cfg.local_dim ** (cfg.m + cfg.n)
     if rho.dim != total or sigma.dim != total:
@@ -362,11 +368,15 @@ def run_protocol(rho: QState, sigma: QState, cfg: ProtocolConfig) -> Records:
     factors = _local_unitaries(
         np.array([_draw_local(cfg.local_dim, rng, cfg.design, cfg.m + cfg.n)
                   for rng in rngs]), cfg.design)
-    c = _basis_coefficients([rho.matrix, sigma.matrix], cfg.local_dim, cfg.m + cfg.n)
+    forms = [rho._pure_form, sigma._pure_form]
+    dense = [state.matrix for state, form in zip((rho, sigma), forms) if form is None]
+    c = _basis_coefficients(dense, cfg.local_dim, cfg.m + cfg.n) if dense else None
     probs = np.empty((2, cfg.n_unitaries, total))
-    block = max(1, _BLOCK_BYTES * cfg.local_dim // (c.itemsize * 2 * total * total))
+    per_state = total * total // cfg.local_dim if dense else 2 * total
+    block = max(1, _BLOCK_BYTES // (probs.itemsize * 2 * per_state))
     for i in range(0, cfg.n_unitaries, block):
-        probs[:, i:i + block] = np.moveaxis(_outcome_probs(factors[i:i + block], c), 2, 0)
+        probs[:, i:i + block] = np.moveaxis(
+            _outcome_probs(factors[i:i + block], c, forms), 2, 0)
     data = probs
     if not cfg.exact:  # the shots sample the clipped, renormalised probabilities
         np.clip(probs, 0.0, None, out=probs)

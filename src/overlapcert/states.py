@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qmat import PureVec, QState, _from_json, _json_number, schmidt_decompose
+from .qmat import (PureVec, QState, _from_json, _json_number, _pure_plus_noise,
+                   schmidt_decompose)
 
 
 def max_entangled(d: int) -> PureVec:
@@ -38,10 +39,8 @@ def isotropic(d: int, x: float) -> QState:
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"fidelity parameter x={x} outside [0, 1]")
     dd = d * d
-    v = max_entangled(d).vec
-    proj = np.outer(v, v.conj())
-    m = (1.0 - x) / (dd - 1) * np.eye(dd) + (dd * x - 1.0) / (dd - 1) * proj
-    return QState((d, d), m)
+    return _pure_plus_noise((d, d), max_entangled(d).vec, (dd * x - 1.0) / (dd - 1),
+                            (1.0 - x) / (dd - 1))
 
 
 def corner_isotropic(d: int, x: float) -> QState:
@@ -88,6 +87,8 @@ def ghz_pure(n: int, d: int) -> PureVec:
     """n-qudit GHZ state sum_j |j...j> / sqrt(d)."""
     if n < 2:
         raise ValueError("GHZ needs at least two parties")
+    if d < 2:
+        raise ValueError("local dimension must be >= 2")
     total = d**n
     v = np.zeros(total, dtype=complex)
     step = (total - 1) // (d - 1)
@@ -99,10 +100,7 @@ def ghz_noisy(n: int, d: int, p: float) -> QState:
     """White-noise GHZ mixture p |GHZ><GHZ| + (1-p) I / d^n."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"mixing probability p={p} outside [0, 1]")
-    v = ghz_pure(n, d).vec
-    proj = np.outer(v, v.conj())
-    total = d**n
-    return QState((d,) * n, p * proj + (1.0 - p) * np.eye(total) / total)
+    return _pure_plus_noise((d,) * n, ghz_pure(n, d).vec, p, (1.0 - p) / d**n)
 
 
 def sn3_unfaithful_state() -> QState:

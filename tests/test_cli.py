@@ -490,6 +490,23 @@ def test_rm_experiment_negative_seed_flag_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_rm_experiment_ghz_local_dimension_one_exits_2(tmp_path, capsys):
+    # d = 1 used to end in a ZeroDivisionError traceback, exit 1, the code of
+    # a failed examples check
+    cfg_path = tmp_path / "cfg.json"
+    write_rm_config(cfg_path, settings=20)
+    cfg = json.loads(cfg_path.read_text())
+    cfg["rho"] = {"family": "ghz-noisy", "params": {"n": 4, "d": 1, "p": 0.5}}
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "report.json"
+    with pytest.raises(SystemExit) as err:
+        main(["rm-experiment", "--config", str(cfg_path), "--out", str(out)])
+    assert err.value.code == 2
+    assert ("error: rm-experiment: local dimension must be >= 2"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_rm_experiment_unreadable_config_exits_2(tmp_path, capsys):
     # a missing file used to end in a FileNotFoundError traceback, exit 1
     missing = tmp_path / "nope.json"

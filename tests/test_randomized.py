@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from overlapcert import (
     ProtocolConfig,
     PureVec,
+    QState,
     Records,
     estimate_overlaps,
     estimate_self_overlaps,
@@ -25,6 +26,7 @@ from overlapcert import (
     isotropic,
     max_entangled,
     random_mixed,
+    random_pure,
     randomized,
     read_records,
     run_protocol,
@@ -210,6 +212,60 @@ def test_outcome_probs_match_kron_product_unitary(local_dim, q):
         for k, rho in enumerate(states):
             want = np.einsum("ij,jk,ik->i", u, rho, u.conj()).real
             assert np.abs(p[:, k] - want).max() <= 1e-15
+
+
+def _pair(kind, local_dim, m, n):
+    """Two states on (m + n) qudits: both b|v><v| + c I ("vector"), or a
+    random_mixed rho against such a sigma ("mixed")."""
+    dims, q = (local_dim,) * (m + n), m + n
+    if kind == "mixed":
+        return random_mixed(dims, seed=q), ghz_noisy(q, local_dim, 0.7)
+    sigma = random_pure(dims, seed=10 * m + n).projector()
+    if m == n:  # below x = 1/d^2 the weight of the vector is negative
+        return isotropic(local_dim**m, 0.5 / local_dim ** (2 * m)), sigma
+    return ghz_noisy(q, local_dim, 0.7), sigma
+
+
+@pytest.mark.parametrize("kind", ["vector", "mixed"])
+@pytest.mark.parametrize("shots", [None, 50], ids=["exact", "shots"])
+@pytest.mark.parametrize("local_dim, m, n, design", [
+    (2, 1, 1, "haar"), (2, 2, 2, "haar"), (2, 1, 4, "haar"), (2, 3, 3, "haar"),
+    (2, 2, 2, "clifford"), (2, 3, 3, "clifford"),
+    (3, 1, 1, "haar"), (3, 2, 1, "haar"), (3, 2, 2, "haar"), (3, 2, 3, "haar"),
+])
+def test_vector_kernel_matches_dense_probabilities(monkeypatch, kind, shots, local_dim,
+                                                   m, n, design):
+    # a b|v><v| + c I state's probabilities come from Uv, with no Hermitian-basis
+    # coefficients; they must equal diag(U rho U^dag) with U built by np.kron
+    rho, sigma = _pair(kind, local_dim, m, n)
+    seen, kernel, coefficients = [], randomized._outcome_probs, randomized._basis_coefficients
+    monkeypatch.setattr(randomized, "_outcome_probs",
+                        lambda *a: seen.append(kernel(*a)) or seen[-1])
+    monkeypatch.setattr(randomized, "_basis_coefficients",
+                        lambda ms, *a: seen.append(len(ms)) or coefficients(ms, *a))
+    cfg = ProtocolConfig(local_dim=local_dim, m=m, n=n, n_unitaries=5,
+                         shots_per_setting=shots, seed=3, design=design)
+    records = run_protocol(rho, sigma, cfg)
+    assert [x for x in seen if isinstance(x, int)] == ([1] if kind == "mixed" else [])
+    probs = np.moveaxis(np.concatenate([x for x in seen if not isinstance(x, int)]), 2, 0)
+    for j, fs in enumerate(records.unitaries):
+        u = functools.reduce(np.kron, fs)
+        for k, state in enumerate((rho, sigma)):
+            want = np.einsum("ij,ij->i", u @ state.matrix, u.conj()).real
+            assert np.abs(probs[k, j] - want).max() <= 1e-12
+    if shots is None:
+        assert np.array_equal(records.data, probs)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_vector_kernel_counts_equal_hermitian_basis_counts(seed):
+    # the rm-pipeline bench pair: Haar shot counts do not depend on the kernel
+    rho, sigma = isotropic(8, 0.9), isotropic(8, 1.0)
+    dense = [QState(s.dims, s.matrix) for s in (rho, sigma)]
+    assert rho._pure_form is not None and dense[0]._pure_form is None
+    cfg = ProtocolConfig(local_dim=2, m=3, n=3, n_unitaries=300, shots_per_setting=1000,
+                         seed=seed)
+    assert np.array_equal(run_protocol(rho, sigma, cfg).data, run_protocol(*dense, cfg).data)
 
 
 @pytest.mark.parametrize("local_dim", [2, 3, 4])

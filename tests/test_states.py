@@ -23,6 +23,7 @@ from overlapcert import (
     tilted_entangled,
     verifier_state,
 )
+from overlapcert.qmat import _pure_plus_noise
 
 
 def fidelity_with(vec, rho):
@@ -128,10 +129,8 @@ def test_corner_isotropic_needs_d3():
 
 
 @pytest.mark.parametrize("build", [
-    lambda: isotropic(4, 0.3),
     lambda: corner_isotropic(4, 0.3),
-    lambda: ghz_noisy(3, 3, 0.7),
-], ids=["isotropic", "corner_isotropic", "ghz_noisy"])
+], ids=["corner_isotropic"])
 def test_family_state_is_validated_once(monkeypatch, build):
     # the projector is built from the validated vector, not as a second
     # QState; only the final state runs the eigvalsh check
@@ -145,6 +144,86 @@ def test_family_state_is_validated_once(monkeypatch, build):
     monkeypatch.setattr(QState, "__post_init__", counted)
     state = build()
     assert len(calls) == 1 and calls[0] is state
+
+
+@pytest.fixture
+def eigvalsh_calls(monkeypatch):
+    """The arguments of every np.linalg.eigvalsh call the test makes."""
+    calls, eigvalsh = [], np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a: calls.append(a) or eigvalsh(*a))
+    return calls
+
+
+def _isotropic_dense(d, x):  # the formula isotropic evaluated before its vector form
+    dd = d * d
+    v = max_entangled(d).vec
+    proj = np.outer(v, v.conj())
+    return (1.0 - x) / (dd - 1) * np.eye(dd) + (dd * x - 1.0) / (dd - 1) * proj
+
+
+def _ghz_noisy_dense(n, d, p):  # the same for ghz_noisy
+    v = ghz_pure(n, d).vec
+    proj = np.outer(v, v.conj())
+    total = d**n
+    return p * proj + (1.0 - p) * np.eye(total) / total
+
+
+@pytest.mark.parametrize("build, dense, points", [
+    (isotropic, _isotropic_dense,
+     [(d, x) for d in (2, 3, 4, 10) for x in (0.0, 0.01, 1.0 / d**2, 0.3, 0.75, 1.0)]),
+    (ghz_noisy, _ghz_noisy_dense,
+     [(n, d, p) for n, d in ((2, 2), (3, 2), (3, 3), (6, 2)) for p in (0.0, 0.3, 0.8, 1.0)]),
+], ids=["isotropic", "ghz_noisy"])
+def test_pure_plus_noise_family_runs_no_eigensolve(eigvalsh_calls, build, dense, points):
+    # b|v><v| + c I is checked by the norm of v and its two eigenvalues, so
+    # no eigensolve runs, and its matrix keeps the dense formula's bytes
+    for point in points:
+        state = build(*point)
+        want = np.array(dense(*point), dtype=complex)
+        assert state.matrix.tobytes() == want.tobytes(), point
+        assert not state.matrix.flags.writeable
+        v, b, c = state._pure_form
+        assert np.array_equal(b * np.outer(v, v.conj()) + c * np.eye(len(v)), want)
+    assert eigvalsh_calls == []
+
+
+def test_pure_plus_noise_accepts_negative_weight_above_zero_eigenvalues():
+    # below x = 1/d^2 the vector's weight b is negative, but both eigenvalues,
+    # b + c = x and c = (1 - x)/(d^2 - 1), are not
+    for d in (2, 3, 5):
+        for x in (0.0, 0.5 / d**2):
+            _, b, c = isotropic(d, x)._pure_form
+            assert b < 0.0 and c > 0.0 and abs(b + c - x) < 1e-15
+
+
+@pytest.mark.parametrize("vec, b, c, fault", [
+    ([1.0, 0.0, 0.0, 1e-5], 1.0, 0.0, "not a unit vector"),
+    ([0.5, 0.5, 0.5, 0.5, 0.0], 1.0, 0.0, "not a unit vector"),
+    ([1.0, 0.0, 0.0, 0.0], -0.5, 0.375, "not a state"),
+    ([1.0, 0.0, 0.0, 0.0], 1.2, -0.05, "not a state"),
+    ([1.0, 0.0, 0.0, 0.0], 1.0 + 8e-9, -2e-9, "not a state"),
+    ([1.0, 0.0, 0.0, 0.0], 0.5, 0.5, "not a state"),
+])
+def test_pure_plus_noise_rejects_what_is_no_state(vec, b, c, fault):
+    # b + c = -0.125, c = -0.05 and c = -2e-9 are eigenvalues below -PSD_TOL
+    # at unit trace; 0.5 + 4 * 0.5 is no unit trace
+    with pytest.raises(ValueError, match=fault):
+        _pure_plus_noise((2, 2), vec, b, c)
+
+
+def test_public_qstate_still_eigensolves_a_family_matrix(eigvalsh_calls):
+    state = QState((3, 3), isotropic(3, 0.4).matrix)
+    assert len(eigvalsh_calls) == 1 and state._pure_form is None
+
+
+@pytest.mark.parametrize("d", [1, 0, -2])
+def test_ghz_rejects_local_dimension_below_two(d):
+    # (d^n - 1) // (d - 1) used to raise ZeroDivisionError at d = 1
+    for build in (lambda: ghz_pure(3, d), lambda: ghz_noisy(3, d, 0.5),
+                  lambda: StateSpec("ghz-noisy", {"n": 3, "d": d, "p": 0.5}).build(),
+                  lambda: build_density(StateSpec("ghz-pure", {"n": 3, "d": d}))):
+        with pytest.raises(ValueError, match="local dimension must be >= 2"):
+            build()
 
 
 # ---------------------------------------------------------------------------
