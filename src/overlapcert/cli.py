@@ -499,6 +499,8 @@ def main(argv=None) -> int:
         return run()
     except ValueError as err:  # what every check of a flag or a config raises
         parser.error(f"{args.command}: {err}")
+    except OSError as err:  # an output file that cannot be written
+        parser.error(f"{args.command}: cannot write {err.filename}: {err.strerror}")
 
 
 if __name__ == "__main__":

@@ -25,8 +25,6 @@ import functools
 import json
 import math
 import re
-import warnings
-from array import array
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass
 from itertools import compress
@@ -562,20 +560,25 @@ def write_records(path, cfg: ProtocolConfig, records) -> None:
                      f'{json.dumps(unitaries[cfg.m:])}}}\n')
 
 
-# A shot-mode line as write_records writes it, up to its unitaries.
-_WRITTEN = re.compile(r'\{"rho_counts": \{([^}]*)\}, "setting": ([0-9]+), '
-                      r'"sigma_counts": \{([^}]*)\}, "unitaries_a": ', re.ASCII)
-_COLON_TO_COMMA = bytes.maketrans(b":", b",")
-_KEY = re.compile("0|[1-9][0-9]{0,17}", re.ASCII)  # the one text of each outcome
+# A shot-mode line as write_records writes it, field by field: no string
+# after unitaries_a's key but unitaries_b's, whose values json reads.
+_LAYOUT = (("rho_counts", r'\{"rho_counts": \{([^}]*)\}, '),
+           ("setting", r'"setting": (0|[1-9][0-9]*), '),
+           ("sigma_counts", r'"sigma_counts": \{([^}]*)\}, '),
+           ("unitaries_a", r'"unitaries_a": ([^"]*)(?="unitaries_b")'),
+           ("unitaries_b", r'"unitaries_b"[^"]*\Z'))
+_WRITTEN = re.compile("".join(part for _, part in _LAYOUT))
+_OFF = "is not in the writer's layout"
 
 
-class _JsonObject(dict):
-    """A parsed JSON object that also keeps its (key, value) pairs as
-    written, a repeated key included; the dict keeps the later value."""
-
-    def __init__(self, pairs):
-        super().__init__(pairs)
-        self.pairs = pairs
+def _off_layout(line: str, record: int) -> ValueError:
+    """The refusal of a line off the layout, naming where it leaves it."""
+    where, end = f"record {record}", 0
+    for field, part in _LAYOUT:
+        if not (match := re.compile(part).match(line, end)):
+            break
+        where, end = f"setting {match[1]}" if field == "setting" else where, match.end()
+    return ValueError(f"{where}: {field} {_OFF}")
 
 
 def _fault_at_first(bad: np.ndarray, settings: list, fault) -> None:
@@ -586,77 +589,58 @@ def _fault_at_first(bad: np.ndarray, settings: list, fault) -> None:
 
 
 class _Counts:
-    """One state's count bodies, kept line by line and checked once per file:
-    line j's keys and counts are ``keys[ends[j]:ends[j + 1]]`` and the same
-    slice of ``values``, ``texts`` their key texts if read through json."""
+    """One state's count bodies in the writer's layout, kept line by line as
+    CSV bytes and decoded once per file: line j's keys and counts are then
+    ``keys[ends[j]:ends[j + 1]]`` and the same slice of ``values``."""
 
     def __init__(self, which: str):
-        self.which, self.ends, self.texts = which, [0], []
-        self.keys, self.values, self.csv, self.digits = array("q"), array("q"), [], 0
+        self.which, self.ends, self.csv, self.digits = which, [0], [], []
 
-    def add(self, obj: dict, total: int, setting: int) -> None:
-        """Keep a line's {outcome: count} JSON pair by pair as written; a key
-        that is not an outcome's text reads as -1."""
-        sparse = obj.get(self.which + "_counts")
-        if not isinstance(sparse, dict):
-            fault = "is missing" if sparse is None else "is not a JSON object"
-            raise ValueError(f"setting {setting}: {self.which}_counts {fault}")
-        names, values = [key for key, _ in sparse.pairs], [v for _, v in sparse.pairs]
-        if not all(type(v) is int and -2**63 <= v < 2**63 for v in values):
-            raise ValueError(f"setting {setting}: {self.which}_counts holds a value "
-                             f"that is not a 64-bit integer")
-        self.keys.extend(int(k) if _KEY.fullmatch(k) and int(k) < total else -1 for k in names)
-        self.values.extend(values)
-        self.texts += names
-        self.ends.append(len(self.keys))
-
-    def add_written(self, body: str) -> None:
-        """Keep a body in the writer's layout as CSV bytes: '"key": count'
-        pairs joined by ", ", with only digits in each key and count."""
+    def add_written(self, body: str, setting: int) -> None:
+        """Keep a body of '"key": count' pairs joined by ", ", each a digit run."""
         body = body.encode()
         skeleton = body.translate(None, b"0123456789")
         pairs = skeleton.count(b":")
-        if skeleton != (b'"": , ' * pairs)[:-2]:
-            raise ValueError("a count body not in the writer's layout")
+        csv = body.translate(bytes.maketrans(b":", b","), b'" ')
+        # an empty number leaves ",," in the CSV, or a comma at either end
+        if skeleton != (b'"": , ' * pairs)[:-2] or b",," in csv or b"," in (csv[:1], csv[-1:]):
+            raise ValueError(f"setting {setting}: {self.which}_counts {_OFF}")
         if pairs:
-            self.csv.append(body.translate(_COLON_TO_COMMA, b'" '))
+            self.csv.append(csv)
         self.ends.append(self.ends[-1] + pairs)
-        self.digits += len(body) - len(skeleton)
+        self.digits.append(len(body) - len(skeleton))
 
-    def decode(self) -> None:
-        """Decode the kept bodies with numpy, as json would read them: each
-        number nonempty, of at most 18 digits, without a leading zero."""
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # numpy < 2 warns at an empty number
-            numbers = np.fromstring(b",".join(self.csv), dtype=np.int64, sep=",")
+    def decode(self, settings: list) -> None:
+        """Decode the kept bodies with numpy: a line whose numbers' lengths do
+        not sum to its digits has one with a leading zero or over 18 digits."""
+        numbers = np.fromstring(b",".join(self.csv), dtype=np.int64, sep=",")
         top = numbers.max(initial=0)  # the lengths: 1 each, +1 per power of 10 reached
-        if (numbers.size != 2 * self.ends[-1] or top >= 10**18 or self.digits != numbers.size
-                + sum(np.count_nonzero(numbers >= 10**d) for d in range(1, len(str(top))))):
-            raise ValueError("a count body not in the writer's layout")
+        if top >= 10**18 or sum(self.digits) != numbers.size + sum(
+                np.count_nonzero(numbers >= 10**d) for d in range(1, len(str(top)))):
+            size = np.searchsorted(10 ** np.arange(1, 19, dtype=np.int64), numbers, "right") + 1
+            lengths = np.concatenate(([0], np.cumsum(np.where(numbers < 10**18, size, 0))))
+            _fault_at_first(np.diff(lengths[2 * np.array(self.ends)]) != self.digits, settings,
+                            lambda j: f"{self.which}_counts {_OFF}")
         self.keys, self.values = numbers[0::2], numbers[1::2]
 
     def dense(self, settings: list, total: int, shots: int, out: np.ndarray) -> None:
-        """Fill ``out``, a zeroed contiguous (lines, total) int64 block, with the
-        counts, checked."""
-        keys, values = (np.asarray(a, dtype=np.int64) for a in (self.keys, self.values))
+        """Fill ``out``, a zeroed contiguous (lines, total) int64 block, checked."""
 
         def check(bad, fault):  # a fault of the first pair where bad holds
             if bad.any():
                 p = int(np.argmax(bad))
                 j = int(np.searchsorted(self.ends, p, side="right")) - 1
-                key = self.texts[p] if self.texts else str(keys[p])
-                raise ValueError(f"setting {settings[j]}: {self.which} outcome {fault(key)}")
+                raise ValueError(f"setting {settings[j]}: {self.which} outcome "
+                                 f"{fault(self.keys[p])}")
 
-        check((keys < 0) | (keys >= total), lambda k: f"key {k!r} is outside 0..{total - 1}")
+        check(self.keys >= total, lambda k: f"key '{k}' is outside 0..{total - 1}")
         flat = out.reshape(-1)
         cells = np.repeat(np.arange(0, flat.size, total), np.diff(self.ends))
-        cells += keys
+        cells += self.keys
         np.add.at(flat, cells, 1)
-        # an outcome under two keys: json would keep the later count
-        check(flat[cells] > 1, lambda k: f"{k} is named by two keys, {k!r} and {k!r}")
-        check(values < 0, lambda k: f"key {k!r} has a negative count")
-        check(values > shots, lambda k: f"key {k!r} has a count above shots_per_setting")
-        flat[cells] = values  # at most total counts of at most shots: no wraparound
+        check(flat[cells] > 1, lambda k: f"{k} is named by two keys, '{k}' and '{k}'")
+        check(self.values > shots, lambda k: f"key '{k}' has a count above shots_per_setting")
+        flat[cells] = self.values  # at most total counts of at most shots: no wraparound
         sums = flat.reshape(-1, total).sum(axis=1)
         _fault_at_first(sums != shots, settings, lambda j: f"{self.which} counts sum to "
                         f"{sums[j]}, not shots_per_setting {shots}")
@@ -686,43 +670,43 @@ def _rows(rows: list, shape: tuple, name: str, settings: list, fault: str,
     return block
 
 
-def _read_lines(lines, cfg: ProtocolConfig, written: bool):
+def _read_lines(lines, cfg: ProtocolConfig):
     """(settings, fields, counts of each state) of the record lines, each
-    line checked as it is read.  ``written``: every line must be in the
-    writer's shot-mode layout, its count bodies decoded once per file and
-    state by numpy, or ValueError is raised, with no other check run."""
-    total = cfg.local_dim ** (cfg.m + cfg.n)
+    line checked as it is read.  A shot-mode line must be in the writer's
+    layout; its count bodies are decoded once per file and state by numpy."""
     fields = {name: [] for name in ("unitaries_a", "unitaries_b")
               + ("rho_probs", "sigma_probs") * cfg.exact}
     states, settings = [] if cfg.exact else [_Counts("rho"), _Counts("sigma")], []
-    for line in lines:
-        layout = written and _WRITTEN.match(line)
-        if layout:  # the line without its count bodies holds any boolean
+    for text in lines:
+        line = text
+        if states:  # json reads the line without its count bodies
+            layout = _WRITTEN.match(text)
+            if not layout:
+                raise _off_layout(text, len(settings))
             line = ('{"rho_counts": {}, "setting": ' + layout[2] + ', "sigma_counts": {}, '
-                    '"unitaries_a": ' + line[layout.end():])
-        obj = json.loads(line, object_pairs_hook=_JsonObject)
-        # ten quotes and five keys: no other key repeats a count field
-        if written and not (layout and line.count('"') == 10 and len(obj) == 5):
-            raise ValueError("a line not in the writer's layout")
+                    '"unitaries_a": ' + text[layout.start(4):])
+        try:
+            obj = json.loads(line)
+        except ValueError:
+            json.loads(text)  # json's own fault, placed in the line as written
+            raise
         setting = obj.get("setting") if isinstance(obj, dict) else None
         if type(setting) is not int or not 0 <= setting < cfg.n_unitaries:
             raise ValueError(f"record {len(settings)}: setting {setting!r} is "
                              f"not an integer in 0..{cfg.n_unitaries - 1}")
-        # numpy would read a boolean among numbers as 0 or 1
-        if "true" in line or "false" in line:
-            raise ValueError(f"setting {setting}: a value is a JSON boolean")
+        if "true" in line or "false" in line:  # numpy would read it as 0 or 1
+            name = next((name for name, value in obj.items()
+                         if re.search("true|false", json.dumps(value))), "a key")
+            raise ValueError(f"setting {setting}: {name} holds a JSON boolean")
         for name, rows in fields.items():
             if name not in obj:
                 raise ValueError(f"setting {setting}: {name} is missing")
             rows.append(obj[name])
         for i, state in enumerate(states):
-            if written:
-                state.add_written(layout[2 * i + 1])
-            else:
-                state.add(obj, total, setting)
+            state.add_written(layout[2 * i + 1], setting)
         settings.append(setting)
-    for state in states if written else ():
-        state.decode()
+    for state in states:
+        state.decode(settings)
     return settings, fields, states
 
 
@@ -731,16 +715,15 @@ def read_records(path) -> tuple[ProtocolConfig, Records]:
 
     Every record must carry its setting, m and n finite unitaries, and
     both states' probability vectors of length D, finite, nonnegative and
-    summing to 1 within ``PROB_TOL`` (exact mode), or sparse counts keyed by
-    outcomes as the writer writes them, each under one key, none negative or
-    above the shots per setting, that sum to them; the settings must be
-    0..n_unitaries-1, each once.  A fault raises ``ValueError`` naming it: a
-    line that is not JSON or lacks a field at that line, any other after the
-    last line, each check over the whole file naming the first line it fails.
-    A shot-mode file whose every line is in write_records' own layout has
-    its count bodies decoded by numpy, once per file and state; a file with
-    any line off that layout is read again through json, line by line, to
-    the same records and faults.
+    summing to 1 within ``PROB_TOL`` (exact mode, read by json), or sparse
+    counts keyed by outcomes, each under one key, none above the shots per
+    setting, that sum to them; the settings must be 0..n_unitaries-1, each
+    once.  A shot-mode line must be in the writer's layout, the bytes of
+    ``json.dumps(obj, sort_keys=True)``; its count bodies are decoded by
+    numpy, once per file and state.  A fault raises ``ValueError`` naming
+    the setting (``record j`` before it is read) and the field: a line off
+    the layout, not JSON, or lacking a field at that line, any other after
+    the last line, each check over the whole file naming the first line.
     """
     with open(path) as fh:
         header = json.loads(fh.readline())
@@ -748,14 +731,7 @@ def read_records(path) -> tuple[ProtocolConfig, Records]:
             raise ValueError("the first line must be a JSON object with a "
                              "'protocol' key")
         cfg = ProtocolConfig.from_json(header["protocol"])
-        read = None
-        if not cfg.exact:
-            try:
-                read = _read_lines(fh, cfg, written=True)
-            except (ValueError, DeprecationWarning):  # json reads it again, fault by fault
-                fh.seek(0)
-                fh.readline()
-        settings, fields, states = read or _read_lines(fh, cfg, written=False)
+        settings, fields, states = _read_lines(fh, cfg)
     total, shots = cfg.local_dim ** (cfg.m + cfg.n), cfg.shots_per_setting
     seen = np.bincount(np.array(settings, dtype=np.int64), minlength=cfg.n_unitaries)
     for bad, fault in ((seen > 1, "appears more than once"), (seen == 0, "is missing")):

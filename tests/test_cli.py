@@ -519,6 +519,26 @@ def test_rm_experiment_unreadable_config_exits_2(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command, out, written", [
+    ("fig1", "no/out.csv", "no/out.csv"),
+    ("rm-experiment", "no/out.json", "no/out.json.records.jsonl"),
+    ("rm-experiment", "out.json", "out.json"),
+], ids=["csv", "records", "report"])
+def test_unwritable_output_exits_2_naming_the_path(tmp_path, capsys, command, out, written):
+    # an output that cannot be written used to end in a traceback, exit 1;
+    # a missing directory stops the first file, a directory as --out the
+    # rm-experiment report after its records
+    cfg_path = tmp_path / "cfg.json"
+    write_rm_config(cfg_path, settings=4, shots=8)
+    (tmp_path / "out.json").mkdir()
+    argv = (["fig1", "--d", "3", "--grid", "2"] if command == "fig1"
+            else ["rm-experiment", "--config", str(cfg_path)])
+    with pytest.raises(SystemExit) as err:
+        main(argv + ["--out", str(tmp_path / out)])
+    assert err.value.code == 2
+    assert f"error: {command}: cannot write {tmp_path / written}: " in capsys.readouterr().err
+
+
 def test_readme_rm_config_builds():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("An `rm-experiment` config holds")[1].split("```json")[1]

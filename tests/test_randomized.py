@@ -6,7 +6,6 @@ import math
 import re
 import tracemalloc
 import warnings
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -1000,31 +999,35 @@ def _tampered_counts_file(tmp_path, edit):
     return path
 
 
+# A count body the writer would not write is refused as it is read, naming
+# the setting and the field; one in its layout is checked once per file
+_OFF = "is not in the writer's layout"
+
+
 @pytest.mark.parametrize("edit,message", [
-    (lambda c: c.update({"-1": 3}), "setting 1: rho outcome key '-1' is outside 0..3"),
+    (lambda c: c.update({"-1": 3}), f"setting 1: rho_counts {_OFF}"),
     (lambda c: c.update({"4": 3}), "setting 1: rho outcome key '4' is outside 0..3"),
-    (lambda c: c.update({"2": -5}), "setting 1: rho outcome key '2' has a negative"),
-    # three counts whose int64 sum wraps around to exactly the 50 shots
+    (lambda c: c.update({"2": -5}), f"setting 1: rho_counts {_OFF}"),
+    # three counts whose int64 sum would wrap around to exactly the 50
+    # shots: 19 digits each
     (lambda c: (c.clear(), c.update(dict.fromkeys("012", 6148914691236517222))),
-     "setting 1: rho outcome key '0' has a count above shots_per_setting"),
+     f"setting 1: rho_counts {_OFF}"),
     (lambda c: c.update({"3": 51}),
      "setting 1: rho outcome key '3' has a count above shots_per_setting"),
-    # numpy would read this count as 2**63 - 1, above the shots
-    (lambda c: c.update({"3": 10**19 - 1}),
-     "setting 1: rho_counts holds a value that is not a 64-bit integer"),
-    # a key is decimal text as the writer writes it, or it names no outcome,
-    # even where int would read it as one; the counts still sum to 50
-    (lambda c: c.update({"00": c["0"]}), "setting 1: rho outcome key '00' is outside 0..3"),
-    (lambda c: c.update({"\u0663": c["3"]}),
-     "setting 1: rho outcome key '\u0663' is outside 0..3"),
-    (lambda c: c.update({"0_2": c.pop("2")}), "setting 1: rho outcome key '0_2' is outside"),
-    (lambda c: c.update({" 2 ": c.pop("2")}), "setting 1: rho outcome key ' 2 ' is outside"),
-    (lambda c: c.update({"+2": c.pop("2")}), r"setting 1: rho outcome key '\+2' is outside"),
-    (lambda c: c.update({"02": c.pop("2")}), "setting 1: rho outcome key '02' is outside"),
-    # one key text twice, in the writer's layout and in a compact one: json
-    # would keep the later count, and these still sum to 50
+    # numpy would read this count as 2**63 - 1
+    (lambda c: c.update({"3": 10**19 - 1}), f"setting 1: rho_counts {_OFF}"),
+    # a key is decimal text as the writer writes it, even where int would
+    # read it as an outcome; the counts still sum to 50
+    (lambda c: c.update({"00": c["0"]}), f"setting 1: rho_counts {_OFF}"),
+    (lambda c: c.update({"\u0663": c["3"]}), f"setting 1: rho_counts {_OFF}"),
+    (lambda c: c.update({"0_2": c.pop("2")}), f"setting 1: rho_counts {_OFF}"),
+    (lambda c: c.update({" 2 ": c.pop("2")}), f"setting 1: rho_counts {_OFF}"),
+    (lambda c: c.update({"+2": c.pop("2")}), f"setting 1: rho_counts {_OFF}"),
+    (lambda c: c.update({"02": c.pop("2")}), f"setting 1: rho_counts {_OFF}"),
+    # one key text twice, in the writer's layout and in a compact one; these
+    # still sum to 50
     ('"0": 99, ', "setting 1: rho outcome 0 is named by two keys, '0' and '0'"),
-    ('"0":99,', "setting 1: rho outcome 0 is named by two keys, '0' and '0'"),
+    ('"0":99,', f"setting 1: rho_counts {_OFF}"),
 ], ids=["negative-key", "key-past-dimension", "negative-count", "sum-wraps-to-shots",
         "count-above-shots", "count-past-int64", "outcome-named-twice",
         "outcome-named-by-a-digit-variant", "key-underscore", "key-spaces", "key-plus",
@@ -1049,14 +1052,15 @@ def _set(line, key, value):
      r"setting 0: unitaries_b must be a 1 x 8 array of floats"),
     (50, lambda ls: ls[2]["sigma_counts"].update({"0": 0}),
      "setting 1: sigma counts sum to 4[0-9], not shots_per_setting 50"),
-    (50, lambda ls: ls[2]["rho_counts"].update({"3": 1.5}),
-     "setting 1: rho_counts holds a value that is not a 64-bit integer"),
-    (50, _set(2, "rho_counts", [3, 47]), "setting 1: rho_counts is not a JSON object"),
-    (50, lambda ls: ls[1].pop("rho_counts"), "setting 0: rho_counts is missing"),
+    (50, lambda ls: ls[2]["rho_counts"].update({"3": 1.5}), f"setting 1: rho_counts {_OFF}"),
+    # the setting follows rho_counts in the layout: a line off it there is
+    # named by its record number
+    (50, _set(2, "rho_counts", [3, 47]), f"record 1: rho_counts {_OFF}"),
+    (50, lambda ls: ls[1].pop("rho_counts"), f"record 0: rho_counts {_OFF}"),
     (50, _set(3, "setting", 1), "setting 1 appears more than once"),
     (50, lambda ls: ls.pop(2), "setting 1 is missing"),
     (50, _set(3, "setting", 3), r"record 2: setting 3 is not an integer in 0..2"),
-    (50, _set(3, "setting", True), r"record 2: setting True is not an integer"),
+    (50, _set(3, "setting", True), f"record 2: setting {_OFF}"),
     (None, _set(0, "protocol", {"local_dim": 2, "m": 1, "n": 1}),
      r"missing keys \['n_unitaries'\]"),
     (None, lambda ls: ls[0]["protocol"].update({"m": 1.5}),
@@ -1097,11 +1101,11 @@ def _lead_zero(counts):
 
 
 @pytest.mark.parametrize("shots,edit,message", [
-    # a line that fails to parse raises as it is read, before the checks
+    # a line off the layout is refused as it is read, before the checks
     # that run once per file, of earlier lines too
     (50, lambda ls: (ls[1]["rho_counts"].update({"3": 51}),
                      ls[3]["sigma_counts"].update({"0": 1.5})),
-     "setting 2: sigma_counts holds a value that is not a 64-bit integer"),
+     f"setting 2: sigma_counts {_OFF}"),
     (None, lambda ls: (ls[1].__setitem__("rho_probs", [0.5, 0.5, 0.5, 0.0]),
                        ls[3].pop("sigma_probs")),
      "setting 2: sigma_probs is missing"),
@@ -1111,23 +1115,26 @@ def _lead_zero(counts):
      "setting 1 appears more than once"),
     (50, lambda ls: (ls[1]["rho_counts"].update({"3": -1}),
                      ls[3]["rho_counts"].update({"4": 1})),
-     "setting 2: rho outcome key '4' is outside 0..3"),
+     f"setting 0: rho_counts {_OFF}"),
     (50, lambda ls: (_bump(ls[3]["sigma_counts"], -1), _bump(ls[2]["sigma_counts"], -1)),
      "setting 1: sigma counts sum to 49, not shots_per_setting 50"),
     (None, lambda ls: (ls[3].__setitem__("rho_probs", [0.5, 0.5, 0.5, 0.0]),
                        ls[2].__setitem__("rho_probs", [1.0, 1.0, 0.0, 0.0])),
      "setting 1: rho_probs sums to 2.0, not 1"),
-    # a fault on any line sends the whole file through json, which raises
-    # the faults of earlier lines, in the writer's layout, first
+    # a number of 19 digits or with a leading zero is found when a state's
+    # bodies are decoded, after the last line, and so after any line's fault
     (50, lambda ls: (ls[1]["rho_counts"].update({"0": 10**19 - 1}),
                      ls[2].__setitem__("setting", 7)),
-     "setting 0: rho_counts holds a value that is not a 64-bit integer"),
+     "record 1: setting 7 is not an integer in 0..2"),
     (50, lambda ls: (_lead_zero(ls[1]["rho_counts"]),
                      ls[3]["unitaries_a"][0].__setitem__(0, True)),
-     "setting 2: a value is a JSON boolean"),
+     "setting 2: unitaries_a holds a JSON boolean"),
+    (50, lambda ls: (_lead_zero(ls[3]["rho_counts"]), ls[2]["rho_counts"].update({"0": 10**18})),
+     f"setting 1: rho_counts {_OFF}"),
 ], ids=["parse-after-count-fault", "missing-after-probs-fault", "settings-first",
         "range-before-sign", "first-line-of-a-sum", "first-line-of-a-probs-sum",
-        "19-digits-before-setting", "boolean-before-key-leading-zero"])
+        "19-digits-before-setting", "boolean-before-key-leading-zero",
+        "first-line-of-a-decode-fault"])
 def test_read_records_orders_faults_on_two_lines(tmp_path, shots, edit, message):
     path = tmp_path / "records.jsonl"
     lines = _records_lines(path, shots)
@@ -1210,38 +1217,39 @@ def test_read_records_fuzz_raises_only_value_errors(tmp_path_factory, mutation):
         read_records(_write_lines(path, lines))
 
 
-def _compact(path, lines, sort_keys):
-    """The parsed lines rewritten without spaces, a layout read through json."""
-    path.write_text("".join(json.dumps(json.loads(line), sort_keys=sort_keys,
-                                       separators=(",", ":")) + "\n" for line in lines))
-    return path
+def _json_oracle(path):
+    """A shot-mode file's config and (settings, unitaries, data) arrays, read
+    by json.loads line by line with each count body filled into a dense row."""
+    cfg = ProtocolConfig.from_json(json.loads(path.read_text().split("\n", 1)[0])["protocol"])
+    recs = _file_records(path, cfg)
+    return cfg, (np.array([rec.setting for rec in recs], dtype=np.int64),
+                 np.array([rec.unitaries_a + rec.unitaries_b for rec in recs]),
+                 np.array([[rec.rho_counts for rec in recs], [rec.sigma_counts for rec in recs]]))
 
 
-def _read_or_fault(path):
+def _assert_reads_to(got, want):
+    """A read's config, settings, unitaries and data are the oracle's, by
+    dtype, shape and bytes."""
+    assert got[0] == want[0]
+    for name, b in zip(("settings", "unitaries", "data"), want[1]):
+        a = getattr(got[1], name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+
+
+def _digit_pairs(body):
+    """The (outcome, count) pairs of a count body as json reads it, if the
+    body is in the writer's grammar: '"key": count' pairs joined by ", ",
+    each number decimal digits below 10**18 without a leading zero, the keys
+    distinct; else None."""
     try:
-        return read_records(path)
-    except ValueError as err:
-        return f"ValueError: {err}"
-
-
-def _read_through_json(path):
-    """_read_or_fault with every line off the writer's layout: the json pass."""
-    with mock.patch.object(randomized, "_WRITTEN", re.compile("(?!)")):
-        return _read_or_fault(path)
-
-
-def _assert_same_reads(got, want):
-    """Equal faults, or the same config and bit-identical records."""
-    assert type(got) is type(want)
-    if isinstance(want, str):
-        assert got == want
-        return
-    assert got[0] == want[0] and len(got[1]) == len(want[1])
-    for a, b in zip(got[1], want[1]):
-        assert a.setting == b.setting
-        for name in ("rho_counts", "sigma_counts", "unitaries_a", "unitaries_b"):
-            x, y = (np.asarray(getattr(r, name)) for r in (a, b))
-            assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes())
+        pairs = json.loads("{" + body + "}", object_pairs_hook=list)
+    except ValueError:
+        return None
+    if (", ".join(f'"{k}": {v}' for k, v in pairs) != body or len(dict(pairs)) < len(pairs)
+            or not all(re.fullmatch("0|[1-9][0-9]{0,17}", str(x)) for pair in pairs
+                       for x in pair)):
+        return None
+    return [(int(k), v) for k, v in pairs]
 
 
 # (design, local_dim, m, n, settings, shots) by test id; 5+5 qubits has
@@ -1254,9 +1262,9 @@ _DECODE_CASES["5+5-haar-2"] = ("haar", 2, 5, 5, 20, 1000)
 
 @pytest.mark.parametrize("design, local_dim, m, n, settings, shots",
                          list(_DECODE_CASES.values()), ids=list(_DECODE_CASES))
-def test_read_records_decode_paths_agree(monkeypatch, tmp_path, design, local_dim, m, n,
-                                         settings, shots):
-    # the writer's own file is decoded by numpy, a compact one through json
+def test_read_records_decode_paths_agree(tmp_path, design, local_dim, m, n, settings, shots):
+    # numpy's decode of the writer's file gives the json oracle's arrays; a
+    # compact copy of the file is off the layout from its first record on
     dims = (local_dim,) * (m + n)
     rho = random_mixed(dims, seed=81)
     sig = random_mixed(dims, seed=82)
@@ -1264,58 +1272,66 @@ def test_read_records_decode_paths_agree(monkeypatch, tmp_path, design, local_di
                          shots_per_setting=shots, seed=4, design=design)
     path = tmp_path / "records.jsonl"
     write_records(path, cfg, run_protocol(rho, sig, cfg))
-    lines = path.read_text().splitlines(keepends=True)
-    compact = _compact(tmp_path / "compact.jsonl", lines, sort_keys=True)
-    passes, read_lines = [], randomized._read_lines
-    monkeypatch.setattr(randomized, "_read_lines", lambda lines, cfg, written: (
-        passes.append(written), read_lines(lines, cfg, written))[1])
-    got = read_records(path)
-    assert passes == [True]
-    want = read_records(compact)
-    assert passes == [True, True, False]
-    _assert_same_reads(got, want)
-    assert estimate_overlaps(got[1], cfg) == estimate_overlaps(want[1], cfg)
+    got, want = read_records(path), _json_oracle(path)
+    _assert_reads_to(got, want)
+    want = Records(cfg, *want[1])
+    assert estimate_overlaps(got[1], cfg) == estimate_overlaps(want, cfg)
     for which in ("rho", "sigma"):
         assert (estimate_self_overlaps(got[1], cfg, which)
-                == estimate_self_overlaps(want[1], cfg, which))
+                == estimate_self_overlaps(want, cfg, which))
+    compact = tmp_path / "compact.jsonl"
+    compact.write_text("".join(json.dumps(json.loads(line), separators=(",", ":")) + "\n"
+                               for line in path.read_text().splitlines()))
+    with pytest.raises(ValueError, match=f"^record 0: rho_counts {_OFF}$"):
+        read_records(compact)
 
 
-@pytest.mark.parametrize("where", ["setting", "end"])
-def test_read_records_repeated_count_field_reads_as_json_does(tmp_path, where):
-    # json keeps the later of two rho_counts fields, whatever the layout
+@pytest.mark.parametrize("edit,message", [
+    (lambda line: json.dumps(json.loads(line), sort_keys=True, separators=(",", ":")),
+     f"record 0: rho_counts {_OFF}"),
+    (lambda line: json.dumps(dict(reversed(json.loads(line).items()))),
+     f"record 0: rho_counts {_OFF}"),
+    (lambda line: line.replace('"setting": 0', '"setting": 00'), f"record 0: setting {_OFF}"),
+    # json would keep the later of two rho_counts fields
+    (lambda line: line.replace('"setting": 0', '"setting": 0, "rho_counts": {"2": 50}'),
+     f"setting 0: sigma_counts {_OFF}"),
+    (lambda line: line.replace("]]}", ']], "rho_counts": {"2": 50}}'),
+     f"setting 0: unitaries_b {_OFF}"),
+    (lambda line: line.replace('"unitaries_a": [[', '"unitaries_a": [["x", '),
+     f"setting 0: unitaries_a {_OFF}"),
+    (lambda line: line.split(', "unitaries_b"')[0] + "}", f"setting 0: unitaries_a {_OFF}"),
+], ids=["compact", "keys-reordered", "setting-leading-zero", "rho_counts-again-after-setting",
+        "rho_counts-again-at-end", "string-in-unitaries", "unitaries_b-missing"])
+def test_read_records_refuses_a_line_off_the_layout(tmp_path, edit, message):
+    # the refusal names the first field where the line leaves the layout,
+    # and its setting if the line has reached it
     path = tmp_path / "records.jsonl"
     _records_lines(path, 50)
     lines = path.read_text().splitlines(keepends=True)
-    extra = '"rho_counts": {"2": 50}'
-    old, new = (('"setting": 0', f'"setting": 0, {extra}') if where == "setting"
-                else ("]]}\n", f"]], {extra}}}\n"))
-    lines[1] = lines[1].replace(old, new)
+    lines[1] = edit(lines[1].rstrip("\n")) + "\n"
     path.write_text("".join(lines))
-    got = read_records(path)
-    assert got[1][0].rho_counts.tolist() == [0, 0, 50, 0]
-    _assert_same_reads(got, read_records(_compact(tmp_path / "c.jsonl", lines, False)))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        read_records(path)
 
 
-@pytest.mark.parametrize("body,message", [
-    ('"": 5', "setting 2: rho outcome key '' is outside 0..3"),
-    ('"3": , "4": 1', "Expecting value: line 1 column 22 (char 21)"),
-    ('"0": 50, "3": ', "Expecting value: line 1 column 31 (char 30)"),
-], ids=["empty-key", "empty-count", "empty-last-count"])
-def test_read_records_empty_number_reads_as_json_does(tmp_path, body, message):
-    # a body whose digits are gone is a skeleton of the writer's layout; its
-    # empty number sends the file through json, and numpy warns of nothing;
-    # the last line's body ends the joined numbers, where numpy reads an
-    # empty last number as none
+@pytest.mark.parametrize("body", ['"": 5', '"3": , "4": 1', '"0": 50, "3": '],
+                         ids=["empty-key", "empty-count", "empty-last-count"])
+def test_read_records_empty_number_reads_as_json_does(tmp_path, body):
+    # the json oracle finds no digit pairs in a body with an empty number, and
+    # the reader refuses it as it reads the line: the body's CSV holds ",,",
+    # or a comma at either end, and numpy never sees it; the last line's
+    # body ends the joined numbers, where numpy would read an empty last
+    # number as none
     path = tmp_path / "records.jsonl"
     _records_lines(path, 50)
     lines = path.read_text().splitlines(keepends=True)
     lines[3] = re.sub(r'"rho_counts": \{[^}]*\}', '"rho_counts": {' + body + '}', lines[3])
     path.write_text("".join(lines))
+    assert _digit_pairs(body) is None
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = _read_or_fault(path)
-    assert got.startswith(f"ValueError: {message}")
-    assert got == _read_through_json(path)
+        with pytest.raises(ValueError, match=f"^setting 2: rho_counts {_OFF}$"):
+            read_records(path)
 
 
 def test_read_records_places_a_json_fault_in_the_line_as_written(tmp_path):
@@ -1358,7 +1374,7 @@ def _body_edit(draw, line):
     ``line`` and returns the line."""
     which = draw(st.sampled_from(["rho", "sigma"]))
     kind = draw(st.sampled_from(sorted(_PAIR_EDITS) + ["append", "copy", "trail",
-                                                       "comma-no-space"]))
+                                                       "comma-no-space", "swap", "zero"]))
     pick = draw(st.integers(0, 2**16))
     number = draw(st.integers(10**18, 10**19 - 1))
 
@@ -1374,6 +1390,10 @@ def _body_edit(draw, line):
             pairs.append((str(number % 4), ": ", "1"))
         elif kind == "copy":  # a repeated key; json keeps the later count
             pairs.insert(i + number % 2, (pairs[i][0], ": ", str(51 + number % 9)))
+        elif kind == "swap":  # two pairs in the other order
+            pairs[i:i + 2] = pairs[i:i + 2][::-1]
+        elif kind == "zero":  # an outcome written nowhere, counted zero times
+            pairs += [(k, ": ", "0") for k in "0123" if k not in counts][:1]
         new = ", ".join(f'"{k}"{s}{v}' for k, s, v in pairs)
         if kind == "trail":
             new += ", "
@@ -1397,32 +1417,22 @@ def _body_edits(draw):
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(_body_edits())
 def test_read_records_edited_count_body_reads_as_json_does(tmp_path_factory, edit):
-    # the oracles: the file reads as its json pass does; a line json rejects
-    # is a fault; a count body that repeats a key is a fault, the only one
-    # if it is the one edit; and any other file reads as its parse rewritten
-    # in a layout that always goes through json, the key order kept, as two
-    # keys such as "3" and "\u0663" name one outcome
-    folder = tmp_path_factory.mktemp("body")
-    path = folder / "records.jsonl"
+    # the oracle: a file whose every body stays in the writer's grammar and
+    # counts the 50 shots over outcomes 0..3 reads to the arrays of json.loads
+    # and a dense fill; any other edit is refused, naming a setting
+    path = tmp_path_factory.mktemp("body") / "records.jsonl"
     _records_lines(path, 50)
     lines = path.read_text().splitlines(keepends=True)
-    edited = edit(lines)
+    edit(lines)
     path.write_text("".join(lines))
-    got = _read_or_fault(path)
-    _assert_same_reads(got, _read_through_json(path))
-    bodies = []
-    try:
-        for line in edited:
-            json.loads(line, object_pairs_hook=lambda pairs: bodies.append(pairs) or {})
-    except ValueError:
-        assert isinstance(got, str)
-        return
-    if any(len({key for key, _ in pairs}) < len(pairs) for pairs in bodies):
-        assert isinstance(got, str)
-        assert len(edited) > 1 or "is named by two keys" in got
-        return
-    _assert_same_reads(got, _read_or_fault(_compact(folder / "compact.jsonl", lines,
-                                                    sort_keys=False)))
+    bodies = [_digit_pairs(body) for line in lines[1:]
+              for body in re.findall(r'_counts": \{([^}]*)\}', line)]
+    if all(pairs is not None and all(k < 4 and v <= 50 for k, v in pairs)
+           and sum(v for _, v in pairs) == 50 for pairs in bodies):
+        _assert_reads_to(read_records(path), _json_oracle(path))
+    else:
+        with pytest.raises(ValueError, match=r"^setting [0-2]: "):
+            read_records(path)
 
 
 def test_estimators_name_the_setting_that_lacks_data():
