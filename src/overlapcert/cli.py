@@ -72,9 +72,9 @@ def _write_json(path, obj) -> None:
 
 def cmd_fig1(d: int, grid: int, r_max: int, out: str) -> int:
     """Scan the overlap ratio of isotropic pairs over the fidelity square."""
-    if d < 2 or grid < 2:
-        raise ValueError(f"d and grid must be >= 2, not {d}, {grid}")
-    r_cap = r_max if r_max >= 1 else d
+    if d < 2 or grid < 2 or r_max < 0:
+        raise ValueError(f"d and grid must be >= 2, not {d}, {grid}, and r_max >= 0, not {r_max}")
+    r_cap = r_max or d
     xs = np.linspace(1.0 / d**2, 1.0, grid)
     # isotropic(d, x) = (1-x) isotropic(d, 0) + x isotropic(d, 1)
     ends = [isotropic(d, 0.0), isotropic(d, 1.0)]
@@ -466,10 +466,9 @@ def _build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--out", required=True, help="output report path")
     pr.add_argument("--settings", type=int, default=None,
                     help="override number of settings")
-    pr.add_argument("--shots", type=int, default=None,
-                    help="override shots per setting")
-    pr.add_argument("--exact", action="store_true",
-                    help="force exact outcome probabilities")
+    data = pr.add_mutually_exclusive_group()
+    data.add_argument("--shots", type=int, default=None, help="override shots per setting")
+    data.add_argument("--exact", action="store_true", help="force exact outcome probabilities")
     pr.add_argument("--seed", type=int, default=None, help="override seed")
 
     pe = sub.add_parser(

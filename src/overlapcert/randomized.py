@@ -34,8 +34,7 @@ import numpy as np
 from .qmat import QState, _from_json, _guarded_ratios, _product_probs
 
 _DESIGNS = ("haar", "clifford")
-# Slack of a read exact-mode probability vector: entries >= -PROB_TOL and a
-# sum within PROB_TOL of 1.
+# Slack of a Records' probabilities: entries >= -PROB_TOL, sums within PROB_TOL of 1
 PROB_TOL = 1e-9
 # A local overlap enters the ratio only when its mean is above SNR_GUARD
 # times its standard error.
@@ -115,30 +114,56 @@ class MeasurementRecord:
     sigma_counts: np.ndarray | None = None
 
 
+def _data_fields(cfg: ProtocolConfig) -> tuple[list, str]:
+    """Rho's and sigma's data fields under ``cfg``, and the fault of a row."""
+    kind, what = ("probs", "probabilities") if cfg.exact else ("counts", "integer counts")
+    return [f"rho_{kind}", f"sigma_{kind}"], f"must hold {cfg.d_a * cfg.d_b} {what}"
+
+
 @dataclass(frozen=True, eq=False)
 class Records(Sequence):
-    """The outcome data of all settings of one run, as read-only arrays.
-
-    ``settings`` (N,) are the setting numbers in file order, ``unitaries``
-    (N, m+n, l, l) their local factors, side A's first, and ``data``
-    (2, N, D) the outcome probabilities (float) or counts (int64) of rho,
-    then sigma.  An item is one setting as a :class:`MeasurementRecord` of
-    views, a slice a list of them.  The estimators read one per-setting
-    table of kernel products, built on first use (:func:`_kernel_dots`).
-    """
+    """The outcome data of all settings of one run, as read-only arrays:
+    ``settings`` (N,) in file order, ``unitaries`` (N, m+n, l, l), side A's
+    first, and ``data`` (2, N, D) of rho, then sigma, checked against ``cfg``
+    as it is made, a fault naming the first bad setting and the field:
+    - the settings are 0..n_unitaries-1, each exactly once;
+    - ``data`` is float if ``cfg.exact``, else int64;
+    - each row is probabilities (entries >= -``PROB_TOL``, a sum within
+      ``PROB_TOL`` of 1), or counts in 0..shots_per_setting summing to it.
+    An item is a :class:`MeasurementRecord` of views, a slice a list of them."""
 
     cfg: ProtocolConfig
     settings: np.ndarray
     unitaries: np.ndarray
     data: np.ndarray
 
-    def __post_init__(self):  # the cached table must not go stale
-        for arr in (self.settings, self.unitaries, self.data):
+    def __post_init__(self):
+        cfg, settings, n = self.cfg, self.settings, self.cfg.n_unitaries
+        if (off := (settings < 0) | (settings >= n)).any():
+            j = int(np.argmax(off))
+            raise ValueError(f"record {j}: setting {settings[j]} is not an integer in 0..{n - 1}")
+        seen = np.bincount(settings, minlength=n)
+        for bad, fault in ((seen > 1, "appears more than once"), (seen == 0, "is missing")):
+            if bad.any():
+                raise ValueError(f"setting {int(np.argmax(bad))} {fault}")
+        (names, fault), shots = _data_fields(cfg), cfg.shots_per_setting
+        if self.data.dtype != (np.int64 if shots else float) or self.data.shape != (
+                2, n, cfg.d_a * cfg.d_b):
+            raise ValueError(f"setting {settings[0]}: {names[0]} {fault}")
+        for name, rows in zip(names, self.data):  # reduced along rows: no (N, D) temporary
+            low, high, sums = rows.min(axis=1), rows.max(axis=1), rows.sum(axis=1)
+            if shots:  # counts in 0..shots, so the sum does not wrap around
+                _fault_at_first((low < 0) | (high > shots), settings, lambda j: f"{name} has a "
+                                f"count {low[j] if low[j] < 0 else high[j]} outside 0..{shots}")
+                _fault_at_first(sums != shots, settings, lambda j: f"{name.split('_')[0]} "
+                                f"counts sum to {sums[j]}, not shots_per_setting {shots}")
+            else:  # computed probabilities carry rounding entries of about -1e-17
+                _fault_at_first(low < -PROB_TOL, settings, lambda j: f"{name} has an entry "
+                                f"{low[j]:.3e} below -{PROB_TOL:g}")
+                _fault_at_first(~(abs(sums - 1.0) <= PROB_TOL), settings,  # a nan sum too
+                                lambda j: f"{name} sums to {float(sums[j])!r}, not 1")
+        for arr in (self.settings, self.unitaries, self.data):  # the table must not go stale
             arr.flags.writeable = False
-
-    @property
-    def exact(self) -> bool:
-        return self.data.dtype.kind == "f"
 
     def __len__(self) -> int:
         return len(self.settings)
@@ -146,40 +171,35 @@ class Records(Sequence):
     def __getitem__(self, j):
         if isinstance(j, slice):
             return [self[k] for k in range(*j.indices(len(self)))]
-        kind, us = "probs" if self.exact else "counts", tuple(self.unitaries[j])
-        return MeasurementRecord(int(self.settings[j]), us[:self.cfg.m], us[self.cfg.m:], **{
-            f"rho_{kind}": self.data[0, j], f"sigma_{kind}": self.data[1, j]})
+        names, us = _data_fields(self.cfg)[0], tuple(self.unitaries[j])
+        return MeasurementRecord(int(self.settings[j]), us[:self.cfg.m], us[self.cfg.m:],
+                                 **dict(zip(names, self.data[:, j])))
 
     @classmethod
-    def of(cls, records, cfg: ProtocolConfig, lead: str = "rho") -> "Records":
+    def of(cls, records, cfg: ProtocolConfig) -> "Records":
         """``records`` under ``cfg``: a Records made under cfg as it is, any
-        other sequence of :class:`MeasurementRecord` checked and stacked.
-        The first record's ``lead`` state decides whether every record must
-        carry both states' probs or both states' counts, and lead's data is
-        checked first; a fault raises ``ValueError`` naming the setting."""
+        other sequence of :class:`MeasurementRecord` stacked field by field,
+        each record carrying both states' probs if ``cfg.exact``, else counts."""
         if isinstance(records, Records) and records.cfg == cfg:
             return records
-        records, l, total = list(records), cfg.local_dim, cfg.d_a * cfg.d_b
+        records, l = list(records), cfg.local_dim
         if not records:
             raise ValueError("there are no records")
-        exact = getattr(records[0], lead + "_probs") is not None
-        names = [w + ("_probs" if exact else "_counts") for w in ("rho", "sigma")]
-        for name in names if lead == "rho" else names[::-1]:
-            lacking = next((rec.setting for rec in records if getattr(rec, name) is None), None)
-            if lacking is not None:
-                raise ValueError(f"setting {lacking} has no {name}")
+        names, fault = _data_fields(cfg)
+        lacking = [(rec.setting, name) for name in names for rec in records
+                   if getattr(rec, name) is None]
+        if lacking:
+            raise ValueError("setting {} has no {}".format(*lacking[0]))
         settings = [rec.setting for rec in records]
-
-        def block(name, shape, fault, dtype):  # one field of every record, checked
-            return _rows([getattr(rec, name) for rec in records], shape, name, settings,
-                         fault, dtype)
-
-        unitaries = [block(name, (q, l, l), f"must be {q} {l} x {l} unitaries", complex)
-                     for name, q in (("unitaries_a", cfg.m), ("unitaries_b", cfg.n))]
-        fault = f"must hold {total} " + ("probabilities" if exact else "integer counts")
-        data = [block(name, (total,), fault, float if exact else np.int64) for name in names]
-        return cls(cfg, np.array(settings, dtype=np.int64), np.concatenate(unitaries, axis=1),
-                   np.stack(data))
+        s, a, b, rho, sigma = (  # each field of every record as one checked array
+            _rows([getattr(rec, name) for rec in records], shape, name, settings, fault, dtype)
+            for name, shape, fault, dtype in [
+                ("setting", (), "is not an integer", np.int64),
+                ("unitaries_a", (cfg.m, l, l), f"must be {cfg.m} {l} x {l} unitaries", complex),
+                ("unitaries_b", (cfg.n, l, l), f"must be {cfg.n} {l} x {l} unitaries", complex),
+                *[(name, (cfg.d_a * cfg.d_b,), fault, float if cfg.exact else np.int64)
+                  for name in names]])
+        return cls(cfg, s, np.concatenate([a, b], axis=1), np.stack([rho, sigma]))
 
     @functools.cached_property
     def _dots(self) -> np.ndarray:
@@ -436,17 +456,17 @@ def _kernel_dots(data: np.ndarray, cfg: ProtocolConfig) -> np.ndarray:
     pass per state and kept set.  The AB passes run in two (N, D) blocks: the
     kernel overwrites f_j, and each f_i is divided out again into the spare."""
     n, l, pairs = data.shape[1], cfg.local_dim, ((0, 1), (0, 0), (1, 1))
-    norms = data.sum(axis=2, keepdims=True) if data.dtype.kind in "iu" else np.ones((2, 1, 1))
+    norm = cfg.shots_per_setting or 1  # every row of counts sums to the shots
     a, b = np.empty(data.shape[1:]), np.empty(data.shape[1:])
     dots, sides = np.empty((3, 3, n)), [None, None]
     for j in (0, 1):
-        cube = np.divide(data[j], norms[j], out=a).reshape(n, cfg.d_a, cfg.d_b)
+        cube = np.divide(data[j], norm, out=a).reshape(n, cfg.d_a, cfg.d_b)
         sides[j] = (cube.sum(axis=2), cube.sum(axis=1))
         kernel = _apply_hamming_kernel(a, l, cfg.m + cfg.n, out=b)
         spare = b if np.may_share_memory(kernel, a) else a
         for p, (i, kernel_state) in enumerate(pairs):
             if kernel_state == j:
-                f = np.divide(data[i], norms[i], out=spare)
+                f = np.divide(data[i], norm, out=spare)
                 dots[p, 0] = np.einsum("ui,ui->u", f, kernel)
     del a, b, cube, kernel, spare, f  # the blocks go before the kept sets A and B
     for x, q in ((1, cfg.m), (2, cfg.n)):
@@ -459,15 +479,14 @@ def _setting_terms(records, cfg: ProtocolConfig, pair: int) -> np.ndarray:
     """Per-setting d_X f_i,X . W_X f_j,X, rows X = AB, A, B, of ``records``'
     pair 0 (rho, sigma), 1 (rho, rho) or 2 (sigma, sigma).  A state paired
     with its own counts leaves out the pairs of a shot with itself (W has unit
-    diagonal), which gives the distinct-pair U-statistic (N f.Wf - 1) / (N - 1).
+    diagonal), which gives the distinct-pair U-statistic (N f.Wf - 1) / (N - 1)
+    with N = ``cfg.shots_per_setting``, the sum of every row of a Records' counts.
     """
     if len(records) < 2:
         raise ValueError("estimation needs at least two settings")
-    records = Records.of(records, cfg, "sigma" if pair == 2 else "rho")
-    y = records._dots[pair]
-    if pair and not records.exact:
-        shots = records.data[pair - 1].sum(axis=1)
-        if shots.min() < 2:
+    y, shots = Records.of(records, cfg)._dots[pair], cfg.shots_per_setting
+    if pair and not cfg.exact:
+        if shots < 2:
             raise ValueError("within-state estimation needs >= 2 shots")
         y = (shots * y - 1.0) / (shots - 1.0)
     return np.array([[cfg.d_a * cfg.d_b], [cfg.d_a], [cfg.d_b]]) * y
@@ -541,21 +560,21 @@ def write_records(path, cfg: ProtocolConfig, records) -> None:
     ``records`` is a :class:`Records` or goes through :meth:`Records.of`."""
     records = Records.of(records, cfg)
     order = np.array(sorted(range(cfg.d_a * cfg.d_b), key=str))  # JSON key order
-    kind, fmts = "probs" if records.exact else "counts", [f'"{k}": %d' for k in order.tolist()]
+    names, fmts = _data_fields(cfg)[0], [f'"{k}": %d' for k in order.tolist()]
     # every complex entry of a setting's unitaries as its (re, im) parts
     floats = np.ascontiguousarray(records.unitaries).view(float).reshape(
         len(records), cfg.m + cfg.n, -1)
     with open(path, "w") as fh:
         fh.write(json.dumps({"protocol": cfg.to_json()}, sort_keys=True) + "\n")
         for j, setting in enumerate(records.settings.tolist()):
-            if records.exact:
+            if cfg.exact:
                 data = [json.dumps(row) for row in records.data[:, j].tolist()]
             else:  # the nonzero counts, in JSON key order
                 data = ["{" + ", ".join(compress(fmts, row)) % tuple(filter(None, row)) + "}"
                         for row in records.data[:, j, order].tolist()]
             unitaries = floats[j].tolist()
-            fh.write(f'{{"rho_{kind}": {data[0]}, "setting": {setting}, '
-                     f'"sigma_{kind}": {data[1]}, "unitaries_a": '
+            fh.write(f'{{"{names[0]}": {data[0]}, "setting": {setting}, '
+                     f'"{names[1]}": {data[1]}, "unitaries_a": '
                      f'{json.dumps(unitaries[:cfg.m])}, "unitaries_b": '
                      f'{json.dumps(unitaries[cfg.m:])}}}\n')
 
@@ -569,6 +588,7 @@ _LAYOUT = (("rho_counts", r'\{"rho_counts": \{([^}]*)\}, '),
            ("unitaries_b", r'"unitaries_b"[^"]*\Z'))
 _WRITTEN = re.compile("".join(part for _, part in _LAYOUT))
 _OFF = "is not in the writer's layout"
+_NUMBER = re.compile(rb"0|[1-9][0-9]{0,17}")  # a key or count as the writer writes it
 
 
 def _off_layout(line: str, record: int) -> ValueError:
@@ -597,34 +617,38 @@ class _Counts:
         self.which, self.ends, self.csv, self.digits = which, [0], [], []
 
     def add_written(self, body: str, setting: int) -> None:
-        """Keep a body of '"key": count' pairs joined by ", ", each a digit run."""
+        """Keep a body of '"key": count' pairs joined by ", ", each key and
+        count a digit run; :meth:`decode` finds a run that is empty."""
         body = body.encode()
         skeleton = body.translate(None, b"0123456789")
         pairs = skeleton.count(b":")
         csv = body.translate(bytes.maketrans(b":", b","), b'" ')
-        # an empty number leaves ",," in the CSV, or a comma at either end
-        if skeleton != (b'"": , ' * pairs)[:-2] or b",," in csv or b"," in (csv[:1], csv[-1:]):
+        if skeleton != (b'"": , ' * pairs)[:-2]:
             raise ValueError(f"setting {setting}: {self.which}_counts {_OFF}")
-        if pairs:
-            self.csv.append(csv)
+        self.csv.append(csv)
         self.ends.append(self.ends[-1] + pairs)
         self.digits.append(len(body) - len(skeleton))
 
     def decode(self, settings: list) -> None:
-        """Decode the kept bodies with numpy: a line whose numbers' lengths do
-        not sum to its digits has one with a leading zero or over 18 digits."""
-        numbers = np.fromstring(b",".join(self.csv), dtype=np.int64, sep=",")
+        """Decode the kept bodies with numpy, in one call.  If that does not
+        give two numbers a pair, their decimal lengths summing to the digits,
+        a line holds an empty number, a leading zero or over 18 digits."""
+        csv = b",".join(filter(None, self.csv))  # a body with no pairs adds no comma
+        try:  # ",," is an empty number: numpy < 2 warns and reads the numbers before it
+            numbers = np.fromstring(csv, dtype=np.int64, sep=",")
+        except (ValueError, DeprecationWarning):  # the warning, if warnings are errors
+            numbers = np.empty(0, dtype=np.int64)
         top = numbers.max(initial=0)  # the lengths: 1 each, +1 per power of 10 reached
-        if top >= 10**18 or sum(self.digits) != numbers.size + sum(
-                np.count_nonzero(numbers >= 10**d) for d in range(1, len(str(top)))):
-            size = np.searchsorted(10 ** np.arange(1, 19, dtype=np.int64), numbers, "right") + 1
-            lengths = np.concatenate(([0], np.cumsum(np.where(numbers < 10**18, size, 0))))
-            _fault_at_first(np.diff(lengths[2 * np.array(self.ends)]) != self.digits, settings,
-                            lambda j: f"{self.which}_counts {_OFF}")
+        if numbers.size != 2 * self.ends[-1] or top >= 10**18 or sum(self.digits) != (
+                numbers.size + sum(np.count_nonzero(numbers >= 10**d)
+                                   for d in range(1, len(str(top))))):
+            bad = [bool(c) and not all(map(_NUMBER.fullmatch, c.split(b","))) for c in self.csv]
+            _fault_at_first(np.array(bad), settings, lambda j: f"{self.which}_counts {_OFF}")
         self.keys, self.values = numbers[0::2], numbers[1::2]
 
-    def dense(self, settings: list, total: int, shots: int, out: np.ndarray) -> None:
-        """Fill ``out``, a zeroed contiguous (lines, total) int64 block, checked."""
+    def dense(self, settings: list, total: int, out: np.ndarray) -> None:
+        """Fill ``out``, a zeroed contiguous (lines, total) int64 block, each
+        key checked: in 0..total-1 and named once on its line."""
 
         def check(bad, fault):  # a fault of the first pair where bad holds
             if bad.any():
@@ -639,11 +663,7 @@ class _Counts:
         cells += self.keys
         np.add.at(flat, cells, 1)
         check(flat[cells] > 1, lambda k: f"{k} is named by two keys, '{k}' and '{k}'")
-        check(self.values > shots, lambda k: f"key '{k}' has a count above shots_per_setting")
-        flat[cells] = self.values  # at most total counts of at most shots: no wraparound
-        sums = flat.reshape(-1, total).sum(axis=1)
-        _fault_at_first(sums != shots, settings, lambda j: f"{self.which} counts sum to "
-                        f"{sums[j]}, not shots_per_setting {shots}")
+        flat[cells] = self.values
 
 
 def _rows(rows: list, shape: tuple, name: str, settings: list, fault: str,
@@ -660,12 +680,12 @@ def _rows(rows: list, shape: tuple, name: str, settings: list, fault: str,
             return None
         return arr if arr.dtype.kind in kinds and arr.shape == shape else None
 
-    block = array(rows, (len(rows), *shape))
+    block = array(rows, (len(rows), *shape)) if rows else np.empty((0, *shape))
     if block is None:  # rows that each pass stack to a block that passes
         _fault_at_first(np.array([array(row, shape) is None for row in rows]),
                         settings, lambda j: f"{name} {fault}")
     block = block.astype(dtype, copy=False)
-    _fault_at_first(~np.isfinite(block).reshape(len(rows), -1).all(axis=1), settings,
+    _fault_at_first(~np.isfinite(block).all(axis=tuple(range(1, block.ndim))), settings,
                     lambda j: f"{name} holds a value that is not finite")
     return block
 
@@ -674,8 +694,7 @@ def _read_lines(lines, cfg: ProtocolConfig):
     """(settings, fields, counts of each state) of the record lines, each
     line checked as it is read.  A shot-mode line must be in the writer's
     layout; its count bodies are decoded once per file and state by numpy."""
-    fields = {name: [] for name in ("unitaries_a", "unitaries_b")
-              + ("rho_probs", "sigma_probs") * cfg.exact}
+    fields = {k: [] for k in ["unitaries_a", "unitaries_b"] + _data_fields(cfg)[0] * cfg.exact}
     states, settings = [] if cfg.exact else [_Counts("rho"), _Counts("sigma")], []
     for text in lines:
         line = text
@@ -711,20 +730,16 @@ def _read_lines(lines, cfg: ProtocolConfig):
 
 
 def read_records(path) -> tuple[ProtocolConfig, Records]:
-    """Inverse of :func:`write_records`, checked on the way in.
-
-    Every record must carry its setting, m and n finite unitaries, and
-    both states' probability vectors of length D, finite, nonnegative and
-    summing to 1 within ``PROB_TOL`` (exact mode, read by json), or sparse
-    counts keyed by outcomes, each under one key, none above the shots per
-    setting, that sum to them; the settings must be 0..n_unitaries-1, each
-    once.  A shot-mode line must be in the writer's layout, the bytes of
-    ``json.dumps(obj, sort_keys=True)``; its count bodies are decoded by
-    numpy, once per file and state.  A fault raises ``ValueError`` naming
-    the setting (``record j`` before it is read) and the field: a line off
-    the layout, not JSON, or lacking a field at that line, any other after
-    the last line, each check over the whole file naming the first line.
-    """
+    """Inverse of :func:`write_records`, checked on the way in: the text here,
+    the values as every :class:`Records` is.  A record carries its setting in
+    0..n_unitaries-1, m and n finite unitaries, and both states' finite
+    probability vectors (exact mode, read by json) or counts keyed by
+    outcomes, each key once.  A shot-mode line must be the writer's bytes,
+    ``json.dumps(obj, sort_keys=True)``; its count bodies are decoded by numpy
+    once per file and state.  A fault raises ``ValueError`` naming the setting
+    (``record j`` before it is read) and the field: a line off the layout, not
+    JSON, or lacking a field at that line, any other after the last line,
+    each check over the whole file naming the first line."""
     with open(path) as fh:
         header = json.loads(fh.readline())
         if not isinstance(header, dict) or "protocol" not in header:
@@ -732,29 +747,14 @@ def read_records(path) -> tuple[ProtocolConfig, Records]:
                              "'protocol' key")
         cfg = ProtocolConfig.from_json(header["protocol"])
         settings, fields, states = _read_lines(fh, cfg)
-    total, shots = cfg.local_dim ** (cfg.m + cfg.n), cfg.shots_per_setting
-    seen = np.bincount(np.array(settings, dtype=np.int64), minlength=cfg.n_unitaries)
-    for bad, fault in ((seen > 1, "appears more than once"), (seen == 0, "is missing")):
-        if bad.any():
-            raise ValueError(f"setting {int(np.argmax(bad))} {fault}")
+    total, (names, fault) = cfg.d_a * cfg.d_b, _data_fields(cfg)
     l, floats = cfg.local_dim, 2 * cfg.local_dim**2
     unitaries = np.concatenate(
         [_rows(fields[name], (q, floats), name, settings,
                f"must be a {q} x {floats} array of floats").view(complex).reshape(-1, q, l, l)
          for name, q in (("unitaries_a", cfg.m), ("unitaries_b", cfg.n))], axis=1)
-    if cfg.exact:
-        data = np.stack([_rows(fields[name], (total,), name, settings,
-                               f"must hold {total} probabilities")
-                         for name in ("rho_probs", "sigma_probs")])
-        # computed probabilities carry rounding entries of about -1e-17
-        for name, probs in zip(("rho_probs", "sigma_probs"), data):
-            low, sums = probs.min(axis=1), probs.sum(axis=1)
-            _fault_at_first(low < -PROB_TOL, settings, lambda j: f"{name} has an "
-                            f"entry {low[j]:.3e} below -{PROB_TOL:g}")
-            _fault_at_first(np.abs(sums - 1.0) > PROB_TOL, settings,
-                            lambda j: f"{name} sums to {float(sums[j])!r}, not 1")
-    else:
-        data = np.zeros((2, len(settings), total), dtype=np.int64)
-        for state, out in zip(states, data):
-            state.dense(settings, total, shots, out)
+    data = (np.stack([_rows(fields[name], (total,), name, settings, fault) for name in names])
+            if cfg.exact else np.zeros((2, len(settings), total), dtype=np.int64))
+    for state, out in zip(states, data):  # shot mode: each state's count bodies
+        state.dense(settings, total, out)
     return cfg, Records(cfg, np.array(settings, dtype=np.int64), unitaries, data)

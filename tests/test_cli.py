@@ -448,6 +448,32 @@ def test_bad_flag_values_exit_2_and_write_nothing(tmp_path, capsys, argv, messag
     assert list(tmp_path.iterdir()) == []
 
 
+def test_fig1_negative_r_max_exits_2(tmp_path, capsys):
+    # a negative cap used to run and write r_max = d into the CSV's config
+    # comment, as 0 does
+    out = tmp_path / "fig1.csv"
+    with pytest.raises(SystemExit) as err:
+        main(["fig1", "--d", "3", "--grid", "3", "--r-max", "-4", "--out", str(out)])
+    assert err.value.code == 2
+    assert "error: fig1: " in (text := capsys.readouterr().err) and "r_max >= 0, not -4" in text
+    assert list(tmp_path.iterdir()) == []
+    assert main(["fig1", "--d", "3", "--grid", "3", "--r-max", "0", "--out", str(out)]) == 0
+    assert '"r_max": 3' in out.read_text().splitlines()[0]
+
+
+def test_rm_experiment_exact_and_shots_exit_2(tmp_path, capsys):
+    # both flags used to run exact mode and report "shots_per_setting": "exact"
+    cfg_path = tmp_path / "cfg.json"
+    write_rm_config(cfg_path, settings=4, shots=8)
+    out = tmp_path / "report.json"
+    with pytest.raises(SystemExit) as err:
+        main(["rm-experiment", "--config", str(cfg_path), "--out", str(out),
+              "--exact", "--shots", "50"])
+    assert err.value.code == 2
+    assert "argument --shots: not allowed with argument --exact" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("edit,message", [
     (lambda c: c.update(protcol=c.pop("protocol")),
      r"ExperimentConfig: unknown keys \['protcol'\]; allowed keys are "

@@ -6,6 +6,7 @@ import math
 import re
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -828,9 +829,27 @@ def _one_setting(shots, **fields):
     (5, {"unitaries_a": ([[1, 0], [0]],)}, "setting 0: unitaries_a must be 1 2 x 2 unitaries"),
     (5, {"sigma_counts": None, "sigma_probs": np.full(4, 0.25)},
      "setting 0 has no sigma_counts"),
+    # the values every Records holds, named at their first setting
+    (5, {"rho_counts": np.array([1, 2, -1, 3])},
+     "setting 0: rho_counts has a count -1 outside 0..5"),
+    (5, {"sigma_counts": np.array([6, 0, 0, 0])},
+     "setting 0: sigma_counts has a count 6 outside 0..5"),
+    (5, {"rho_counts": np.array([1, 2, 0, 1])},
+     "setting 0: rho counts sum to 4, not shots_per_setting 5"),
+    (None, {"sigma_probs": np.array([0.5, 0.5, 0.5, -0.5])},
+     r"setting 0: sigma_probs has an entry -5.000e-01 below -1e-09"),
+    (None, {"rho_probs": [0.5, 0.5, 0.5, 0.0]}, "setting 0: rho_probs sums to 1.5, not 1"),
+    (5, {"setting": 1}, "setting 1 appears more than once"),
+    (5, {"setting": 2}, "record 1: setting 2 is not an integer in 0..1"),
+    (5, {"rho_counts": None, "sigma_counts": None, "rho_probs": np.full(4, 0.25),
+         "sigma_probs": np.full(4, 0.25)}, "setting 0 has no rho_counts"),
+    (None, {"rho_probs": None, "sigma_probs": None, "rho_counts": np.array([1, 2, 0, 2]),
+            "sigma_counts": np.array([5, 0, 0, 0])}, "setting 0 has no rho_probs"),
 ], ids=["counts-longer", "counts-shorter", "two-unitaries-on-a", "qutrit-unitary-on-b",
         "counts-not-integer", "unitary-nan", "probs-shorter", "unitary-ragged",
-        "one-kind-of-data"])
+        "one-kind-of-data", "count-negative", "count-above-shots", "count-sum", "probs-negative",
+        "probs-sum", "setting-repeated", "setting-past-range", "probs-under-shots",
+        "counts-under-exact"])
 def test_write_records_rejects_malformed_records(tmp_path, shots, fields, message):
     cfg = ProtocolConfig(local_dim=2, m=1, n=1, n_unitaries=2, shots_per_setting=shots)
     records = [_one_setting(shots, setting=1), _one_setting(shots, **fields)]
@@ -846,6 +865,53 @@ def test_write_records_rejects_no_records(tmp_path):
     cfg = ProtocolConfig(local_dim=2, m=1, n=1, n_unitaries=2)
     with pytest.raises(ValueError, match="there are no records"):
         write_records(tmp_path / "records.jsonl", cfg, [])
+
+
+@pytest.mark.parametrize("shots, records, message", [
+    # each of the first four was estimated (reliable, from the negative
+    # count) and written to a file that read_records refused
+    (10, [_one_setting(10, setting=k, rho_counts=np.array([5, -3, 4, 4]),
+                       sigma_counts=np.array([10, 0, 0, 0])) for k in range(3)],
+     "setting 0: rho_counts has a count -3 outside 0..10"),
+    (5, [_one_setting(5)] * 3, "setting 0 appears more than once"),
+    (5, [_one_setting(None, setting=k) for k in range(3)], "setting 0 has no rho_counts"),
+    (None, [_one_setting(5, setting=k) for k in range(3)], "setting 0 has no rho_probs"),
+    (5, [_one_setting(5, setting=k) for k in (0, 2)], "setting 1 is missing"),
+    # numpy read 1.5 as setting 1
+    (5, [_one_setting(5, setting=k) for k in (0, 1.5, 2)],
+     "setting 1.5: setting is not an integer"),
+], ids=["count-negative", "setting-claimed-thrice", "probs-under-shots", "counts-under-exact",
+        "setting-missing", "setting-not-an-integer"])
+def test_records_lists_are_checked_at_every_entry(tmp_path, shots, records, message):
+    cfg = ProtocolConfig(local_dim=2, m=1, n=1, n_unitaries=3, shots_per_setting=shots)
+    path = tmp_path / "records.jsonl"
+    with pytest.raises(ValueError, match=message):
+        write_records(path, cfg, records)
+    assert not path.exists()
+    with pytest.raises(ValueError, match=message):
+        estimate_overlaps(records, cfg)
+    for which in ("rho", "sigma"):
+        with pytest.raises(ValueError, match=message):
+            estimate_self_overlaps(records, cfg, which)
+
+
+def test_records_refuses_the_arrays_it_is_made_of():
+    # Records(cfg, ...) made directly holds the same invariant as a read
+    # file or a list of records
+    cfg = ProtocolConfig(local_dim=2, m=1, n=1, n_unitaries=3, shots_per_setting=5)
+    eye = np.broadcast_to(np.eye(2, dtype=complex), (3, 2, 2, 2))
+    data = np.array([[[1, 2, 0, 2]] * 3, [[5, 0, 0, 0], [6, -1, 0, 0], [5, 0, 0, 0]]])
+    with pytest.raises(ValueError, match="setting 1: sigma_counts has a count -1 outside 0..5"):
+        Records(cfg, np.arange(3), eye.copy(), data)
+    with pytest.raises(ValueError, match="setting 0: rho_counts must hold 4 integer counts"):
+        Records(cfg, np.arange(3), eye.copy(), data / 1.0)
+    data[1, 1] = [4, 1, 0, 0]
+    records = Records(cfg, np.arange(3), eye.copy(), data)
+    assert not records.data.flags.writeable and records[1].sigma_counts.tolist() == [4, 1, 0, 0]
+    probs = np.full((2, 3, 4), 0.25)
+    probs[0, 2, 1] = np.nan
+    with pytest.raises(ValueError, match="setting 2: rho_probs sums to nan, not 1"):
+        Records(replace(cfg, shots_per_setting=None), np.arange(3), eye.copy(), probs)
 
 
 def _assert_same_record(got, want):
@@ -1013,7 +1079,7 @@ _OFF = "is not in the writer's layout"
     (lambda c: (c.clear(), c.update(dict.fromkeys("012", 6148914691236517222))),
      f"setting 1: rho_counts {_OFF}"),
     (lambda c: c.update({"3": 51}),
-     "setting 1: rho outcome key '3' has a count above shots_per_setting"),
+     "setting 1: rho_counts has a count 51 outside 0..50"),
     # numpy would read this count as 2**63 - 1
     (lambda c: c.update({"3": 10**19 - 1}), f"setting 1: rho_counts {_OFF}"),
     # a key is decimal text as the writer writes it, even where int would
@@ -1141,6 +1207,14 @@ def test_read_records_orders_faults_on_two_lines(tmp_path, shots, edit, message)
     edit(lines)
     with pytest.raises(ValueError, match=message):
         read_records(_write_lines(path, lines))
+
+
+@pytest.mark.parametrize("shots", [None, 50])
+def test_read_records_of_a_header_alone_names_setting_0(tmp_path, shots):
+    path = tmp_path / "records.jsonl"
+    _write_lines(path, _records_lines(path, shots)[:1])
+    with pytest.raises(ValueError, match="^setting 0 is missing$"):
+        read_records(path)
 
 
 def test_read_records_accepts_exact_mode_rounding(tmp_path):
@@ -1318,10 +1392,9 @@ def test_read_records_refuses_a_line_off_the_layout(tmp_path, edit, message):
                          ids=["empty-key", "empty-count", "empty-last-count"])
 def test_read_records_empty_number_reads_as_json_does(tmp_path, body):
     # the json oracle finds no digit pairs in a body with an empty number, and
-    # the reader refuses it as it reads the line: the body's CSV holds ",,",
-    # or a comma at either end, and numpy never sees it; the last line's
-    # body ends the joined numbers, where numpy would read an empty last
-    # number as none
+    # the reader refuses it when it decodes the bodies: the joined CSV holds
+    # ",,", or a leading comma, which numpy refuses, or the last line's body
+    # ends it, where numpy reads an empty last number as none
     path = tmp_path / "records.jsonl"
     _records_lines(path, 50)
     lines = path.read_text().splitlines(keepends=True)
@@ -1445,7 +1518,7 @@ def test_estimators_name_the_setting_that_lacks_data():
     mixed = records[:2] + exact[2:]
     with pytest.raises(ValueError, match="setting 2 has no rho_counts"):
         estimate_overlaps(mixed, cfg)
-    with pytest.raises(ValueError, match="setting 1 has no sigma_probs"):
+    with pytest.raises(ValueError, match="setting 0 has no rho_counts"):
         estimate_self_overlaps(exact[:1] + records[1:], cfg, "sigma")
 
 
