@@ -223,12 +223,11 @@ def tensor(a, b):
 def _reduce(m: np.ndarray, dims: tuple[int, ...], keep) -> np.ndarray:
     """Partial trace of a plain matrix onto the sorted indices ``keep``,
     without argument checks; the traced subsystems go last to first."""
-    t = m.reshape(dims + dims)
-    left = list(dims)
-    for idx in sorted(set(range(len(dims))) - set(keep), reverse=True):
-        t = np.trace(t, axis1=idx, axis2=idx + len(left))
-        left.pop(idx)
-    side = math.prod(left)
+    t, n = m.reshape(dims + dims), len(dims)
+    for idx in range(n - 1, -1, -1):
+        if idx not in keep:
+            t, n = np.trace(t, axis1=idx, axis2=idx + n), n - 1
+    side = math.prod(t.shape[:n])
     return t.reshape(side, side)
 
 

@@ -126,6 +126,8 @@ class Records(Sequence):
     ``settings`` (N,) in file order, ``unitaries`` (N, m+n, l, l), side A's
     first, and ``data`` (2, N, D) of rho, then sigma, checked against ``cfg``
     as it is made, a fault naming the first bad setting and the field:
+    - ``settings`` is a 1-D integer array, ``unitaries`` a complex array of
+      that shape of finite values (these faults name only the field);
     - the settings are 0..n_unitaries-1, each exactly once;
     - ``data`` is float if ``cfg.exact``, else int64;
     - each row is probabilities (entries >= -``PROB_TOL``, a sum within
@@ -139,6 +141,12 @@ class Records(Sequence):
 
     def __post_init__(self):
         cfg, settings, n = self.cfg, self.settings, self.cfg.n_unitaries
+        if settings.ndim != 1 or settings.dtype.kind != "i":
+            raise ValueError(f"settings must be a 1-D integer array, not {settings.dtype} "
+                             f"of shape {settings.shape}")
+        shape, us = (len(settings), cfg.m + cfg.n, cfg.local_dim, cfg.local_dim), self.unitaries
+        if us.dtype != complex or us.shape != shape or not np.isfinite(us).all():
+            raise ValueError(f"unitaries must be a complex {shape} array of finite values")
         if (off := (settings < 0) | (settings >= n)).any():
             j = int(np.argmax(off))
             raise ValueError(f"record {j}: setting {settings[j]} is not an integer in 0..{n - 1}")

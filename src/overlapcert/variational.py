@@ -29,6 +29,7 @@ with the same gradient code so the two routes can be cross-checked.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass, replace
 
@@ -69,6 +70,10 @@ class OptConfig:
             raise ValueError("restarts must be >= 1")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
+        if not 0.0 <= self.tol < math.inf:  # a nan tol would let no end point count
+            raise ValueError(f"tol must be finite and >= 0, not {self.tol!r}")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
     def to_json(self) -> dict:
         return asdict(self)
@@ -139,10 +144,18 @@ def _objective(rho_m: np.ndarray, sigma_m: np.ndarray, dims, local: int | None):
     return evaluate
 
 
+@functools.cache
+def _identity(d: int) -> np.ndarray:
+    eye = np.eye(d)  # built once per dimension and shared, so read-only
+    eye.flags.writeable = False
+    return eye
+
+
 def _cayley(a: np.ndarray) -> np.ndarray:
-    """(I - a/2)^-1 (I + a/2), unitary for skew-Hermitian a."""
-    eye = np.eye(len(a))
-    return np.linalg.solve(eye - a / 2.0, eye + a / 2.0)
+    """(I - a/2)^-1 (I + a/2) of each skew-Hermitian d x d matrix of the
+    (..., d, d) stack ``a``, unitary; LAPACK solves each matrix on its own."""
+    half, eye = a / 2.0, _identity(a.shape[-1])
+    return np.linalg.solve(eye - half, eye + half)
 
 
 def _ascend(evaluate, factors, rotate, cfg: OptConfig):
@@ -153,7 +166,9 @@ def _ascend(evaluate, factors, rotate, cfg: OptConfig):
     (starting value first) and whether the ascent stopped before
     ``cfg.max_iters`` steps.
     """
-    factors = list(factors)
+    # two rotated factors of one dimension step, and end, as one (2, d, d) stack
+    stacked = len(rotate) == 2 and factors[0].shape == factors[1].shape
+    factors = np.stack(factors) if stacked else list(factors)
     (f, grad), t = evaluate(factors), 1.0
     trajectory = [f]
     for _ in range(cfg.max_iters):
@@ -161,10 +176,12 @@ def _ascend(evaluate, factors, rotate, cfg: OptConfig):
         sq_norm = sum(float(np.vdot(grads[k], grads[k]).real) for k in rotate)
         if sq_norm == 0.0:
             return factors, trajectory, True
+        grads = np.stack(grads) if stacked else grads
 
         def trial(step):
-            moved = [_cayley(step * g) @ u if k in rotate else u
-                     for k, (u, g) in enumerate(zip(factors, grads))]
+            moved = (_cayley(step * grads) @ factors if stacked else
+                     [_cayley(step * g) @ u if k in rotate else u
+                      for k, (u, g) in enumerate(zip(factors, grads))])
             f_moved, grad_moved = evaluate(moved)
             return moved, f_moved, grad_moved, f_moved - f >= ARMIJO * step * sq_norm
 

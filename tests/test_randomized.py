@@ -912,6 +912,17 @@ def test_records_refuses_the_arrays_it_is_made_of():
     probs[0, 2, 1] = np.nan
     with pytest.raises(ValueError, match="setting 2: rho_probs sums to nan, not 1"):
         Records(replace(cfg, shots_per_setting=None), np.arange(3), eye.copy(), probs)
+    # the arrays themselves: settings 1-D integers, unitaries (N, m+n, l, l)
+    # complex and finite; a wrong shape was written to a file the reader refused
+    for settings in (np.arange(3.0), np.arange(3).reshape(3, 1)):
+        with pytest.raises(ValueError, match="settings must be a 1-D integer array"):
+            Records(cfg, settings, eye.copy(), data)
+    nan_u = eye.copy()
+    nan_u[1, 0, 0, 0] = np.nan
+    for us in (np.zeros((3, 3, 2, 2), complex), eye.real.copy(), nan_u):
+        with pytest.raises(ValueError, match=re.escape(
+                "unitaries must be a complex (3, 2, 2, 2) array of finite values")):
+            Records(cfg, np.arange(3), us, data)
 
 
 def _assert_same_record(got, want):

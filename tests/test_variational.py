@@ -358,6 +358,45 @@ def test_ascent_matches_the_reference_that_recomputes_each_gradient(monkeypatch)
         assert got.bound == want.bound
 
 
+def per_matrix_cayley(a):
+    """The Cayley factor one d x d matrix at a time, as each factor took its
+    own solve before two factors of one dimension stepped as one stack."""
+    if a.ndim == 3:
+        return np.stack([per_matrix_cayley(m) for m in a])
+    eye = np.eye(len(a))
+    return np.linalg.solve(eye - a / 2.0, eye + a / 2.0)
+
+
+def test_stacked_step_matches_the_solve_of_each_factor_on_its_own(monkeypatch):
+    # LAPACK solves each matrix of a stack on its own, so stepping both
+    # factors of one dimension through one solve changes no bit of any
+    # result: on the bound corpus, the variational benchmark's inputs and
+    # a (2, 3) pair, whose factors differ in dimension, with both sides rotated
+    def run():
+        for j, (rho, sig) in enumerate(bound_corpus()):
+            s_hat(rho, sig, OptConfig(restarts=2, max_iters=50, seed=j))
+        s_hat(isotropic(4, 0.6), random_mixed((4, 4), rank=2, seed=3),
+              OptConfig(restarts=2), sides="both")
+        verify_shat_fef_identity(isotropic(3, 0.7), OptConfig(restarts=2))
+        s_hat(random_mixed((2, 3), seed=5), random_mixed((2, 3), rank=2, seed=6),
+              OptConfig(restarts=3, seed=4), sides="both")
+
+    calls = []
+    cayley = variational._cayley
+    monkeypatch.setattr(variational, "_cayley", lambda a: calls.append(a.ndim) or cayley(a))
+    stacked = maximized(monkeypatch, run)
+    assert 3 in calls and 2 in calls  # both the stacked and the per-factor step ran
+    monkeypatch.setattr(variational, "_cayley", per_matrix_cayley)
+    reference = maximized(monkeypatch, run)
+    assert len(stacked) == len(reference) == len(bound_corpus()) + 4
+    for got, want in zip(stacked, reference):
+        assert got.value == want.value
+        assert all(np.array_equal(a, b) for a, b in zip(got.params, want.params))
+        assert got.trajectory == want.trajectory
+        assert got.converged is want.converged
+        assert got.bound == want.bound
+
+
 def test_certified_bound_invariant_under_local_rotation():
     rng = np.random.default_rng(47)
     rho = random_mixed((2, 2), rank=2, seed=51)
@@ -445,6 +484,17 @@ def test_optconfig_json_roundtrip():
 def test_optconfig_validation():
     with pytest.raises(ValueError):
         OptConfig(restarts=0)
+    # a nan tol let no end point replace the empty best, and a negative one
+    # stopped ascents that had not converged; a negative seed failed later,
+    # inside the generator
+    for tol in (float("nan"), float("inf"), -0.5):
+        with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+            OptConfig(tol=tol)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        OptConfig(seed=-1)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        OptConfig.from_json({"seed": -1})
+    assert OptConfig(tol=0.0, seed=0).tol == 0.0
 
 
 def test_optconfig_from_json_rejects_unknown_keys():
