@@ -55,10 +55,11 @@ def _fmt(v) -> str:
 
 
 def _write_csv(path, columns, rows, config) -> None:
-    lines = ["# config: " + json.dumps(config, sort_keys=True)]
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    """Config and header lines, then one line per row: a tuple of values, or
+    a line the caller already joined."""
+    lines = ["# config: " + json.dumps(config, sort_keys=True), ",".join(columns)]
+    lines += (row if isinstance(row, str) else ",".join(_fmt(v) for v in row)
+              for row in rows)
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -79,13 +80,12 @@ def cmd_fig1(d: int, grid: int, r_max: int, out: str) -> int:
     # isotropic(d, x) = (1-x) isotropic(d, 0) + x isotropic(d, 1)
     ends = [isotropic(d, 0.0), isotropic(d, 1.0)]
     weights = np.column_stack([1.0 - xs, xs])
-    table = overlap_ratio_table(ends, ends, rho_weights=weights,
-                                sigma_weights=weights).tolist()
-    rows = []
-    for x, s_row in zip(xs, table):
-        for y, s in zip(xs, s_row):
-            detected = max(0, sn_bound_from_ratio(s) - 1)
-            rows.append((float(x), float(y), s, min(detected, r_cap)))
+    table = overlap_ratio_table(ends, ends, rho_weights=weights, sigma_weights=weights)
+    detected = np.minimum(np.maximum(sn_bound_from_ratio(table) - 1, 0), r_cap)
+    coords = [repr(x) for x in xs.tolist()]
+    rows = [f"{x},{y},{s!r},{r}"
+            for x, s_row, r_row in zip(coords, table.tolist(), detected.tolist())
+            for y, s, r in zip(coords, s_row, r_row)]
     config = {"command": "fig1", "d": d, "grid": grid, "r_max": r_cap}
     _write_csv(out, ["x", "y", "s_value", "max_r_detected"], rows, config)
     return 0

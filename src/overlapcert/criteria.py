@@ -43,9 +43,11 @@ from .qmat import (
 DEFAULT_TOL = 1e-9
 
 
-def sn_bound_from_ratio(s: float) -> int:
-    """Certified Schmidt-number lower bound from an overlap ratio."""
-    return max(1, math.ceil(s - DEFAULT_TOL))
+def sn_bound_from_ratio(s):
+    """Certified Schmidt-number lower bound from an overlap ratio: an int for a
+    float, an int array elementwise for an array."""
+    bound = np.maximum(np.ceil(np.subtract(s, DEFAULT_TOL)), 1)
+    return bound.astype(int) if np.ndim(bound) else int(bound)
 
 
 @dataclass(frozen=True)

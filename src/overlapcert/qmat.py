@@ -280,14 +280,17 @@ def embed_operator(m: np.ndarray, dims, positions) -> np.ndarray:
 
     ``m`` must act on ``dims[positions]`` taken in ascending position order.
     """
-    dims = _as_dims(dims)
+    dims, m = _as_dims(dims), np.asarray(m)
     n = len(dims)
     positions = sorted(set(int(i) for i in positions))
+    if any(i < 0 or i >= n for i in positions):
+        raise ValueError(f"positions {positions} out of range for dims {dims}")
     rest = [i for i in range(n) if i not in positions]
-    expected = math.prod(dims[i] for i in positions)
-    if np.asarray(m).shape != (expected, expected):
+    side, other = math.prod(dims[i] for i in positions), math.prod(dims[i] for i in rest)
+    if m.shape != (side, side):
         raise ValueError("operator shape does not match the target subsystems")
-    big = np.kron(np.asarray(m), np.eye(math.prod([dims[i] for i in rest] or [1])))
+    # kron(m, I) entry for entry, as one broadcast product
+    big = (m[:, None, :, None] * np.eye(other)[None, :, None, :]).reshape(2 * [side * other])
     layout = positions + rest
     layout_dims = tuple(dims[i] for i in layout)
     order = [layout.index(k) for k in range(n)]
@@ -324,20 +327,32 @@ def _overlap_table(rhos, sigmas, dims, kept_sets) -> np.ndarray:
     shape (len(kept_sets), len(rhos), len(sigmas)).
 
     The matrices are plain arrays on the layout ``dims``; each kept set
-    must be sorted, and the full set gives the global overlap Tr[rho sigma].  Every
-    state is reduced once per kept set, and the sigmas one at a time.
+    must be sorted, and the full set gives the global overlap Tr[rho sigma].  Each
+    state is reduced onto every kept set in one walk, the sigmas one at a time:
+    it traces the subsystems last to first, as :func:`_reduce` does, and takes
+    each traced-suffix intermediate once, so every reduced matrix is bit for bit
+    the one :func:`_reduce` gives.
     """
     dims = tuple(dims)
     n = len(dims)
-    keeps = [None if len(k) == n else k for k in kept_sets]
-    rho_parts = [[m if k is None else _reduce(m, dims, k) for m in rhos]
-                 for k in keeps]
-    out = np.empty((len(keeps), len(rhos), len(sigmas)))
+    walks = [tuple(i for i in range(n - 1, -1, -1) if i not in k) for k in kept_sets]
+
+    def parts(m):
+        done = {(): m.reshape(dims + dims)}
+        for w in walks:
+            for j in range(1, len(w) + 1):
+                if w[:j] not in done:  # the j-th trace leaves n - j subsystems
+                    done[w[:j]] = np.trace(done[w[:j - 1]], axis1=w[j - 1],
+                                           axis2=w[j - 1] + n - j + 1)
+        return [done[w].reshape(2 * [math.prod(done[w].shape[:n - len(w)])]) if w else m
+                for w in walks]
+
+    rho_parts = [parts(m) for m in rhos]
+    out = np.empty((len(walks), len(rhos), len(sigmas)))
     for j, sigma_m in enumerate(sigmas):
-        for a, k in enumerate(keeps):
-            sigma_k = sigma_m if k is None else _reduce(sigma_m, dims, k)
-            for i, rho_k in enumerate(rho_parts[a]):
-                out[a, i, j] = _trace_product(rho_k, sigma_k)
+        for a, sigma_k in enumerate(parts(sigma_m)):
+            for i, rho_k in enumerate(rho_parts):
+                out[a, i, j] = _trace_product(rho_k[a], sigma_k)
     return out
 
 

@@ -22,6 +22,7 @@ from overlapcert import (
     overlap_ratio,
     p3_ppt_check,
     purity_check,
+    sn_bound_from_ratio,
     tilted_entangled,
 )
 from overlapcert import StateSpec, build_density, cli
@@ -86,6 +87,25 @@ def test_fig1_rerun_byte_identical(tmp_path):
     main(["fig1", "--d", "3", "--grid", "7", "--out", str(a)])
     main(["fig1", "--d", "3", "--grid", "7", "--out", str(b)])
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("r_max", [0, 2])
+def test_fig1_rows_follow_the_bound_rule(tmp_path, r_max):
+    # the whole table is bounded at once; every row must still follow the
+    # scalar rule of sn_bound_from_ratio, capped at r_max (0 caps at d)
+    d, grid = 4, 9
+    out = tmp_path / "fig1.csv"
+    cmd_fig1(d, grid, r_max, str(out))
+    lines = [line.split(",") for line in out.read_text().splitlines()[2:]]
+    r_cap = r_max or d
+    assert len(lines) == grid * grid
+    for _, _, s, r in lines:
+        assert int(r) == min(max(0, sn_bound_from_ratio(float(s)) - 1), r_cap)
+    # a ratio of exactly r certifies r: the corner x = y = 1 has s = d
+    assert lines[-1][:3] == ["1.0", "1.0", repr(float(d))]
+    assert int(lines[-1][3]) == min(d - 1, r_cap)
+    coords = [repr(x) for x in np.linspace(1.0 / d**2, 1.0, grid).tolist()]
+    assert [(x, y) for x, y, _, _ in lines] == [(x, y) for x in coords for y in coords]
 
 
 def test_fig1_allocates_little_beyond_its_states(tmp_path):

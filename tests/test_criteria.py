@@ -201,6 +201,9 @@ def test_bound_ceiling_monotone_in_ratio():
     assert all(b2 >= b1 for b1, b2 in zip(bounds, bounds[1:]))
     assert sn_bound_from_ratio(2.0) == 2  # exact integer stays put
     assert sn_bound_from_ratio(2.0 + 1e-6) == 3
+    # an array takes the same rule elementwise; a float gives a Python int
+    assert sn_bound_from_ratio(grid).tolist() == bounds
+    assert type(sn_bound_from_ratio(2.0)) is int
 
 
 def test_verdict_json_shape():

@@ -20,7 +20,7 @@ from overlapcert import (
     tensor,
 )
 from overlapcert.multipartite import bipartitions
-from overlapcert.qmat import _overlap_table, _overlaps
+from overlapcert.qmat import _overlap_table, _overlaps, _reduce, _trace_product
 from overlapcert.states import (StateSpec, build_density, isotropic, max_entangled,
                                 random_mixed, random_pure)
 from overlapcert.variational import OptConfig
@@ -277,6 +277,27 @@ def test_overlap_table_equals_pairwise_overlaps(dims, kept_sets):
             assert _overlaps(rho, sigma, dims, kept_sets) == pairwise
 
 
+@pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3, 2), (2,) * 5],
+                         ids=["3-qubit", "2x3x2", "5-qubit"])
+def test_shared_walk_is_bit_identical_to_one_reduce_per_set(dims, monkeypatch):
+    # the table reduces each state onto all its kept sets in one walk; each
+    # reduced matrix must be bit for bit the one _reduce gives for its set
+    rng = np.random.default_rng(len(dims) * 10 + dims[1])
+    side = math.prod(dims)
+    rhos = [random_hermitian(side, rng) for _ in range(2)]
+    sigmas = [random_hermitian(side, rng) for _ in range(3)]
+    kept_sets = _multipartite_kept_sets(len(dims))
+    expected = np.array([[[_trace_product(_reduce(rho, dims, k), _reduce(sigma, dims, k))
+                           for sigma in sigmas] for rho in rhos] for k in kept_sets])
+    calls = []
+    trace = np.trace
+    monkeypatch.setattr(np, "trace", lambda *a, **kw: calls.append(1) or trace(*a, **kw))
+    assert (_overlap_table(rhos, sigmas, dims, kept_sets) == expected).all()
+    # each traced suffix once per state: every nonempty proper subset of
+    # the subsystems is one, so 5 qubits take 30 traces, not 75
+    assert len(calls) == (2 ** len(dims) - 2) * (len(rhos) + len(sigmas))
+
+
 def test_overlap_table_rejects_imaginary_trace():
     rng = np.random.default_rng(4)
     herm = [random_hermitian(6, rng) for _ in range(2)]
@@ -405,6 +426,31 @@ def test_embed_operator_positions():
         lhs = full.conj() @ (big @ full)
         rhs = (ac.conj() @ (m @ ac)) * (b.conj() @ b)
         assert abs(lhs - rhs) < 1e-9
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3, 2), (2,) * 5],
+                         ids=["3-qubit", "2x3x2", "5-qubit"])
+def test_embed_operator_is_bit_identical_to_kron(dims):
+    # embed_operator builds kron(m, I) by broadcasting; it must give the
+    # entries of np.kron exactly, then the same permutation
+    rng = np.random.default_rng(sum(dims))
+    n = len(dims)
+    for positions in [cut.kept for cut in bipartitions(n)] + [tuple(range(n))]:
+        rest = [i for i in range(n) if i not in positions]
+        side = math.prod(dims[i] for i in positions)
+        m = random_hermitian(side, rng)
+        layout = list(positions) + rest
+        big = np.kron(m, np.eye(math.prod(dims[i] for i in rest)))
+        expected = permute_subsystems_matrix(big, [dims[i] for i in layout],
+                                             [layout.index(k) for k in range(n)])
+        assert np.array_equal(embed_operator(m, dims, positions), expected)
+
+
+@pytest.mark.parametrize("positions", [[2], [-1], [0, 5]])
+def test_embed_operator_rejects_out_of_range_positions(positions):
+    with pytest.raises(ValueError, match=re.escape(f"positions {sorted(positions)} "
+                                                   "out of range for dims (2, 2)")):
+        embed_operator(np.eye(2), (2, 2), positions)
 
 
 def test_permute_subsystems_roundtrip():
