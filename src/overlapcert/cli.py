@@ -48,18 +48,9 @@ from .states import (
 )
 
 
-def _fmt(v) -> str:
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return repr(float(v))
-
-
 def _write_csv(path, columns, rows, config) -> None:
-    """Config and header lines, then one line per row: a tuple of values, or
-    a line the caller already joined."""
-    lines = ["# config: " + json.dumps(config, sort_keys=True), ",".join(columns)]
-    lines += (row if isinstance(row, str) else ",".join(_fmt(v) for v in row)
-              for row in rows)
+    """Config and header lines, then the rows, each a line the caller joined."""
+    lines = ["# config: " + json.dumps(config, sort_keys=True), ",".join(columns), *rows]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -172,7 +163,7 @@ def cmd_fig3(d_min: int, d_max: int, r_max: int, out: str) -> int:
         for r in range(1, min(r_max, d - 1) + 1):
             x_lower = _ratio_boundary(d, r)
             if x_lower is not None:
-                rows_a.append((d, r, x_lower, _spectrum_boundary(d, r)))
+                rows_a.append(f"{d},{r},{x_lower!r},{_spectrum_boundary(d, r)!r}")
     path_a = out + ".a.csv"
     _write_csv(path_a, ["d", "r", "x_ratio_boundary", "x_unfaithful_boundary"],
                rows_a, config)
@@ -184,7 +175,7 @@ def cmd_fig3(d_min: int, d_max: int, r_max: int, out: str) -> int:
         purity_gap, p3_cubic = _corner_gap_polys(d)
         x_p3 = _roots_in(p3_cubic, 1e-12, 1.0)[0]
         x_pc = _roots_in(purity_gap, 1e-12, 1.0)[0]
-        rows_b.append((d, 0.0, x_p3, corner_fbc_psi_boundary(d, 1), x_pc))
+        rows_b.append(f"{d},0.0,{x_p3!r},{corner_fbc_psi_boundary(d, 1)!r},{x_pc!r}")
     path_b = out + ".b.csv"
     _write_csv(path_b,
                ["d", "x_ipc_boundary", "x_p3ppt_boundary", "x_fbc_boundary",
@@ -210,7 +201,7 @@ def cmd_rfbc_tightness(d_min: int, d_max: int, r_max: int, out: str) -> int:
     rows = []
     for d in range(d_min, d_max + 1):
         for r in range(1, min(r_max, d) + 1):
-            rows.append((d, r, _spectrum_boundary(d, r), corner_fbc_psi_boundary(d, r)))
+            rows.append(f"{d},{r},{_spectrum_boundary(d, r)!r},{corner_fbc_psi_boundary(d, r)!r}")
     config = {"command": "rfbc-tightness", "d_min": d_min, "d_max": d_max,
               "r_max": r_max}
     _write_csv(out, ["d", "r", "x_spectrum_boundary", "x_witness_boundary"],

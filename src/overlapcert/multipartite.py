@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .criteria import DEFAULT_TOL
-from .qmat import Bipartition, QState, _overlaps, embed_operator, partial_trace_matrix
+from .qmat import Bipartition, QState, _overlaps, _reductions, embed_operator
 
 # Exhaustive bipartition enumeration is exponential; past this size the
 # scan refuses rather than silently taking hours.
@@ -164,9 +164,7 @@ def apply_lambda_map(rho: QState, r: int = 1) -> np.ndarray:
     if r < 1:
         raise ValueError("r must be >= 1")
     dims = _three_party(rho)
-    rho_c = partial_trace_matrix(rho.matrix, dims, [2])
-    rho_bc = partial_trace_matrix(rho.matrix, dims, [1, 2])
-    rho_ac = partial_trace_matrix(rho.matrix, dims, [0, 2])
+    rho_c, rho_bc, rho_ac = _reductions(rho.matrix, dims, _LAMBDA_SETS[:3])
     return (
         embed_operator(rho_c, dims, [2])
         + embed_operator(rho_bc, dims, [1, 2])

@@ -109,10 +109,7 @@ class QState:
 
     def __post_init__(self):
         dims = _as_dims(self.dims)
-        m = np.array(self.matrix, dtype=complex)
-        side = math.prod(dims)
-        if m.shape != (side, side):
-            raise ValueError(f"matrix shape {m.shape} does not match dims {dims}")
+        m = _square(np.array(self.matrix, dtype=complex), dims)
         if np.abs(m - m.conj().T).max() > HERM_TOL:
             raise ValueError("matrix is not Hermitian within tolerance")
         if abs(np.trace(m).real - 1.0) > TRACE_TOL or abs(np.trace(m).imag) > TRACE_TOL:
@@ -220,27 +217,42 @@ def tensor(a, b):
     raise TypeError("tensor requires two QState or two PureVec arguments")
 
 
-def _reduce(m: np.ndarray, dims: tuple[int, ...], keep) -> np.ndarray:
-    """Partial trace of a plain matrix onto the sorted indices ``keep``,
-    without argument checks; the traced subsystems go last to first."""
-    t, n = m.reshape(dims + dims), len(dims)
-    for idx in range(n - 1, -1, -1):
-        if idx not in keep:
-            t, n = np.trace(t, axis1=idx, axis2=idx + n), n - 1
-    side = math.prod(t.shape[:n])
-    return t.reshape(side, side)
+def _square(m, dims: tuple[int, ...]) -> np.ndarray:
+    """``m`` as an array, refused unless it is D x D with D = prod(dims)."""
+    m, side = np.asarray(m), math.prod(dims)
+    if m.shape != (side, side):
+        raise ValueError(f"matrix shape {m.shape} does not match dims {dims}")
+    return m
+
+
+def _reductions(m: np.ndarray, dims: tuple[int, ...], kept_sets) -> list:
+    """Partial traces of a plain matrix onto every kept set, unchecked: the
+    package's only partial trace.  It traces the subsystems last to first and
+    takes each traced suffix once, shared by every kept set that traces it."""
+    n, done, out = len(dims), {(): m.reshape(dims + dims)}, []
+    for kept in kept_sets:
+        walk, t, left = (), done[()], n  # t holds ``left`` subsystems
+        for i in range(n - 1, -1, -1):
+            if i not in kept:
+                walk += (i,)
+                if walk not in done:
+                    done[walk] = np.trace(t, axis1=i, axis2=i + left)
+                t, left = done[walk], left - 1
+        side = math.isqrt(t.size)
+        out.append(t.reshape(side, side))
+    return out
 
 
 def partial_trace_matrix(m: np.ndarray, dims, keep) -> np.ndarray:
     """Trace out every subsystem not listed in ``keep`` from a plain matrix."""
     dims = _as_dims(dims)
-    n = len(dims)
+    n, m = len(dims), _square(m, dims)
     keep = sorted(set(int(i) for i in keep))
     if any(i < 0 or i >= n for i in keep):
         raise ValueError(f"kept indices {keep} out of range for dims {dims}")
     if not keep:
         raise ValueError("cannot trace out every subsystem")
-    return _reduce(np.asarray(m), dims, keep)
+    return _reductions(m, dims, [keep])[0]
 
 
 def partial_trace(state: QState, part: Bipartition) -> QState:
@@ -260,7 +272,7 @@ def partial_transpose_matrix(m: np.ndarray, dims, transposed) -> np.ndarray:
     for idx in transposed:
         perm[idx], perm[n + idx] = perm[n + idx], perm[idx]
     side = math.prod(dims)
-    return np.asarray(m).reshape(dims + dims).transpose(perm).reshape(side, side)
+    return _square(m, dims).reshape(dims + dims).transpose(perm).reshape(side, side)
 
 
 def permute_subsystems_matrix(m: np.ndarray, dims, order) -> np.ndarray:
@@ -272,7 +284,7 @@ def permute_subsystems_matrix(m: np.ndarray, dims, order) -> np.ndarray:
         raise ValueError(f"order {order} is not a permutation of {n} subsystems")
     perm = order + [i + n for i in order]
     side = math.prod(dims)
-    return np.asarray(m).reshape(dims + dims).transpose(perm).reshape(side, side)
+    return _square(m, dims).reshape(dims + dims).transpose(perm).reshape(side, side)
 
 
 def embed_operator(m: np.ndarray, dims, positions) -> np.ndarray:
@@ -326,31 +338,14 @@ def _overlap_table(rhos, sigmas, dims, kept_sets) -> np.ndarray:
     """Tr[rho_K sigma_K] for every kept set K, rho and sigma, as an array of
     shape (len(kept_sets), len(rhos), len(sigmas)).
 
-    The matrices are plain arrays on the layout ``dims``; each kept set
-    must be sorted, and the full set gives the global overlap Tr[rho sigma].  Each
-    state is reduced onto every kept set in one walk, the sigmas one at a time:
-    it traces the subsystems last to first, as :func:`_reduce` does, and takes
-    each traced-suffix intermediate once, so every reduced matrix is bit for bit
-    the one :func:`_reduce` gives.
+    The matrices are plain arrays on the layout ``dims``, and the full set
+    gives the global overlap Tr[rho sigma].  Each state is reduced onto
+    every kept set in one :func:`_reductions` walk, the sigmas one at a time.
     """
-    dims = tuple(dims)
-    n = len(dims)
-    walks = [tuple(i for i in range(n - 1, -1, -1) if i not in k) for k in kept_sets]
-
-    def parts(m):
-        done = {(): m.reshape(dims + dims)}
-        for w in walks:
-            for j in range(1, len(w) + 1):
-                if w[:j] not in done:  # the j-th trace leaves n - j subsystems
-                    done[w[:j]] = np.trace(done[w[:j - 1]], axis1=w[j - 1],
-                                           axis2=w[j - 1] + n - j + 1)
-        return [done[w].reshape(2 * [math.prod(done[w].shape[:n - len(w)])]) if w else m
-                for w in walks]
-
-    rho_parts = [parts(m) for m in rhos]
-    out = np.empty((len(walks), len(rhos), len(sigmas)))
+    rho_parts = [_reductions(m, dims, kept_sets) for m in rhos]
+    out = np.empty((len(kept_sets), len(rhos), len(sigmas)))
     for j, sigma_m in enumerate(sigmas):
-        for a, sigma_k in enumerate(parts(sigma_m)):
+        for a, sigma_k in enumerate(_reductions(sigma_m, dims, kept_sets)):
             for i, rho_k in enumerate(rho_parts):
                 out[a, i, j] = _trace_product(rho_k[a], sigma_k)
     return out

@@ -343,16 +343,15 @@ def _basis_coefficients(matrices, local_dim: int, q: int) -> np.ndarray:
     return out.reshape(l * l, -1)
 
 
-def _outcome_probs(factors: np.ndarray, c: np.ndarray | None, forms=None) -> np.ndarray:
+def _outcome_probs(factors: np.ndarray, c: np.ndarray | None, forms) -> np.ndarray:
     """diag(U rho U^dag), shape (B, D, K), for a (B, q, l, l) block of local
     factors, U their Kronecker product (never built), and K states.  A state
     whose ``forms`` entry is a (v, b, c0) gets :func:`~.qmat._product_probs`.
-    The rest (None; all without ``forms``) use their coefficients ``c``:
+    The rest (None) use their coefficients ``c``:
     sum_a c_a prod_k M_k[s_k, a_k], M_k[s, a] = <s|u_k H_a u_k^dag|s> real.  One
     GEMM with M_0 shared by the block, batched products for the other qudits:
     about 2 l D^2 real multiply-adds per setting and state, not D^3."""
     b, q, l = factors.shape[:3]
-    forms = forms or [None] * (c.size // l ** (2 * q))
     if c is not None:
         t = (factors[..., :, None] * factors.conj()[..., None, :]).reshape(b, q, l, l * l)
         m = (t @ _hermitian_basis(l).T).real

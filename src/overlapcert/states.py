@@ -207,6 +207,8 @@ class StateSpec:
         if self.family not in _FAMILIES:
             raise ValueError(f"unknown family {self.family!r}; "
                              f"expected one of {tuple(_FAMILIES)}")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
     def to_json(self) -> dict:
         return {"family": self.family, "params": dict(self.params), "seed": self.seed}

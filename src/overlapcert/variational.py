@@ -36,7 +36,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .criteria import partner_sup
-from .qmat import QState, _from_json, _guarded_ratios, _reduce, _trace_product
+from .qmat import QState, _from_json, _guarded_ratios, _reductions, _trace_product
 from .randomized import sample_local_unitary
 from .states import max_entangled
 
@@ -116,12 +116,12 @@ def _objective(rho_m: np.ndarray, sigma_m: np.ndarray, dims, local: int | None):
     dims = tuple(dims)
     side = math.prod(dims)
     if local is not None:
-        keep = (local,)
-        sigma_x = _reduce(sigma_m, dims, keep)
+        keep = [(local,)]
+        sigma_x, = _reductions(sigma_m, dims, keep)
 
     def gradient(rot, g, rot_x, l_x) -> list[np.ndarray]:
         comm = sigma_m @ rot - rot @ sigma_m
-        grads = [_reduce(comm, dims, (k,)) for k in (0, 1)]
+        grads = _reductions(comm, dims, [(0,), (1,)])
         if local is None:
             return grads
         if l_x <= 0.0:
@@ -137,7 +137,7 @@ def _objective(rho_m: np.ndarray, sigma_m: np.ndarray, dims, local: int | None):
         g = _trace_product(rot, sigma_m)
         if local is None:
             return g, lambda: gradient(rot, g, None, None)
-        rot_x = _reduce(rot, dims, keep)
+        rot_x, = _reductions(rot, dims, keep)
         l_x = _trace_product(rot_x, sigma_x)
         return _guarded_ratios(g, l_x), lambda: gradient(rot, g, rot_x, l_x)
 

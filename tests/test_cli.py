@@ -536,6 +536,21 @@ def test_rm_experiment_negative_seed_flag_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_rm_experiment_negative_state_seed_exits_2(tmp_path, capsys):
+    # numpy's "expected non-negative integer" used to be the message
+    cfg_path = tmp_path / "cfg.json"
+    write_rm_config(cfg_path, settings=20)
+    cfg = json.loads(cfg_path.read_text())
+    cfg["sigma"] = {"family": "random-pure", "params": {"dims": [4, 4]}, "seed": -1}
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "report.json"
+    with pytest.raises(SystemExit) as err:
+        main(["rm-experiment", "--config", str(cfg_path), "--out", str(out)])
+    assert err.value.code == 2
+    assert "error: rm-experiment: seed must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_rm_experiment_ghz_local_dimension_one_exits_2(tmp_path, capsys):
     # d = 1 used to end in a ZeroDivisionError traceback, exit 1, the code of
     # a failed examples check

@@ -20,15 +20,44 @@ from overlapcert import (
     tensor,
 )
 from overlapcert.multipartite import bipartitions
-from overlapcert.qmat import _overlap_table, _overlaps, _reduce, _trace_product
-from overlapcert.states import (StateSpec, build_density, isotropic, max_entangled,
-                                random_mixed, random_pure)
-from overlapcert.variational import OptConfig
+from overlapcert.multipartite import apply_lambda_map
+from overlapcert.qmat import _overlap_table, _overlaps, _reductions, _trace_product
+from overlapcert.states import (StateSpec, build_density, ghz_noisy, isotropic,
+                                max_entangled, random_mixed, random_pure)
+from overlapcert.variational import OptConfig, _objective
 
 
 def random_hermitian(dim, rng):
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return (g + g.conj().T) / 2
+
+
+def one_trace_at_a_time(m, dims, keep):
+    """Partial trace onto ``keep``, one np.trace per traced subsystem, the
+    last subsystem first as in the package's walk, with nothing shared."""
+    t, n = m.reshape(dims + dims), len(dims)
+    for i in range(n - 1, -1, -1):
+        if i not in keep:
+            t, n = np.trace(t, axis1=i, axis2=i + n), n - 1
+    side = math.prod(t.shape[:n])
+    return t.reshape(side, side)
+
+
+def einsum_partial_trace(m, dims, keep):
+    """Partial trace onto ``keep`` as one np.einsum contraction."""
+    n = len(dims)
+    cols = [n + i if i in keep else i for i in range(n)]
+    side = math.prod(dims[i] for i in keep)
+    out = np.einsum(m.reshape(dims + dims), list(range(n)) + cols,
+                    list(keep) + [n + i for i in keep])
+    return out.reshape(side, side)
+
+
+def counting_traces(monkeypatch) -> list:
+    """A list that gains one entry per np.trace call from here on."""
+    calls, trace = [], np.trace
+    monkeypatch.setattr(np, "trace", lambda *a, **kw: calls.append(1) or trace(*a, **kw))
+    return calls
 
 
 # ---------------------------------------------------------------------------
@@ -56,6 +85,21 @@ def test_qstate_rejects_negative_operator():
 def test_qstate_rejects_dims_mismatch():
     with pytest.raises(ValueError, match="shape"):
         QState((2, 3), np.eye(4) / 4)
+
+
+@pytest.mark.parametrize("m", [np.eye(3), np.ones(16), np.ones((2, 8))],
+                         ids=["3x3", "vector", "2x8"])
+@pytest.mark.parametrize("call", [
+    lambda m: partial_trace_matrix(m, (2, 2), [0]),
+    lambda m: partial_transpose_matrix(m, (2, 2), [1]),
+    lambda m: permute_subsystems_matrix(m, (2, 2), [1, 0]),
+], ids=["partial_trace", "partial_transpose", "permute"])
+def test_matrix_functions_refuse_a_matrix_off_the_layout(call, m):
+    # a 16-vector used to come back from permute as a 4 x 4 matrix, and a
+    # 3 x 3 matrix failed in numpy's reshape; QState's wording names both
+    with pytest.raises(ValueError, match=re.escape(f"matrix shape {m.shape} does not "
+                                                   "match dims (2, 2)")):
+        call(m)
 
 
 def test_purevec_rejects_unnormalized():
@@ -281,21 +325,40 @@ def test_overlap_table_equals_pairwise_overlaps(dims, kept_sets):
                          ids=["3-qubit", "2x3x2", "5-qubit"])
 def test_shared_walk_is_bit_identical_to_one_reduce_per_set(dims, monkeypatch):
     # the table reduces each state onto all its kept sets in one walk; each
-    # reduced matrix must be bit for bit the one _reduce gives for its set
+    # reduced matrix must be bit for bit the one a walk of its own set gives
     rng = np.random.default_rng(len(dims) * 10 + dims[1])
     side = math.prod(dims)
     rhos = [random_hermitian(side, rng) for _ in range(2)]
     sigmas = [random_hermitian(side, rng) for _ in range(3)]
     kept_sets = _multipartite_kept_sets(len(dims))
-    expected = np.array([[[_trace_product(_reduce(rho, dims, k), _reduce(sigma, dims, k))
+    expected = np.array([[[_trace_product(one_trace_at_a_time(rho, dims, k),
+                                          one_trace_at_a_time(sigma, dims, k))
                            for sigma in sigmas] for rho in rhos] for k in kept_sets])
-    calls = []
-    trace = np.trace
-    monkeypatch.setattr(np, "trace", lambda *a, **kw: calls.append(1) or trace(*a, **kw))
+    calls = counting_traces(monkeypatch)
     assert (_overlap_table(rhos, sigmas, dims, kept_sets) == expected).all()
     # each traced suffix once per state: every nonempty proper subset of
     # the subsystems is one, so 5 qubits take 30 traces, not 75
     assert len(calls) == (2 ** len(dims) - 2) * (len(rhos) + len(sigmas))
+
+
+@pytest.mark.parametrize("dims", [(2, 3, 2), (2,) * 5], ids=["2x3x2", "5-qubit"])
+def test_reductions_match_einsum_and_share_traces(dims, monkeypatch):
+    m = random_hermitian(math.prod(dims), np.random.default_rng(len(dims)))
+    kept_sets = [tuple(i for i in range(len(dims)) if k >> i & 1)
+                 for k in range(1, 2 ** len(dims))]
+    for k, reduced in zip(kept_sets, _reductions(m, dims, kept_sets)):
+        assert np.abs(reduced - einsum_partial_trace(m, dims, k)).max() <= 1e-14
+    # the inversion map keeps C, BC and AC: the trace of B is taken once, so
+    # 3 traces, not 4; the gradient keeps A and B, one trace each
+    ghz = ghz_noisy(3, 3, 0.7)
+    rho, sigma = (random_mixed((3, 4), seed=s).matrix for s in (1, 2))
+    _, grad = _objective(rho, sigma, (3, 4), 0)([np.eye(3), np.eye(4)])
+    calls = counting_traces(monkeypatch)
+    apply_lambda_map(ghz, 2)
+    assert len(calls) == 3
+    calls.clear()
+    grad()
+    assert len(calls) == 2
 
 
 def test_overlap_table_rejects_imaginary_trace():

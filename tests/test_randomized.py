@@ -191,7 +191,7 @@ def test_outcome_concentrates_without_rotation():
     # both states in one call, |00> and |11>, so a swapped state axis shows
     states = [PureVec((2, 2), v).projector().matrix for v in ([1, 0, 0, 0], [0, 0, 0, 1])]
     identity = np.broadcast_to(np.eye(2, dtype=complex), (1, 2, 2, 2))
-    probs = _outcome_probs(identity, _basis_coefficients(states, 2, 2))[0]
+    probs = _outcome_probs(identity, _basis_coefficients(states, 2, 2), [None, None])[0]
     np.testing.assert_allclose(probs.T, [[1, 0, 0, 0], [0, 0, 0, 1]], atol=1e-14)
 
 
@@ -203,7 +203,7 @@ def test_outcome_probs_match_kron_product_unitary(local_dim, q):
     rng = np.random.default_rng(q)
     factors = np.array([[sample_local_unitary(local_dim, rng) for _ in range(q)]
                         for _ in range(6)])
-    got = _outcome_probs(factors, _basis_coefficients(states, local_dim, q))
+    got = _outcome_probs(factors, _basis_coefficients(states, local_dim, q), [None, None])
     assert got.shape == (6, local_dim**q, 2)
     for p, fs in zip(got, factors):
         u = fs[0]

@@ -417,6 +417,14 @@ def test_statespec_optional_rank_may_be_null():
     assert np.array_equal(full.matrix, random_mixed((2, 2), seed=9).matrix)
 
 
+def test_statespec_rejects_negative_seed():
+    # it used to parse, and build() then failed in numpy with "expected
+    # non-negative integer", which names no field
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        StateSpec.from_json({"family": "random-pure", "params": {"dims": [2, 2]},
+                             "seed": -1})
+
+
 def test_statespec_rejects_unknown_family():
     with pytest.raises(ValueError, match="family"):
         StateSpec("werner", {})

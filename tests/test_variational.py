@@ -23,7 +23,7 @@ from overlapcert import (
     verify_shat_fef_identity,
 )
 from overlapcert import partial_trace_matrix, partner_sup, variational
-from overlapcert.qmat import _guarded_ratios, _overlaps, _reduce, _trace_product
+from overlapcert.qmat import _guarded_ratios, _overlaps, _trace_product
 
 FAST = OptConfig(restarts=4, seed=11)
 
@@ -31,6 +31,17 @@ FAST = OptConfig(restarts=4, seed=11)
 def rotated(rho: QState, u: np.ndarray, v: np.ndarray) -> QState:
     w = np.kron(u, v)
     return QState(rho.dims, w @ rho.matrix @ w.conj().T)
+
+
+def one_trace_at_a_time(m, dims, keep):
+    """Partial trace onto ``keep``, one np.trace per traced subsystem, the
+    last subsystem first, as the package's walk traces a single set."""
+    t, n = m.reshape(dims + dims), len(dims)
+    for i in range(n - 1, -1, -1):
+        if i not in keep:
+            t, n = np.trace(t, axis1=i, axis2=i + n), n - 1
+    side = math.prod(t.shape[:n])
+    return t.reshape(side, side)
 
 
 def skew_exp(omega: np.ndarray) -> np.ndarray:
@@ -287,7 +298,7 @@ def reference_objective(rho_m, sigma_m, dims, local):
     side = math.prod(dims)
     if local is not None:
         keep = (local,)
-        sigma_x = _reduce(sigma_m, dims, keep)
+        sigma_x = one_trace_at_a_time(sigma_m, dims, keep)
 
     def rotated(factors):
         u, v = factors
@@ -299,15 +310,16 @@ def reference_objective(rho_m, sigma_m, dims, local):
         g = _trace_product(rot, sigma_m)
         if local is None:
             return g
-        return _guarded_ratios(g, _trace_product(_reduce(rot, dims, keep), sigma_x))
+        rot_x = one_trace_at_a_time(rot, dims, keep)
+        return _guarded_ratios(g, _trace_product(rot_x, sigma_x))
 
     def grad(factors):
         rot = rotated(factors)
         comm = sigma_m @ rot - rot @ sigma_m
-        grads = [_reduce(comm, dims, (k,)) for k in (0, 1)]
+        grads = [one_trace_at_a_time(comm, dims, (k,)) for k in (0, 1)]
         if local is None:
             return grads
-        rot_x = _reduce(rot, dims, keep)
+        rot_x = one_trace_at_a_time(rot, dims, keep)
         g, l_x = _trace_product(rot, sigma_m), _trace_product(rot_x, sigma_x)
         if l_x <= 0.0:
             return [np.zeros_like(gr) for gr in grads]
