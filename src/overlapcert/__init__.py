@@ -39,7 +39,6 @@ from .multipartite import (
     multipartite_ipc,
 )
 from .qmat import (
-    Bipartition,
     PureVec,
     QState,
     SchmidtDecomp,

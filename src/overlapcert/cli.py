@@ -151,12 +151,17 @@ def _spectrum_boundary(d: int, r: int) -> float:
                      0.0, 1.0)[0]
 
 
+def _check_corner_range(d_min: int, d_max: int, r_max: int) -> None:
+    """Refuse a fig3 or rfbc-tightness range; the corner family needs d >= 3."""
+    if not 3 <= d_min <= d_max or r_max < 1:
+        raise ValueError("need 3 <= d_min <= d_max and r_max >= 1, not "
+                         f"{d_min}, {d_max}, {r_max}")
+
+
 def cmd_fig3(d_min: int, d_max: int, r_max: int, out: str) -> int:
     """Emit the (d, r) detection bands (panel a) and per-d criterion
     boundaries (panel b) for the corner-isotropic family, as two CSVs."""
-    if not 3 <= d_min <= d_max or r_max < 1:  # the corner family needs d >= 3
-        raise ValueError("need 3 <= d_min <= d_max and r_max >= 1, not "
-                         f"{d_min}, {d_max}, {r_max}")
+    _check_corner_range(d_min, d_max, r_max)
     config = {"command": "fig3", "d_min": d_min, "d_max": d_max, "r_max": r_max}
     rows_a = []
     for d in range(d_min, d_max + 1):
@@ -195,9 +200,7 @@ def cmd_rfbc_tightness(d_min: int, d_max: int, r_max: int, out: str) -> int:
     starts detecting; the spectrum curve is where detection by any witness
     becomes possible at all.  Emitted only for r <= d.
     """
-    if not 3 <= d_min <= d_max or r_max < 1:  # the corner family needs d >= 3
-        raise ValueError("need 3 <= d_min <= d_max and r_max >= 1, not "
-                         f"{d_min}, {d_max}, {r_max}")
+    _check_corner_range(d_min, d_max, r_max)
     rows = []
     for d in range(d_min, d_max + 1):
         for r in range(1, min(r_max, d) + 1):

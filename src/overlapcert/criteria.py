@@ -72,15 +72,6 @@ class CriterionVerdict:
     detected: bool
     sn_lower_bound: int
 
-    def to_json(self) -> dict:
-        return {
-            "criterion": self.criterion,
-            "values": {k: float(v) for k, v in self.values.items()},
-            "threshold": float(self.threshold),
-            "detected": bool(self.detected),
-            "sn_bound": int(self.sn_lower_bound),
-        }
-
 
 _BIPARTITE_SETS = ((0, 1), (0,), (1,))
 

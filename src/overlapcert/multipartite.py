@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .criteria import DEFAULT_TOL
-from .qmat import Bipartition, QState, _overlaps, _reductions, embed_operator
+from .qmat import QState, _overlaps, _reductions, embed_operator
 
 # Exhaustive bipartition enumeration is exponential; past this size the
 # scan refuses rather than silently taking hours.
@@ -44,43 +44,21 @@ class MultiVerdict:
     min_value: float
     detected: bool
 
-    def to_json(self) -> dict:
-        return {
-            "global_overlap": self.global_overlap,
-            "min_cut": list(self.min_cut),
-            "min_value": self.min_value,
-            "detected": self.detected,
-            "cuts": [
-                {
-                    "kept": list(c.kept),
-                    "overlap_kept": c.overlap_kept,
-                    "overlap_rest": c.overlap_rest,
-                }
-                for c in self.cut_table
-            ],
-        }
 
-
-def bipartitions(n_subsystems: int) -> list[Bipartition]:
-    """All 2**(n-1) - 1 distinct cuts, canonicalized so subsystem 0 is in S."""
+def bipartitions(n_subsystems: int) -> list[tuple[int, ...]]:
+    """The kept side S of all 2**(n-1) - 1 distinct cuts S | S-bar, each a
+    sorted index tuple, canonicalized so subsystem 0 is in S."""
     if n_subsystems < 2:
         raise ValueError("need at least two subsystems")
     if n_subsystems > MAX_SUBSYSTEMS:
-        raise ValueError(
-            f"exhaustive enumeration limited to {MAX_SUBSYSTEMS} subsystems"
-        )
-    cuts = []
-    rest = list(range(1, n_subsystems))
-    for mask in range(2 ** (n_subsystems - 1)):
-        kept = [0] + [rest[i] for i in range(n_subsystems - 1) if mask >> i & 1]
-        if len(kept) == n_subsystems:
-            continue
-        cuts.append(Bipartition(tuple(kept)))
-    return cuts
+        raise ValueError(f"exhaustive enumeration limited to {MAX_SUBSYSTEMS} subsystems")
+    # bit i - 1 of the mask keeps subsystem i; the last mask would keep them all
+    return [(0,) + tuple(i for i in range(1, n_subsystems) if mask >> (i - 1) & 1)
+            for mask in range(2 ** (n_subsystems - 1) - 1)]
 
 
 def multipartite_ipc(rho: QState, sigma: QState) -> MultiVerdict:
-    """Bipartition-scan overlap criterion for n >= 3 parties.
+    """The bipartition-scan overlap criterion for n >= 3 parties.
 
     Detection means the global overlap exceeds, beyond tolerance, the
     minimum over all cuts of min(<rho_S, sigma_S>, <rho_Sbar, sigma_Sbar>);
@@ -93,11 +71,11 @@ def multipartite_ipc(rho: QState, sigma: QState) -> MultiVerdict:
         raise ValueError("use the bipartite criterion for two subsystems")
     cuts = bipartitions(n)
     kept_sets = [tuple(range(n))]
-    for cut in cuts:
-        kept_sets += [cut.kept, cut.complement(n)]
+    for kept in cuts:
+        kept_sets += [kept, tuple(i for i in range(n) if i not in kept)]
     global_overlap, *sides = _overlaps(rho.matrix, sigma.matrix, rho.dims, kept_sets)
-    table = [CutOverlap(cut.kept, sides[2 * i], sides[2 * i + 1])
-             for i, cut in enumerate(cuts)]
+    table = [CutOverlap(kept, sides[2 * i], sides[2 * i + 1])
+             for i, kept in enumerate(cuts)]
     best = min(table, key=lambda c: c.min_side)
     return MultiVerdict(
         global_overlap=global_overlap,
@@ -197,15 +175,6 @@ class LambdaMapVerdict:
             f"every bipartite decomposition contains an A|C component "
             f"with Schmidt number > {self.r}",
         )
-
-    def to_json(self) -> dict:
-        return {
-            "r": self.r,
-            "value": self.value,
-            "detected": self.detected,
-            "r_op": self.r_op,
-            "conclusion": list(self.conclusion) if self.conclusion else None,
-        }
 
 
 def lambda_map_verdict(rho: QState, sigma: QState, r: int = 1) -> LambdaMapVerdict:

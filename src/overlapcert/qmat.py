@@ -78,19 +78,6 @@ def _from_json(cls, obj: dict, **decode):
 
 
 @dataclass(frozen=True)
-class Bipartition:
-    """Subset of subsystem indices defining the kept side S of a cut S | S-bar."""
-
-    kept: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "kept", tuple(sorted(set(int(i) for i in self.kept))))
-
-    def complement(self, n_subsystems: int) -> tuple[int, ...]:
-        return tuple(i for i in range(n_subsystems) if i not in self.kept)
-
-
-@dataclass(frozen=True)
 class QState:
     """Density operator: Hermitian, unit-trace, positive semidefinite.
 
@@ -243,36 +230,44 @@ def _reductions(m: np.ndarray, dims: tuple[int, ...], kept_sets) -> list:
     return out
 
 
+def _subsystems(indices, dims: tuple[int, ...], what: str) -> list[int]:
+    """``indices`` as sorted distinct ints, each a subsystem of ``dims``."""
+    out = sorted(set(int(i) for i in indices))
+    if any(i < 0 or i >= len(dims) for i in out):
+        raise ValueError(f"{what} {out} out of range for dims {dims}")
+    return out
+
+
 def partial_trace_matrix(m: np.ndarray, dims, keep) -> np.ndarray:
     """Trace out every subsystem not listed in ``keep`` from a plain matrix."""
     dims = _as_dims(dims)
-    n, m = len(dims), _square(m, dims)
-    keep = sorted(set(int(i) for i in keep))
-    if any(i < 0 or i >= n for i in keep):
-        raise ValueError(f"kept indices {keep} out of range for dims {dims}")
+    m, keep = _square(m, dims), _subsystems(keep, dims, "kept indices")
     if not keep:
         raise ValueError("cannot trace out every subsystem")
     return _reductions(m, dims, [keep])[0]
 
 
-def partial_trace(state: QState, part: Bipartition) -> QState:
-    """Reduced state on the kept subsystems, Tr over the complement."""
-    reduced = partial_trace_matrix(state.matrix, state.dims, part.kept)
-    return QState(tuple(state.dims[i] for i in part.kept), reduced)
+def partial_trace(state: QState, keep) -> QState:
+    """Reduced state on the kept subsystems ``keep``, Tr over the rest."""
+    keep = _subsystems(keep, state.dims, "kept indices")
+    reduced = partial_trace_matrix(state.matrix, state.dims, keep)
+    return QState(tuple(state.dims[i] for i in keep), reduced)
+
+
+def _permuted(m: np.ndarray, dims: tuple[int, ...], perm: list) -> np.ndarray:
+    """The D x D matrix ``m`` with its 2n row and column subsystem axes
+    permuted by ``perm``."""
+    side = math.prod(dims)
+    return _square(m, dims).reshape(dims + dims).transpose(perm).reshape(side, side)
 
 
 def partial_transpose_matrix(m: np.ndarray, dims, transposed) -> np.ndarray:
     """Transpose the row/column indices of the listed subsystems only."""
     dims = _as_dims(dims)
-    n = len(dims)
-    transposed = sorted(set(int(i) for i in transposed))
-    if any(i < 0 or i >= n for i in transposed):
-        raise ValueError(f"indices {transposed} out of range for dims {dims}")
-    perm = list(range(2 * n))
-    for idx in transposed:
+    n, perm = len(dims), list(range(2 * len(dims)))
+    for idx in _subsystems(transposed, dims, "indices"):
         perm[idx], perm[n + idx] = perm[n + idx], perm[idx]
-    side = math.prod(dims)
-    return _square(m, dims).reshape(dims + dims).transpose(perm).reshape(side, side)
+    return _permuted(m, dims, perm)
 
 
 def permute_subsystems_matrix(m: np.ndarray, dims, order) -> np.ndarray:
@@ -282,9 +277,7 @@ def permute_subsystems_matrix(m: np.ndarray, dims, order) -> np.ndarray:
     order = [int(i) for i in order]
     if sorted(order) != list(range(n)):
         raise ValueError(f"order {order} is not a permutation of {n} subsystems")
-    perm = order + [i + n for i in order]
-    side = math.prod(dims)
-    return _square(m, dims).reshape(dims + dims).transpose(perm).reshape(side, side)
+    return _permuted(m, dims, order + [i + n for i in order])
 
 
 def embed_operator(m: np.ndarray, dims, positions) -> np.ndarray:
@@ -293,10 +286,7 @@ def embed_operator(m: np.ndarray, dims, positions) -> np.ndarray:
     ``m`` must act on ``dims[positions]`` taken in ascending position order.
     """
     dims, m = _as_dims(dims), np.asarray(m)
-    n = len(dims)
-    positions = sorted(set(int(i) for i in positions))
-    if any(i < 0 or i >= n for i in positions):
-        raise ValueError(f"positions {positions} out of range for dims {dims}")
+    n, positions = len(dims), _subsystems(positions, dims, "positions")
     rest = [i for i in range(n) if i not in positions]
     side, other = math.prod(dims[i] for i in positions), math.prod(dims[i] for i in rest)
     if m.shape != (side, side):
@@ -318,11 +308,12 @@ def _trace_product(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def hs_inner(a, b) -> float:
-    """Hilbert-Schmidt inner product Tr[a b] of two Hermitian matrices."""
+    """Hilbert-Schmidt inner product Tr[a b] of two Hermitian D x D matrices."""
     am = a.matrix if isinstance(a, QState) else np.asarray(a)
     bm = b.matrix if isinstance(b, QState) else np.asarray(b)
-    if am.shape != bm.shape:
-        raise ValueError(f"dimension mismatch: {am.shape} vs {bm.shape}")
+    if am.shape != bm.shape or am.ndim != 2 or am.shape[0] != am.shape[1]:
+        raise ValueError(f"dimension mismatch: matrix shapes {am.shape} and {bm.shape} "
+                         "are not one D x D shape")
     return _trace_product(am, bm)
 
 

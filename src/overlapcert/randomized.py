@@ -711,15 +711,25 @@ def _read_lines(lines, cfg: ProtocolConfig):
                 raise _off_layout(text, len(settings))
             line = ('{"rho_counts": {}, "setting": ' + layout[2] + ', "sigma_counts": {}, '
                     '"unitaries_a": ' + text[layout.start(4):])
+        else:
+            objects = []  # each JSON object's (key, value) pairs, the line's own last
         try:
-            obj = json.loads(line)
+            obj = json.loads(line) if states else json.loads(
+                line, object_pairs_hook=lambda pairs: objects.append(pairs) or dict(pairs))
         except ValueError:
             json.loads(text)  # json's own fault, placed in the line as written
             raise
+        if not states and isinstance(obj, dict) and len(objects[-1]) > len(obj):
+            keys = [key for key, _ in objects[-1]]  # json kept a repeated key's later value
+            twice = next(key for i, key in enumerate(keys) if key in keys[:i])
+            raise ValueError(f"record {len(settings)}: key {twice!r} appears more than once")
         setting = obj.get("setting") if isinstance(obj, dict) else None
         if type(setting) is not int or not 0 <= setting < cfg.n_unitaries:
             raise ValueError(f"record {len(settings)}: setting {setting!r} is "
                              f"not an integer in 0..{cfg.n_unitaries - 1}")
+        unknown = [] if states else [k for k in obj if k != "setting" and k not in fields]
+        if unknown:
+            raise ValueError(f"setting {setting}: key {unknown[0]!r} is not a record field")
         if "true" in line or "false" in line:  # numpy would read it as 0 or 1
             name = next((name for name, value in obj.items()
                          if re.search("true|false", json.dumps(value))), "a key")
@@ -740,13 +750,14 @@ def read_records(path) -> tuple[ProtocolConfig, Records]:
     """Inverse of :func:`write_records`, checked on the way in: the text here,
     the values as every :class:`Records` is.  A record carries its setting in
     0..n_unitaries-1, m and n finite unitaries, and both states' finite
-    probability vectors (exact mode, read by json) or counts keyed by
-    outcomes, each key once.  A shot-mode line must be the writer's bytes,
-    ``json.dumps(obj, sort_keys=True)``; its count bodies are decoded by numpy
-    once per file and state.  A fault raises ``ValueError`` naming the setting
-    (``record j`` before it is read) and the field: a line off the layout, not
-    JSON, or lacking a field at that line, any other after the last line,
-    each check over the whole file naming the first line."""
+    probability vectors (exact mode, read by json, the writer's keys only,
+    each once) or counts keyed by outcomes, each key once.  A shot-mode line
+    must be the writer's bytes, ``json.dumps(obj, sort_keys=True)``; its count
+    bodies are decoded by numpy once per file and state.  A fault raises
+    ``ValueError`` naming the setting (``record j`` before it is read) and the
+    field: a line off the layout, not JSON, or lacking a field at that line,
+    any other after the last line, each check over the whole file naming the
+    first line."""
     with open(path) as fh:
         header = json.loads(fh.readline())
         if not isinstance(header, dict) or "protocol" not in header:

@@ -206,11 +206,10 @@ def test_bound_ceiling_monotone_in_ratio():
     assert type(sn_bound_from_ratio(2.0)) is int
 
 
-def test_verdict_json_shape():
+def test_bound_isotropic_d3():
     v = ipc_bound(isotropic(3, 0.9), isotropic(3, 1.0))
-    obj = v.to_json()
-    assert set(obj) == {"criterion", "values", "threshold", "detected", "sn_bound"}
-    assert obj["detected"] is True
+    assert v.detected is True
+    assert v.sn_lower_bound == 3  # ceil(2.7)
 
 
 # ---------------------------------------------------------------------------

@@ -50,11 +50,23 @@ def test_bipartition_count_and_canonical_form():
         cuts = bipartitions(n)
         assert len(cuts) == 2 ** (n - 1) - 1
         seen = set()
-        for cut in cuts:
-            assert 0 in cut.kept
-            assert 0 < len(cut.kept) < n
-            assert cut.kept not in seen
-            seen.add(cut.kept)
+        for kept in cuts:
+            assert 0 in kept
+            assert 0 < len(kept) < n
+            assert kept not in seen
+            seen.add(kept)
+
+
+def test_bipartitions_are_sorted_kept_tuples():
+    # each cut is its kept side as a plain sorted tuple holding subsystem 0,
+    # one per subset of the other subsystems bar all of them, in mask order
+    for n in (3, 4, 5):
+        cuts = bipartitions(n)
+        assert all(type(kept) is tuple and kept == tuple(sorted(set(kept))) and kept[0] == 0
+                   for kept in cuts)
+        assert set(cuts) == {kept for size in range(1, n)
+                             for kept in itertools.combinations(range(n), size) if 0 in kept}
+    assert bipartitions(3) == [(0,), (0, 1), (0, 2)]
 
 
 def test_bipartition_size_limits():
@@ -106,13 +118,13 @@ def test_multipartite_requires_three_parties():
         multipartite_ipc(rho, rho)
 
 
-def test_multiverdict_json_contains_full_table():
+def test_multiverdict_holds_full_table():
     rho = ghz_noisy(3, 2, 0.9)
     sig = ghz_pure(3, 2).projector()
-    obj = multipartite_ipc(rho, sig).to_json()
-    assert obj["detected"] is True
-    assert len(obj["cuts"]) == 3
-    assert {"kept", "overlap_kept", "overlap_rest"} <= set(obj["cuts"][0])
+    verdict = multipartite_ipc(rho, sig)
+    assert verdict.detected is True
+    assert [cut.kept for cut in verdict.cut_table] == bipartitions(3)
+    assert verdict.min_cut in bipartitions(3)
 
 
 # ---------------------------------------------------------------------------
@@ -214,8 +226,6 @@ def test_verdict_reports_disjunction_only_when_detected():
     assert len(hit.conclusion) == 2
     miss = lambda_map_verdict(ghz_noisy(3, 2, 0.0), sig, 1)
     assert not miss.detected and miss.conclusion is None
-    obj = hit.to_json()
-    assert set(obj) == {"r", "value", "detected", "r_op", "conclusion"}
 
 
 def test_product_structures_never_negative():

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from overlapcert import (
-    Bipartition,
     PureVec,
     QState,
     embed_operator,
@@ -157,7 +156,7 @@ def test_tensor_rejects_mixed_kinds():
 def test_partial_trace_max_entangled_gives_white_noise():
     for d in (2, 3, 4):
         rho = max_entangled(d).projector()
-        red = partial_trace(rho, Bipartition((0,)))
+        red = partial_trace(rho, (0,))
         np.testing.assert_allclose(red.matrix, np.eye(d) / d, atol=1e-12)
 
 
@@ -166,10 +165,10 @@ def test_partial_trace_product_marginal():
     sig = random_mixed((2,), seed=6)
     joint = tensor(rho, sig)
     np.testing.assert_allclose(
-        partial_trace(joint, Bipartition((0,))).matrix, rho.matrix, atol=1e-12
+        partial_trace(joint, (0,)).matrix, rho.matrix, atol=1e-12
     )
     np.testing.assert_allclose(
-        partial_trace(joint, Bipartition((1,))).matrix, sig.matrix, atol=1e-12
+        partial_trace(joint, (1,)).matrix, sig.matrix, atol=1e-12
     )
 
 
@@ -178,7 +177,7 @@ def test_partial_trace_corner_isotropic_reduction():
     from overlapcert.states import corner_isotropic
 
     d, x = 5, 0.37
-    red = partial_trace(corner_isotropic(d, x), Bipartition((1,)))
+    red = partial_trace(corner_isotropic(d, x), (1,))
     expect = np.zeros((d, d))
     expect[: d - 1, : d - 1] = (1 - x) / (d - 1) * np.eye(d - 1)
     expect += x / d * np.eye(d)
@@ -192,14 +191,14 @@ def test_partial_trace_preserves_trace_many_cuts():
         n = len(dims)
         for k in range(1, 2**n - 1):
             kept = tuple(i for i in range(n) if k >> i & 1)
-            red = partial_trace(s, Bipartition(kept))
+            red = partial_trace(s, kept)
             assert abs(np.trace(red.matrix) - 1) < 1e-10
 
 
 def test_partial_trace_bad_index():
     s = random_mixed((2, 2), seed=0)
     with pytest.raises(ValueError):
-        partial_trace(s, Bipartition((0, 5)))
+        partial_trace(s, (0, 5))
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +286,13 @@ def test_hs_inner_dimension_mismatch():
         hs_inner(np.eye(2), np.eye(3))
 
 
+@pytest.mark.parametrize("shape", [(4,), (2, 3)], ids=["vector", "2x3"])
+def test_hs_inner_refuses_two_arrays_of_one_shape_off_d_by_d(shape):
+    with pytest.raises(ValueError, match=re.escape(
+            f"matrix shapes {shape} and {shape} are not one D x D shape")):
+        hs_inner(np.ones(shape), np.ones(shape))
+
+
 def _all_kept_sets(n):
     return [tuple(i for i in range(n) if mask >> i & 1) for mask in range(1, 2**n)]
 
@@ -295,8 +301,8 @@ def _multipartite_kept_sets(n):
     # the kept sets multipartite_ipc asks for: the full set, then both
     # sides of every cut
     sets = [tuple(range(n))]
-    for cut in bipartitions(n):
-        sets += [cut.kept, cut.complement(n)]
+    for kept in bipartitions(n):
+        sets += [kept, tuple(i for i in range(n) if i not in kept)]
     return sets
 
 
@@ -498,7 +504,7 @@ def test_embed_operator_is_bit_identical_to_kron(dims):
     # entries of np.kron exactly, then the same permutation
     rng = np.random.default_rng(sum(dims))
     n = len(dims)
-    for positions in [cut.kept for cut in bipartitions(n)] + [tuple(range(n))]:
+    for positions in bipartitions(n) + [tuple(range(n))]:
         rest = [i for i in range(n) if i not in positions]
         side = math.prod(dims[i] for i in positions)
         m = random_hermitian(side, rng)
@@ -507,6 +513,31 @@ def test_embed_operator_is_bit_identical_to_kron(dims):
         expected = permute_subsystems_matrix(big, [dims[i] for i in layout],
                                              [layout.index(k) for k in range(n)])
         assert np.array_equal(embed_operator(m, dims, positions), expected)
+
+
+# each function that takes subsystem indices, the noun its message uses for
+# them, and a call on the layout (2, 2)
+_INDEX_TAKERS = {
+    "partial_trace_matrix": ("kept indices",
+                             lambda ix: partial_trace_matrix(np.eye(4) / 4, (2, 2), ix)),
+    "partial_trace": ("kept indices",
+                      lambda ix: partial_trace(random_mixed((2, 2), seed=0), ix)),
+    "partial_transpose_matrix": ("indices",
+                                 lambda ix: partial_transpose_matrix(np.eye(4), (2, 2), ix)),
+    "embed_operator": ("positions", lambda ix: embed_operator(np.eye(2), (2, 2), ix)),
+}
+
+
+@pytest.mark.parametrize("indices", [[2], [-1], [5, 0, 0]],
+                         ids=["past-end", "negative", "repeated"])
+@pytest.mark.parametrize("name", list(_INDEX_TAKERS))
+def test_subsystem_indices_out_of_range_are_refused_in_one_form(name, indices):
+    # every function that takes subsystem indices sorts them, drops repeats
+    # and names them, as sorted, in one message form
+    what, call = _INDEX_TAKERS[name]
+    with pytest.raises(ValueError, match=re.escape(
+            f"{what} {sorted(set(indices))} out of range for dims (2, 2)")):
+        call(indices)
 
 
 @pytest.mark.parametrize("positions", [[2], [-1], [0, 5]])
@@ -531,8 +562,8 @@ def test_permuted_subsystems_group_a_noncontiguous_cut():
         np.linalg.eigvalsh(grouped.matrix), np.linalg.eigvalsh(s.matrix), atol=1e-12
     )
     # the kept-side marginal matches the direct partial trace
-    direct = partial_trace(s, Bipartition((0, 2)))
-    via_view = partial_trace(grouped, Bipartition((0,)))
+    direct = partial_trace(s, (0, 2))
+    via_view = partial_trace(grouped, (0,))
     np.testing.assert_allclose(via_view.matrix, direct.matrix, atol=1e-12)
 
 

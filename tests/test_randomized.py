@@ -443,14 +443,14 @@ def test_exact_mode_estimates_match_ground_truth_all_parts():
     sig = random_mixed((2, 2), seed=32)
     cfg = ProtocolConfig(local_dim=2, m=1, n=1, n_unitaries=2000, seed=24)
     est = estimate_overlaps(run_protocol(rho, sig, cfg), cfg)
-    from overlapcert import Bipartition, partial_trace
+    from overlapcert import partial_trace
 
     truth_ab = hs_inner(rho, sig)
     truth_a = hs_inner(
-        partial_trace(rho, Bipartition((0,))), partial_trace(sig, Bipartition((0,)))
+        partial_trace(rho, (0,)), partial_trace(sig, (0,))
     )
     truth_b = hs_inner(
-        partial_trace(rho, Bipartition((1,))), partial_trace(sig, Bipartition((1,)))
+        partial_trace(rho, (1,)), partial_trace(sig, (1,))
     )
     assert abs(est.overlap_ab - truth_ab) <= 4 * est.se_ab
     assert abs(est.overlap_a - truth_a) <= 4 * est.se_a
@@ -1153,11 +1153,14 @@ def _set(line, key, value):
      "setting 1: unitaries_b holds a value that is not finite"),
     (50, lambda ls: ls[1]["unitaries_a"][0].__setitem__(0, math.nan),
      "setting 0: unitaries_a holds a value that is not finite"),
+    (None, _set(2, "junk", 5), "setting 1: key 'junk' is not a record field"),
+    (None, _set(3, "rho_counts", {"0": 1}), "setting 2: key 'rho_counts' is not a record field"),
 ], ids=["probs-length", "probs-missing", "unitaries-count", "unitary-length",
         "count-sum", "count-not-integer", "counts-not-object", "counts-missing",
         "setting-repeated", "setting-missing", "setting-past-range", "setting-not-integer",
         "header-key-missing", "header-not-integer", "header-negative-seed", "probs-nan",
-        "probs-negative", "probs-sum", "unitary-inf", "unitary-nan-shots"])
+        "probs-negative", "probs-sum", "unitary-inf", "unitary-nan-shots",
+        "probs-unknown-key", "probs-shot-mode-key"])
 def test_read_records_rejects_malformed_files(tmp_path, shots, edit, message):
     path = tmp_path / "records.jsonl"
     lines = _records_lines(path, shots)
@@ -1392,6 +1395,24 @@ def test_read_records_refuses_a_line_off_the_layout(tmp_path, edit, message):
     # and its setting if the line has reached it
     path = tmp_path / "records.jsonl"
     _records_lines(path, 50)
+    lines = path.read_text().splitlines(keepends=True)
+    lines[1] = edit(lines[1].rstrip("\n")) + "\n"
+    path.write_text("".join(lines))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        read_records(path)
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda line: line.replace('"setting": 0', '"setting": 1, "setting": 0'),
+     "record 0: key 'setting' appears more than once"),
+    (lambda line: line.replace('"setting": 0', '"setting": 0, "rho_probs": [1, 0, 0, 0]'),
+     "record 0: key 'rho_probs' appears more than once"),
+], ids=["setting-twice", "probs-twice"])
+def test_read_records_refuses_a_repeated_key_in_exact_mode(tmp_path, edit, message):
+    # an exact-mode line may take any JSON layout, but names each key once:
+    # json alone would keep a repeated key's later value
+    path = tmp_path / "records.jsonl"
+    _records_lines(path, None)
     lines = path.read_text().splitlines(keepends=True)
     lines[1] = edit(lines[1].rstrip("\n")) + "\n"
     path.write_text("".join(lines))
