@@ -43,6 +43,13 @@ from .qmat import (
 DEFAULT_TOL = 1e-9
 
 
+def _level(r) -> int:
+    """``r`` as a Schmidt-number level: an integer >= 1, numpy's too, not a bool."""
+    if isinstance(r, bool) or not isinstance(r, (int, np.integer)) or r < 1:
+        raise ValueError(f"r must be an integer >= 1, not {r!r}")
+    return int(r)
+
+
 def sn_bound_from_ratio(s):
     """Certified Schmidt-number lower bound from an overlap ratio: an int for a
     float, an int array elementwise for an array."""
@@ -166,8 +173,7 @@ class PartnerSup:
     def certificate(self, r: int) -> PureVec | None:
         """The optimal sigma, larger side first (A on a tie), with the absolute
         margin Tr[rho sigma] - r Tr[rho_X sigma_X] > ``DEFAULT_TOL``."""
-        if r < 1:
-            raise ValueError("r must be >= 1")
+        r = _level(r)
         sides = (1, 0) if self.sup_b > self.sup_a else (0, 1)
         return next((self.vecs[x] for x in sides if self.overlaps[x][0]
                      - r * self.overlaps[x][1] > DEFAULT_TOL), None)
@@ -254,8 +260,7 @@ def fbc_witness_value(rho: QState, phi: PureVec, r: int = 1) -> CriterionVerdict
     times the identity, minus |phi><phi|.  A negative expectation value on
     ``rho`` certifies Schmidt number >= r+1.
     """
-    if r < 1:
-        raise ValueError("r must be >= 1")
+    r = _level(r)
     if rho.dims != phi.dims:
         raise ValueError(f"dimension mismatch: {rho.dims} vs {phi.dims}")
     sd = schmidt_decompose(phi)
@@ -282,8 +287,7 @@ def fbc_spectrum_bound(rho: QState, r: int = 1) -> bool:
     witness of the fidelity form has nonnegative expectation, i.e. rho is
     provably (r+1)-unfaithful.
     """
-    if r < 1:
-        raise ValueError("r must be >= 1")
+    r = _level(r)
     _, d_a, d_b = _grouped(rho)
     lam_max = float(np.linalg.eigvalsh(rho.matrix)[-1])
     return lam_max <= max(r / d_a, r / d_b) + DEFAULT_TOL

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .criteria import DEFAULT_TOL
+from .criteria import DEFAULT_TOL, _level
 from .qmat import QState, _overlaps, _reductions, embed_operator
 
 # Exhaustive bipartition enumeration is exponential; past this size the
@@ -132,15 +132,13 @@ def lambda_map_value(rho: QState, sigma: QState, r: int = 1) -> float:
 
     which is symmetric under swapping the roles of rho and sigma.
     """
-    if r < 1:
-        raise ValueError("r must be >= 1")
+    r = _level(r)
     return _lambda_value(_lambda_overlaps(rho, sigma), r)
 
 
 def apply_lambda_map(rho: QState, r: int = 1) -> np.ndarray:
     """Explicit matrix of L(rho); the closed form above is its cheap twin."""
-    if r < 1:
-        raise ValueError("r must be >= 1")
+    r = _level(r)
     dims = _three_party(rho)
     rho_c, rho_bc, rho_ac = _reductions(rho.matrix, dims, _LAMBDA_SETS[:3])
     return (
@@ -184,8 +182,7 @@ def lambda_map_verdict(rho: QState, sigma: QState, r: int = 1) -> LambdaMapVerdi
     scanning upward: the value is increasing in r, so detection at some
     level implies detection at all lower levels.
     """
-    if r < 1:
-        raise ValueError("r must be >= 1")
+    r = _level(r)
     overlaps = _lambda_overlaps(rho, sigma)
     value = _lambda_value(overlaps, r)
     return LambdaMapVerdict(r=r, value=value, detected=value < -DEFAULT_TOL,

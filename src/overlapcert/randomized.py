@@ -39,6 +39,8 @@ PROB_TOL = 1e-9
 # A local overlap enters the ratio only when its mean is above SNR_GUARD
 # times its standard error.
 SNR_GUARD = 10.0
+# Rho's and sigma's data fields in exact mode (True) and shot mode (False)
+_DATA = {True: ("rho_probs", "sigma_probs"), False: ("rho_counts", "sigma_counts")}
 
 
 @dataclass(frozen=True)
@@ -114,10 +116,10 @@ class MeasurementRecord:
     sigma_counts: np.ndarray | None = None
 
 
-def _data_fields(cfg: ProtocolConfig) -> tuple[list, str]:
+def _data_fields(cfg: ProtocolConfig) -> tuple[tuple, str]:
     """Rho's and sigma's data fields under ``cfg``, and the fault of a row."""
-    kind, what = ("probs", "probabilities") if cfg.exact else ("counts", "integer counts")
-    return [f"rho_{kind}", f"sigma_{kind}"], f"must hold {cfg.d_a * cfg.d_b} {what}"
+    what = "probabilities" if cfg.exact else "integer counts"
+    return _DATA[cfg.exact], f"must hold {cfg.d_a * cfg.d_b} {what}"
 
 
 @dataclass(frozen=True, eq=False)
@@ -586,22 +588,27 @@ def write_records(path, cfg: ProtocolConfig, records) -> None:
                      f'{json.dumps(unitaries[cfg.m:])}}}\n')
 
 
-# A shot-mode line as write_records writes it, field by field: no string
-# after unitaries_a's key but unitaries_b's, whose values json reads.
-_LAYOUT = (("rho_counts", r'\{"rho_counts": \{([^}]*)\}, '),
-           ("setting", r'"setting": (0|[1-9][0-9]*), '),
-           ("sigma_counts", r'"sigma_counts": \{([^}]*)\}, '),
-           ("unitaries_a", r'"unitaries_a": ([^"]*)(?="unitaries_b")'),
-           ("unitaries_b", r'"unitaries_b"[^"]*\Z'))
-_WRITTEN = re.compile("".join(part for _, part in _LAYOUT))
+# A record line as write_records writes it in each mode, field by field: a
+# float array holds only what json.dumps writes for finite floats (no true,
+# false, null, NaN or Infinity) and is read by json, a count body by _Counts.
+_FLOATS = r"(\[[-+.0-9e\[\], ]*\])"
+_LAYOUT = {exact: ((rho, rf'\{{"{rho}": {body}, '),
+                   ("setting", r'"setting": (0|[1-9][0-9]{0,17}), '),
+                   (sigma, rf'"{sigma}": {body}, '),
+                   ("unitaries_a", rf'"unitaries_a": {_FLOATS}, '),
+                   ("unitaries_b", rf'"unitaries_b": {_FLOATS}\}}\n?\Z'))
+           for exact, (rho, sigma) in _DATA.items()
+           for body in [_FLOATS if exact else r"\{([^}]*)\}"]}
+_WRITTEN = {exact: re.compile("".join(part for _, part in layout))
+            for exact, layout in _LAYOUT.items()}
 _OFF = "is not in the writer's layout"
 _NUMBER = re.compile(rb"0|[1-9][0-9]{0,17}")  # a key or count as the writer writes it
 
 
-def _off_layout(line: str, record: int) -> ValueError:
-    """The refusal of a line off the layout, naming where it leaves it."""
+def _off_layout(line: str, record: int, layout) -> ValueError:
+    """The refusal of a line off ``layout``, naming where it leaves it."""
     where, end = f"record {record}", 0
-    for field, part in _LAYOUT:
+    for field, part in layout:
         if not (match := re.compile(part).match(line, end)):
             break
         where, end = f"setting {match[1]}" if field == "setting" else where, match.end()
@@ -698,48 +705,26 @@ def _rows(rows: list, shape: tuple, name: str, settings: list, fault: str,
 
 
 def _read_lines(lines, cfg: ProtocolConfig):
-    """(settings, fields, counts of each state) of the record lines, each
-    line checked as it is read.  A shot-mode line must be in the writer's
-    layout; its count bodies are decoded once per file and state by numpy."""
-    fields = {k: [] for k in ["unitaries_a", "unitaries_b"] + _data_fields(cfg)[0] * cfg.exact}
+    """(settings, float arrays by field, counts of each state) of the record
+    lines, each checked as it is read: in the writer's layout, each float
+    array read by json; count bodies are decoded once per file and state."""
+    layout = _LAYOUT[cfg.exact]
+    float_groups = {name: g for g, (name, part) in enumerate(layout, 1) if _FLOATS in part}
+    fields = {name: [] for name in float_groups}
     states, settings = [] if cfg.exact else [_Counts("rho"), _Counts("sigma")], []
-    for text in lines:
-        line = text
-        if states:  # json reads the line without its count bodies
-            layout = _WRITTEN.match(text)
-            if not layout:
-                raise _off_layout(text, len(settings))
-            line = ('{"rho_counts": {}, "setting": ' + layout[2] + ', "sigma_counts": {}, '
-                    '"unitaries_a": ' + text[layout.start(4):])
-        else:
-            objects = []  # each JSON object's (key, value) pairs, the line's own last
-        try:
-            obj = json.loads(line) if states else json.loads(
-                line, object_pairs_hook=lambda pairs: objects.append(pairs) or dict(pairs))
-        except ValueError:
-            json.loads(text)  # json's own fault, placed in the line as written
-            raise
-        if not states and isinstance(obj, dict) and len(objects[-1]) > len(obj):
-            keys = [key for key, _ in objects[-1]]  # json kept a repeated key's later value
-            twice = next(key for i, key in enumerate(keys) if key in keys[:i])
-            raise ValueError(f"record {len(settings)}: key {twice!r} appears more than once")
-        setting = obj.get("setting") if isinstance(obj, dict) else None
-        if type(setting) is not int or not 0 <= setting < cfg.n_unitaries:
-            raise ValueError(f"record {len(settings)}: setting {setting!r} is "
+    for line in lines:
+        if not (match := _WRITTEN[cfg.exact].match(line)):
+            raise _off_layout(line, len(settings), layout)
+        if (setting := int(match[2])) >= cfg.n_unitaries:
+            raise ValueError(f"record {len(settings)}: setting {setting} is "
                              f"not an integer in 0..{cfg.n_unitaries - 1}")
-        unknown = [] if states else [k for k in obj if k != "setting" and k not in fields]
-        if unknown:
-            raise ValueError(f"setting {setting}: key {unknown[0]!r} is not a record field")
-        if "true" in line or "false" in line:  # numpy would read it as 0 or 1
-            name = next((name for name, value in obj.items()
-                         if re.search("true|false", json.dumps(value))), "a key")
-            raise ValueError(f"setting {setting}: {name} holds a JSON boolean")
-        for name, rows in fields.items():
-            if name not in obj:
-                raise ValueError(f"setting {setting}: {name} is missing")
-            rows.append(obj[name])
         for i, state in enumerate(states):
-            state.add_written(layout[2 * i + 1], setting)
+            state.add_written(match[2 * i + 1], setting)
+        for name, rows in fields.items():
+            try:  # the class admits texts json refuses, like "[1], [2]"
+                rows.append(json.loads(match[float_groups[name]]))
+            except (ValueError, RecursionError):  # the latter: nested too deep
+                raise ValueError(f"setting {setting}: {name} {_OFF}") from None
         settings.append(setting)
     for state in states:
         state.decode(settings)
@@ -748,21 +733,20 @@ def _read_lines(lines, cfg: ProtocolConfig):
 
 def read_records(path) -> tuple[ProtocolConfig, Records]:
     """Inverse of :func:`write_records`, checked on the way in: the text here,
-    the values as every :class:`Records` is.  A record carries its setting in
-    0..n_unitaries-1, m and n finite unitaries, and both states' finite
-    probability vectors (exact mode, read by json, the writer's keys only,
-    each once) or counts keyed by outcomes, each key once.  A shot-mode line
-    must be the writer's bytes, ``json.dumps(obj, sort_keys=True)``; its count
-    bodies are decoded by numpy once per file and state.  A fault raises
-    ``ValueError`` naming the setting (``record j`` before it is read) and the
-    field: a line off the layout, not JSON, or lacking a field at that line,
-    any other after the last line, each check over the whole file naming the
-    first line."""
+    the values as every :class:`Records` is.  Every record line must be the
+    writer's bytes, ``json.dumps(obj, sort_keys=True)``: a setting in
+    0..n_unitaries-1, both states' probabilities (exact mode) or counts keyed
+    by outcomes, and m and n unitaries, each float array read by json and
+    each state's count bodies by numpy once per file.  A fault raises
+    ``ValueError`` naming the setting (``record j`` before it is read) and
+    the field: a line off the layout at that line, any other after the last
+    line, each check over the whole file naming the first line."""
     with open(path) as fh:
         header = json.loads(fh.readline())
         if not isinstance(header, dict) or "protocol" not in header:
-            raise ValueError("the first line must be a JSON object with a "
-                             "'protocol' key")
+            raise ValueError("the first line must be a JSON object with a 'protocol' key")
+        if extra := [key for key in header if key != "protocol"]:
+            raise ValueError(f"the first line has a key {extra[0]!r} besides 'protocol'")
         cfg = ProtocolConfig.from_json(header["protocol"])
         settings, fields, states = _read_lines(fh, cfg)
     total, (names, fault) = cfg.d_a * cfg.d_b, _data_fields(cfg)

@@ -1,6 +1,7 @@
 """Detection criteria: closed-form values, oracles, and containments."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from corpus import memoize_partner_sup, random_low_schmidt_mixture, random_separ
 from overlapcert import (
     PureVec,
     QState,
+    apply_lambda_map,
     corner_delta,
     corner_fbc_psi_boundary,
     corner_isotropic,
@@ -18,8 +20,11 @@ from overlapcert import (
     extract_ipc_witness,
     fbc_spectrum_bound,
     fbc_witness_value,
+    ghz_noisy,
     ipc_bound,
     isotropic,
+    lambda_map_value,
+    lambda_map_verdict,
     max_entangled,
     overlap_ratio,
     overlap_ratio_table,
@@ -582,3 +587,42 @@ def test_purity_detection_implies_ratio_detection():
             hits += 1
             assert ipc_bound(rho, rho).detected
     assert hits > 0
+
+
+# ---------------------------------------------------------------------------
+# the Schmidt-number level r
+
+
+_ISO, _GHZ = isotropic(3, 0.9), ghz_noisy(3, 2, 0.8)
+_LEVEL_CALLS = {
+    "certificate": lambda r: partner_sup(_ISO).certificate(r),
+    "reduction_check": lambda r: reduction_check(_ISO, r),
+    "extract_ipc_witness": lambda r: extract_ipc_witness(_ISO, r),
+    "fbc_witness_value": lambda r: fbc_witness_value(_ISO, max_entangled(3), r),
+    "fbc_spectrum_bound": lambda r: fbc_spectrum_bound(_ISO, r),
+    "lambda_map_value": lambda r: lambda_map_value(_GHZ, _GHZ, r),
+    "apply_lambda_map": lambda r: apply_lambda_map(_GHZ, r),
+    "lambda_map_verdict": lambda r: lambda_map_verdict(_GHZ, _GHZ, r),
+}
+
+
+def _same_result(a, b):
+    if a is None or b is None:
+        return a is b
+    for attr in ("vec", "matrix"):  # PureVec, QState
+        if hasattr(a, attr):
+            return np.array_equal(getattr(a, attr), getattr(b, attr))
+    return np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+
+
+@pytest.mark.parametrize("call", list(_LEVEL_CALLS.values()), ids=list(_LEVEL_CALLS))
+def test_level_r_is_an_integer_at_least_one(call):
+    # r = 2.5 gave reduction_check an sn_lower_bound of 3.5, and
+    # fbc_witness_value a TypeError from a slice
+    for bad in (0, -1, 2.5, 2.0, True, np.True_, np.float64(2.0), "2", None):
+        message = f"r must be an integer >= 1, not {bad!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(bad)
+    # a numpy integer is the same level as the int
+    assert _same_result(call(np.int64(2)), call(2))
+    assert _same_result(call(np.int32(1)), call(1))

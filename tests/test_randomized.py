@@ -702,12 +702,10 @@ def test_records_roundtrip_exact(tmp_path):
     records = run_protocol(rho, sig, cfg)
     path = tmp_path / "records.jsonl"
     write_records(path, cfg, records)
-    cfg2, records2 = read_records(path)
-    assert cfg2 == cfg
-    e1 = estimate_overlaps(records, cfg)
-    e2 = estimate_overlaps(records2, cfg2)
-    assert abs(e1.overlap_ab - e2.overlap_ab) < 1e-12
-    assert abs(e1.s - e2.s) < 1e-12
+    # json.dumps writes each float's shortest repr, so every array reads back
+    # to its own bytes
+    _assert_reads_to(read_records(path), (cfg, (records.settings, records.unitaries,
+                                                 records.data)))
 
 
 def test_records_roundtrip_counts(tmp_path):
@@ -1122,7 +1120,7 @@ def _set(line, key, value):
 @pytest.mark.parametrize("shots,edit,message", [
     (None, lambda ls: ls[2]["rho_probs"].pop(),
      "setting 1: rho_probs must hold 4 probabilities"),
-    (None, lambda ls: ls[3].pop("sigma_probs"), "setting 2: sigma_probs is missing"),
+    (None, lambda ls: ls[3].pop("sigma_probs"), f"^setting 2: sigma_probs {_OFF}$"),
     (50, lambda ls: ls[2]["unitaries_a"].append(ls[2]["unitaries_a"][0]),
      r"setting 1: unitaries_a must be a 1 x 8 array of floats"),
     (50, lambda ls: ls[1]["unitaries_b"][0].pop(),
@@ -1143,24 +1141,31 @@ def _set(line, key, value):
     (None, lambda ls: ls[0]["protocol"].update({"m": 1.5}),
      "m must be an integer, not 1.5"),
     (None, lambda ls: ls[0]["protocol"].update({"seed": -1}), "seed must be >= 0"),
-    (None, _set(2, "rho_probs", [math.nan] * 4),
-     "setting 1: rho_probs holds a value that is not finite"),
+    # NaN and Infinity are JSON to json.dumps, but not in the writer's layout;
+    # rho_probs comes before the setting in it
+    (None, _set(2, "rho_probs", [math.nan] * 4), f"^record 1: rho_probs {_OFF}$"),
     (None, _set(3, "sigma_probs", [5, -3, 0, 0]),
      r"setting 2: sigma_probs has an entry -3.000e\+00 below -1e-09"),
     (None, _set(1, "rho_probs", [0.5, 0.5, 0.5, 0.0]),
      "setting 0: rho_probs sums to 1.5, not 1"),
     (None, lambda ls: ls[2]["unitaries_b"][0].__setitem__(3, math.inf),
-     "setting 1: unitaries_b holds a value that is not finite"),
+     f"^setting 1: unitaries_b {_OFF}$"),
     (50, lambda ls: ls[1]["unitaries_a"][0].__setitem__(0, math.nan),
-     "setting 0: unitaries_a holds a value that is not finite"),
-    (None, _set(2, "junk", 5), "setting 1: key 'junk' is not a record field"),
-    (None, _set(3, "rho_counts", {"0": 1}), "setting 2: key 'rho_counts' is not a record field"),
+     f"^setting 0: unitaries_a {_OFF}$"),
+    # a key the writer does not write sorts before rho_probs
+    (None, _set(2, "junk", 5), f"^record 1: rho_probs {_OFF}$"),
+    (None, _set(3, "rho_counts", {"0": 1}), f"^record 2: rho_probs {_OFF}$"),
+    (None, lambda ls: ls[0].update({"junk": 1}),
+     "^the first line has a key 'junk' besides 'protocol'$"),
+    (50, lambda ls: ls[0].update({"junk": 1}),
+     "^the first line has a key 'junk' besides 'protocol'$"),
 ], ids=["probs-length", "probs-missing", "unitaries-count", "unitary-length",
         "count-sum", "count-not-integer", "counts-not-object", "counts-missing",
         "setting-repeated", "setting-missing", "setting-past-range", "setting-not-integer",
         "header-key-missing", "header-not-integer", "header-negative-seed", "probs-nan",
         "probs-negative", "probs-sum", "unitary-inf", "unitary-nan-shots",
-        "probs-unknown-key", "probs-shot-mode-key"])
+        "probs-unknown-key", "probs-shot-mode-key", "header-unknown-key",
+        "header-unknown-key-shots"])
 def test_read_records_rejects_malformed_files(tmp_path, shots, edit, message):
     path = tmp_path / "records.jsonl"
     lines = _records_lines(path, shots)
@@ -1188,7 +1193,7 @@ def _lead_zero(counts):
      f"setting 2: sigma_counts {_OFF}"),
     (None, lambda ls: (ls[1].__setitem__("rho_probs", [0.5, 0.5, 0.5, 0.0]),
                        ls[3].pop("sigma_probs")),
-     "setting 2: sigma_probs is missing"),
+     f"^setting 2: sigma_probs {_OFF}$"),
     # each check runs over the whole file in turn and names the first line
     # it fails: the settings first, key ranges before signs
     (50, lambda ls: (_bump(ls[1]["rho_counts"], 1), ls[3].__setitem__("setting", 1)),
@@ -1208,7 +1213,7 @@ def _lead_zero(counts):
      "record 1: setting 7 is not an integer in 0..2"),
     (50, lambda ls: (_lead_zero(ls[1]["rho_counts"]),
                      ls[3]["unitaries_a"][0].__setitem__(0, True)),
-     "setting 2: unitaries_a holds a JSON boolean"),
+     f"^setting 2: unitaries_a {_OFF}$"),
     (50, lambda ls: (_lead_zero(ls[3]["rho_counts"]), ls[2]["rho_counts"].update({"0": 10**18})),
      f"setting 1: rho_counts {_OFF}"),
 ], ids=["parse-after-count-fault", "missing-after-probs-fault", "settings-first",
@@ -1305,14 +1310,18 @@ def test_read_records_fuzz_raises_only_value_errors(tmp_path_factory, mutation):
         read_records(_write_lines(path, lines))
 
 
+def _data_names(cfg):
+    return ["rho_probs", "sigma_probs"] if cfg.exact else ["rho_counts", "sigma_counts"]
+
+
 def _json_oracle(path):
-    """A shot-mode file's config and (settings, unitaries, data) arrays, read
-    by json.loads line by line with each count body filled into a dense row."""
+    """A file's config and (settings, unitaries, data) arrays, read by
+    json.loads line by line, each count body filled into a dense row."""
     cfg = ProtocolConfig.from_json(json.loads(path.read_text().split("\n", 1)[0])["protocol"])
     recs = _file_records(path, cfg)
     return cfg, (np.array([rec.setting for rec in recs], dtype=np.int64),
                  np.array([rec.unitaries_a + rec.unitaries_b for rec in recs]),
-                 np.array([[rec.rho_counts for rec in recs], [rec.sigma_counts for rec in recs]]))
+                 np.array([[getattr(rec, name) for rec in recs] for name in _data_names(cfg)]))
 
 
 def _assert_reads_to(got, want):
@@ -1340,18 +1349,20 @@ def _digit_pairs(body):
     return [(int(k), v) for k, v in pairs]
 
 
-# (design, local_dim, m, n, settings, shots) by test id; 5+5 qubits has
-# four-digit keys
-_DECODE_CASES = {f"{m}-{design}-{local_dim}": (design, local_dim, m, 1, 40, 300)
-                 for m in (2, 3) for design, local_dim in
-                 (("clifford", 2), ("haar", 2), ("haar", 3))}
+# (design, local_dim, m, n, settings, shots) by test id, shots None in exact
+# mode; 5+5 qubits has four-digit keys
+_DECODE_CASES = {f"{m}-{design}-{local_dim}{mode}": (design, local_dim, m, 1, 40, shots)
+                 for mode, shots in (("", 300), ("-exact", None)) for m in (2, 3)
+                 for design, local_dim in (("clifford", 2), ("haar", 2), ("haar", 3))}
 _DECODE_CASES["5+5-haar-2"] = ("haar", 2, 5, 5, 20, 1000)
+_DECODE_CASES["5+5-haar-2-exact"] = ("haar", 2, 5, 5, 20, None)
 
 
 @pytest.mark.parametrize("design, local_dim, m, n, settings, shots",
                          list(_DECODE_CASES.values()), ids=list(_DECODE_CASES))
 def test_read_records_decode_paths_agree(tmp_path, design, local_dim, m, n, settings, shots):
-    # numpy's decode of the writer's file gives the json oracle's arrays; a
+    # the reader's decode of the writer's file (numpy's for counts, json's of
+    # each float array) gives the arrays of json.loads of each whole line; a
     # compact copy of the file is off the layout from its first record on
     dims = (local_dim,) * (m + n)
     rho = random_mixed(dims, seed=81)
@@ -1370,33 +1381,71 @@ def test_read_records_decode_paths_agree(tmp_path, design, local_dim, m, n, sett
     compact = tmp_path / "compact.jsonl"
     compact.write_text("".join(json.dumps(json.loads(line), separators=(",", ":")) + "\n"
                                for line in path.read_text().splitlines()))
-    with pytest.raises(ValueError, match=f"^record 0: rho_counts {_OFF}$"):
+    with pytest.raises(ValueError, match=f"^record 0: {_data_names(cfg)[0]} {_OFF}$"):
         read_records(compact)
 
 
-@pytest.mark.parametrize("edit,message", [
-    (lambda line: json.dumps(json.loads(line), sort_keys=True, separators=(",", ":")),
+@pytest.mark.parametrize("shots,edit,message", [
+    (50, lambda line: json.dumps(json.loads(line), sort_keys=True, separators=(",", ":")),
      f"record 0: rho_counts {_OFF}"),
-    (lambda line: json.dumps(dict(reversed(json.loads(line).items()))),
+    (50, lambda line: json.dumps(dict(reversed(json.loads(line).items()))),
      f"record 0: rho_counts {_OFF}"),
-    (lambda line: line.replace('"setting": 0', '"setting": 00'), f"record 0: setting {_OFF}"),
+    (50, lambda line: line.replace('"setting": 0', '"setting": 00'),
+     f"record 0: setting {_OFF}"),
     # json would keep the later of two rho_counts fields
-    (lambda line: line.replace('"setting": 0', '"setting": 0, "rho_counts": {"2": 50}'),
+    (50, lambda line: line.replace('"setting": 0', '"setting": 0, "rho_counts": {"2": 50}'),
      f"setting 0: sigma_counts {_OFF}"),
-    (lambda line: line.replace("]]}", ']], "rho_counts": {"2": 50}}'),
+    (50, lambda line: line.replace("]]}", ']], "rho_counts": {"2": 50}}'),
      f"setting 0: unitaries_b {_OFF}"),
-    (lambda line: line.replace('"unitaries_a": [[', '"unitaries_a": [["x", '),
+    (50, lambda line: line.replace('"unitaries_a": [[', '"unitaries_a": [["x", '),
      f"setting 0: unitaries_a {_OFF}"),
-    (lambda line: line.split(', "unitaries_b"')[0] + "}", f"setting 0: unitaries_a {_OFF}"),
+    (50, lambda line: line.split(', "unitaries_b"')[0] + "}", f"setting 0: unitaries_a {_OFF}"),
+    (None, lambda line: json.dumps(json.loads(line), sort_keys=True, separators=(",", ":")),
+     f"record 0: rho_probs {_OFF}"),
+    (None, lambda line: json.dumps(dict(reversed(json.loads(line).items()))),
+     f"record 0: rho_probs {_OFF}"),
+    (None, lambda line: line.replace('"setting": 0', '"setting": 00'),
+     f"record 0: setting {_OFF}"),
+    (None, lambda line: line.split(', "unitaries_b"')[0] + "}",
+     f"setting 0: unitaries_a {_OFF}"),
+    # a float array holds only what json.dumps writes for finite floats
+    (None, lambda line: line.replace('"sigma_probs": [', '"sigma_probs": [true, '),
+     f"setting 0: sigma_probs {_OFF}"),
+    (None, lambda line: line.replace('"unitaries_b": [[', '"unitaries_b": [[null, '),
+     f"setting 0: unitaries_b {_OFF}"),
+    (None, lambda line: line.replace('"rho_probs": [', '"rho_probs": [Infinity, '),
+     f"record 0: rho_probs {_OFF}"),
+    # texts of those characters that json refuses, found after the setting
+    (None, lambda line: line.replace('"rho_probs": [', '"rho_probs": [,'),
+     f"setting 0: rho_probs {_OFF}"),
+    (None, lambda line: line.replace('"unitaries_a": ', '"unitaries_a": [0.5], '),
+     f"setting 0: unitaries_a {_OFF}"),
+    (50, lambda line: line.replace('"unitaries_a": ', '"unitaries_a": [0.5], '),
+     f"setting 0: unitaries_a {_OFF}"),
+    (None, lambda line: line.replace('"unitaries_a": [', '"unitaries_a": ' + "[" * 5000),
+     f"setting 0: unitaries_a {_OFF}"),
+    (50, lambda line: line.replace('"unitaries_b": [', '"unitaries_b": ' + "[" * 5000),
+     f"setting 0: unitaries_b {_OFF}"),
+    # None: a blank line after the last record
+    (None, None, f"record 3: rho_probs {_OFF}"),
+    (50, None, f"record 3: rho_counts {_OFF}"),
 ], ids=["compact", "keys-reordered", "setting-leading-zero", "rho_counts-again-after-setting",
-        "rho_counts-again-at-end", "string-in-unitaries", "unitaries_b-missing"])
-def test_read_records_refuses_a_line_off_the_layout(tmp_path, edit, message):
+        "rho_counts-again-at-end", "string-in-unitaries", "unitaries_b-missing",
+        "exact-compact", "exact-keys-reordered", "exact-setting-leading-zero",
+        "exact-unitaries_b-missing", "exact-boolean-in-probs", "exact-null-in-unitaries",
+        "exact-infinity-in-probs", "exact-empty-entry-in-probs", "exact-two-arrays-in-unitaries",
+        "two-arrays-in-unitaries", "exact-nested-too-deep", "nested-too-deep",
+        "exact-trailing-blank-line", "trailing-blank-line"])
+def test_read_records_refuses_a_line_off_the_layout(tmp_path, shots, edit, message):
     # the refusal names the first field where the line leaves the layout,
     # and its setting if the line has reached it
     path = tmp_path / "records.jsonl"
-    _records_lines(path, 50)
+    _records_lines(path, shots)
     lines = path.read_text().splitlines(keepends=True)
-    lines[1] = edit(lines[1].rstrip("\n")) + "\n"
+    if edit is None:
+        lines.append("\n")
+    else:
+        lines[1] = edit(lines[1].rstrip("\n")) + "\n"
     path.write_text("".join(lines))
     with pytest.raises(ValueError, match=f"^{message}$"):
         read_records(path)
@@ -1404,13 +1453,13 @@ def test_read_records_refuses_a_line_off_the_layout(tmp_path, edit, message):
 
 @pytest.mark.parametrize("edit,message", [
     (lambda line: line.replace('"setting": 0', '"setting": 1, "setting": 0'),
-     "record 0: key 'setting' appears more than once"),
+     f"setting 1: sigma_probs {_OFF}"),
     (lambda line: line.replace('"setting": 0', '"setting": 0, "rho_probs": [1, 0, 0, 0]'),
-     "record 0: key 'rho_probs' appears more than once"),
+     f"setting 0: sigma_probs {_OFF}"),
 ], ids=["setting-twice", "probs-twice"])
 def test_read_records_refuses_a_repeated_key_in_exact_mode(tmp_path, edit, message):
-    # an exact-mode line may take any JSON layout, but names each key once:
-    # json alone would keep a repeated key's later value
+    # json alone would keep a repeated key's later value; each key has one
+    # place in the writer's layout, so the line leaves it at the repeat
     path = tmp_path / "records.jsonl"
     _records_lines(path, None)
     lines = path.read_text().splitlines(keepends=True)
@@ -1440,18 +1489,17 @@ def test_read_records_empty_number_reads_as_json_does(tmp_path, body):
 
 
 def test_read_records_places_a_json_fault_in_the_line_as_written(tmp_path):
-    # a written line broken after its count bodies reports json's own
-    # message for that line, with the column in the line as written
-    path = tmp_path / "records.jsonl"
-    _records_lines(path, 50)
-    lines = path.read_text().splitlines(keepends=True)
-    lines[2] = lines[2].replace("]]}", "]],}")
-    path.write_text("".join(lines))
-    with pytest.raises(ValueError) as fault:
-        json.loads(lines[2])
-    with pytest.raises(ValueError) as err:
-        read_records(path)
-    assert str(err.value) == str(fault.value)
+    # a written line broken after its data is refused, in either mode, at
+    # the field where it leaves the layout, named by its setting: json's
+    # own message would name a column but no setting
+    for shots in (None, 50):
+        path = tmp_path / "records.jsonl"
+        _records_lines(path, shots)
+        lines = path.read_text().splitlines(keepends=True)
+        lines[2] = lines[2].replace("]]}", "]],}")
+        path.write_text("".join(lines))
+        with pytest.raises(ValueError, match=f"^setting 1: unitaries_b {_OFF}$"):
+            read_records(path)
 
 
 # Edits of one "key": count pair of a written count body, as (key, sep, value)
