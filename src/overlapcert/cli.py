@@ -36,7 +36,7 @@ from .multipartite import (
     apply_lambda_map,
     multipartite_ipc,
 )
-from .qmat import _from_json, hs_inner
+from .qmat import _from_json, _load_json, hs_inner
 from .randomized import ProtocolConfig, estimate_overlaps, run_protocol, write_records
 from .states import (
     StateSpec,
@@ -113,14 +113,11 @@ def _pencil_top(a11, a12, a22, b11, b22) -> float:
     return (p + math.sqrt(q * q + 4.0 * b11 * b22 * a12 * a12)) / (2.0 * b11 * b22)
 
 
-def _ratio_boundary(d: int, r: int) -> float | None:
-    """Smallest x in [1e-8, 1] at which the probe maximum reaches r (0.0 if
-    it does at 1e-8, None if not even at 1): the smallest root of the
-    quadratic det(A(x) - r B(x)) at which r is the larger pencil root, i.e.
-    at least the mean a11/(2 b11) + a22/(2 b22) of the two."""
+def _ratio_boundary(d: int, r: int) -> float:
+    """Smallest x in [1e-8, 1] at which the probe maximum reaches r < d (0.0 if
+    it does at 1e-8): the smallest root of the quadratic det(A(x) - r B(x)) at
+    which r is the larger pencil root, at least their mean a11/(2 b11) + a22/(2 b22)."""
     lo, hi = 1e-8, 1.0
-    if _pencil_top(*_corner_pencil(d, hi)) < r:
-        return None
     if _pencil_top(*_corner_pencil(d, lo)) >= r:
         return 0.0
 
@@ -166,9 +163,7 @@ def cmd_fig3(d_min: int, d_max: int, r_max: int, out: str) -> int:
     rows_a = []
     for d in range(d_min, d_max + 1):
         for r in range(1, min(r_max, d - 1) + 1):
-            x_lower = _ratio_boundary(d, r)
-            if x_lower is not None:
-                rows_a.append(f"{d},{r},{x_lower!r},{_spectrum_boundary(d, r)!r}")
+            rows_a.append(f"{d},{r},{_ratio_boundary(d, r)!r},{_spectrum_boundary(d, r)!r}")
     path_a = out + ".a.csv"
     _write_csv(path_a, ["d", "r", "x_ratio_boundary", "x_unfaithful_boundary"],
                rows_a, config)
@@ -233,9 +228,9 @@ def cmd_rm_experiment(config_path: str, out: str, settings: int | None = None,
         text = Path(config_path).read_text()
     except OSError as err:
         raise ValueError(f"cannot read config {config_path}: {err.strerror}") from err
-    cfg = _from_json(ExperimentConfig, json.loads(text),
-                     rho=StateSpec.from_json, sigma=StateSpec.from_json,
-                     protocol=ProtocolConfig.from_json)
+    cfg = _from_json(ExperimentConfig, _load_json(text, f"config {config_path}"),
+                     "ExperimentConfig", rho=StateSpec.from_json,
+                     sigma=StateSpec.from_json, protocol=ProtocolConfig.from_json)
     overrides = {"n_unitaries": settings, "seed": seed,
                  "shots_per_setting": "exact" if exact else shots}
     overrides = {k: v for k, v in overrides.items() if v is not None}

@@ -132,12 +132,12 @@ def overlap_ratio_table(rhos, sigmas, rho_weights=None,
 
 
 def ipc_bound(rho: QState, sigma: QState) -> CriterionVerdict:
-    """Schmidt-number lower bound from the overlap ratio.
+    """Schmidt-number lower bound from the overlap ratio, at most min(d_A, d_B).
 
     The certified bound applies simultaneously to ``rho`` and ``sigma``.
     """
     ratio = overlap_ratio(rho, sigma)
-    bound = sn_bound_from_ratio(ratio.s)
+    bound = min(sn_bound_from_ratio(ratio.s), *rho.dims)
     return CriterionVerdict(
         criterion="ipc",
         values={
@@ -236,19 +236,20 @@ def purity_check(rho: QState) -> CriterionVerdict:
     entanglement; the size of the purity ratio certifies more.  Writing
     g_X = log2(Tr[rho^2] / Tr[rho_X^2]) for the second-order Renyi entropy
     gap, g_X > log2(r) certifies Schmidt number >= r+1, so the bound is
-    ceil(max_X 2^{g_X}) with the usual tolerance guard.
+    ceil(max_X 2^{g_X}) with the usual tolerance guard, at most min(d_A, d_B);
+    it detects when the bound is at least 2.
     """
     m, d_a, d_b = _grouped(rho)
     g, la, lb = _overlaps(m, m, (d_a, d_b), _BIPARTITE_SETS)
     min_local = min(la, lb)
     s = _guarded_ratios(g, min_local)
-    bound = sn_bound_from_ratio(s)
+    bound = min(sn_bound_from_ratio(s), d_a, d_b)
     return CriterionVerdict(
         criterion="purity",
         values={"purity_global": g, "purity_a": la, "purity_b": lb,
                 "purity_ratio": s},
         threshold=min_local,
-        detected=g > min_local + DEFAULT_TOL,
+        detected=bound >= 2,
         sn_lower_bound=bound,
     )
 

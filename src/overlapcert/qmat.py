@@ -10,8 +10,11 @@ this module is safe to use from concurrent workers.
 
 from __future__ import annotations
 
+import inspect
+import json
 import math
-from dataclasses import MISSING, dataclass, fields
+from collections import Counter
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,33 +51,43 @@ def _json_number(owner: str, key: str, value, kind=int):
     raise ValueError(f"{owner}: {key} must be {noun}, not {value!r}")
 
 
-def _from_json(cls, obj: dict, **decode):
-    """Dataclass ``cls`` from a JSON object with every field that has no
-    default and no other key; a missing key takes the field's default.  A key
-    in ``decode`` goes through that function first.  Int and float fields
-    (bar None in an ``int | None`` one) then follow :func:`_json_number`."""
-    name, allowed = cls.__name__, [f.name for f in fields(cls)]
+def _load_json(text: str, owner: str):
+    """``json.loads(text)``, but bad JSON or a repeated key raises ValueError naming ``owner``."""
+    def unique(pairs):
+        if len(out := dict(pairs)) < len(pairs):
+            key = next(k for k, n in Counter(k for k, _ in pairs).items() if n > 1)
+            raise ValueError(f"{owner}: key {key!r} appears more than once")
+        return out
+    try:
+        return json.loads(text, object_pairs_hook=unique)
+    except json.JSONDecodeError as err:
+        raise ValueError(f"{owner}: {err}") from None
+
+
+def _from_json(target, obj: dict, owner: str, **decode):
+    """``target`` called on a JSON object holding each parameter with no default
+    and no other key (a keyword-only one is the caller's, never a key).  A key in
+    ``decode`` goes through it first; then an ``int``, ``int | None`` (bar None)
+    or ``float`` one follows :func:`_json_number` and a ``dict`` one is a dict."""
+    params = {name: p for name, p in inspect.signature(target).parameters.items()
+              if p.kind is p.POSITIONAL_OR_KEYWORD}
     if not isinstance(obj, dict):
-        raise ValueError(f"{name}: expected a JSON object, not {obj!r}")
-    unknown = sorted(set(obj) - set(allowed))
-    if unknown:
-        raise ValueError(f"{name}: unknown keys {unknown}; allowed keys are {allowed}")
-    missing = [f.name for f in fields(cls) if f.name not in obj
-               and f.default is MISSING and f.default_factory is MISSING]
-    if missing:
-        raise ValueError(f"{name}: missing keys {missing}")
+        raise ValueError(f"{owner}: expected a JSON object, not {obj!r}")
+    if unknown := sorted(set(obj) - set(params)):
+        raise ValueError(f"{owner}: unknown keys {unknown}; allowed keys are {list(params)}")
+    if missing := [k for k, p in params.items() if k not in obj and p.default is p.empty]:
+        raise ValueError(f"{owner}: missing keys {missing}")
     kwargs = {}
-    for f in fields(cls):
-        if f.name in obj:
-            value = decode.get(f.name, lambda v: v)(obj[f.name])
-            kind = {"int": int, "int | None": int, "float": float}.get(f.type)
-            if kind and not (value is None and f.type.endswith("| None")):
-                value = _json_number(name, f.name, value, kind)
-            elif f.type == "dict" and not isinstance(value, dict):
-                raise ValueError(f"{name}: {f.name} must be a JSON object, "
-                                 f"not {value!r}")
-            kwargs[f.name] = value
-    return cls(**kwargs)
+    for name, p in params.items():
+        if name in obj:
+            value = decode.get(name, lambda v: v)(obj[name])
+            kind = {"int": int, "int | None": int, "float": float}.get(p.annotation)
+            if kind and not (value is None and p.annotation.endswith("| None")):
+                value = _json_number(owner, name, value, kind)
+            elif p.annotation == "dict" and not isinstance(value, dict):
+                raise ValueError(f"{owner}: {name} must be a JSON object, not {value!r}")
+            kwargs[name] = value
+    return target(**kwargs)
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ from itertools import compress
 
 import numpy as np
 
-from .qmat import QState, _from_json, _guarded_ratios, _product_probs
+from .qmat import QState, _from_json, _guarded_ratios, _load_json, _product_probs
 
 _DESIGNS = ("haar", "clifford")
 # Slack of a Records' probabilities: entries >= -PROB_TOL, sums within PROB_TOL of 1
@@ -94,7 +94,7 @@ class ProtocolConfig:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ProtocolConfig":
-        return _from_json(cls, obj,
+        return _from_json(cls, obj, "ProtocolConfig",
                           shots_per_setting=lambda v: None if v == "exact" else v)
 
 
@@ -731,6 +731,10 @@ def _read_lines(lines, cfg: ProtocolConfig):
     return settings, fields, states
 
 
+def _header(protocol: dict) -> ProtocolConfig:  # a records file's first line
+    return ProtocolConfig.from_json(protocol)
+
+
 def read_records(path) -> tuple[ProtocolConfig, Records]:
     """Inverse of :func:`write_records`, checked on the way in: the text here,
     the values as every :class:`Records` is.  Every record line must be the
@@ -742,12 +746,8 @@ def read_records(path) -> tuple[ProtocolConfig, Records]:
     the field: a line off the layout at that line, any other after the last
     line, each check over the whole file naming the first line."""
     with open(path) as fh:
-        header = json.loads(fh.readline())
-        if not isinstance(header, dict) or "protocol" not in header:
-            raise ValueError("the first line must be a JSON object with a 'protocol' key")
-        if extra := [key for key in header if key != "protocol"]:
-            raise ValueError(f"the first line has a key {extra[0]!r} besides 'protocol'")
-        cfg = ProtocolConfig.from_json(header["protocol"])
+        cfg = _from_json(_header, _load_json(fh.readline(), "records header"),
+                         "records header")
         settings, fields, states = _read_lines(fh, cfg)
     total, (names, fault) = cfg.d_a * cfg.d_b, _data_fields(cfg)
     l, floats = cfg.local_dim, 2 * cfg.local_dim**2

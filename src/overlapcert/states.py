@@ -8,6 +8,7 @@ described in config files.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -178,21 +179,20 @@ def _verifier_of(base: dict) -> PureVec:
     return verifier_state(state)
 
 
-# family -> (constructor, params it needs, params it may take); each
-# constructor takes those params in that order, a random family's the seed too
+# family -> constructor, whose parameters are the family's params; a random
+# family's seed is the spec's own field, never a param
 _FAMILIES = {
-    "isotropic": (isotropic, ("d", "x"), ()),
-    "example2": (corner_isotropic, ("d", "x"), ()),
-    "theta": (tilted_entangled, ("d", "y"), ()),
-    "ghz-noisy": (ghz_noisy, ("n", "d", "p"), ()),
-    "ghz-pure": (ghz_pure, ("n", "d"), ()),
-    "max-entangled": (max_entangled, ("d",), ()),
-    "example3": (sn3_unfaithful_state, (), ()),
-    "verifier": (_verifier_of, ("base",), ()),
-    "random-mixed": (random_mixed, ("dims",), ("rank",)),
-    "random-pure": (random_pure, ("dims",), ()),
+    "isotropic": isotropic,
+    "example2": corner_isotropic,
+    "theta": tilted_entangled,
+    "ghz-noisy": ghz_noisy,
+    "ghz-pure": ghz_pure,
+    "max-entangled": max_entangled,
+    "example3": sn3_unfaithful_state,
+    "verifier": _verifier_of,
+    "random-mixed": random_mixed,
+    "random-pure": random_pure,
 }
-_PARAM_KINDS = {"d": int, "n": int, "rank": int, "x": float, "y": float, "p": float}
 
 
 @dataclass(frozen=True)
@@ -215,33 +215,20 @@ class StateSpec:
 
     @classmethod
     def from_json(cls, obj: dict) -> "StateSpec":
-        return _from_json(cls, obj)
+        return _from_json(cls, obj, "StateSpec")
 
     def build(self):
-        """Construct the described state (QState or PureVec).  The params must
-        be exactly those the family takes; numbers and the entries of dims
-        are checked as :meth:`from_json` checks its fields."""
-        p, owner = dict(self.params), f"StateSpec {self.family}"
-        build, required, optional = _FAMILIES[self.family]
-        unknown = sorted(set(p) - set(required) - set(optional))
-        missing = [key for key in required if key not in p]
-        if unknown or missing:
-            faults = [f"{what} params {keys}" for what, keys
-                      in (("unknown", unknown), ("missing", missing)) if keys]
-            raise ValueError(f"{owner}: {', '.join(faults)}; the family takes "
-                             f"{list(required + optional)}")
-        for key, kind in _PARAM_KINDS.items():  # an optional param may be null
-            if key in p and not (key in optional and p[key] is None):
-                p[key] = _json_number(owner, key, p[key], kind)
-        if "dims" in p:
-            if not isinstance(p["dims"], (list, tuple)):
-                raise ValueError(f"{owner}: dims must be a JSON array, "
-                                 f"not {p['dims']!r}")
-            p["dims"] = tuple(_json_number(owner, "dims", d) for d in p["dims"])
-        args = [p.get(key) for key in required + optional]
-        if self.family.startswith("random-"):
-            return build(*args, seed=self.seed)
-        return build(*args)
+        """Construct the described state (QState or PureVec) from params that
+        :func:`_from_json` checks against the family constructor's signature."""
+        owner, build = f"StateSpec {self.family}", _FAMILIES[self.family]
+        if self.family.startswith("random-"):  # seed turns keyword-only: no param
+            build = functools.partial(build, seed=self.seed)
+
+        def dims(value):
+            if not isinstance(value, (list, tuple)):
+                raise ValueError(f"{owner}: dims must be a JSON array, not {value!r}")
+            return tuple(_json_number(owner, "dims", d) for d in value)
+        return _from_json(build, self.params, owner, dims=dims)
 
 
 def build_density(spec: StateSpec) -> QState:

@@ -31,12 +31,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .criteria import partner_sup
-from .qmat import QState, _from_json, _guarded_ratios, _reductions, _trace_product
+from .qmat import QState, _guarded_ratios, _reductions, _trace_product
 from .randomized import sample_local_unitary
 from .states import max_entangled
 
@@ -74,13 +74,6 @@ class OptConfig:
             raise ValueError(f"tol must be finite and >= 0, not {self.tol!r}")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-
-    def to_json(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "OptConfig":
-        return _from_json(cls, obj)
 
 
 @dataclass(frozen=True)

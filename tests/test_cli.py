@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -205,6 +206,15 @@ def test_pencil_top_is_the_probe_maximum():
                                          ys[max(k - 1, 0)], ys[min(k + 1, 2000)])
             top = _pencil_top(*_corner_pencil(d, x))
             assert abs(top - best) <= 1e-12 * best
+
+
+def test_probe_maximum_at_full_mixing_is_d():
+    # at x = 1 the pencil gives (d + sqrt(d^2)) / 2 = d, so every level
+    # r <= d - 1 that fig3 asks for has a ratio boundary in (0, 1]
+    for d in range(3, 2001):
+        top = _pencil_top(*_corner_pencil(d, 1.0))
+        assert abs(top - d) <= 1e-12 * d
+        assert top >= d - 1 + 0.9999
 
 
 def test_fig3_boundaries_are_roots(tmp_path):
@@ -505,8 +515,8 @@ def test_rm_experiment_exact_and_shots_exit_2(tmp_path, capsys):
     (lambda c: c["protocol"].update(seed=-1), "seed must be >= 0"),
     (lambda c: c["rho"]["params"].update(d=4.7), "StateSpec isotropic: d must be"),
     (lambda c: c["rho"]["params"].update(y=3),
-     r"StateSpec isotropic: unknown params \['y'\]; the family takes \['d', 'x'\]"),
-    (lambda c: c["sigma"]["params"].pop("x"), r"StateSpec isotropic: missing params \['x'\]"),
+     r"StateSpec isotropic: unknown keys \['y'\]; allowed keys are \['d', 'x'\]"),
+    (lambda c: c["sigma"]["params"].pop("x"), r"StateSpec isotropic: missing keys \['x'\]"),
 ])
 def test_rm_experiment_config_checked_at_the_boundary(tmp_path, capsys, edit, message):
     cfg_path = tmp_path / "cfg.json"
@@ -516,6 +526,29 @@ def test_rm_experiment_config_checked_at_the_boundary(tmp_path, capsys, edit, me
     cfg_path.write_text(json.dumps(cfg))
     out = tmp_path / "report.json"
     with pytest.raises(ValueError, match=message):
+        cmd_rm_experiment(str(cfg_path), str(out))
+    with pytest.raises(SystemExit) as err:
+        main(["rm-experiment", "--config", str(cfg_path), "--out", str(out)])
+    assert err.value.code == 2
+    assert "error: rm-experiment: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("edit,message", [
+    # json keeps the later of two keys: the run used to go ahead on it
+    (lambda t: t.replace('{"rho": ', '{"rho": {"family": "example3"}, "rho": ', 1),
+     "key 'rho' appears more than once"),
+    (lambda t: t.replace('"x": 1.0', '"x": 1.0, "x": 0.2'), "key 'x' appears more than once"),
+    (lambda t: "", r"Expecting value: line 1 column 1 \(char 0\)"),
+    (lambda t: t[:-1], "Expecting ',' delimiter"),
+], ids=["top-level-key-twice", "param-twice", "empty", "truncated"])
+def test_rm_experiment_config_text_checked_at_the_boundary(tmp_path, capsys, edit,
+                                                           message):
+    cfg_path = tmp_path / "cfg.json"
+    write_rm_config(cfg_path)
+    cfg_path.write_text(edit(cfg_path.read_text()))
+    out = tmp_path / "report.json"
+    with pytest.raises(ValueError, match=f"^{re.escape(f'config {cfg_path}: ')}{message}"):
         cmd_rm_experiment(str(cfg_path), str(out))
     with pytest.raises(SystemExit) as err:
         main(["rm-experiment", "--config", str(cfg_path), "--out", str(out)])

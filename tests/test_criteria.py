@@ -382,6 +382,37 @@ def test_purity_corner_boundary_matches_closed_form():
             assert purity_check(corner_isotropic(d, x)).detected == expect
 
 
+def test_purity_detects_exactly_when_it_certifies():
+    # isotropic(4, x) has Tr rho_A^2 = 1/4; at this x, Tr rho^2 = 1/4 + 5e-10,
+    # a purity ratio of 1 + 2e-9.  The absolute gap test said "not detected"
+    # beside a bound of 2
+    x = (1.0 + math.sqrt(240.0 * (0.25 + 5e-10) - 15.0)) / 16.0
+    v = purity_check(isotropic(4, x))
+    assert abs(v.values["purity_global"] - v.values["purity_a"] - 5e-10) <= 1e-15
+    assert abs(v.values["purity_ratio"] - (1.0 + 2e-9)) <= 1e-14
+    assert v.sn_lower_bound == 2
+    assert v.detected
+
+
+def test_bounds_are_capped_at_the_smaller_dimension():
+    # validation slack can push a ratio past min(d_A, d_B), which no state of
+    # these dimensions exceeds (ROADMAP item 1); the bound stops there.  A
+    # product rho against a sigma with eigenvalues -1e-9 gives s = 21
+    rho = QState((2, 2), np.diag([1.0, 0.0, 0.0, 0.0]))
+    sigma = QState((2, 2), np.diag([1.05e-9, -1e-9, -1e-9, 1.0 - 1.05e-9 + 2e-9]))
+    v = ipc_bound(rho, sigma)
+    assert abs(v.values["s"] - 21.0) <= 1e-6
+    assert v.sn_lower_bound == 2
+    assert ipc_bound(sigma, rho).sn_lower_bound == 2
+    # (1 + 3e)|Phi><Phi| - e(I - |Phi><Phi|) has Tr rho^2 = 1 + 6e + 12e^2 and
+    # rho_A = I/2: a purity ratio above 2 + 1e-9
+    e, phi = 0.9e-9, max_entangled(2).projector().matrix
+    v = purity_check(QState((2, 2), (1.0 + 4.0 * e) * phi - e * np.eye(4)))
+    assert v.values["purity_ratio"] > 2.0 + 1e-8
+    assert v.sn_lower_bound == 2
+    assert v.detected
+
+
 def test_purity_matches_self_ratio_bound():
     rho = isotropic(4, 0.9)
     assert (

@@ -1,5 +1,6 @@
 """Core linear-algebra operations against independent oracles."""
 
+import json
 import math
 import re
 
@@ -20,7 +21,9 @@ from overlapcert import (
 )
 from overlapcert.multipartite import bipartitions
 from overlapcert.multipartite import apply_lambda_map
-from overlapcert.qmat import _overlap_table, _overlaps, _reductions, _trace_product
+from overlapcert.qmat import (_from_json, _load_json, _overlap_table, _overlaps, _reductions,
+                              _trace_product)
+from overlapcert.randomized import ProtocolConfig
 from overlapcert.states import (StateSpec, build_density, ghz_noisy, isotropic,
                                 max_entangled, random_mixed, random_pure)
 from overlapcert.variational import OptConfig, _objective
@@ -579,22 +582,62 @@ def test_permuted_subsystems_group_a_noncontiguous_cut():
 ])
 @pytest.mark.parametrize("value", [2.7, True, "x", None, [3]])
 def test_integer_fields_take_only_integers(cls, obj, key, value):
+    # the one parser, on two dataclasses with int fields (OptConfig has no
+    # JSON form of its own)
     with pytest.raises(ValueError, match=f"{cls.__name__}: {key} must be an "
                                          f"integer, not {re.escape(repr(value))}"):
-        cls.from_json({**obj, key: value})
+        _from_json(cls, {**obj, key: value}, cls.__name__)
 
 
 def test_integer_fields_take_integral_numbers_and_decimal_strings():
-    assert OptConfig.from_json({"restarts": 3.0, "max_iters": "40", "seed": 2}) \
-        == OptConfig(restarts=3, max_iters=40, seed=2)
+    assert ProtocolConfig.from_json({"local_dim": 2.0, "m": "1", "n": 1,
+                                     "n_unitaries": "40", "seed": 2}) \
+        == ProtocolConfig(local_dim=2, m=1, n=1, n_unitaries=40, seed=2)
     assert StateSpec.from_json({"family": "example3", "seed": "4"}).seed == 4
 
 
 def test_float_field_rejects_bool_and_text():
-    for value in (True, "x"):
-        with pytest.raises(ValueError, match=r"OptConfig: tol must be a number"):
-            OptConfig.from_json({"tol": value})
-    assert OptConfig.from_json({"tol": 0}).tol == 0.0
+    for family, params, key in (("isotropic", {"d": 3}, "x"), ("theta", {"d": 3}, "y"),
+                                ("ghz-noisy", {"n": 3, "d": 2}, "p")):
+        for value in (True, "x", None, [0.5]):
+            with pytest.raises(ValueError, match=f"^StateSpec {family}: {key} must be "
+                                                 f"a number, not {re.escape(repr(value))}$"):
+                StateSpec(family, {**params, key: value}).build()
+    # an int or a decimal string is a number, as float() reads it
+    assert np.array_equal(build_density(StateSpec("isotropic", {"d": 3, "x": 0})).matrix,
+                          isotropic(3, 0.0).matrix)
+    assert np.array_equal(build_density(StateSpec("ghz-noisy", {"n": 3, "d": 2,
+                                                                "p": "0.5"})).matrix,
+                          ghz_noisy(3, 2, 0.5).matrix)
+
+
+def test_function_parameters_are_json_keys_and_keyword_only_ones_are_not():
+    # annotations as the package's modules hold them, as strings
+    def target(a: "int", b: "float" = 1.0, c: "int | None" = None, *, k: "int" = 7):
+        return a, b, c, k
+    assert _from_json(target, {"a": "2", "c": None}, "T") == (2, 1.0, None, 7)
+    with pytest.raises(ValueError, match=r"^T: unknown keys \['k'\]; allowed keys "
+                                         r"are \['a', 'b', 'c'\]$"):
+        _from_json(target, {"a": 2, "k": 3}, "T")
+    with pytest.raises(ValueError, match=r"^T: missing keys \['a'\]$"):
+        _from_json(target, {"b": 2}, "T")
+
+
+@pytest.mark.parametrize("text,message", [
+    ('{"a": 1, "a": 2}', "key 'a' appears more than once"),
+    ('{"a": {"b": 1, "c": 2, "b": 3}}', "key 'b' appears more than once"),
+    ('[{"a": 1}, {"a": 1, "a": 1}]', "key 'a' appears more than once"),
+    ("", r"Expecting value: line 1 column 1 \(char 0\)"),
+    ("{'a': 1}", "Expecting property name enclosed in double quotes"),
+], ids=["top-level", "nested", "in-an-array", "empty", "not-json"])
+def test_load_json_refuses_a_repeated_key_and_names_its_owner(text, message):
+    with pytest.raises(ValueError, match=f"^the owner: {message}"):
+        _load_json(text, "the owner")
+
+
+def test_load_json_reads_what_json_reads():
+    text = '{"a": [1, 2.5, {"b": null, "c": "x"}], "b": {"a": true}}'
+    assert _load_json(text, "the owner") == json.loads(text)
 
 
 def test_statespec_params_must_be_an_object():

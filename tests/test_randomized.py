@@ -1156,9 +1156,9 @@ def _set(line, key, value):
     (None, _set(2, "junk", 5), f"^record 1: rho_probs {_OFF}$"),
     (None, _set(3, "rho_counts", {"0": 1}), f"^record 2: rho_probs {_OFF}$"),
     (None, lambda ls: ls[0].update({"junk": 1}),
-     "^the first line has a key 'junk' besides 'protocol'$"),
+     r"^records header: unknown keys \['junk'\]; allowed keys are \['protocol'\]$"),
     (50, lambda ls: ls[0].update({"junk": 1}),
-     "^the first line has a key 'junk' besides 'protocol'$"),
+     r"^records header: unknown keys \['junk'\]; allowed keys are \['protocol'\]$"),
 ], ids=["probs-length", "probs-missing", "unitaries-count", "unitary-length",
         "count-sum", "count-not-integer", "counts-not-object", "counts-missing",
         "setting-repeated", "setting-missing", "setting-past-range", "setting-not-integer",
@@ -1172,6 +1172,36 @@ def test_read_records_rejects_malformed_files(tmp_path, shots, edit, message):
     edit(lines)
     with pytest.raises(ValueError, match=message):
         read_records(_write_lines(path, lines))
+
+
+@pytest.mark.parametrize("shots", [None, 50])
+@pytest.mark.parametrize("edit,message", [
+    # json kept the later protocol: an exact-mode file read as shot mode
+    (lambda h: h.replace('{"protocol": ', '{"protocol": {"local_dim": 3}, "protocol": '),
+     "key 'protocol' appears more than once"),
+    (lambda h: h.replace('"m": 1, ', '"m": 1, "m": 2, '), "key 'm' appears more than once"),
+    (lambda h: "\n", r"Expecting value: line 2 column 1 \(char 1\)"),
+    (lambda h: h[:-2] + "\n", "Expecting ',' delimiter"),
+    (lambda h: "[1]\n", r"expected a JSON object, not \[1\]"),
+    (lambda h: "{}\n", r"missing keys \['protocol'\]"),
+    (lambda h: '{"protocol": 3}\n', "protocol must be a JSON object, not 3"),
+], ids=["protocol-twice", "protocol-key-twice", "blank", "truncated",
+        "not-an-object", "no-protocol", "protocol-not-an-object"])
+def test_read_records_refuses_a_bad_header_line(tmp_path, shots, edit, message):
+    path = tmp_path / "records.jsonl"
+    _records_lines(path, shots)
+    header, *rest = path.read_text().splitlines(keepends=True)
+    path.write_text("".join([edit(header), *rest]))
+    with pytest.raises(ValueError, match=f"^records header: {message}"):
+        read_records(path)
+
+
+def test_read_records_refuses_an_empty_file(tmp_path):
+    path = tmp_path / "records.jsonl"
+    path.write_text("")
+    with pytest.raises(ValueError, match=r"^records header: Expecting value: "
+                                         r"line 1 column 1 \(char 0\)$"):
+        read_records(path)
 
 
 def _bump(counts, by):

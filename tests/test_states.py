@@ -393,22 +393,34 @@ def test_statespec_roundtrip_and_build(spec):
 
 
 @pytest.mark.parametrize("family,params,fault", [
-    ("isotropic", {"d": 4, "x": 0.9, "y": 3, "dimz": 7}, r"unknown params \['dimz', 'y'\]"),
-    ("isotropic", {"d": 4}, r"missing params \['x'\]"),
-    ("example2", {"x": 0.3}, r"missing params \['d'\]"),
-    ("theta", {"d": 4, "x": 0.4}, r"unknown params \['x'\], missing params \['y'\]"),
-    ("ghz-noisy", {"n": 3, "d": 2}, r"missing params \['p'\]"),
-    ("ghz-pure", {"n": 3, "d": 2, "p": 0.5}, r"unknown params \['p'\]"),
-    ("max-entangled", {"d": 3, "x": 1.0}, r"unknown params \['x'\]"),
-    ("example3", {"d": 3}, r"unknown params \['d'\]"),
-    ("verifier", {}, r"missing params \['base'\]"),
-    ("random-mixed", {"rank": 2}, r"missing params \['dims'\]"),
-    ("random-pure", {"dims": [2, 2], "rank": 2}, r"unknown params \['rank'\]"),
+    ("isotropic", {"d": 4, "x": 0.9, "y": 3, "dimz": 7},
+     r"unknown keys \['dimz', 'y'\]; allowed keys are \['d', 'x'\]"),
+    ("isotropic", {"d": 4}, r"missing keys \['x'\]"),
+    ("example2", {"x": 0.3}, r"missing keys \['d'\]"),
+    # unknown keys are named first, and alone
+    ("theta", {"d": 4, "x": 0.4}, r"unknown keys \['x'\]; allowed keys are \['d', 'y'\]"),
+    ("ghz-noisy", {"n": 3, "d": 2}, r"missing keys \['p'\]"),
+    ("ghz-pure", {"n": 3, "d": 2, "p": 0.5},
+     r"unknown keys \['p'\]; allowed keys are \['n', 'd'\]"),
+    ("max-entangled", {"d": 3, "x": 1.0}, r"unknown keys \['x'\]; allowed keys are \['d'\]"),
+    ("example3", {"d": 3}, r"unknown keys \['d'\]; allowed keys are \[\]"),
+    ("verifier", {}, r"missing keys \['base'\]"),
+    ("random-mixed", {"rank": 2}, r"missing keys \['dims'\]"),
+    ("random-pure", {"dims": [2, 2], "rank": 2},
+     r"unknown keys \['rank'\]; allowed keys are \['dims'\]"),
+    # a random family's seed is the spec's own field, never a param
+    ("random-mixed", {"dims": [2, 2], "seed": 3},
+     r"unknown keys \['seed'\]; allowed keys are \['dims', 'rank'\]"),
+    ("random-pure", {"dims": [2, 2], "seed": 3},
+     r"unknown keys \['seed'\]; allowed keys are \['dims'\]"),
+    ("verifier", {"base": 3}, r"base must be a JSON object, not 3"),
+    ("isotropic", [["d", 3], ["x", 0.5]], r"expected a JSON object, not \[\['d', 3\], "
+                                          r"\['x', 0.5\]\]"),
 ])
 def test_statespec_build_takes_exactly_the_family_params(family, params, fault):
     # unused keys used to build and echo silently, and a missing one ended
     # in a bare KeyError
-    with pytest.raises(ValueError, match=f"StateSpec {family}: {fault}; the family takes"):
+    with pytest.raises(ValueError, match=f"^StateSpec {family}: {fault}$"):
         StateSpec(family, params).build()
 
 

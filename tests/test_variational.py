@@ -488,11 +488,6 @@ def test_identity_white_noise():
 # config plumbing
 
 
-def test_optconfig_json_roundtrip():
-    for cfg in (OptConfig(restarts=3, max_iters=77, tol=1e-10, seed=5), OptConfig()):
-        assert OptConfig.from_json(cfg.to_json()) == cfg
-
-
 def test_optconfig_validation():
     with pytest.raises(ValueError):
         OptConfig(restarts=0)
@@ -504,18 +499,7 @@ def test_optconfig_validation():
             OptConfig(tol=tol)
     with pytest.raises(ValueError, match="seed must be >= 0"):
         OptConfig(seed=-1)
-    with pytest.raises(ValueError, match="seed must be >= 0"):
-        OptConfig.from_json({"seed": -1})
     assert OptConfig(tol=0.0, seed=0).tol == 0.0
-
-
-def test_optconfig_from_json_rejects_unknown_keys():
-    # misspelt keys used to fall back to the defaults without a word
-    with pytest.raises(ValueError, match=r"unknown keys \['max_iter', 'restart'\]"):
-        OptConfig.from_json({"restart": 3, "max_iter": 5})
-    with pytest.raises(ValueError, match="expected a JSON object"):
-        OptConfig.from_json([3, 5])
-    assert OptConfig.from_json({}) == OptConfig()
 
 
 def test_package_import_loads_only_numpy():
