@@ -87,100 +87,101 @@ def cmd_fig1(d: int, grid: int, r_max: int, out: str) -> int:
 # boundary is a root of a polynomial of degree at most three in x
 
 
-def _roots_in(coeffs, lo: float, hi: float) -> list[float]:
-    """Ascending real roots in [lo, hi] of the polynomial ``coeffs``."""
-    roots = np.roots(coeffs)
-    real = roots.real[np.abs(roots.imag) <= 1e-12]
-    return sorted(float(x) for x in real if lo <= x <= hi)
+def _smallest_roots(polys, lo) -> np.ndarray:
+    """Smallest real root in [lo, 1] of each row of ``polys`` (highest power
+    first, neither end 0; ``lo`` a scalar or a column): the eigenvalues of
+    np.roots' own companion matrices, all in one eigensolve, so each root is
+    np.roots' to the last bit."""
+    polys = np.asarray(polys, dtype=float)
+    companion = np.tile(np.eye(polys.shape[1] - 1, k=-1), (len(polys), 1, 1))
+    companion[:, 0] = -polys[:, 1:] / polys[:, :1]
+    roots = np.linalg.eigvals(companion)
+    inside = (np.abs(roots.imag) <= 1e-12) & (lo <= roots.real) & (roots.real <= 1.0)
+    if not inside.any(axis=1).all():
+        raise AssertionError("a boundary polynomial has no root in [lo, 1]")
+    return np.where(inside, roots.real, np.inf).min(axis=1)
 
 
-def _corner_pencil(d: int, x: float) -> tuple[float, ...]:
+def _corner_pencil(d, x) -> tuple:
     """(a11, a12, a22, b11, b22): the overlap ratio of corner_isotropic(d, x)
     against the tilted probe y sum_{i<d-1} |ii> + c |d-1 d-1> is
-    u^T A u / u^T B u with u = (sqrt(d-1) y, c) >= 0 and B diagonal (the
-    probe is diagonal in the Schmidt basis).  Every entry is affine in x."""
+    u^T A u / u^T B u with u = (sqrt(d-1) y, c) >= 0 and B diagonal (the probe
+    is diagonal in the Schmidt basis).  Each entry is affine in x, d x arrays."""
     k = x / d
-    return ((1.0 - x) / (d - 1) ** 2 + k * (d - 1), k * math.sqrt(d - 1), k,
+    return ((1.0 - x) / (d - 1) ** 2 + k * (d - 1), k * np.sqrt(d - 1), k,
             (1.0 - x) / (d - 1) + k, k)
 
 
-def _pencil_top(a11, a12, a22, b11, b22) -> float:
+def _pencil_top(a11, a12, a22, b11, b22):
     """Largest root of det(A - l B) = 0, the maximum of u^T A u / u^T B u.
 
     Its eigenvector has u2 / u1 = (l b11 - a11) / a12 >= 0, so the
     probe's sign constraint u >= 0 does not bind."""
     p, q = a11 * b22 + a22 * b11, a11 * b22 - a22 * b11
-    return (p + math.sqrt(q * q + 4.0 * b11 * b22 * a12 * a12)) / (2.0 * b11 * b22)
+    return (p + np.sqrt(q * q + 4.0 * b11 * b22 * a12 * a12)) / (2.0 * b11 * b22)
 
 
-def _ratio_boundary(d: int, r: int) -> float:
-    """Smallest x in [1e-8, 1] at which the probe maximum reaches r < d (0.0 if
-    it does at 1e-8): the smallest root of the quadratic det(A(x) - r B(x)) at
-    which r is the larger pencil root, at least their mean a11/(2 b11) + a22/(2 b22)."""
-    lo, hi = 1e-8, 1.0
-    if _pencil_top(*_corner_pencil(d, lo)) >= r:
-        return 0.0
+def _ratio_boundaries(d: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Per pair, the smallest x in [1e-8, 1] at which the probe maximum reaches
+    r < d (0.0 if it does at 1e-8).  m12 = m22 = 0 at x = 0, so det(A(x) - r B(x))
+    is x (p0 x + p1) and np.roots' root -p1 / p0 is the boundary if r is there
+    the larger pencil root, at least their mean a11/(2 b11) + a22/(2 b22)."""
+    lo = 1e-8
 
     def shifted(x):  # the entries m11, m12, m22 of A(x) - r B(x)
         a11, a12, a22, b11, b22 = _corner_pencil(d, x)
         return np.array([a11 - r * b11, a12, a22 - r * b22])
 
     (m11, m12, m22), (s11, s12, s22) = shifted(0.0), shifted(1.0) - shifted(0.0)
-    det = [s11 * s22 - s12 * s12, m11 * s22 + s11 * m22 - 2.0 * m12 * s12,
-           m11 * m22 - m12 * m12]
-    for x in _roots_in(det, lo, hi):
-        a11, _, a22, b11, b22 = _corner_pencil(d, x)
-        if 2.0 * r >= a11 / b11 + a22 / b22:
-            return x
-    raise AssertionError(f"no ratio boundary for d={d}, r={r}")
+    x = -(m11 * s22 + s11 * m22 - 2.0 * m12 * s12) / (s11 * s22 - s12 * s12)
+    a11, _, a22, b11, b22 = _corner_pencil(d, np.clip(x, lo, 1.0))
+    start = _pencil_top(*_corner_pencil(d, lo)) >= r
+    found = start | ((lo <= x) & (x <= 1.0) & (2.0 * r >= a11 / b11 + a22 / b22))
+    if not found.all():
+        i = np.argmin(found)
+        raise AssertionError(f"no ratio boundary for d={d[i]}, r={r[i]}")
+    return np.where(start, 0.0, x)
 
 
-def _spectrum_boundary(d: int, r: int) -> float:
-    """x above which the top eigenvalue of corner_isotropic(d, x) exceeds r/d
-    (no rank-r fidelity witness detects below it); 1.0 if it never does.
-
-    ``corner_delta`` is the larger root of l^2 - (m + x) l + m x / d with
-    m = (1-x)/(d-1)^2, so it is r/d where x^2 + (r d (d-2) - 1) x + r -
-    r^2 (d-1)^2 / d = 0, a quadratic negative at 0 and positive at 1."""
-    if r >= d:  # the top eigenvalue is 1 at x = 1
-        return 1.0
-    return _roots_in([1.0, r * d * (d - 2) - 1.0, r - r * r * (d - 1) ** 2 / d],
-                     0.0, 1.0)[0]
+def _spectrum_polys(d: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Quadratics, one row per pair, whose smallest root in [0, 1] is the x
+    above which the top eigenvalue of corner_isotropic(d, x) exceeds r/d < 1
+    (no rank-r fidelity witness detects below it): ``corner_delta`` is the
+    larger root of l^2 - (m + x) l + m x / d with m = (1-x)/(d-1)^2, so it is
+    r/d where x^2 + (r d (d-2) - 1) x + r - r^2 (d-1)^2 / d = 0, a quadratic
+    negative at 0 and positive at 1."""
+    return np.column_stack([np.ones(len(d)), r * d * (d - 2) - 1.0,
+                            r - r * r * (d - 1) ** 2 / d])
 
 
-def _check_corner_range(d_min: int, d_max: int, r_max: int) -> None:
-    """Refuse a fig3 or rfbc-tightness range; the corner family needs d >= 3."""
+def _corner_levels(d_min: int, d_max: int, r_max: int, r_over_d: int):
+    """Columns d and r of a fig3 or rfbc-tightness table, r <= d + r_over_d;
+    refuse a range, as the corner family needs d >= 3."""
     if not 3 <= d_min <= d_max or r_max < 1:
         raise ValueError("need 3 <= d_min <= d_max and r_max >= 1, not "
                          f"{d_min}, {d_max}, {r_max}")
+    return np.array([(d, r) for d in range(d_min, d_max + 1)
+                     for r in range(1, min(r_max, d + r_over_d) + 1)]).T
 
 
 def cmd_fig3(d_min: int, d_max: int, r_max: int, out: str) -> int:
     """Emit the (d, r) detection bands (panel a) and per-d criterion
     boundaries (panel b) for the corner-isotropic family, as two CSVs."""
-    _check_corner_range(d_min, d_max, r_max)
+    d, r = _corner_levels(d_min, d_max, r_max, -1)
     config = {"command": "fig3", "d_min": d_min, "d_max": d_max, "r_max": r_max}
-    rows_a = []
-    for d in range(d_min, d_max + 1):
-        for r in range(1, min(r_max, d - 1) + 1):
-            rows_a.append(f"{d},{r},{_ratio_boundary(d, r)!r},{_spectrum_boundary(d, r)!r}")
-    path_a = out + ".a.csv"
-    _write_csv(path_a, ["d", "r", "x_ratio_boundary", "x_unfaithful_boundary"],
+    # panel b's gaps are < 0 at x = 0 and > 0 at x = 1: each turns positive at its least root
+    ds = range(d_min, d_max + 1)
+    purity_gaps, p3_cubics = zip(*map(_corner_gap_polys, ds))
+    lo = np.repeat([0.0, 1e-12], [len(d), len(ds)])[:, None]
+    roots = _smallest_roots(np.vstack([_spectrum_polys(d, r), purity_gaps]), lo)
+    rows_a = [f"{d},{r},{x!r},{y!r}" for d, r, x, y in
+              zip(d.tolist(), r.tolist(), _ratio_boundaries(d, r).tolist(), roots.tolist())]
+    _write_csv(out + ".a.csv", ["d", "r", "x_ratio_boundary", "x_unfaithful_boundary"],
                rows_a, config)
-
-    rows_b = []
-    for d in range(d_min, d_max + 1):
-        # both gaps are negative at x = 0 and positive at x = 1, so each
-        # first turns positive at its smallest root between them
-        purity_gap, p3_cubic = _corner_gap_polys(d)
-        x_p3 = _roots_in(p3_cubic, 1e-12, 1.0)[0]
-        x_pc = _roots_in(purity_gap, 1e-12, 1.0)[0]
-        rows_b.append(f"{d},0.0,{x_p3!r},{corner_fbc_psi_boundary(d, 1)!r},{x_pc!r}")
-    path_b = out + ".b.csv"
-    _write_csv(path_b,
-               ["d", "x_ipc_boundary", "x_p3ppt_boundary", "x_fbc_boundary",
-                "x_pc_boundary"],
-               rows_b, config)
+    rows_b = [f"{k},0.0,{x_p3!r},{corner_fbc_psi_boundary(k, 1)!r},{x_pc!r}" for k, x_p3, x_pc
+              in zip(ds, _smallest_roots(p3_cubics, 1e-12).tolist(), roots[len(d):].tolist())]
+    _write_csv(out + ".b.csv", ["d", "x_ipc_boundary", "x_p3ppt_boundary",
+                                "x_fbc_boundary", "x_pc_boundary"], rows_b, config)
     return 0
 
 
@@ -189,21 +190,17 @@ def cmd_fig3(d_min: int, d_max: int, r_max: int, out: str) -> int:
 
 
 def cmd_rfbc_tightness(d_min: int, d_max: int, r_max: int, out: str) -> int:
-    """Both detectability boundaries of rank-r fidelity witnesses per (d, r).
-
-    The witness curve is where the particular maximally entangled witness
-    starts detecting; the spectrum curve is where detection by any witness
-    becomes possible at all.  Emitted only for r <= d.
-    """
-    _check_corner_range(d_min, d_max, r_max)
-    rows = []
-    for d in range(d_min, d_max + 1):
-        for r in range(1, min(r_max, d) + 1):
-            rows.append(f"{d},{r},{_spectrum_boundary(d, r)!r},{corner_fbc_psi_boundary(d, r)!r}")
-    config = {"command": "rfbc-tightness", "d_min": d_min, "d_max": d_max,
-              "r_max": r_max}
-    _write_csv(out, ["d", "r", "x_spectrum_boundary", "x_witness_boundary"],
-               rows, config)
+    """Both detectability boundaries of rank-r fidelity witnesses per (d, r),
+    r <= d: the witness curve is where the particular maximally entangled
+    witness starts detecting; the spectrum curve is where detection by any
+    witness becomes possible at all."""
+    d, r = _corner_levels(d_min, d_max, r_max, 0)
+    x_spectrum = np.ones(len(d))  # at r = d, the top eigenvalue 1 at x = 1
+    x_spectrum[r < d] = _smallest_roots(_spectrum_polys(d[r < d], r[r < d]), 0.0)
+    rows = [f"{d},{r},{x!r},{corner_fbc_psi_boundary(d, r)!r}"
+            for d, r, x in zip(d.tolist(), r.tolist(), x_spectrum.tolist())]
+    config = {"command": "rfbc-tightness", "d_min": d_min, "d_max": d_max, "r_max": r_max}
+    _write_csv(out, ["d", "r", "x_spectrum_boundary", "x_witness_boundary"], rows, config)
     return 0
 
 
@@ -424,8 +421,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "x_unfaithful_boundary: the band where the ratio certifies r+1 while "
         "no rank-r fidelity witness can) and OUT.b.csv (columns d, "
         "x_ipc_boundary, x_p3ppt_boundary, x_fbc_boundary, x_pc_boundary: "
-        "smallest x detected by each criterion).  Every boundary is solved "
-        "in closed form.",
+        "smallest x detected by each criterion).  The ratio boundary is in "
+        "closed form, the others from one companion eigensolve per degree.",
     )
     p3.add_argument("--d-min", type=int, default=3)
     p3.add_argument("--d-max", type=int, default=10)

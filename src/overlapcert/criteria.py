@@ -43,10 +43,10 @@ from .qmat import (
 DEFAULT_TOL = 1e-9
 
 
-def _level(r) -> int:
-    """``r`` as a Schmidt-number level: an integer >= 1, numpy's too, not a bool."""
-    if isinstance(r, bool) or not isinstance(r, (int, np.integer)) or r < 1:
-        raise ValueError(f"r must be an integer >= 1, not {r!r}")
+def _level(r, name: str = "r", least: int = 1) -> int:
+    """``r`` as an integer >= ``least``, numpy's too, not a bool; ``name`` names it."""
+    if isinstance(r, bool) or not isinstance(r, (int, np.integer)) or r < least:
+        raise ValueError(f"{name} must be an integer >= {least}, not {r!r}")
     return int(r)
 
 
@@ -296,8 +296,7 @@ def fbc_spectrum_bound(rho: QState, r: int = 1) -> bool:
 
 def pt_moments(rho: QState, k_max: int = 3) -> list[float]:
     """Moments p_k = Tr[(rho^T_A)^k] for k = 1 .. k_max."""
-    if k_max < 2:
-        raise ValueError("k_max must be >= 2")
+    k_max = _level(k_max, "k_max", 2)
     m, d_a, d_b = _grouped(rho)
     pt = partial_transpose_matrix(m, (d_a, d_b), [0])
     eigs = np.linalg.eigvalsh(pt)
@@ -327,6 +326,10 @@ def corner_delta(d: int, x: float) -> float:
     With m = (1-x)/(d-1)^2 and n = x/d the top of the spectrum is
     (m + n d + sqrt((m + n d)^2 - 4 m n)) / 2.
     """
+    if d < 3:
+        raise ValueError("corner-isotropic family needs d >= 3")
+    if not 0.0 <= x <= 1.0:
+        raise ValueError(f"x={x} outside [0, 1]")
     m = (1.0 - x) / (d - 1) ** 2
     n = x / d
     return (m + n * d + math.sqrt((m + n * d) ** 2 - 4.0 * m * n)) / 2.0
@@ -337,6 +340,9 @@ def corner_fbc_psi_boundary(d: int, r: int = 1) -> float:
 
     Solves x + (1-x)/(d(d-1)) = r/d, i.e. x = (r(d-1) - 1)/(d^2 - d - 1).
     """
+    r = _level(r)
+    if d < 3 or r > d:
+        raise ValueError(f"corner-isotropic family needs d >= 3 and r <= d, not d={d}, r={r}")
     return (r * (d - 1) - 1.0) / (d * d - d - 1.0)
 
 
@@ -358,13 +364,10 @@ def corner_isotropic_closed_forms(d: int, x: float) -> dict:
     ``p2sq_minus_p3``, the global and local purities, and the x-threshold
     above which the fidelity witness of |Psi> detects.
     """
-    if d < 3:
-        raise ValueError("corner-isotropic family needs d >= 3")
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"x={x} outside [0, 1]")
+    delta = corner_delta(d, x)  # which checks d and x
     cubic = _corner_gap_polys(d)[1]
     return {
-        "delta": corner_delta(d, x),
+        "delta": delta,
         "p2sq_minus_p3": x / ((d - 1) ** 4 * d**2) * float(np.polyval(cubic, x)),
         "purity_global": (1 - x) ** 2 / (d - 1) ** 2 + x**2
         + 2 * (1 - x) * x / ((d - 1) * d),

@@ -12,6 +12,7 @@ import pytest
 from overlapcert import (
     apply_lambda_map,
     corner_delta,
+    corner_fbc_psi_boundary,
     corner_isotropic,
     corner_isotropic_closed_forms,
     ghz_noisy,
@@ -27,6 +28,7 @@ from overlapcert import (
     tilted_entangled,
 )
 from overlapcert import StateSpec, build_density, cli
+from overlapcert.criteria import _corner_gap_polys
 from overlapcert.cli import (
     _corner_pencil,
     _ghz_threshold,
@@ -243,6 +245,98 @@ def test_fig3_boundaries_are_roots(tmp_path):
         for key in ("x_p3ppt_boundary", "x_pc_boundary"):
             assert gaps(int(row["d"]), row[key] - 1e-10)[key] < 0.0
             assert gaps(int(row["d"]), row[key] + 1e-10)[key] > 0.0
+
+
+# the per-boundary path the commands took before their boundaries became array
+# programs: np.roots on one polynomial at a time, the oracle for the test below
+
+
+def _roots_in(coeffs, lo: float, hi: float) -> list[float]:
+    roots = np.roots(coeffs)
+    real = roots.real[np.abs(roots.imag) <= 1e-12]
+    return sorted(float(x) for x in real if lo <= x <= hi)
+
+
+def _ratio_boundary(d: int, r: int) -> float:
+    lo, hi = 1e-8, 1.0
+    if _pencil_top(*_corner_pencil(d, lo)) >= r:
+        return 0.0
+
+    def shifted(x):
+        a11, a12, a22, b11, b22 = _corner_pencil(d, x)
+        return np.array([a11 - r * b11, a12, a22 - r * b22])
+
+    (m11, m12, m22), (s11, s12, s22) = shifted(0.0), shifted(1.0) - shifted(0.0)
+    det = [s11 * s22 - s12 * s12, m11 * s22 + s11 * m22 - 2.0 * m12 * s12,
+           m11 * m22 - m12 * m12]
+    for x in _roots_in(det, lo, hi):
+        a11, _, a22, b11, b22 = _corner_pencil(d, x)
+        if 2.0 * r >= a11 / b11 + a22 / b22:
+            return x
+    raise AssertionError(f"no ratio boundary for d={d}, r={r}")
+
+
+def _spectrum_boundary(d: int, r: int) -> float:
+    if r >= d:
+        return 1.0
+    return _roots_in([1.0, r * d * (d - 2) - 1.0, r - r * r * (d - 1) ** 2 / d],
+                     0.0, 1.0)[0]
+
+
+def _hex_rows(path):
+    return [[float(v).hex() for v in line.split(",")]
+            for line in path.read_text().splitlines()[2:]]
+
+
+def test_corner_boundaries_match_one_root_call_per_boundary_bit_for_bit(tmp_path):
+    # every fig3 and rfbc-tightness boundary for d = 3..60 and every r the
+    # commands emit, against np.roots on each polynomial alone, by float.hex
+    assert main(["fig3", "--d-min", "3", "--d-max", "60", "--r-max", "59",
+                 "--out", str(tmp_path / "fig3")]) == 0
+    assert main(["rfbc-tightness", "--d-min", "3", "--d-max", "60", "--r-max", "60",
+                 "--out", str(tmp_path / "rfbc.csv")]) == 0
+    expect_a, expect_b, expect_rfbc = [], [], []
+    for d in range(3, 61):
+        purity_gap, p3_cubic = _corner_gap_polys(d)
+        expect_b.append([d, 0.0, _roots_in(p3_cubic, 1e-12, 1.0)[0],
+                         corner_fbc_psi_boundary(d, 1), _roots_in(purity_gap, 1e-12, 1.0)[0]])
+        for r in range(1, d + 1):
+            spectrum = _spectrum_boundary(d, r)
+            if r < d:
+                expect_a.append([d, r, _ratio_boundary(d, r), spectrum])
+            expect_rfbc.append([d, r, spectrum, corner_fbc_psi_boundary(d, r)])
+    for name, expect in (("fig3.a.csv", expect_a), ("fig3.b.csv", expect_b),
+                         ("rfbc.csv", expect_rfbc)):
+        assert _hex_rows(tmp_path / name) == [[float(v).hex() for v in row] for row in expect]
+    assert len(expect_a) == 1769 and len(expect_rfbc) == 1827
+
+
+def test_ratio_determinant_has_no_constant_term():
+    # m12 and m22 of A(0) - r B(0) are exactly 0, so det(A(x) - r B(x)) is
+    # x (p0 x + p1) and its one nonzero root is -p1 / p0
+    d, r = np.array([(d, r) for d in range(3, 201) for r in range(1, d)]).T
+    a11, a12, a22, b11, b22 = _corner_pencil(d, 0.0)
+    assert np.all(a12 == 0.0) and np.all(a22 - r * b22 == 0.0)
+
+
+def test_corner_commands_make_one_eigensolve_per_degree(tmp_path, monkeypatch):
+    degrees = []
+    eigvals = np.linalg.eigvals
+
+    def counted(a):
+        degrees.append(a.shape[-1])
+        return eigvals(a)
+
+    def refused(p):
+        raise AssertionError("np.roots called")
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    monkeypatch.setattr(np, "roots", refused)
+    assert main(["fig3", "--out", str(tmp_path / "fig3")]) == 0
+    assert sorted(degrees) == [2, 3]
+    degrees.clear()
+    assert main(["rfbc-tightness", "--out", str(tmp_path / "rfbc.csv")]) == 0
+    assert degrees == [2]
 
 
 # ---------------------------------------------------------------------------

@@ -514,6 +514,16 @@ def test_pt_moments_bell():
     assert abs(p[2] - 0.25) < 1e-12
 
 
+def test_pt_moments_k_max_is_an_integer_at_least_two():
+    # k_max = 3.0 failed in range() with a TypeError, and True read as 1
+    rho = max_entangled(2).projector()
+    for bad in (3.0, True, 1, 0, np.float64(3.0), "3"):
+        message = f"k_max must be an integer >= 2, not {bad!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            pt_moments(rho, bad)
+    assert pt_moments(rho, np.int64(3)) == pt_moments(rho, 3)
+
+
 def test_pt_moment_gap_corner_polynomial():
     for d in (3, 4, 5, 6):
         for x in np.arange(0.1, 0.95, 0.2):
@@ -553,6 +563,38 @@ def test_corner_delta_pure_limit_is_one():
     assert abs(corner_delta(3, 1.0) - 1.0) < 1e-12
     top = np.linalg.eigvalsh(corner_isotropic(3, 1.0).matrix)[-1]
     assert abs(top - 1.0) < 1e-12
+
+
+_CORNER_REFUSALS = [
+    # corner_delta(2, 0.5) gave 0.854 and corner_fbc_psi_boundary(5, 0)
+    # -0.0526, (5, 9) 1.84 and (2, 1) 0.0, for a family that needs d >= 3
+    (lambda: corner_delta(2, 0.5), "corner-isotropic family needs d >= 3"),
+    (lambda: corner_delta(5, -0.1), "x=-0.1 outside [0, 1]"),
+    (lambda: corner_delta(5, 1.5), "x=1.5 outside [0, 1]"),
+    (lambda: corner_isotropic_closed_forms(2, 0.5), "corner-isotropic family needs d >= 3"),
+    (lambda: corner_isotropic_closed_forms(5, 1.5), "x=1.5 outside [0, 1]"),
+    (lambda: corner_fbc_psi_boundary(5, 0), "r must be an integer >= 1, not 0"),
+    (lambda: corner_fbc_psi_boundary(5, 2.0), "r must be an integer >= 1, not 2.0"),
+    (lambda: corner_fbc_psi_boundary(5, True), "r must be an integer >= 1, not True"),
+    (lambda: corner_fbc_psi_boundary(5, 9),
+     "corner-isotropic family needs d >= 3 and r <= d, not d=5, r=9"),
+    (lambda: corner_fbc_psi_boundary(2, 1),
+     "corner-isotropic family needs d >= 3 and r <= d, not d=2, r=1"),
+]
+
+
+@pytest.mark.parametrize("call, message", _CORNER_REFUSALS,
+                         ids=[m for _, m in _CORNER_REFUSALS])
+def test_corner_closed_forms_refuse_what_the_family_lacks(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_corner_closed_forms_take_their_whole_range():
+    # both ends of x, r = d (witness detection only at x = 1), and a numpy level
+    assert corner_delta(3, 0.0) == 0.25 and abs(corner_delta(3, 1.0) - 1.0) < 1e-12
+    assert corner_fbc_psi_boundary(5, 5) == 1.0
+    assert corner_fbc_psi_boundary(5, np.int64(2)) == corner_fbc_psi_boundary(5, 2)
 
 
 def test_corner_closed_forms_match_numerics():
