@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import inspect
 import json
 import math
 import sys
@@ -62,8 +63,14 @@ def _write_json(path, obj) -> None:
 # fig1: detection region for isotropic pairs
 
 
-def cmd_fig1(d: int, grid: int, r_max: int, out: str) -> int:
-    """Scan the overlap ratio of isotropic pairs over the fidelity square."""
+def cmd_fig1(d: int, out: str, grid: int = 20, r_max: int = 0) -> int:
+    """Isotropic-pair detection scan over the fidelity square.
+
+    Scans the overlap ratio of pairs of isotropic states of local dimension
+    --d, --grid points per axis, and writes the CSV --out with columns x, y
+    (fidelities of the two isotropic states), s_value (overlap ratio),
+    max_r_detected (largest r whose inequality is violated, capped at
+    --r-max; 0 caps it at d)."""
     if d < 2 or grid < 2 or r_max < 0:
         raise ValueError(f"d and grid must be >= 2, not {d}, {grid}, and r_max >= 0, not {r_max}")
     r_cap = r_max or d
@@ -164,9 +171,16 @@ def _corner_levels(d_min: int, d_max: int, r_max: int, r_over_d: int):
                      for r in range(1, min(r_max, d + r_over_d) + 1)]).T
 
 
-def cmd_fig3(d_min: int, d_max: int, r_max: int, out: str) -> int:
-    """Emit the (d, r) detection bands (panel a) and per-d criterion
-    boundaries (panel b) for the corner-isotropic family, as two CSVs."""
+def cmd_fig3(out: str, d_min: int = 3, d_max: int = 10, r_max: int = 5) -> int:
+    """Corner-family detection bands and criterion boundaries.
+
+    For d in --d-min..--d-max, writes the bands of r up to --r-max and below
+    d (panel a) to OUT.a.csv, OUT being --out, columns d, r, x_ratio_boundary,
+    x_unfaithful_boundary: where the ratio certifies r+1 while no rank-r
+    fidelity witness can; and the criterion boundaries (panel b) to
+    OUT.b.csv, columns d, x_ipc_boundary, x_p3ppt_boundary, x_fbc_boundary,
+    x_pc_boundary: the smallest x each criterion detects.  The ratio boundary
+    is in closed form, the others from one companion eigensolve per degree."""
     d, r = _corner_levels(d_min, d_max, r_max, -1)
     config = {"command": "fig3", "d_min": d_min, "d_max": d_max, "r_max": r_max}
     # panel b's gaps are < 0 at x = 0 and > 0 at x = 1: each turns positive at its least root
@@ -189,11 +203,13 @@ def cmd_fig3(d_min: int, d_max: int, r_max: int, out: str) -> int:
 # rfbc-tightness: witness boundary vs spectrum boundary
 
 
-def cmd_rfbc_tightness(d_min: int, d_max: int, r_max: int, out: str) -> int:
-    """Both detectability boundaries of rank-r fidelity witnesses per (d, r),
-    r <= d: the witness curve is where the particular maximally entangled
-    witness starts detecting; the spectrum curve is where detection by any
-    witness becomes possible at all."""
+def cmd_rfbc_tightness(out: str, d_min: int = 3, d_max: int = 10, r_max: int = 4) -> int:
+    """Witness vs spectrum boundaries of rank-r fidelity witnesses per (d, r).
+
+    For the corner family at d in --d-min..--d-max and r up to --r-max and
+    d, writes the CSV --out with columns d, r, x_spectrum_boundary (below
+    it no rank-r fidelity witness detects), x_witness_boundary (above it
+    the maximally entangled witness detects)."""
     d, r = _corner_levels(d_min, d_max, r_max, 0)
     x_spectrum = np.ones(len(d))  # at r = d, the top eigenvalue 1 at x = 1
     x_spectrum[r < d] = _smallest_roots(_spectrum_polys(d[r < d], r[r < d]), 0.0)
@@ -217,19 +233,24 @@ class ExperimentConfig:
     protocol: ProtocolConfig
 
 
-def cmd_rm_experiment(config_path: str, out: str, settings: int | None = None,
-                      shots: int | None = None, exact: bool = False,
-                      seed: int | None = None) -> int:
-    """Build both states, run the protocol, estimate, and certify."""
+def cmd_rm_experiment(config: str, out: str, settings: int | None = None,
+                      shots: int | str | None = None, seed: int | None = None) -> int:
+    """Randomized-measurement pipeline end to end.
+
+    Reads the JSON config --config, {rho, sigma, protocol}, builds both
+    states, simulates the protocol, estimates and certifies.  Writes --out
+    (a JSON report with estimates, standard errors and certified bounds)
+    and OUT.records.jsonl.  --settings, --shots (a count N or "exact", as in
+    the config) and --seed, when given, override the protocol's
+    n_unitaries, shots_per_setting and seed."""
     try:
-        text = Path(config_path).read_text()
+        text = Path(config).read_text()
     except OSError as err:
-        raise ValueError(f"cannot read config {config_path}: {err.strerror}") from err
-    cfg = _from_json(ExperimentConfig, _load_json(text, f"config {config_path}"),
+        raise ValueError(f"cannot read config {config}: {err.strerror}") from err
+    cfg = _from_json(ExperimentConfig, _load_json(text, f"config {config}"),
                      "ExperimentConfig", rho=StateSpec.from_json,
                      sigma=StateSpec.from_json, protocol=ProtocolConfig.from_json)
-    overrides = {"n_unitaries": settings, "seed": seed,
-                 "shots_per_setting": "exact" if exact else shots}
+    overrides = {"n_unitaries": settings, "shots_per_setting": shots, "seed": seed}
     overrides = {k: v for k, v in overrides.items() if v is not None}
     protocol = ProtocolConfig.from_json({**cfg.protocol.to_json(), **overrides})
 
@@ -373,13 +394,15 @@ def _example_inversion_map(report: dict, failures: list) -> None:
 
 
 def cmd_examples(out: str) -> int:
-    """Run every worked example and compare against its reference numbers."""
+    """Run the worked examples against their reference values.
+
+    Writes the JSON report --out; exits 1 if any reference number is missed
+    beyond tolerance."""
     report: dict = {}
     failures: list[str] = []
-    _example_isotropic(report, failures)
-    _example_sn3(report, failures)
-    _example_ghz_thresholds(report, failures)
-    _example_inversion_map(report, failures)
+    for example in (_example_isotropic, _example_sn3, _example_ghz_thresholds,
+                    _example_inversion_map):
+        example(report, failures)
     report["failures"] = failures
     report["ok"] = not failures
     _write_json(out, report)
@@ -395,97 +418,39 @@ def cmd_examples(out: str) -> int:
 
 @functools.cache  # one parser per process: building it costs about 1 ms
 def _build_parser() -> argparse.ArgumentParser:
+    """One subcommand per ``cmd_*`` function (``cmd_rm_experiment`` is
+    ``rm-experiment``), described by its docstring, and one flag per
+    parameter (``r_max`` is ``--r-max``): an int when annotated ``int`` or
+    ``int | None``, else a string, required when it has no default."""
     parser = argparse.ArgumentParser(
-        prog="overlapcert",
-        description="Overlap-ratio certification scans and experiments.",
-    )
+        prog="overlapcert", description="Overlap-ratio certification scans and experiments.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p1 = sub.add_parser(
-        "fig1",
-        help="isotropic-pair detection scan",
-        description="CSV columns: x, y (fidelities of the two isotropic "
-        "states), s_value (overlap ratio), max_r_detected (largest r whose "
-        "inequality is violated, capped at --r-max).",
-    )
-    p1.add_argument("--d", type=int, required=True, help="local dimension")
-    p1.add_argument("--grid", type=int, default=20, help="grid points per axis")
-    p1.add_argument("--r-max", type=int, default=0,
-                    help="cap for the reported detection level (default d)")
-    p1.add_argument("--out", required=True, help="output CSV path")
-
-    p3 = sub.add_parser(
-        "fig3",
-        help="corner-family bands and criterion boundaries",
-        description="Writes OUT.a.csv (columns d, r, x_ratio_boundary, "
-        "x_unfaithful_boundary: the band where the ratio certifies r+1 while "
-        "no rank-r fidelity witness can) and OUT.b.csv (columns d, "
-        "x_ipc_boundary, x_p3ppt_boundary, x_fbc_boundary, x_pc_boundary: "
-        "smallest x detected by each criterion).  The ratio boundary is in "
-        "closed form, the others from one companion eigensolve per degree.",
-    )
-    p3.add_argument("--d-min", type=int, default=3)
-    p3.add_argument("--d-max", type=int, default=10)
-    p3.add_argument("--r-max", type=int, default=5)
-    p3.add_argument("--out", required=True, help="output path prefix")
-
-    pt = sub.add_parser(
-        "rfbc-tightness",
-        help="witness vs spectrum boundaries per (d, r)",
-        description="CSV columns: d, r, x_spectrum_boundary (below it no "
-        "rank-r fidelity witness detects), x_witness_boundary (above it the "
-        "maximally entangled witness detects).",
-    )
-    pt.add_argument("--d-min", type=int, default=3)
-    pt.add_argument("--d-max", type=int, default=10)
-    pt.add_argument("--r-max", type=int, default=4)
-    pt.add_argument("--out", required=True)
-
-    pr = sub.add_parser(
-        "rm-experiment",
-        help="randomized-measurement pipeline end to end",
-        description="Reads a JSON config {rho, sigma, protocol}, simulates "
-        "the protocol, writes OUT (JSON report with estimates, standard "
-        "errors and certified bounds) and OUT.records.jsonl.",
-    )
-    pr.add_argument("--config", required=True, help="JSON config path")
-    pr.add_argument("--out", required=True, help="output report path")
-    pr.add_argument("--settings", type=int, default=None,
-                    help="override number of settings")
-    data = pr.add_mutually_exclusive_group()
-    data.add_argument("--shots", type=int, default=None, help="override shots per setting")
-    data.add_argument("--exact", action="store_true", help="force exact outcome probabilities")
-    pr.add_argument("--seed", type=int, default=None, help="override seed")
-
-    pe = sub.add_parser(
-        "examples",
-        help="run the worked examples against their reference values",
-        description="Writes a JSON report; exits 1 if any reference number "
-        "is missed beyond tolerance.",
-    )
-    pe.add_argument("--out", required=True)
-
+    for name, fn in [(n, f) for n, f in globals().items() if n.startswith("cmd_")]:
+        doc = inspect.getdoc(fn)
+        cmd = sub.add_parser(name[4:].replace("_", "-"), help=doc.partition("\n")[0],
+                             description=doc,
+                             formatter_class=argparse.RawDescriptionHelpFormatter)
+        for p in inspect.signature(fn).parameters.values():
+            default = None if p.default is p.empty else p.default
+            cmd.add_argument("--" + p.name.replace("_", "-"), required=p.default is p.empty,
+                             type=int if p.annotation in ("int", "int | None") else str,
+                             default=default,
+                             help=None if default is None else f"default {default}")
     return parser
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
-    run = {
-        "fig1": lambda: cmd_fig1(args.d, args.grid, args.r_max, args.out),
-        "fig3": lambda: cmd_fig3(args.d_min, args.d_max, args.r_max, args.out),
-        "rfbc-tightness": lambda: cmd_rfbc_tightness(
-            args.d_min, args.d_max, args.r_max, args.out),
-        "rm-experiment": lambda: cmd_rm_experiment(
-            args.config, args.out, args.settings, args.shots, args.exact, args.seed),
-        "examples": lambda: cmd_examples(args.out),
-    }[args.command]
+    args = vars(parser.parse_args(argv))
+    command = args.pop("command")
+    # looked up when called, so a wrapper set in a command's place (a tracer's, say) runs
+    run = globals()["cmd_" + command.replace("-", "_")]
     try:
-        return run()
+        return run(**args)
     except ValueError as err:  # what every check of a flag or a config raises
-        parser.error(f"{args.command}: {err}")
+        parser.error(f"{command}: {err}")
     except OSError as err:  # an output file that cannot be written
-        parser.error(f"{args.command}: cannot write {err.filename}: {err.strerror}")
+        parser.error(f"{command}: cannot write {err.filename}: {err.strerror}")
 
 
 if __name__ == "__main__":

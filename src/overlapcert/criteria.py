@@ -75,7 +75,6 @@ class CriterionVerdict:
 
     criterion: str
     values: dict
-    threshold: float
     detected: bool
     sn_lower_bound: int
 
@@ -148,7 +147,6 @@ def ipc_bound(rho: QState, sigma: QState) -> CriterionVerdict:
             "local_a": ratio.local_a,
             "local_b": ratio.local_b,
         },
-        threshold=1.0,
         detected=bound >= 2,
         sn_lower_bound=bound,
     )
@@ -216,7 +214,6 @@ def reduction_check(rho: QState, r: int = 1) -> CriterionVerdict:
         criterion=f"reduction-r{r}",
         values={"sup": best.sup, "sup_a_side": best.sup_a,
                 "sup_b_side": best.sup_b, "r": float(r)},
-        threshold=float(r),
         detected=detected,
         sn_lower_bound=r + 1 if detected else 1,
     )
@@ -240,15 +237,12 @@ def purity_check(rho: QState) -> CriterionVerdict:
     it detects when the bound is at least 2.
     """
     m, d_a, d_b = _grouped(rho)
-    g, la, lb = _overlaps(m, m, (d_a, d_b), _BIPARTITE_SETS)
-    min_local = min(la, lb)
-    s = _guarded_ratios(g, min_local)
-    bound = min(sn_bound_from_ratio(s), d_a, d_b)
+    ratio = _matrix_ratio(m, m, d_a, d_b)
+    bound = min(sn_bound_from_ratio(ratio.s), d_a, d_b)
     return CriterionVerdict(
         criterion="purity",
-        values={"purity_global": g, "purity_a": la, "purity_b": lb,
-                "purity_ratio": s},
-        threshold=min_local,
+        values={"purity_global": ratio.global_overlap, "purity_a": ratio.local_a,
+                "purity_b": ratio.local_b, "purity_ratio": ratio.s},
         detected=bound >= 2,
         sn_lower_bound=bound,
     )
@@ -275,7 +269,6 @@ def fbc_witness_value(rho: QState, phi: PureVec, r: int = 1) -> CriterionVerdict
         criterion=f"fbc-r{r}",
         values={"witness_value": value, "fidelity": fidelity, "top_r_sum": top_r,
                 "r": float(r)},
-        threshold=0.0,
         detected=detected,
         sn_lower_bound=r + 1 if detected else 1,
     )
@@ -310,7 +303,6 @@ def p3_ppt_check(rho: QState) -> CriterionVerdict:
     return CriterionVerdict(
         criterion="p3-ppt",
         values={"p1": p1, "p2": p2, "p3": p3, "gap": p2 * p2 - p3},
-        threshold=0.0,
         detected=detected,
         sn_lower_bound=2 if detected else 1,
     )

@@ -152,10 +152,11 @@ class Records(Sequence):
         if (off := (settings < 0) | (settings >= n)).any():
             j = int(np.argmax(off))
             raise ValueError(f"record {j}: setting {settings[j]} is not an integer in 0..{n - 1}")
-        seen = np.bincount(settings, minlength=n)
-        for bad, fault in ((seen > 1, "appears more than once"), (seen == 0, "is missing")):
-            if bad.any():
-                raise ValueError(f"setting {int(np.argmax(bad))} {fault}")
+        ordered = np.sort(settings)  # memory of N settings, not of the n_unitaries claimed
+        if (repeated := ordered[1:] == ordered[:-1]).any():
+            raise ValueError(f"setting {ordered[1:][np.argmax(repeated)]} appears more than once")
+        if len(ordered) < n:  # distinct, so each s below the least missing one sits at index s
+            raise ValueError(f"setting {np.sum(ordered == np.arange(len(ordered)))} is missing")
         (names, fault), shots = _data_fields(cfg), cfg.shots_per_setting
         if self.data.dtype != (np.int64 if shots else float) or self.data.shape != (
                 2, n, cfg.d_a * cfg.d_b):

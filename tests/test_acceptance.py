@@ -335,7 +335,7 @@ def test_criterion_11_optimized_ratio_equals_d_times_fef():
 
 def test_criterion_12_corner_boundaries_at_d10(tmp_path):
     out = tmp_path / "fig3"
-    cmd_fig3(10, 10, 1, str(out))
+    cmd_fig3(str(out), d_min=10, d_max=10, r_max=1)
     lines = (tmp_path / "fig3.b.csv").read_text().splitlines()
     row = dict(zip(lines[1].split(","), (float(v) for v in lines[2].split(","))))
     fbc_ok = abs(row["x_fbc_boundary"] - 8.0 / 89.0) < 1e-15

@@ -1,5 +1,6 @@
 """CLI commands: output schemas, reference values, reproducibility."""
 
+import argparse
 import json
 import math
 import re
@@ -98,7 +99,7 @@ def test_fig1_rows_follow_the_bound_rule(tmp_path, r_max):
     # scalar rule of sn_bound_from_ratio, capped at r_max (0 caps at d)
     d, grid = 4, 9
     out = tmp_path / "fig1.csv"
-    cmd_fig1(d, grid, r_max, str(out))
+    cmd_fig1(d, str(out), grid=grid, r_max=r_max)
     lines = [line.split(",") for line in out.read_text().splitlines()[2:]]
     r_cap = r_max or d
     assert len(lines) == grid * grid
@@ -113,10 +114,10 @@ def test_fig1_rows_follow_the_bound_rule(tmp_path, r_max):
 
 def test_fig1_allocates_little_beyond_its_states(tmp_path):
     out = str(tmp_path / "fig1.csv")
-    cmd_fig1(10, 40, 0, out)  # first call: imports and caches stay out of the count
+    cmd_fig1(10, out, grid=40)  # first call: imports and caches stay out of the count
     tracemalloc.start()
     try:
-        cmd_fig1(10, 40, 0, out)
+        cmd_fig1(10, out, grid=40)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -458,10 +459,10 @@ def test_rm_experiment_flag_overrides(tmp_path):
     out = tmp_path / "report.json"
     main([
         "rm-experiment", "--config", str(cfg_path), "--out", str(out),
-        "--exact", "--settings", "80", "--seed", "11",
+        "--shots", "24", "--settings", "80", "--seed", "11",
     ])
     report = json.loads(out.read_text())
-    assert report["protocol"]["shots_per_setting"] == "exact"
+    assert report["protocol"]["shots_per_setting"] == 24
     assert report["protocol"]["n_unitaries"] == 80
     assert report["protocol"]["seed"] == 11
 
@@ -529,6 +530,49 @@ def test_missing_required_flag_exits_2():
     assert err.value.code == 2
 
 
+# Each command's flags, as (type, default, required): the parser takes them
+# from the cmd_* signatures, so an edit there that changes the command line
+# shows here.
+_FLAGS = {
+    "fig1": {"--d": (int, None, True), "--out": (str, None, True),
+             "--grid": (int, 20, False), "--r-max": (int, 0, False)},
+    "fig3": {"--out": (str, None, True), "--d-min": (int, 3, False),
+             "--d-max": (int, 10, False), "--r-max": (int, 5, False)},
+    "rfbc-tightness": {"--out": (str, None, True), "--d-min": (int, 3, False),
+                       "--d-max": (int, 10, False), "--r-max": (int, 4, False)},
+    "rm-experiment": {"--config": (str, None, True), "--out": (str, None, True),
+                      "--settings": (int, None, False), "--shots": (str, None, False),
+                      "--seed": (int, None, False)},
+    "examples": {"--out": (str, None, True)},
+}
+
+
+def _subcommands():
+    return next(a for a in cli._build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def test_command_flags():
+    commands = _subcommands()
+    assert list(commands) == list(_FLAGS)
+    for name, expected in _FLAGS.items():
+        assert {a.option_strings[0]: (a.type, a.default, a.required)
+                for a in commands[name]._actions if a.dest != "help"} == expected
+
+
+@pytest.mark.parametrize("name,flags", [
+    ("fig1", ["--d", "2", "--grid", "2"]),
+    ("fig3", ["--d-max", "3", "--r-max", "1"]),
+    ("rfbc-tightness", ["--d-max", "3", "--r-max", "1"]),
+])
+def test_help_names_each_csv_column(tmp_path, name, flags):
+    assert main([name, *flags, "--out", str(tmp_path / "out")]) == 0
+    help_text = _subcommands()[name].format_help()
+    for csv in tmp_path.iterdir():
+        for column in csv.read_text().splitlines()[1].split(","):
+            assert re.search(rf"\b{column}\b", help_text), (csv.name, column)
+
+
 def test_main_reuses_one_parser_as_a_fresh_one_would_parse(tmp_path, capsys):
     # main builds its parser once per process; calls with other commands and
     # a bad flag in between parse and fail as a fresh parser does
@@ -585,17 +629,21 @@ def test_fig1_negative_r_max_exits_2(tmp_path, capsys):
     assert '"r_max": 3' in out.read_text().splitlines()[0]
 
 
-def test_rm_experiment_exact_and_shots_exit_2(tmp_path, capsys):
-    # both flags used to run exact mode and report "shots_per_setting": "exact"
+def test_rm_experiment_shots_flag_is_a_count_or_exact(tmp_path, capsys):
+    # --shots takes the config's own spelling, read by the config's parser
     cfg_path = tmp_path / "cfg.json"
     write_rm_config(cfg_path, settings=4, shots=8)
     out = tmp_path / "report.json"
-    with pytest.raises(SystemExit) as err:
-        main(["rm-experiment", "--config", str(cfg_path), "--out", str(out),
-              "--exact", "--shots", "50"])
-    assert err.value.code == 2
-    assert "argument --shots: not allowed with argument --exact" in capsys.readouterr().err
-    assert not out.exists()
+    argv = ["rm-experiment", "--config", str(cfg_path), "--out", str(out), "--shots"]
+    for bad in ("0", "1.5", "abc"):
+        with pytest.raises(SystemExit) as err:
+            main(argv + [bad])
+        assert err.value.code == 2
+        text = capsys.readouterr().err
+        assert "error: rm-experiment: " in text and "shots_per_setting" in text
+        assert list(tmp_path.iterdir()) == [cfg_path]
+    assert main(argv + ["exact"]) == 0
+    assert json.loads(out.read_text())["protocol"]["shots_per_setting"] == "exact"
 
 
 @pytest.mark.parametrize("edit,message", [

@@ -1134,6 +1134,9 @@ def _set(line, key, value):
     (50, lambda ls: ls[1].pop("rho_counts"), f"record 0: rho_counts {_OFF}"),
     (50, _set(3, "setting", 1), "setting 1 appears more than once"),
     (50, lambda ls: ls.pop(2), "setting 1 is missing"),
+    # the settings are checked against the file, not counted up to the header's claim
+    (50, lambda ls: (ls.pop(), ls[0]["protocol"].update(n_unitaries=10**12)),
+     "^setting 2 is missing$"),
     (50, _set(3, "setting", 3), r"record 2: setting 3 is not an integer in 0..2"),
     (50, _set(3, "setting", True), f"record 2: setting {_OFF}"),
     (None, _set(0, "protocol", {"local_dim": 2, "m": 1, "n": 1}),
@@ -1161,7 +1164,8 @@ def _set(line, key, value):
      r"^records header: unknown keys \['junk'\]; allowed keys are \['protocol'\]$"),
 ], ids=["probs-length", "probs-missing", "unitaries-count", "unitary-length",
         "count-sum", "count-not-integer", "counts-not-object", "counts-missing",
-        "setting-repeated", "setting-missing", "setting-past-range", "setting-not-integer",
+        "setting-repeated", "setting-missing", "header-claims-more-settings",
+        "setting-past-range", "setting-not-integer",
         "header-key-missing", "header-not-integer", "header-negative-seed", "probs-nan",
         "probs-negative", "probs-sum", "unitary-inf", "unitary-nan-shots",
         "probs-unknown-key", "probs-shot-mode-key", "header-unknown-key",
