@@ -9,7 +9,6 @@ x, and lower is better.
 from overlapcert import (
     corner_fbc_psi_boundary,
     corner_isotropic,
-    corner_isotropic_closed_forms,
     extract_ipc_witness,
     fbc_spectrum_bound,
     fbc_witness_value,
@@ -36,7 +35,6 @@ for x in (0.02, 0.1, 0.2, 0.3, 0.5, 0.8):
 
 print()
 print("closed-form thresholds in x:")
-forms = corner_isotropic_closed_forms(d, 0.5)
 print(f"  ratio criterion : 0 (every x > 0 is detected)")
 print(f"  fidelity witness: {corner_fbc_psi_boundary(d, 1):.4f}")
 

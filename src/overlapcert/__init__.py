@@ -34,7 +34,6 @@ from .multipartite import (
     MultiVerdict,
     apply_lambda_map,
     bipartitions,
-    lambda_map_value,
     lambda_map_verdict,
     multipartite_ipc,
 )
@@ -44,7 +43,6 @@ from .qmat import (
     SchmidtDecomp,
     embed_operator,
     hs_inner,
-    partial_trace,
     partial_trace_matrix,
     partial_transpose_matrix,
     permute_subsystems_matrix,

@@ -43,10 +43,10 @@ from .qmat import (
 DEFAULT_TOL = 1e-9
 
 
-def _level(r, name: str = "r", least: int = 1) -> int:
-    """``r`` as an integer >= ``least``, numpy's too, not a bool; ``name`` names it."""
-    if isinstance(r, bool) or not isinstance(r, (int, np.integer)) or r < least:
-        raise ValueError(f"{name} must be an integer >= {least}, not {r!r}")
+def _level(r) -> int:
+    """``r`` as an integer >= 1, numpy's too, not a bool."""
+    if isinstance(r, bool) or not isinstance(r, (int, np.integer)) or r < 1:
+        raise ValueError(f"r must be an integer >= 1, not {r!r}")
     return int(r)
 
 
@@ -73,7 +73,6 @@ class OverlapRatio:
 class CriterionVerdict:
     """Outcome of one criterion applied to one state (or state pair)."""
 
-    criterion: str
     values: dict
     detected: bool
     sn_lower_bound: int
@@ -138,7 +137,6 @@ def ipc_bound(rho: QState, sigma: QState) -> CriterionVerdict:
     ratio = overlap_ratio(rho, sigma)
     bound = min(sn_bound_from_ratio(ratio.s), *rho.dims)
     return CriterionVerdict(
-        criterion="ipc",
         values={
             "s": ratio.s,
             "s_a": ratio.s_a,
@@ -211,7 +209,6 @@ def reduction_check(rho: QState, r: int = 1) -> CriterionVerdict:
     best = partner_sup(rho)
     detected = best.certificate(r) is not None
     return CriterionVerdict(
-        criterion=f"reduction-r{r}",
         values={"sup": best.sup, "sup_a_side": best.sup_a,
                 "sup_b_side": best.sup_b, "r": float(r)},
         detected=detected,
@@ -240,7 +237,6 @@ def purity_check(rho: QState) -> CriterionVerdict:
     ratio = _matrix_ratio(m, m, d_a, d_b)
     bound = min(sn_bound_from_ratio(ratio.s), d_a, d_b)
     return CriterionVerdict(
-        criterion="purity",
         values={"purity_global": ratio.global_overlap, "purity_a": ratio.local_a,
                 "purity_b": ratio.local_b, "purity_ratio": ratio.s},
         detected=bound >= 2,
@@ -266,7 +262,6 @@ def fbc_witness_value(rho: QState, phi: PureVec, r: int = 1) -> CriterionVerdict
     value = top_r - fidelity
     detected = value < -DEFAULT_TOL
     return CriterionVerdict(
-        criterion=f"fbc-r{r}",
         values={"witness_value": value, "fidelity": fidelity, "top_r_sum": top_r,
                 "r": float(r)},
         detected=detected,
@@ -287,21 +282,19 @@ def fbc_spectrum_bound(rho: QState, r: int = 1) -> bool:
     return lam_max <= max(r / d_a, r / d_b) + DEFAULT_TOL
 
 
-def pt_moments(rho: QState, k_max: int = 3) -> list[float]:
-    """Moments p_k = Tr[(rho^T_A)^k] for k = 1 .. k_max."""
-    k_max = _level(k_max, "k_max", 2)
+def pt_moments(rho: QState) -> list[float]:
+    """Moments p_k = Tr[(rho^T_A)^k] for k = 1, 2, 3."""
     m, d_a, d_b = _grouped(rho)
     pt = partial_transpose_matrix(m, (d_a, d_b), [0])
     eigs = np.linalg.eigvalsh(pt)
-    return [float(np.sum(eigs**k)) for k in range(1, k_max + 1)]
+    return [float(np.sum(eigs**k)) for k in (1, 2, 3)]
 
 
 def p3_ppt_check(rho: QState) -> CriterionVerdict:
     """Third-moment partial-transpose test: separable states obey p2^2 <= p3."""
-    p1, p2, p3 = pt_moments(rho, 3)
+    p1, p2, p3 = pt_moments(rho)
     detected = p2 * p2 > p3 + DEFAULT_TOL
     return CriterionVerdict(
-        criterion="p3-ppt",
         values={"p1": p1, "p2": p2, "p3": p3, "gap": p2 * p2 - p3},
         detected=detected,
         sn_lower_bound=2 if detected else 1,

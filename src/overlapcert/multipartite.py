@@ -121,23 +121,9 @@ def _lambda_r_op(overlaps) -> int:
     return r_op
 
 
-def lambda_map_value(rho: QState, sigma: QState, r: int = 1) -> float:
-    """Inner product <L(rho), sigma> of the tripartite inversion map.
-
-    L = (Tr_A(.) x 1_A - id/r) x (Tr_B(.) x 1_B + id) x id_C, evaluated
-    through the closed form
-
-        <rho_C, sigma_C> + <rho_BC, sigma_BC>
-            - (1/r) <rho_AC, sigma_AC> - (1/r) <rho, sigma>,
-
-    which is symmetric under swapping the roles of rho and sigma.
-    """
-    r = _level(r)
-    return _lambda_value(_lambda_overlaps(rho, sigma), r)
-
-
 def apply_lambda_map(rho: QState, r: int = 1) -> np.ndarray:
-    """Explicit matrix of L(rho); the closed form above is its cheap twin."""
+    """Explicit matrix of L(rho); the closed form of
+    :func:`lambda_map_verdict` is its cheap twin."""
     r = _level(r)
     dims = _three_party(rho)
     rho_c, rho_bc, rho_ac = _reductions(rho.matrix, dims, _LAMBDA_SETS[:3])
@@ -178,7 +164,15 @@ class LambdaMapVerdict:
 def lambda_map_verdict(rho: QState, sigma: QState, r: int = 1) -> LambdaMapVerdict:
     """Evaluate the map at level r and report the detection disjunction.
 
-    The conclusion applies to both input states.  ``r_op`` is found by
+    The value is the inner product <L(rho), sigma> of the tripartite
+    inversion map L = (Tr_A(.) x 1_A - id/r) x (Tr_B(.) x 1_B + id) x id_C,
+    evaluated through the closed form
+
+        <rho_C, sigma_C> + <rho_BC, sigma_BC>
+            - (1/r) <rho_AC, sigma_AC> - (1/r) <rho, sigma>,
+
+    which is symmetric under swapping the roles of rho and sigma.  The
+    conclusion applies to both input states.  ``r_op`` is found by
     scanning upward: the value is increasing in r, so detection at some
     level implies detection at all lower levels.
     """

@@ -13,6 +13,7 @@ from __future__ import annotations
 import inspect
 import json
 import math
+import re
 from collections import Counter
 from dataclasses import dataclass
 
@@ -37,13 +38,19 @@ def _as_dims(dims) -> tuple[int, ...]:
     return out
 
 
+# JSON's integer and number grammars in ASCII digits; int() and float() also
+# read spaces, underscores, a plus sign and the digits of any script
+_NUMBER_TEXT = {int: re.compile("-?(0|[1-9][0-9]*)"),
+                float: re.compile("-?(0|[1-9][0-9]*)([.][0-9]+)?([eE][-+]?[0-9]+)?")}
+
+
 def _json_number(owner: str, key: str, value, kind=int):
-    """``value`` as ``kind``, never from a bool: an int from an integral
-    number or a decimal string (not 2.5), a float from any number or string."""
+    """``value`` as ``kind``, never from a bool: an int from an integral number or
+    a JSON integer string (not 2.5), a float from any number or JSON number string."""
     try:
         out = kind(value)
-        if not isinstance(value, bool) and (kind is float or isinstance(value, str)
-                                            or out == value):
+        if (_NUMBER_TEXT[kind].fullmatch(value) if isinstance(value, str) else
+                not isinstance(value, bool) and (kind is float or out == value)):
             return out
     except (TypeError, ValueError, OverflowError):
         pass
@@ -123,9 +130,6 @@ class QState:
     @property
     def dim(self) -> int:
         return math.prod(self.dims)
-
-    def purity(self) -> float:
-        return hs_inner(self.matrix, self.matrix)
 
 
 @dataclass(frozen=True)
@@ -258,13 +262,6 @@ def partial_trace_matrix(m: np.ndarray, dims, keep) -> np.ndarray:
     if not keep:
         raise ValueError("cannot trace out every subsystem")
     return _reductions(m, dims, [keep])[0]
-
-
-def partial_trace(state: QState, keep) -> QState:
-    """Reduced state on the kept subsystems ``keep``, Tr over the rest."""
-    keep = _subsystems(keep, state.dims, "kept indices")
-    reduced = partial_trace_matrix(state.matrix, state.dims, keep)
-    return QState(tuple(state.dims[i] for i in keep), reduced)
 
 
 def _permuted(m: np.ndarray, dims: tuple[int, ...], perm: list) -> np.ndarray:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qmat import (PureVec, QState, _from_json, _json_number, _pure_plus_noise,
+from .qmat import (PureVec, QState, _as_dims, _from_json, _json_number, _pure_plus_noise,
                    schmidt_decompose)
 
 
@@ -152,23 +152,23 @@ def verifier_state(v: PureVec) -> PureVec:
 
 def random_pure(dims, seed: int) -> PureVec:
     """Haar-random pure state via a normalized complex Gaussian vector."""
-    rng = np.random.default_rng(seed)
-    total = math.prod(int(d) for d in dims)
+    dims, rng = _as_dims(dims), np.random.default_rng(seed)  # dims checked before a draw
+    total = math.prod(dims)
     v = rng.standard_normal(total) + 1j * rng.standard_normal(total)
-    return PureVec(tuple(dims), v / np.linalg.norm(v))
+    return PureVec(dims, v / np.linalg.norm(v))
 
 
 def random_mixed(dims, rank: int | None = None, seed: int = 0) -> QState:
     """Random density matrix G G^dag / Tr of the requested rank (Ginibre)."""
-    rng = np.random.default_rng(seed)
-    total = math.prod(int(d) for d in dims)
+    dims, rng = _as_dims(dims), np.random.default_rng(seed)  # dims checked before a draw
+    total = math.prod(dims)
     if rank is None:
         rank = total
     if not 1 <= rank <= total:
         raise ValueError(f"rank {rank} outside [1, {total}]")
     g = rng.standard_normal((total, rank)) + 1j * rng.standard_normal((total, rank))
     m = g @ g.conj().T
-    return QState(tuple(dims), m / np.trace(m).real)
+    return QState(dims, m / np.trace(m).real)
 
 
 def _verifier_of(base: dict) -> PureVec:

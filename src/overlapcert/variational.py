@@ -45,6 +45,11 @@ from .states import max_entangled
 # stalls on the hidden-rotation recoveries.
 ARMIJO = 0.3
 
+# An ascent stops once a step gains at most GAIN_TOL times the objective's
+# size, when no step along the gradient gains at all, or after MAX_ITERS steps.
+MAX_ITERS = 300
+GAIN_TOL = 1e-12
+
 # Relative slack on a partner-supremum bound: the computed value and the
 # computed bound each carry rounding errors, so an ascent may end a few
 # ulps above the bound it cannot exceed in exact arithmetic.
@@ -53,25 +58,14 @@ BOUND_SLACK = 1e-13
 
 @dataclass(frozen=True)
 class OptConfig:
-    """Ascent settings: restart count, step budget, stopping tolerance, seed.
-
-    An ascent stops when one step improves its objective by no more than
-    ``tol`` times the objective's size, when no step along the gradient
-    improves it at all, or after ``max_iters`` steps.
-    """
+    """Ascent settings: the number of starts and the seed of their draws."""
 
     restarts: int = 8
-    max_iters: int = 300
-    tol: float = 1e-12
     seed: int = 0
 
     def __post_init__(self):
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        if not 0.0 <= self.tol < math.inf:  # a nan tol would let no end point count
-            raise ValueError(f"tol must be finite and >= 0, not {self.tol!r}")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 
@@ -89,7 +83,6 @@ class OptResult:
     value: float
     params: tuple[np.ndarray, np.ndarray]
     trajectory: tuple[float, ...]
-    restarts: int
     converged: bool
     bound: float
 
@@ -151,20 +144,20 @@ def _cayley(a: np.ndarray) -> np.ndarray:
     return np.linalg.solve(eye - half, eye + half)
 
 
-def _ascend(evaluate, factors, rotate, cfg: OptConfig):
+def _ascend(evaluate, factors, rotate):
     """One steepest ascent of the objective ``evaluate`` over the factors
     listed in ``rotate``; only an accepted point's gradient is computed.
 
     Returns the final factors, the objective after each accepted step
     (starting value first) and whether the ascent stopped before
-    ``cfg.max_iters`` steps.
+    ``MAX_ITERS`` steps.
     """
     # two rotated factors of one dimension step, and end, as one (2, d, d) stack
     stacked = len(rotate) == 2 and factors[0].shape == factors[1].shape
     factors = np.stack(factors) if stacked else list(factors)
     (f, grad), t = evaluate(factors), 1.0
     trajectory = [f]
-    for _ in range(cfg.max_iters):
+    for _ in range(MAX_ITERS):
         grads = grad()
         sq_norm = sum(float(np.vdot(grads[k], grads[k]).real) for k in rotate)
         if sq_norm == 0.0:
@@ -189,7 +182,7 @@ def _ascend(evaluate, factors, rotate, cfg: OptConfig):
             moved, f_moved, grad_moved, enough = trial(t)
         gain, factors, f, grad = f_moved - f, moved, f_moved, grad_moved
         trajectory.append(f)
-        if gain <= cfg.tol * abs(f):
+        if gain <= GAIN_TOL * abs(f):
             return factors, trajectory, True
     return factors, trajectory, False
 
@@ -199,9 +192,9 @@ def _maximize(objectives, bounds, dims, rotate, cfg: OptConfig) -> OptResult:
 
     The starts are the identity and ``cfg.restarts - 1`` Haar draws of the
     rotated factors.  As within one ascent, an end point replaces the best
-    so far only when it improves on it by more than ``cfg.tol`` relative.
+    so far only when it improves on it by more than ``GAIN_TOL`` relative.
     ``bounds`` holds an upper bound on each objective; once the best value
-    is within ``cfg.tol`` of one, no ascent of that objective could replace
+    is within ``GAIN_TOL`` of one, no ascent of that objective could replace
     it, and the remaining ones are skipped.
     """
     rng = np.random.default_rng(cfg.seed)
@@ -215,18 +208,17 @@ def _maximize(objectives, bounds, dims, rotate, cfg: OptConfig) -> OptResult:
     for start in starts:
         for evaluate, bound in zip(objectives, bounds):
             if best is not None and (bound * (1.0 + BOUND_SLACK) - best[1][-1]
-                                     <= cfg.tol * abs(best[1][-1])):
+                                     <= GAIN_TOL * abs(best[1][-1])):
                 continue
-            factors, trajectory, converged = _ascend(evaluate, start, rotate, cfg)
+            factors, trajectory, converged = _ascend(evaluate, start, rotate)
             gain = math.inf if best is None else trajectory[-1] - best[1][-1]
-            if gain > cfg.tol * abs(trajectory[-1]):
+            if gain > GAIN_TOL * abs(trajectory[-1]):
                 best = factors, trajectory, converged
     factors, trajectory, converged = best
     return OptResult(
         value=trajectory[-1],
         params=tuple(factors),
         trajectory=tuple(trajectory),  # accepted steps only ever increase it
-        restarts=cfg.restarts,
         converged=converged,
         bound=max(bounds),
     )

@@ -31,7 +31,7 @@ from overlapcert import (
     hs_inner,
     ipc_bound,
     isotropic,
-    lambda_map_value,
+    lambda_map_verdict,
     multipartite_ipc,
     overlap_ratio,
     p3_ppt_check,
@@ -105,7 +105,7 @@ def test_criterion_04_moment_gap_polynomial():
     worst = 0.0
     for d in range(3, 7):
         for x in np.arange(0.05, 0.951, 0.05):
-            p = pt_moments(corner_isotropic(d, float(x)), 3)
+            p = pt_moments(corner_isotropic(d, float(x)))
             gap = p[1] ** 2 - p[2]
             poly = corner_isotropic_closed_forms(d, float(x))["p2sq_minus_p3"]
             worst = max(worst, abs(gap - poly))
@@ -229,7 +229,7 @@ def test_criterion_09a_inversion_map_closed_vs_explicit():
         for p in np.linspace(0.0, 1.0, 6):
             rho = ghz_noisy(3, d, float(p))
             for r in (1, 2, 3):
-                closed = lambda_map_value(rho, sig, r)
+                closed = lambda_map_verdict(rho, sig, r).value
                 explicit = hs_inner(apply_lambda_map(rho, r), sig.matrix)
                 worst = max(worst, abs(closed - explicit))
     report("criterion 9a (inversion map closed form vs explicit matrix)",

@@ -19,7 +19,6 @@ from overlapcert import (
     ghz_noisy,
     ghz_pure,
     hs_inner,
-    lambda_map_value,
     lambda_map_verdict,
     multipartite_ipc,
     overlap_ratio,
@@ -496,7 +495,7 @@ def test_inversion_map_example_matches_the_per_point_evaluation():
             rho = ghz_noisy(3, d, p)
             for r in (1, 2, 3):
                 explicit = hs_inner(apply_lambda_map(rho, r), sig.matrix)
-                worst = max(worst, abs(lambda_map_value(rho, sig, r) - explicit))
+                worst = max(worst, abs(lambda_map_verdict(rho, sig, r).value - explicit))
         for p in (0.8, 0.9, 0.95, 0.99):
             levels.append((d, p, lambda_map_verdict(ghz_noisy(3, d, p), sig, 1).r_op))
     got = report["inversion_map"]

@@ -13,7 +13,6 @@ from overlapcert import (
     ghz_noisy,
     ghz_pure,
     hs_inner,
-    lambda_map_value,
     lambda_map_verdict,
     multipartite_ipc,
     permute_subsystems_matrix,
@@ -137,7 +136,7 @@ def test_lambda_closed_form_matches_explicit_matrix():
         rho = random_mixed(dims, seed=int(rng.integers(1 << 30)))
         sig = random_mixed(dims, seed=int(rng.integers(1 << 30)))
         for r in (1, 2, 3):
-            closed = lambda_map_value(rho, sig, r)
+            closed = lambda_map_verdict(rho, sig, r).value
             explicit = hs_inner(apply_lambda_map(rho, r), sig.matrix)
             assert abs(closed - explicit) < 1e-10
 
@@ -157,7 +156,7 @@ def test_lambda_symmetry_between_arguments():
     for _ in range(5):
         rho = random_mixed((2, 2, 2), seed=int(rng.integers(1 << 30)))
         sig = random_mixed((2, 2, 2), seed=int(rng.integers(1 << 30)))
-        lhs = lambda_map_value(rho, sig, 2)
+        lhs = lambda_map_verdict(rho, sig, 2).value
         rhs = hs_inner(rho.matrix, apply_lambda_map(sig, 2))
         assert abs(lhs - rhs) < 1e-10
 
@@ -174,7 +173,7 @@ def test_lambda_noisy_ghz_closed_form():
                 pure_part = 2.0 / d - (1.0 / r) * (1.0 / d + 1.0)
                 noise_part = (1.0 / d) * (1.0 + 1.0 / d) * (1.0 - 1.0 / (r * d))
                 expect = p * pure_part + (1 - p) * noise_part
-                assert abs(lambda_map_value(rho, sig, r) - expect) < 1e-12
+                assert abs(lambda_map_verdict(rho, sig, r).value - expect) < 1e-12
                 explicit = hs_inner(apply_lambda_map(rho, r), sig.matrix)
                 assert abs(explicit - expect) < 1e-12
 
@@ -182,7 +181,7 @@ def test_lambda_noisy_ghz_closed_form():
 def test_lambda_requires_three_parties():
     rho = random_mixed((2, 2), seed=0)
     with pytest.raises(ValueError, match="three"):
-        lambda_map_value(rho, rho, 1)
+        lambda_map_verdict(rho, rho, 1).value
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +191,7 @@ def test_lambda_requires_three_parties():
 def brute_r_op(rho, sig, cap=64):
     out = 0
     for r in range(1, cap):
-        if lambda_map_value(rho, sig, r) < -EPS:
+        if lambda_map_verdict(rho, sig, r).value < -EPS:
             out = r
         else:
             break
@@ -251,4 +250,4 @@ def test_product_structures_never_negative():
             m_a = random_mixed((d,), seed=int(rng.integers(1 << 30))).matrix
             m = np.kron(m_a, m_bc)
         rho = QState(dims, m)
-        assert lambda_map_value(rho, sig, 1) >= -EPS
+        assert lambda_map_verdict(rho, sig, 1).value >= -EPS

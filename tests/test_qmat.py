@@ -1,5 +1,7 @@
 """Core linear-algebra operations against independent oracles."""
 
+import contextlib
+import io
 import json
 import math
 import re
@@ -12,7 +14,6 @@ from overlapcert import (
     QState,
     embed_operator,
     hs_inner,
-    partial_trace,
     partial_trace_matrix,
     partial_transpose_matrix,
     permute_subsystems_matrix,
@@ -23,7 +24,8 @@ from overlapcert.multipartite import bipartitions
 from overlapcert.multipartite import apply_lambda_map
 from overlapcert.qmat import (_from_json, _load_json, _overlap_table, _overlaps, _reductions,
                               _trace_product)
-from overlapcert.randomized import ProtocolConfig
+from overlapcert.cli import main
+from overlapcert.randomized import ProtocolConfig, read_records, run_protocol, write_records
 from overlapcert.states import (StateSpec, build_density, ghz_noisy, isotropic,
                                 max_entangled, random_mixed, random_pure)
 from overlapcert.variational import OptConfig, _objective
@@ -159,8 +161,8 @@ def test_tensor_rejects_mixed_kinds():
 def test_partial_trace_max_entangled_gives_white_noise():
     for d in (2, 3, 4):
         rho = max_entangled(d).projector()
-        red = partial_trace(rho, (0,))
-        np.testing.assert_allclose(red.matrix, np.eye(d) / d, atol=1e-12)
+        red = partial_trace_matrix(rho.matrix, rho.dims, (0,))
+        np.testing.assert_allclose(red, np.eye(d) / d, atol=1e-12)
 
 
 def test_partial_trace_product_marginal():
@@ -168,10 +170,10 @@ def test_partial_trace_product_marginal():
     sig = random_mixed((2,), seed=6)
     joint = tensor(rho, sig)
     np.testing.assert_allclose(
-        partial_trace(joint, (0,)).matrix, rho.matrix, atol=1e-12
+        partial_trace_matrix(joint.matrix, joint.dims, (0,)), rho.matrix, atol=1e-12
     )
     np.testing.assert_allclose(
-        partial_trace(joint, (1,)).matrix, sig.matrix, atol=1e-12
+        partial_trace_matrix(joint.matrix, joint.dims, (1,)), sig.matrix, atol=1e-12
     )
 
 
@@ -180,11 +182,11 @@ def test_partial_trace_corner_isotropic_reduction():
     from overlapcert.states import corner_isotropic
 
     d, x = 5, 0.37
-    red = partial_trace(corner_isotropic(d, x), (1,))
+    red = partial_trace_matrix(corner_isotropic(d, x).matrix, (d, d), (1,))
     expect = np.zeros((d, d))
     expect[: d - 1, : d - 1] = (1 - x) / (d - 1) * np.eye(d - 1)
     expect += x / d * np.eye(d)
-    np.testing.assert_allclose(red.matrix, expect, atol=1e-12)
+    np.testing.assert_allclose(red, expect, atol=1e-12)
 
 
 def test_partial_trace_preserves_trace_many_cuts():
@@ -194,14 +196,14 @@ def test_partial_trace_preserves_trace_many_cuts():
         n = len(dims)
         for k in range(1, 2**n - 1):
             kept = tuple(i for i in range(n) if k >> i & 1)
-            red = partial_trace(s, kept)
-            assert abs(np.trace(red.matrix) - 1) < 1e-10
+            red = partial_trace_matrix(s.matrix, dims, kept)
+            assert abs(np.trace(red) - 1) < 1e-10
 
 
 def test_partial_trace_bad_index():
     s = random_mixed((2, 2), seed=0)
     with pytest.raises(ValueError):
-        partial_trace(s, (0, 5))
+        partial_trace_matrix(s.matrix, s.dims, (0, 5))
 
 
 # ---------------------------------------------------------------------------
@@ -523,8 +525,6 @@ def test_embed_operator_is_bit_identical_to_kron(dims):
 _INDEX_TAKERS = {
     "partial_trace_matrix": ("kept indices",
                              lambda ix: partial_trace_matrix(np.eye(4) / 4, (2, 2), ix)),
-    "partial_trace": ("kept indices",
-                      lambda ix: partial_trace(random_mixed((2, 2), seed=0), ix)),
     "partial_transpose_matrix": ("indices",
                                  lambda ix: partial_transpose_matrix(np.eye(4), (2, 2), ix)),
     "embed_operator": ("positions", lambda ix: embed_operator(np.eye(2), (2, 2), ix)),
@@ -565,9 +565,9 @@ def test_permuted_subsystems_group_a_noncontiguous_cut():
         np.linalg.eigvalsh(grouped.matrix), np.linalg.eigvalsh(s.matrix), atol=1e-12
     )
     # the kept-side marginal matches the direct partial trace
-    direct = partial_trace(s, (0, 2))
-    via_view = partial_trace(grouped, (0,))
-    np.testing.assert_allclose(via_view.matrix, direct.matrix, atol=1e-12)
+    direct = partial_trace_matrix(s.matrix, s.dims, (0, 2))
+    via_view = partial_trace_matrix(grouped.matrix, grouped.dims, (0,))
+    np.testing.assert_allclose(via_view, direct, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -576,13 +576,13 @@ def test_permuted_subsystems_group_a_noncontiguous_cut():
 
 @pytest.mark.parametrize("cls,obj,key", [
     (OptConfig, {}, "restarts"),
-    (OptConfig, {}, "max_iters"),
+    (ProtocolConfig, {"m": 1, "n": 1, "n_unitaries": 4}, "local_dim"),
     (OptConfig, {}, "seed"),
     (StateSpec, {"family": "example3"}, "seed"),
 ])
 @pytest.mark.parametrize("value", [2.7, True, "x", None, [3]])
 def test_integer_fields_take_only_integers(cls, obj, key, value):
-    # the one parser, on two dataclasses with int fields (OptConfig has no
+    # the one parser, on three dataclasses with int fields (OptConfig has no
     # JSON form of its own)
     with pytest.raises(ValueError, match=f"{cls.__name__}: {key} must be an "
                                          f"integer, not {re.escape(repr(value))}"):
@@ -594,6 +594,67 @@ def test_integer_fields_take_integral_numbers_and_decimal_strings():
                                      "n_unitaries": "40", "seed": 2}) \
         == ProtocolConfig(local_dim=2, m=1, n=1, n_unitaries=40, seed=2)
     assert StateSpec.from_json({"family": "example3", "seed": "4"}).seed == 4
+
+
+def _records_header(text, tmp_path):
+    """A 24-setting records file whose header gives n_unitaries as ``text``, read."""
+    cfg = ProtocolConfig(local_dim=2, m=1, n=1, n_unitaries=24, seed=1)
+    path = tmp_path / "records.jsonl"
+    write_records(path, cfg, run_protocol(isotropic(2, 0.9), isotropic(2, 1.0), cfg))
+    header, *lines = path.read_text().splitlines(keepends=True)
+    header = json.loads(header)
+    header["protocol"]["n_unitaries"] = text
+    path.write_text(json.dumps(header) + "\n" + "".join(lines))
+    read_records(path)
+
+
+def _shots_flag(text, tmp_path):
+    """``rm-experiment --shots TEXT`` on a 1+1-qubit config; its exit-2
+    message is raised as a ValueError."""
+    config = tmp_path / "rm.json"
+    config.write_text(json.dumps({
+        "rho": {"family": "isotropic", "params": {"d": 2, "x": 0.9}},
+        "sigma": {"family": "isotropic", "params": {"d": 2, "x": 1.0}},
+        "protocol": {"local_dim": 2, "m": 1, "n": 1, "n_unitaries": 4}}))
+    err = io.StringIO()
+    try:
+        with contextlib.redirect_stderr(err):
+            main(["rm-experiment", "--config", str(config), "--out",
+                  str(tmp_path / "rm-report.json"), "--shots", text])
+    except SystemExit as stop:
+        assert stop.code == 2
+        raise ValueError(err.getvalue().rstrip("\n").partition("rm-experiment: ")[2]) from None
+
+
+# each site that reads a number from outside: the kind it reads, the owner and
+# key its fault names, and a read of one number given as text
+_NUMBER_SITES = {
+    "config-field": (int, "ProtocolConfig: n_unitaries",
+                     lambda t, tmp: ProtocolConfig.from_json(
+                         {"local_dim": 2, "m": 1, "n": 1, "n_unitaries": t})),
+    "int-param": (int, "StateSpec isotropic: d",
+                  lambda t, tmp: StateSpec("isotropic", {"d": t, "x": 0.5}).build()),
+    "float-param": (float, "StateSpec isotropic: x",
+                    lambda t, tmp: StateSpec("isotropic", {"d": 3, "x": t}).build()),
+    "dims-entry": (int, "StateSpec random-pure: dims",
+                   lambda t, tmp: StateSpec("random-pure", {"dims": [2, t]}).build()),
+    "records-header": (int, "ProtocolConfig: n_unitaries", _records_header),
+    "shots-flag": (int, "ProtocolConfig: shots_per_setting", _shots_flag),
+}
+
+
+@pytest.mark.parametrize("site", list(_NUMBER_SITES))
+def test_number_strings_follow_the_json_number_grammar(site, tmp_path):
+    # int() and float() read spaces, underscores, a plus sign and digits of
+    # any script: "1_0", " 3 ", "+3" and "٣" were read as 10, 3, 3 and 3
+    kind, owner_key, read = _NUMBER_SITES[site]
+    good, bad, noun = (("24", ("1_0", " 3 ", "+3", "\u0663"), "an integer") if kind is int
+                       else ("0.5", (" 0.5 ", "1_0e-1", "+0.5", "\u0660.\u0665"), "a number"))
+    for text in bad:
+        message = f"{owner_key} must be {noun}, not {text!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            read(text, tmp_path)
+    read(good, tmp_path)
 
 
 def test_float_field_rejects_bool_and_text():

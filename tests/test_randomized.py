@@ -25,6 +25,7 @@ from overlapcert import (
     hs_inner,
     isotropic,
     max_entangled,
+    partial_trace_matrix,
     random_mixed,
     random_pure,
     randomized,
@@ -443,15 +444,10 @@ def test_exact_mode_estimates_match_ground_truth_all_parts():
     sig = random_mixed((2, 2), seed=32)
     cfg = ProtocolConfig(local_dim=2, m=1, n=1, n_unitaries=2000, seed=24)
     est = estimate_overlaps(run_protocol(rho, sig, cfg), cfg)
-    from overlapcert import partial_trace
-
     truth_ab = hs_inner(rho, sig)
-    truth_a = hs_inner(
-        partial_trace(rho, (0,)), partial_trace(sig, (0,))
-    )
-    truth_b = hs_inner(
-        partial_trace(rho, (1,)), partial_trace(sig, (1,))
-    )
+    truth_a, truth_b = (hs_inner(partial_trace_matrix(rho.matrix, rho.dims, [x]),
+                                 partial_trace_matrix(sig.matrix, sig.dims, [x]))
+                        for x in (0, 1))
     assert abs(est.overlap_ab - truth_ab) <= 4 * est.se_ab
     assert abs(est.overlap_a - truth_a) <= 4 * est.se_a
     assert abs(est.overlap_b - truth_b) <= 4 * est.se_b
@@ -478,7 +474,7 @@ def test_shot_mode_self_overlap_needs_ustat():
                          shots_per_setting=16, seed=26)
     records = run_protocol(rho, rho, cfg)
     est = estimate_self_overlaps(records, cfg, which="rho")
-    truth = rho.purity()
+    truth = hs_inner(rho, rho)
     assert abs(est.overlap_ab - truth) <= 4 * est.se_ab
     # naive plug-in bias at 16 shots would be on the order of 1/16, far
     # outside the band checked above
@@ -490,7 +486,7 @@ def test_exact_mode_self_overlap_matches_purity():
     cfg = ProtocolConfig(local_dim=2, m=1, n=1, n_unitaries=1200, seed=27)
     records = run_protocol(rho, rho, cfg)
     est = estimate_self_overlaps(records, cfg, which="rho")
-    assert abs(est.overlap_ab - rho.purity()) <= 4 * est.se_ab
+    assert abs(est.overlap_ab - hs_inner(rho, rho)) <= 4 * est.se_ab
 
 
 def test_estimation_needs_two_settings():

@@ -1,6 +1,8 @@
 """State factories: closed-form checks and construction invariants."""
 
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from overlapcert import (
     corner_isotropic,
     ghz_noisy,
     ghz_pure,
+    hs_inner,
     isotropic,
     max_entangled,
     random_mixed,
@@ -112,7 +115,7 @@ def test_corner_isotropic_purity_closed_form():
                 + x**2
                 + 2 * (1 - x) * x / ((d - 1) * d)
             )
-            assert abs(rho.purity() - expect) < 1e-12
+            assert abs(hs_inner(rho, rho) - expect) < 1e-12
 
 
 def test_corner_isotropic_affine_in_x():
@@ -361,6 +364,23 @@ def test_random_mixed_rank():
 
 def test_random_pure_normalized():
     assert abs(np.linalg.norm(random_pure((4, 4), seed=1).vec) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("dims", [[1, 2000], [0, 5]])
+@pytest.mark.parametrize("family", ["random-mixed", "random-pure"])
+def test_random_families_check_dims_before_drawing(family, dims):
+    # random-mixed drew the whole state first: [1, 40000] asked for 11.9 GiB
+    # before the 1 was refused, and [0, 5] was refused as "rank 0 outside [1, 0]"
+    spec = StateSpec(family, {"dims": dims})
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=re.escape(
+                f"every subsystem dimension must be >= 2, got {tuple(dims)}")):
+            spec.build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 # ---------------------------------------------------------------------------
