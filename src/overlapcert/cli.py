@@ -79,7 +79,7 @@ def cmd_fig1(d: int, out: str, grid: int = 20, r_max: int = 0) -> int:
     ends = [isotropic(d, 0.0), isotropic(d, 1.0)]
     weights = np.column_stack([1.0 - xs, xs])
     table = overlap_ratio_table(ends, ends, rho_weights=weights, sigma_weights=weights)
-    detected = np.minimum(np.maximum(sn_bound_from_ratio(table) - 1, 0), r_cap)
+    detected = np.minimum(sn_bound_from_ratio(table) - 1, r_cap)
     coords = [repr(x) for x in xs.tolist()]
     rows = [f"{x},{y},{s!r},{r}"
             for x, s_row, r_row in zip(coords, table.tolist(), detected.tolist())
@@ -268,9 +268,8 @@ def cmd_rm_experiment(config: str, out: str, settings: int | None = None,
 
     # no state of either side's dimension has a larger Schmidt number
     cap = min(protocol.d_a, protocol.d_b)
-    bound_point = min(sn_bound_from_ratio(estimate.s), cap) if estimate.reliable else 1
-    bound_2se = (min(sn_bound_from_ratio(estimate.s - 2.0 * estimate.se_s), cap)
-                 if estimate.reliable else 1)
+    bound_point = min(sn_bound_from_ratio(estimate.s), cap)  # 1 if unreliable: s = se_s = 0
+    bound_2se = min(sn_bound_from_ratio(estimate.s - 2.0 * estimate.se_s), cap)
     report = {
         "rho": cfg.rho.to_json(),
         "sigma": cfg.sigma.to_json(),
@@ -419,9 +418,9 @@ def cmd_examples(out: str) -> int:
 @functools.cache  # one parser per process: building it costs about 1 ms
 def _build_parser() -> argparse.ArgumentParser:
     """One subcommand per ``cmd_*`` function (``cmd_rm_experiment`` is
-    ``rm-experiment``), described by its docstring, and one flag per
-    parameter (``r_max`` is ``--r-max``): an int when annotated ``int`` or
-    ``int | None``, else a string, required when it has no default."""
+    ``rm-experiment``), described by its docstring, and one string flag per
+    parameter (``r_max`` is ``--r-max``), required when it has no default;
+    :func:`main` reads each as its JSON key would be read."""
     parser = argparse.ArgumentParser(
         prog="overlapcert", description="Overlap-ratio certification scans and experiments.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -433,7 +432,6 @@ def _build_parser() -> argparse.ArgumentParser:
         for p in inspect.signature(fn).parameters.values():
             default = None if p.default is p.empty else p.default
             cmd.add_argument("--" + p.name.replace("_", "-"), required=p.default is p.empty,
-                             type=int if p.annotation in ("int", "int | None") else str,
                              default=default,
                              help=None if default is None else f"default {default}")
     return parser
@@ -445,8 +443,8 @@ def main(argv=None) -> int:
     command = args.pop("command")
     # looked up when called, so a wrapper set in a command's place (a tracer's, say) runs
     run = globals()["cmd_" + command.replace("-", "_")]
-    try:
-        return run(**args)
+    try:  # a number follows JSON's grammar: "+1_0" is no int, as it is none in a config
+        return _from_json(run, {k: v for k, v in args.items() if v is not None}, "flags")
     except ValueError as err:  # what every check of a flag or a config raises
         parser.error(f"{command}: {err}")
     except OSError as err:  # an output file that cannot be written

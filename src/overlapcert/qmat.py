@@ -150,10 +150,6 @@ class PureVec:
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "vec", v)
 
-    @property
-    def dim(self) -> int:
-        return math.prod(self.dims)
-
     def projector(self) -> QState:
         return _pure_plus_noise(self.dims, self.vec)
 

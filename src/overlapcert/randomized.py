@@ -124,93 +124,84 @@ def _data_fields(cfg: ProtocolConfig) -> tuple[tuple, str]:
 
 @dataclass(frozen=True, eq=False)
 class Records(Sequence):
-    """The outcome data of all settings of one run, as read-only arrays:
-    ``settings`` (N,) in file order, ``unitaries`` (N, m+n, l, l), side A's
-    first, and ``data`` (2, N, D) of rho, then sigma, checked against ``cfg``
-    as it is made, a fault naming the first bad setting and the field:
-    - ``settings`` is a 1-D integer array, ``unitaries`` a complex array of
-      that shape of finite values (these faults name only the field);
-    - the settings are 0..n_unitaries-1, each exactly once;
+    """The outcome data of all settings of one run, as read-only arrays whose
+    row j is setting j: ``unitaries`` (N, m+n, l, l), side A's first, and
+    ``data`` (2, N, D) of rho, then sigma, checked against ``cfg`` as it is
+    made, a fault naming the first bad setting and the field:
+    - N is n_unitaries, ``unitaries`` a complex array of finite values (this
+      fault names only the field);
     - ``data`` is float if ``cfg.exact``, else int64;
     - each row is probabilities (entries >= -``PROB_TOL``, a sum within
       ``PROB_TOL`` of 1), or counts in 0..shots_per_setting summing to it.
     An item is a :class:`MeasurementRecord` of views, a slice a list of them."""
 
     cfg: ProtocolConfig
-    settings: np.ndarray
     unitaries: np.ndarray
     data: np.ndarray
 
     def __post_init__(self):
-        cfg, settings, n = self.cfg, self.settings, self.cfg.n_unitaries
-        if settings.ndim != 1 or settings.dtype.kind != "i":
-            raise ValueError(f"settings must be a 1-D integer array, not {settings.dtype} "
-                             f"of shape {settings.shape}")
-        shape, us = (len(settings), cfg.m + cfg.n, cfg.local_dim, cfg.local_dim), self.unitaries
+        cfg, n, us = self.cfg, self.cfg.n_unitaries, self.unitaries
+        if len(us) != n:  # row j is setting j
+            raise ValueError(f"setting {len(us)} is missing" if len(us) < n else
+                             f"record {n}: setting {n} is not an integer in 0..{n - 1}")
+        shape = (n, cfg.m + cfg.n, cfg.local_dim, cfg.local_dim)
         if us.dtype != complex or us.shape != shape or not np.isfinite(us).all():
             raise ValueError(f"unitaries must be a complex {shape} array of finite values")
-        if (off := (settings < 0) | (settings >= n)).any():
-            j = int(np.argmax(off))
-            raise ValueError(f"record {j}: setting {settings[j]} is not an integer in 0..{n - 1}")
-        ordered = np.sort(settings)  # memory of N settings, not of the n_unitaries claimed
-        if (repeated := ordered[1:] == ordered[:-1]).any():
-            raise ValueError(f"setting {ordered[1:][np.argmax(repeated)]} appears more than once")
-        if len(ordered) < n:  # distinct, so each s below the least missing one sits at index s
-            raise ValueError(f"setting {np.sum(ordered == np.arange(len(ordered)))} is missing")
         (names, fault), shots = _data_fields(cfg), cfg.shots_per_setting
         if self.data.dtype != (np.int64 if shots else float) or self.data.shape != (
                 2, n, cfg.d_a * cfg.d_b):
-            raise ValueError(f"setting {settings[0]}: {names[0]} {fault}")
+            raise ValueError(f"setting 0: {names[0]} {fault}")
         for name, rows in zip(names, self.data):  # reduced along rows: no (N, D) temporary
             low, high, sums = rows.min(axis=1), rows.max(axis=1), rows.sum(axis=1)
             if shots:  # counts in 0..shots, so the sum does not wrap around
-                _fault_at_first((low < 0) | (high > shots), settings, lambda j: f"{name} has a "
+                _fault_at_first((low < 0) | (high > shots), lambda j: f"{name} has a "
                                 f"count {low[j] if low[j] < 0 else high[j]} outside 0..{shots}")
-                _fault_at_first(sums != shots, settings, lambda j: f"{name.split('_')[0]} "
+                _fault_at_first(sums != shots, lambda j: f"{name.split('_')[0]} "
                                 f"counts sum to {sums[j]}, not shots_per_setting {shots}")
             else:  # computed probabilities carry rounding entries of about -1e-17
-                _fault_at_first(low < -PROB_TOL, settings, lambda j: f"{name} has an entry "
+                _fault_at_first(low < -PROB_TOL, lambda j: f"{name} has an entry "
                                 f"{low[j]:.3e} below -{PROB_TOL:g}")
-                _fault_at_first(~(abs(sums - 1.0) <= PROB_TOL), settings,  # a nan sum too
+                _fault_at_first(~(abs(sums - 1.0) <= PROB_TOL),  # a nan sum too
                                 lambda j: f"{name} sums to {float(sums[j])!r}, not 1")
-        for arr in (self.settings, self.unitaries, self.data):  # the table must not go stale
+        for arr in (self.unitaries, self.data):  # the table must not go stale
             arr.flags.writeable = False
 
     def __len__(self) -> int:
-        return len(self.settings)
+        return len(self.unitaries)
 
     def __getitem__(self, j):
         if isinstance(j, slice):
             return [self[k] for k in range(*j.indices(len(self)))]
+        j = range(len(self))[j]  # the setting, an int in 0..N-1
         names, us = _data_fields(self.cfg)[0], tuple(self.unitaries[j])
-        return MeasurementRecord(int(self.settings[j]), us[:self.cfg.m], us[self.cfg.m:],
+        return MeasurementRecord(j, us[:self.cfg.m], us[self.cfg.m:],
                                  **dict(zip(names, self.data[:, j])))
 
     @classmethod
     def of(cls, records, cfg: ProtocolConfig) -> "Records":
-        """``records`` under ``cfg``: a Records made under cfg as it is, any
-        other sequence of :class:`MeasurementRecord` stacked field by field,
-        each record carrying both states' probs if ``cfg.exact``, else counts."""
+        """``records`` under ``cfg``: a Records made under cfg as it is, any other
+        sequence of :class:`MeasurementRecord`, record j of setting j, stacked field
+        by field, each record carrying both states' probs if ``cfg.exact``, else counts."""
         if isinstance(records, Records) and records.cfg == cfg:
             return records
         records, l = list(records), cfg.local_dim
         if not records:
             raise ValueError("there are no records")
+        if misplaced := [(j, rec.setting) for j, rec in enumerate(records) if rec.setting != j]:
+            raise _misplaced(*misplaced[0])
         names, fault = _data_fields(cfg)
-        lacking = [(rec.setting, name) for name in names for rec in records
+        lacking = [(j, name) for name in names for j, rec in enumerate(records)
                    if getattr(rec, name) is None]
         if lacking:
             raise ValueError("setting {} has no {}".format(*lacking[0]))
-        settings = [rec.setting for rec in records]
-        s, a, b, rho, sigma = (  # each field of every record as one checked array
-            _rows([getattr(rec, name) for rec in records], shape, name, settings, fault, dtype)
+        a, b, rho, sigma = (  # each field of every record as one checked array
+            _rows([getattr(rec, name) for rec in records], shape, name, fault, dtype)
             for name, shape, fault, dtype in [
-                ("setting", (), "is not an integer", np.int64),
                 ("unitaries_a", (cfg.m, l, l), f"must be {cfg.m} {l} x {l} unitaries", complex),
                 ("unitaries_b", (cfg.n, l, l), f"must be {cfg.n} {l} x {l} unitaries", complex),
                 *[(name, (cfg.d_a * cfg.d_b,), fault, float if cfg.exact else np.int64)
                   for name in names]])
-        return cls(cfg, s, np.concatenate([a, b], axis=1), np.stack([rho, sigma]))
+        return cls(cfg, np.concatenate([a, b], axis=1), np.stack([rho, sigma]))
 
     @functools.cached_property
     def _dots(self) -> np.ndarray:
@@ -413,7 +404,7 @@ def run_protocol(rho: QState, sigma: QState, cfg: ProtocolConfig) -> Records:
         for u, rng in enumerate(rngs):
             data[0, u] = rng.multinomial(cfg.shots_per_setting, probs[0, u])
             data[1, u] = rng.multinomial(cfg.shots_per_setting, probs[1, u])
-    return Records(cfg, np.arange(cfg.n_unitaries), factors, data)
+    return Records(cfg, factors, data)
 
 
 # Largest dimension l^k of one qudit group's dense kernel factor.  Larger
@@ -576,14 +567,14 @@ def write_records(path, cfg: ProtocolConfig, records) -> None:
         len(records), cfg.m + cfg.n, -1)
     with open(path, "w") as fh:
         fh.write(json.dumps({"protocol": cfg.to_json()}, sort_keys=True) + "\n")
-        for j, setting in enumerate(records.settings.tolist()):
+        for j in range(len(records)):
             if cfg.exact:
                 data = [json.dumps(row) for row in records.data[:, j].tolist()]
             else:  # the nonzero counts, in JSON key order
                 data = ["{" + ", ".join(compress(fmts, row)) % tuple(filter(None, row)) + "}"
                         for row in records.data[:, j, order].tolist()]
             unitaries = floats[j].tolist()
-            fh.write(f'{{"{names[0]}": {data[0]}, "setting": {setting}, '
+            fh.write(f'{{"{names[0]}": {data[0]}, "setting": {j}, '
                      f'"{names[1]}": {data[1]}, "unitaries_a": '
                      f'{json.dumps(unitaries[:cfg.m])}, "unitaries_b": '
                      f'{json.dumps(unitaries[cfg.m:])}}}\n')
@@ -616,11 +607,16 @@ def _off_layout(line: str, record: int, layout) -> ValueError:
     return ValueError(f"{where}: {field} {_OFF}")
 
 
-def _fault_at_first(bad: np.ndarray, settings: list, fault) -> None:
-    """Raise ``fault(j)`` as a fault of the first line j where ``bad`` holds."""
+def _fault_at_first(bad: np.ndarray, fault) -> None:
+    """Raise ``fault(j)`` as a fault of the first setting j where ``bad`` holds."""
     if bad.any():
         j = int(np.argmax(bad))
-        raise ValueError(f"setting {settings[j]}: {fault(j)}")
+        raise ValueError(f"setting {j}: {fault(j)}")
+
+
+def _misplaced(j: int, setting) -> ValueError:
+    """The refusal of record j, which holds ``setting``, not setting j."""
+    return ValueError(f"record {j}: setting {setting} is out of order, not {j}")
 
 
 class _Counts:
@@ -631,20 +627,20 @@ class _Counts:
     def __init__(self, which: str):
         self.which, self.ends, self.csv, self.digits = which, [0], [], []
 
-    def add_written(self, body: str, setting: int) -> None:
-        """Keep a body of '"key": count' pairs joined by ", ", each key and
-        count a digit run; :meth:`decode` finds a run that is empty."""
+    def add_written(self, body: str) -> None:
+        """Keep the next line's body of '"key": count' pairs joined by ", ", each
+        key and count a digit run; :meth:`decode` finds a run that is empty."""
         body = body.encode()
         skeleton = body.translate(None, b"0123456789")
         pairs = skeleton.count(b":")
         csv = body.translate(bytes.maketrans(b":", b","), b'" ')
         if skeleton != (b'"": , ' * pairs)[:-2]:
-            raise ValueError(f"setting {setting}: {self.which}_counts {_OFF}")
+            raise ValueError(f"setting {len(self.csv)}: {self.which}_counts {_OFF}")
         self.csv.append(csv)
         self.ends.append(self.ends[-1] + pairs)
         self.digits.append(len(body) - len(skeleton))
 
-    def decode(self, settings: list) -> None:
+    def decode(self) -> None:
         """Decode the kept bodies with numpy, in one call.  If that does not
         give two numbers a pair, their decimal lengths summing to the digits,
         a line holds an empty number, a leading zero or over 18 digits."""
@@ -658,10 +654,10 @@ class _Counts:
                 numbers.size + sum(np.count_nonzero(numbers >= 10**d)
                                    for d in range(1, len(str(top))))):
             bad = [bool(c) and not all(map(_NUMBER.fullmatch, c.split(b","))) for c in self.csv]
-            _fault_at_first(np.array(bad), settings, lambda j: f"{self.which}_counts {_OFF}")
+            _fault_at_first(np.array(bad), lambda j: f"{self.which}_counts {_OFF}")
         self.keys, self.values = numbers[0::2], numbers[1::2]
 
-    def dense(self, settings: list, total: int, out: np.ndarray) -> None:
+    def dense(self, total: int, out: np.ndarray) -> None:
         """Fill ``out``, a zeroed contiguous (lines, total) int64 block, each
         key checked: in 0..total-1 and named once on its line."""
 
@@ -669,7 +665,7 @@ class _Counts:
             if bad.any():
                 p = int(np.argmax(bad))
                 j = int(np.searchsorted(self.ends, p, side="right")) - 1
-                raise ValueError(f"setting {settings[j]}: {self.which} outcome "
+                raise ValueError(f"setting {j}: {self.which} outcome "
                                  f"{fault(self.keys[p])}")
 
         check(self.keys >= total, lambda k: f"key '{k}' is outside 0..{total - 1}")
@@ -681,8 +677,7 @@ class _Counts:
         flat[cells] = self.values
 
 
-def _rows(rows: list, shape: tuple, name: str, settings: list, fault: str,
-          dtype=float) -> np.ndarray:
+def _rows(rows: list, shape: tuple, name: str, fault: str, dtype=float) -> np.ndarray:
     """Each line's ``name`` as a row of one finite ``dtype`` array of shape
     (lines, *shape); a row of another shape, or not all numbers (integers
     for an integer dtype, no complex ones for a real dtype), is ``fault``."""
@@ -698,38 +693,39 @@ def _rows(rows: list, shape: tuple, name: str, settings: list, fault: str,
     block = array(rows, (len(rows), *shape)) if rows else np.empty((0, *shape))
     if block is None:  # rows that each pass stack to a block that passes
         _fault_at_first(np.array([array(row, shape) is None for row in rows]),
-                        settings, lambda j: f"{name} {fault}")
+                        lambda j: f"{name} {fault}")
     block = block.astype(dtype, copy=False)
-    _fault_at_first(~np.isfinite(block).all(axis=tuple(range(1, block.ndim))), settings,
+    _fault_at_first(~np.isfinite(block).all(axis=tuple(range(1, block.ndim))),
                     lambda j: f"{name} holds a value that is not finite")
     return block
 
 
 def _read_lines(lines, cfg: ProtocolConfig):
-    """(settings, float arrays by field, counts of each state) of the record
-    lines, each checked as it is read: in the writer's layout, each float
-    array read by json; count bodies are decoded once per file and state."""
-    layout = _LAYOUT[cfg.exact]
+    """(float arrays by field, counts of each state) of the record lines, line
+    j checked as it is read: in the writer's layout, holding setting j, one of
+    0..n_unitaries-1, each float array read by json; count bodies are decoded
+    once per file and state."""
+    layout, n = _LAYOUT[cfg.exact], cfg.n_unitaries
     float_groups = {name: g for g, (name, part) in enumerate(layout, 1) if _FLOATS in part}
     fields = {name: [] for name in float_groups}
-    states, settings = [] if cfg.exact else [_Counts("rho"), _Counts("sigma")], []
-    for line in lines:
+    states = [] if cfg.exact else [_Counts("rho"), _Counts("sigma")]
+    for j, line in enumerate(lines):
         if not (match := _WRITTEN[cfg.exact].match(line)):
-            raise _off_layout(line, len(settings), layout)
-        if (setting := int(match[2])) >= cfg.n_unitaries:
-            raise ValueError(f"record {len(settings)}: setting {setting} is "
-                             f"not an integer in 0..{cfg.n_unitaries - 1}")
+            raise _off_layout(line, j, layout)
+        if match[2] != str(j):
+            raise _misplaced(j, match[2])
+        if j >= n:
+            raise ValueError(f"record {j}: setting {j} is not an integer in 0..{n - 1}")
         for i, state in enumerate(states):
-            state.add_written(match[2 * i + 1], setting)
+            state.add_written(match[2 * i + 1])
         for name, rows in fields.items():
             try:  # the class admits texts json refuses, like "[1], [2]"
                 rows.append(json.loads(match[float_groups[name]]))
             except (ValueError, RecursionError):  # the latter: nested too deep
-                raise ValueError(f"setting {setting}: {name} {_OFF}") from None
-        settings.append(setting)
+                raise ValueError(f"setting {j}: {name} {_OFF}") from None
     for state in states:
-        state.decode(settings)
-    return settings, fields, states
+        state.decode()
+    return fields, states
 
 
 def _header(protocol: dict) -> ProtocolConfig:  # a records file's first line
@@ -739,8 +735,8 @@ def _header(protocol: dict) -> ProtocolConfig:  # a records file's first line
 def read_records(path) -> tuple[ProtocolConfig, Records]:
     """Inverse of :func:`write_records`, checked on the way in: the text here,
     the values as every :class:`Records` is.  Every record line must be the
-    writer's bytes, ``json.dumps(obj, sort_keys=True)``: a setting in
-    0..n_unitaries-1, both states' probabilities (exact mode) or counts keyed
+    writer's bytes, ``json.dumps(obj, sort_keys=True)``: line j holds setting
+    j, one of 0..n_unitaries-1, both states' probabilities (exact mode) or counts keyed
     by outcomes, and m and n unitaries, each float array read by json and
     each state's count bodies by numpy once per file.  A fault raises
     ``ValueError`` naming the setting (``record j`` before it is read) and
@@ -749,15 +745,15 @@ def read_records(path) -> tuple[ProtocolConfig, Records]:
     with open(path) as fh:
         cfg = _from_json(_header, _load_json(fh.readline(), "records header"),
                          "records header")
-        settings, fields, states = _read_lines(fh, cfg)
+        fields, states = _read_lines(fh, cfg)
     total, (names, fault) = cfg.d_a * cfg.d_b, _data_fields(cfg)
     l, floats = cfg.local_dim, 2 * cfg.local_dim**2
     unitaries = np.concatenate(
-        [_rows(fields[name], (q, floats), name, settings,
+        [_rows(fields[name], (q, floats), name,
                f"must be a {q} x {floats} array of floats").view(complex).reshape(-1, q, l, l)
          for name, q in (("unitaries_a", cfg.m), ("unitaries_b", cfg.n))], axis=1)
-    data = (np.stack([_rows(fields[name], (total,), name, settings, fault) for name in names])
-            if cfg.exact else np.zeros((2, len(settings), total), dtype=np.int64))
+    data = (np.stack([_rows(fields[name], (total,), name, fault) for name in names])
+            if cfg.exact else np.zeros((2, len(unitaries), total), dtype=np.int64))
     for state, out in zip(states, data):  # shot mode: each state's count bodies
-        state.dense(settings, total, out)
-    return cfg, Records(cfg, np.array(settings, dtype=np.int64), unitaries, data)
+        state.dense(total, out)
+    return cfg, Records(cfg, unitaries, data)

@@ -27,7 +27,7 @@ from overlapcert import (
     sn_bound_from_ratio,
     tilted_entangled,
 )
-from overlapcert import StateSpec, build_density, cli
+from overlapcert import StateSpec, build_density, cli, randomized
 from overlapcert.criteria import _corner_gap_polys
 from overlapcert.cli import (
     _corner_pencil,
@@ -414,6 +414,19 @@ def test_rm_experiment_product_pair_certifies_nothing(tmp_path):
     assert report["sn_bound_minus_2se"] == 1
 
 
+def test_rm_experiment_unreliable_estimate_bounds_nothing(tmp_path, monkeypatch):
+    # no side clears an infinite guard, so s = se_s = 0, and both bounds are 1
+    monkeypatch.setattr(randomized, "SNR_GUARD", math.inf)
+    cfg_path = tmp_path / "cfg.json"
+    write_rm_config(cfg_path, settings=20)
+    out = tmp_path / "report.json"
+    assert main(["rm-experiment", "--config", str(cfg_path), "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert not report["estimate"]["reliable"]
+    assert (report["estimate"]["s"], report["estimate"]["se_s"]) == (0.0, 0.0)
+    assert report["sn_bound_point"] == report["sn_bound_minus_2se"] == 1
+
+
 def test_rm_experiment_deterministic(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     write_rm_config(cfg_path, settings=60, shots=32)
@@ -529,20 +542,20 @@ def test_missing_required_flag_exits_2():
     assert err.value.code == 2
 
 
-# Each command's flags, as (type, default, required): the parser takes them
-# from the cmd_* signatures, so an edit there that changes the command line
-# shows here.
+# Each command's flags, as (default, required): the parser takes them from
+# the cmd_* signatures, so an edit there that changes the command line shows
+# here.  Every flag is a string, read as its parameter's JSON key would be.
 _FLAGS = {
-    "fig1": {"--d": (int, None, True), "--out": (str, None, True),
-             "--grid": (int, 20, False), "--r-max": (int, 0, False)},
-    "fig3": {"--out": (str, None, True), "--d-min": (int, 3, False),
-             "--d-max": (int, 10, False), "--r-max": (int, 5, False)},
-    "rfbc-tightness": {"--out": (str, None, True), "--d-min": (int, 3, False),
-                       "--d-max": (int, 10, False), "--r-max": (int, 4, False)},
-    "rm-experiment": {"--config": (str, None, True), "--out": (str, None, True),
-                      "--settings": (int, None, False), "--shots": (str, None, False),
-                      "--seed": (int, None, False)},
-    "examples": {"--out": (str, None, True)},
+    "fig1": {"--d": (None, True), "--out": (None, True),
+             "--grid": (20, False), "--r-max": (0, False)},
+    "fig3": {"--out": (None, True), "--d-min": (3, False),
+             "--d-max": (10, False), "--r-max": (5, False)},
+    "rfbc-tightness": {"--out": (None, True), "--d-min": (3, False),
+                       "--d-max": (10, False), "--r-max": (4, False)},
+    "rm-experiment": {"--config": (None, True), "--out": (None, True),
+                      "--settings": (None, False), "--shots": (None, False),
+                      "--seed": (None, False)},
+    "examples": {"--out": (None, True)},
 }
 
 
@@ -555,8 +568,9 @@ def test_command_flags():
     commands = _subcommands()
     assert list(commands) == list(_FLAGS)
     for name, expected in _FLAGS.items():
-        assert {a.option_strings[0]: (a.type, a.default, a.required)
-                for a in commands[name]._actions if a.dest != "help"} == expected
+        flags = [a for a in commands[name]._actions if a.dest != "help"]
+        assert {a.option_strings[0]: (a.default, a.required) for a in flags} == expected
+        assert all(a.type is None for a in flags)
 
 
 @pytest.mark.parametrize("name,flags", [
@@ -613,6 +627,26 @@ def test_bad_flag_values_exit_2_and_write_nothing(tmp_path, capsys, argv, messag
     err_text = capsys.readouterr().err
     assert f"error: {argv[0]}: " in err_text and message in err_text
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv,key,text", [
+    (["fig1", "--d", "+1_0", "--grid", "3"], "d", "+1_0"),
+    (["fig1", "--d", "10", "--grid", "\u0663"], "grid", "\u0663"),
+    (["rm-experiment", "--config", "cfg.json", "--settings", " 1_2 "], "settings", " 1_2 "),
+], ids=["plus-underscore", "arabic-digit", "spaces-underscore"])
+def test_number_flags_follow_the_json_grammar(tmp_path, capsys, monkeypatch, argv, key, text):
+    # int() reads all three; a JSON config refuses them, and so does the command line
+    monkeypatch.chdir(tmp_path)
+    write_rm_config(tmp_path / "cfg.json", settings=4, shots=8)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as err:
+        main(argv + ["--out", str(out)])
+    assert err.value.code == 2
+    assert f"error: {argv[0]}: flags: {key} must be an integer, not {text!r}" in (
+        capsys.readouterr().err)
+    assert not out.exists()
+    assert main(["fig1", "--d", "10", "--grid", "2", "--out", str(out)]) == 0
+    assert json.loads(out.read_text().splitlines()[0][len("# config: "):])["d"] == 10
 
 
 def test_fig1_negative_r_max_exits_2(tmp_path, capsys):

@@ -700,8 +700,7 @@ def test_records_roundtrip_exact(tmp_path):
     write_records(path, cfg, records)
     # json.dumps writes each float's shortest repr, so every array reads back
     # to its own bytes
-    _assert_reads_to(read_records(path), (cfg, (records.settings, records.unitaries,
-                                                 records.data)))
+    _assert_reads_to(read_records(path), (cfg, (records.unitaries, records.data)))
 
 
 def test_records_roundtrip_counts(tmp_path):
@@ -833,8 +832,9 @@ def _one_setting(shots, **fields):
     (None, {"sigma_probs": np.array([0.5, 0.5, 0.5, -0.5])},
      r"setting 0: sigma_probs has an entry -5.000e-01 below -1e-09"),
     (None, {"rho_probs": [0.5, 0.5, 0.5, 0.0]}, "setting 0: rho_probs sums to 1.5, not 1"),
-    (5, {"setting": 1}, "setting 1 appears more than once"),
-    (5, {"setting": 2}, "record 1: setting 2 is not an integer in 0..1"),
+    # record j is setting j: a repeated setting or one past the range is out of order
+    (5, {"setting": 1}, "record 0: setting 1 is out of order, not 0"),
+    (5, {"setting": 2}, "record 0: setting 2 is out of order, not 0"),
     (5, {"rho_counts": None, "sigma_counts": None, "rho_probs": np.full(4, 0.25),
          "sigma_probs": np.full(4, 0.25)}, "setting 0 has no rho_counts"),
     (None, {"rho_probs": None, "sigma_probs": None, "rho_counts": np.array([1, 2, 0, 2]),
@@ -846,7 +846,7 @@ def _one_setting(shots, **fields):
         "counts-under-exact"])
 def test_write_records_rejects_malformed_records(tmp_path, shots, fields, message):
     cfg = ProtocolConfig(local_dim=2, m=1, n=1, n_unitaries=2, shots_per_setting=shots)
-    records = [_one_setting(shots, setting=1), _one_setting(shots, **fields)]
+    records = [_one_setting(shots, **fields), _one_setting(shots, setting=1)]
     path = tmp_path / "records.jsonl"
     with pytest.raises(ValueError, match=message):
         write_records(path, cfg, records)
@@ -867,15 +867,22 @@ def test_write_records_rejects_no_records(tmp_path):
     (10, [_one_setting(10, setting=k, rho_counts=np.array([5, -3, 4, 4]),
                        sigma_counts=np.array([10, 0, 0, 0])) for k in range(3)],
      "setting 0: rho_counts has a count -3 outside 0..10"),
-    (5, [_one_setting(5)] * 3, "setting 0 appears more than once"),
+    # record j is setting j: the first record that is not is named
+    (5, [_one_setting(5)] * 3, "record 1: setting 0 is out of order, not 1"),
     (5, [_one_setting(None, setting=k) for k in range(3)], "setting 0 has no rho_counts"),
     (None, [_one_setting(5, setting=k) for k in range(3)], "setting 0 has no rho_probs"),
-    (5, [_one_setting(5, setting=k) for k in (0, 2)], "setting 1 is missing"),
+    (5, [_one_setting(5, setting=k) for k in (0, 1)], "setting 2 is missing"),
+    (5, [_one_setting(5, setting=k) for k in (0, 2)], "record 1: setting 2 is out of order, not 1"),
+    (5, [_one_setting(5, setting=k) for k in range(4)],
+     r"record 3: setting 3 is not an integer in 0\.\.2"),
+    (5, [_one_setting(5, setting=k) for k in (2, 1, 0)],
+     "record 0: setting 2 is out of order, not 0"),
     # numpy read 1.5 as setting 1
     (5, [_one_setting(5, setting=k) for k in (0, 1.5, 2)],
-     "setting 1.5: setting is not an integer"),
+     r"record 1: setting 1\.5 is out of order, not 1"),
 ], ids=["count-negative", "setting-claimed-thrice", "probs-under-shots", "counts-under-exact",
-        "setting-missing", "setting-not-an-integer"])
+        "setting-missing", "setting-skipped", "setting-past-range", "settings-reversed",
+        "setting-not-an-integer"])
 def test_records_lists_are_checked_at_every_entry(tmp_path, shots, records, message):
     cfg = ProtocolConfig(local_dim=2, m=1, n=1, n_unitaries=3, shots_per_setting=shots)
     path = tmp_path / "records.jsonl"
@@ -896,27 +903,31 @@ def test_records_refuses_the_arrays_it_is_made_of():
     eye = np.broadcast_to(np.eye(2, dtype=complex), (3, 2, 2, 2))
     data = np.array([[[1, 2, 0, 2]] * 3, [[5, 0, 0, 0], [6, -1, 0, 0], [5, 0, 0, 0]]])
     with pytest.raises(ValueError, match="setting 1: sigma_counts has a count -1 outside 0..5"):
-        Records(cfg, np.arange(3), eye.copy(), data)
+        Records(cfg, eye.copy(), data)
     with pytest.raises(ValueError, match="setting 0: rho_counts must hold 4 integer counts"):
-        Records(cfg, np.arange(3), eye.copy(), data / 1.0)
+        Records(cfg, eye.copy(), data / 1.0)
     data[1, 1] = [4, 1, 0, 0]
-    records = Records(cfg, np.arange(3), eye.copy(), data)
+    records = Records(cfg, eye.copy(), data)
     assert not records.data.flags.writeable and records[1].sigma_counts.tolist() == [4, 1, 0, 0]
+    assert [rec.setting for rec in records] == [0, 1, 2] and records[-1].setting == 2
     probs = np.full((2, 3, 4), 0.25)
     probs[0, 2, 1] = np.nan
     with pytest.raises(ValueError, match="setting 2: rho_probs sums to nan, not 1"):
-        Records(replace(cfg, shots_per_setting=None), np.arange(3), eye.copy(), probs)
-    # the arrays themselves: settings 1-D integers, unitaries (N, m+n, l, l)
-    # complex and finite; a wrong shape was written to a file the reader refused
-    for settings in (np.arange(3.0), np.arange(3).reshape(3, 1)):
-        with pytest.raises(ValueError, match="settings must be a 1-D integer array"):
-            Records(cfg, settings, eye.copy(), data)
+        Records(replace(cfg, shots_per_setting=None), eye.copy(), probs)
+    # row j is setting j, so there are n_unitaries rows
+    with pytest.raises(ValueError, match="^setting 2 is missing$"):
+        Records(cfg, eye[:2].copy(), data[:, :2])
+    more = np.concatenate([data, data[:, :1]], axis=1)
+    with pytest.raises(ValueError, match=r"^record 3: setting 3 is not an integer in 0\.\.2$"):
+        Records(cfg, np.concatenate([eye, eye[:1]]), more)
+    # the arrays themselves: unitaries (N, m+n, l, l) complex and finite; a
+    # wrong shape was written to a file the reader refused
     nan_u = eye.copy()
     nan_u[1, 0, 0, 0] = np.nan
     for us in (np.zeros((3, 3, 2, 2), complex), eye.real.copy(), nan_u):
         with pytest.raises(ValueError, match=re.escape(
                 "unitaries must be a complex (3, 2, 2, 2) array of finite values")):
-            Records(cfg, np.arange(3), us, data)
+            Records(cfg, us, data)
 
 
 def _assert_same_record(got, want):
@@ -975,15 +986,17 @@ def test_records_rows_are_measurement_records(tmp_path, source, local_dim, m, n,
                                       sigma_probs=rec.sigma_probs)
                     for rec, ref in zip(records, want)]
     else:
-        # a file whose lines are out of setting order reads in file order
         path = tmp_path / "records.jsonl"
         write_records(path, cfg, records)
-        lines = path.read_text().splitlines(keepends=True)
-        path.write_text("".join(lines[:1] + lines[:0:-1]))
         cfg2, records = read_records(path)
         assert cfg2 == cfg
         want = _file_records(path, cfg)
-        assert [rec.setting for rec in want] == list(range(11, -1, -1))
+        # line j holds setting j: a file with its lines reversed is refused at record 0
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:1] + lines[:0:-1]))
+        with pytest.raises(ValueError, match="^record 0: setting 11 is out of order, not 0$"):
+            read_records(path)
+    assert [rec.setting for rec in want] == list(range(12))
     assert isinstance(records, Records) and len(records) == len(want) == 12
     for got, ref in zip(records, want):  # iteration
         _assert_same_record(got, ref)
@@ -1007,7 +1020,7 @@ def test_reestimation_holds_two_blocks():
     rng = np.random.default_rng(5)
     data = rng.multinomial(1000, np.full(dim, 1.0 / dim), size=(2, settings))
     eye = np.broadcast_to(np.eye(2, dtype=complex), (settings, 10, 2, 2)).copy()
-    records = Records(cfg, np.arange(settings), eye, data)
+    records = Records(cfg, eye, data)
     tracemalloc.start()
     try:
         estimate_overlaps(records, cfg)
@@ -1128,12 +1141,19 @@ def _set(line, key, value):
     # named by its record number
     (50, _set(2, "rho_counts", [3, 47]), f"record 1: rho_counts {_OFF}"),
     (50, lambda ls: ls[1].pop("rho_counts"), f"record 0: rho_counts {_OFF}"),
-    (50, _set(3, "setting", 1), "setting 1 appears more than once"),
-    (50, lambda ls: ls.pop(2), "setting 1 is missing"),
+    # line j holds setting j, checked as the line is read; the first line
+    # that does not is named
+    (50, _set(3, "setting", 1), "^record 2: setting 1 is out of order, not 2$"),
+    (50, lambda ls: ls.pop(), "^setting 2 is missing$"),
+    (50, lambda ls: ls.pop(2), "^record 1: setting 2 is out of order, not 1$"),
+    (50, lambda ls: ls.__setitem__(slice(1, None), ls[:0:-1]),
+     "^record 0: setting 2 is out of order, not 0$"),
     # the settings are checked against the file, not counted up to the header's claim
     (50, lambda ls: (ls.pop(), ls[0]["protocol"].update(n_unitaries=10**12)),
      "^setting 2 is missing$"),
-    (50, _set(3, "setting", 3), r"record 2: setting 3 is not an integer in 0..2"),
+    (50, lambda ls: ls.append({**ls[3], "setting": 3}),
+     r"^record 3: setting 3 is not an integer in 0\.\.2$"),
+    (50, _set(3, "setting", 3), "^record 2: setting 3 is out of order, not 2$"),
     (50, _set(3, "setting", True), f"record 2: setting {_OFF}"),
     (None, _set(0, "protocol", {"local_dim": 2, "m": 1, "n": 1}),
      r"missing keys \['n_unitaries'\]"),
@@ -1160,8 +1180,9 @@ def _set(line, key, value):
      r"^records header: unknown keys \['junk'\]; allowed keys are \['protocol'\]$"),
 ], ids=["probs-length", "probs-missing", "unitaries-count", "unitary-length",
         "count-sum", "count-not-integer", "counts-not-object", "counts-missing",
-        "setting-repeated", "setting-missing", "header-claims-more-settings",
-        "setting-past-range", "setting-not-integer",
+        "setting-repeated", "setting-missing", "setting-skipped", "lines-reversed",
+        "header-claims-more-settings", "setting-past-range", "setting-misplaced-past-range",
+        "setting-not-integer",
         "header-key-missing", "header-not-integer", "header-negative-seed", "probs-nan",
         "probs-negative", "probs-sum", "unitary-inf", "unitary-nan-shots",
         "probs-unknown-key", "probs-shot-mode-key", "header-unknown-key",
@@ -1225,9 +1246,10 @@ def _lead_zero(counts):
                        ls[3].pop("sigma_probs")),
      f"^setting 2: sigma_probs {_OFF}$"),
     # each check runs over the whole file in turn and names the first line
-    # it fails: the settings first, key ranges before signs
+    # it fails, key ranges before signs; the setting order is checked as
+    # each line is read, so first
     (50, lambda ls: (_bump(ls[1]["rho_counts"], 1), ls[3].__setitem__("setting", 1)),
-     "setting 1 appears more than once"),
+     "record 2: setting 1 is out of order, not 2"),
     (50, lambda ls: (ls[1]["rho_counts"].update({"3": -1}),
                      ls[3]["rho_counts"].update({"4": 1})),
      f"setting 0: rho_counts {_OFF}"),
@@ -1240,7 +1262,7 @@ def _lead_zero(counts):
     # bodies are decoded, after the last line, and so after any line's fault
     (50, lambda ls: (ls[1]["rho_counts"].update({"0": 10**19 - 1}),
                      ls[2].__setitem__("setting", 7)),
-     "record 1: setting 7 is not an integer in 0..2"),
+     "record 1: setting 7 is out of order, not 1"),
     (50, lambda ls: (_lead_zero(ls[1]["rho_counts"]),
                      ls[3]["unitaries_a"][0].__setitem__(0, True)),
      f"^setting 2: unitaries_a {_OFF}$"),
@@ -1345,20 +1367,20 @@ def _data_names(cfg):
 
 
 def _json_oracle(path):
-    """A file's config and (settings, unitaries, data) arrays, read by
-    json.loads line by line, each count body filled into a dense row."""
+    """A file's config and (unitaries, data) arrays, read by json.loads line
+    by line, each count body filled into a dense row; line j holds setting j."""
     cfg = ProtocolConfig.from_json(json.loads(path.read_text().split("\n", 1)[0])["protocol"])
     recs = _file_records(path, cfg)
-    return cfg, (np.array([rec.setting for rec in recs], dtype=np.int64),
-                 np.array([rec.unitaries_a + rec.unitaries_b for rec in recs]),
+    assert [rec.setting for rec in recs] == list(range(len(recs)))
+    return cfg, (np.array([rec.unitaries_a + rec.unitaries_b for rec in recs]),
                  np.array([[getattr(rec, name) for rec in recs] for name in _data_names(cfg)]))
 
 
 def _assert_reads_to(got, want):
-    """A read's config, settings, unitaries and data are the oracle's, by
-    dtype, shape and bytes."""
+    """A read's config, unitaries and data are the oracle's, by dtype, shape
+    and bytes."""
     assert got[0] == want[0]
-    for name, b in zip(("settings", "unitaries", "data"), want[1]):
+    for name, b in zip(("unitaries", "data"), want[1]):
         a = getattr(got[1], name)
         assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
 
