@@ -30,13 +30,7 @@ from .criteria import (
     partner_sup,
     sn_bound_from_ratio,
 )
-from .multipartite import (
-    _lambda_overlaps,
-    _lambda_r_op,
-    _lambda_value,
-    apply_lambda_map,
-    multipartite_ipc,
-)
+from .multipartite import _cut_overlaps, _lambda_maps, _lambda_overlaps, _lambda_r_op, _lambda_value
 from .qmat import _from_json, _load_json, hs_inner
 from .randomized import ProtocolConfig, estimate_overlaps, run_protocol, write_records
 from .states import (
@@ -327,14 +321,12 @@ def _ghz_threshold(n: int) -> float:
     against |GHZ><GHZ| reaches 0.  The state and so every overlap is affine
     in p, so the margin is the largest of the affine f(p) = f(0) + p (f(1) -
     f(0)) over cuts and sides, and reaches 0 at the smallest -f(0) / slope
-    over the rising ones."""
+    over the rising ones.  ghz_noisy(n, 2, 1.0) is |GHZ><GHZ| bit for bit, so
+    the projector stands for the p = 1 end and is reduced once."""
     sig = ghz_pure(n, 2).projector()
-    ends = []
-    for p in (0.0, 1.0):
-        v = multipartite_ipc(ghz_noisy(n, 2, p), sig)
-        ends.append(np.array([v.global_overlap - side for cut in v.cut_table
-                              for side in (cut.overlap_kept, cut.overlap_rest)]))
-    f0, slope = ends[0], ends[1] - ends[0]
+    overlaps = _cut_overlaps([ghz_noisy(n, 2, 0.0), sig], sig)[1]
+    f0, f1 = overlaps[:, :1] - overlaps[:, 1:]  # each side of each cut, p = 0 and 1
+    slope = f1 - f0
     rising = slope > 0.0
     return float(np.min(-f0[rising] / slope[rising]))
 
@@ -353,14 +345,15 @@ def _example_ghz_thresholds(report: dict, failures: list) -> None:
 def _example_inversion_map(report: dict, failures: list) -> None:
     # ghz_noisy(3, d, p) is affine in p and the map is linear in it, so the
     # overlaps and explicit inner products at p are the (1 - p, p) mixture
-    # of those at p = 0 and p = 1
+    # of those at p = 0 and p = 1; the projector is the p = 1 end bit for bit,
+    # and each end is reduced once and embedded once for all three levels
     rs, worst, level_checks = (1, 2, 3), 0.0, []
     for d in (2, 3, 4):
         sig = ghz_pure(3, d).projector()
-        ends = [ghz_noisy(3, d, p) for p in (0.0, 1.0)]
-        overlaps = np.array([_lambda_overlaps(rho, sig) for rho in ends])
-        explicit = np.array([[hs_inner(apply_lambda_map(rho, r), sig.matrix)
-                              for r in rs] for rho in ends])
+        ends = [ghz_noisy(3, d, 0.0), sig]
+        overlaps = _lambda_overlaps(ends, sig)
+        explicit = np.array([[hs_inner(m, sig.matrix) for m in _lambda_maps(rho, rs)]
+                             for rho in ends])
         for p in (0.2, 0.6, 0.95):
             weights = np.array([1.0 - p, p])
             t, e = (weights @ overlaps).tolist(), (weights @ explicit).tolist()

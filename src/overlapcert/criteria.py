@@ -168,8 +168,11 @@ class PartnerSup:
 
     def certificate(self, r: int) -> PureVec | None:
         """The optimal sigma, larger side first (A on a tie), with the absolute
-        margin Tr[rho sigma] - r Tr[rho_X sigma_X] > ``DEFAULT_TOL``."""
+        margin Tr[rho sigma] - r Tr[rho_X sigma_X] > ``DEFAULT_TOL``; None at
+        r >= min(d_A, d_B), as no state has a larger Schmidt number."""
         r = _level(r)
+        if r >= min(self.vecs[0].dims):
+            return None
         sides = (1, 0) if self.sup_b > self.sup_a else (0, 1)
         return next((self.vecs[x] for x in sides if self.overlaps[x][0]
                      - r * self.overlaps[x][1] > DEFAULT_TOL), None)
@@ -249,7 +252,7 @@ def fbc_witness_value(rho: QState, phi: PureVec, r: int = 1) -> CriterionVerdict
 
     The witness is (sum of the top r squared Schmidt coefficients of phi)
     times the identity, minus |phi><phi|.  A negative expectation value on
-    ``rho`` certifies Schmidt number >= r+1.
+    ``rho`` certifies Schmidt number >= r+1, so none does at r = min(d_A, d_B).
     """
     r = _level(r)
     if rho.dims != phi.dims:
@@ -260,7 +263,7 @@ def fbc_witness_value(rho: QState, phi: PureVec, r: int = 1) -> CriterionVerdict
     top_r = float(np.sum(sd.coeffs[:r]))
     fidelity = float(np.real(phi.vec.conj() @ (rho.matrix @ phi.vec)))
     value = top_r - fidelity
-    detected = value < -DEFAULT_TOL
+    detected = value < -DEFAULT_TOL and r < min(rho.dims)
     return CriterionVerdict(
         values={"witness_value": value, "fidelity": fidelity, "top_r_sum": top_r,
                 "r": float(r)},

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .criteria import DEFAULT_TOL, _level
-from .qmat import QState, _overlaps, _reductions, embed_operator
+from .qmat import QState, _overlap_table, _reductions, embed_operator
 
 # Exhaustive bipartition enumeration is exponential; past this size the
 # scan refuses rather than silently taking hours.
@@ -57,6 +57,19 @@ def bipartitions(n_subsystems: int) -> list[tuple[int, ...]]:
             for mask in range(2 ** (n_subsystems - 1) - 1)]
 
 
+def _cut_overlaps(rhos, sigma: QState):
+    """The cuts of ``bipartitions`` and one row per rho (on sigma's layout) of
+    its overlaps with sigma on the full set, then on each cut's kept side and
+    complement, from one table that reduces each matrix once."""
+    n = len(sigma.dims)
+    cuts = bipartitions(n)
+    kept_sets = [tuple(range(n))]
+    for kept in cuts:
+        kept_sets += [kept, tuple(i for i in range(n) if i not in kept)]
+    table = _overlap_table([rho.matrix for rho in rhos], [sigma.matrix], sigma.dims, kept_sets)
+    return cuts, table[:, :, 0].T
+
+
 def multipartite_ipc(rho: QState, sigma: QState) -> MultiVerdict:
     """The bipartition-scan overlap criterion for n >= 3 parties.
 
@@ -69,11 +82,8 @@ def multipartite_ipc(rho: QState, sigma: QState) -> MultiVerdict:
     n = len(rho.dims)
     if n < 3:
         raise ValueError("use the bipartite criterion for two subsystems")
-    cuts = bipartitions(n)
-    kept_sets = [tuple(range(n))]
-    for kept in cuts:
-        kept_sets += [kept, tuple(i for i in range(n) if i not in kept)]
-    global_overlap, *sides = _overlaps(rho.matrix, sigma.matrix, rho.dims, kept_sets)
+    cuts, overlaps = _cut_overlaps([rho], sigma)
+    global_overlap, *sides = overlaps[0].tolist()
     table = [CutOverlap(kept, sides[2 * i], sides[2 * i + 1])
              for i, kept in enumerate(cuts)]
     best = min(table, key=lambda c: c.min_side)
@@ -96,11 +106,14 @@ def _three_party(rho: QState):
 _LAMBDA_SETS = ((2,), (1, 2), (0, 2), (0, 1, 2))
 
 
-def _lambda_overlaps(rho: QState, sigma: QState) -> list[float]:
-    dims = _three_party(rho)
-    if sigma.dims != dims:
-        raise ValueError(f"dimension mismatch: {dims} vs {sigma.dims}")
-    return _overlaps(rho.matrix, sigma.matrix, dims, _LAMBDA_SETS)
+def _lambda_overlaps(rhos, sigma: QState) -> np.ndarray:
+    """One C-ordered row per rho of its overlaps with sigma on ``_LAMBDA_SETS``,
+    from one table that reduces each matrix once."""
+    for rho in rhos:
+        if sigma.dims != _three_party(rho):
+            raise ValueError(f"dimension mismatch: {rho.dims} vs {sigma.dims}")
+    table = _overlap_table([rho.matrix for rho in rhos], [sigma.matrix], sigma.dims, _LAMBDA_SETS)
+    return table[:, :, 0].T.copy()
 
 
 def _lambda_value(overlaps, r: int) -> float:
@@ -121,18 +134,20 @@ def _lambda_r_op(overlaps) -> int:
     return r_op
 
 
-def apply_lambda_map(rho: QState, r: int = 1) -> np.ndarray:
-    """Explicit matrix of L(rho); the closed form of
-    :func:`lambda_map_verdict` is its cheap twin."""
-    r = _level(r)
+def _lambda_maps(rho: QState, levels) -> list[np.ndarray]:
+    """Explicit matrices of L(rho) at each of ``levels``, from one reduction
+    walk and one embedding of each of rho_C, rho_BC and rho_AC."""
+    levels = [_level(r) for r in levels]
     dims = _three_party(rho)
-    rho_c, rho_bc, rho_ac = _reductions(rho.matrix, dims, _LAMBDA_SETS[:3])
-    return (
-        embed_operator(rho_c, dims, [2])
-        + embed_operator(rho_bc, dims, [1, 2])
-        - embed_operator(rho_ac, dims, [0, 2]) / r
-        - rho.matrix / r
-    )
+    parts = _reductions(rho.matrix, dims, _LAMBDA_SETS[:3])
+    c, bc, ac = (embed_operator(m, dims, kept) for m, kept in zip(parts, _LAMBDA_SETS))
+    return [c + bc - ac / r - rho.matrix / r for r in levels]
+
+
+def apply_lambda_map(rho: QState, r: int = 1) -> np.ndarray:
+    """Explicit matrix of L(rho), the one-level case of :func:`_lambda_maps`;
+    the closed form of :func:`lambda_map_verdict` is its cheap twin."""
+    return _lambda_maps(rho, [r])[0]
 
 
 @dataclass(frozen=True)
@@ -177,7 +192,7 @@ def lambda_map_verdict(rho: QState, sigma: QState, r: int = 1) -> LambdaMapVerdi
     level implies detection at all lower levels.
     """
     r = _level(r)
-    overlaps = _lambda_overlaps(rho, sigma)
+    overlaps = _lambda_overlaps([rho], sigma)[0].tolist()
     value = _lambda_value(overlaps, r)
     return LambdaMapVerdict(r=r, value=value, detected=value < -DEFAULT_TOL,
                             r_op=_lambda_r_op(overlaps))

@@ -336,15 +336,17 @@ def _overlap_table(rhos, sigmas, dims, kept_sets) -> np.ndarray:
     shape (len(kept_sets), len(rhos), len(sigmas)).
 
     The matrices are plain arrays on the layout ``dims``, and the full set
-    gives the global overlap Tr[rho sigma].  Each state is reduced onto
-    every kept set in one :func:`_reductions` walk, the sigmas one at a time.
+    gives the global overlap Tr[rho sigma].  Each distinct matrix (by
+    identity, on either side) is reduced onto every kept set once, in one
+    :func:`_reductions` walk.
     """
-    rho_parts = [_reductions(m, dims, kept_sets) for m in rhos]
+    distinct = {id(m): m for m in [*rhos, *sigmas]}
+    parts = {key: _reductions(m, dims, kept_sets) for key, m in distinct.items()}
     out = np.empty((len(kept_sets), len(rhos), len(sigmas)))
     for j, sigma_m in enumerate(sigmas):
-        for a, sigma_k in enumerate(_reductions(sigma_m, dims, kept_sets)):
-            for i, rho_k in enumerate(rho_parts):
-                out[a, i, j] = _trace_product(rho_k[a], sigma_k)
+        for a, sigma_k in enumerate(parts[id(sigma_m)]):
+            for i, rho_m in enumerate(rhos):
+                out[a, i, j] = _trace_product(parts[id(rho_m)][a], sigma_k)
     return out
 
 

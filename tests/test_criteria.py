@@ -413,6 +413,31 @@ def test_bounds_are_capped_at_the_smaller_dimension():
     assert v.detected
 
 
+def _slack_max_entangled(d, eps=1e-9):
+    # (1 + eps)|Phi_d><Phi_d| - eps|01><01|: its least eigenvalue -eps is
+    # validation slack, so QState takes it, and every overlap sits a few eps
+    # past that of |Phi_d>, whose Schmidt number d is the largest possible
+    phi, e01 = max_entangled(d).projector().matrix, np.zeros((d * d, d * d))
+    e01[1, 1] = 1.0
+    return QState((d, d), (1.0 + eps) * phi - eps * e01)
+
+
+@pytest.mark.parametrize("d,call", [
+    (2, reduction_check),
+    (3, reduction_check),
+    (3, lambda rho, r: fbc_witness_value(rho, max_entangled(rho.dims[0]), r)),
+], ids=["reduction-2x2", "reduction-3x3", "fbc-3x3"])
+def test_no_level_above_the_smaller_dimension_is_certified(d, call):
+    # no state has a Schmidt number above min(d_A, d_B), so nothing certifies
+    # r >= min(d_A, d_B); one level lower the slack state still detects
+    rho = _slack_max_entangled(d)
+    v = call(rho, d)
+    assert not v.detected and v.sn_lower_bound == 1
+    assert partner_sup(rho).certificate(d) is None
+    assert extract_ipc_witness(rho, d) is None
+    assert call(rho, d - 1).sn_lower_bound == d
+
+
 def test_purity_matches_self_ratio_bound():
     rho = isotropic(4, 0.9)
     assert (

@@ -18,6 +18,8 @@ from overlapcert import (
     permute_subsystems_matrix,
     random_mixed,
 )
+from overlapcert.multipartite import _cut_overlaps, _lambda_maps
+from overlapcert.qmat import _reductions, embed_operator
 
 EPS = 1e-9
 
@@ -139,6 +141,32 @@ def test_lambda_closed_form_matches_explicit_matrix():
             closed = lambda_map_verdict(rho, sig, r).value
             explicit = hs_inner(apply_lambda_map(rho, r), sig.matrix)
             assert abs(closed - explicit) < 1e-10
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3, 2), (3, 2, 4)])
+def test_lambda_maps_match_one_build_per_level(dims):
+    # one reduction walk and three embeddings serve every level, each map
+    # bit for bit the one fresh reductions and embeddings build for its level
+    rho = random_mixed(dims, seed=sum(dims))
+    maps = _lambda_maps(rho, (1, 2, 3))
+    for r, got in zip((1, 2, 3), maps):
+        rho_c, rho_bc, rho_ac = _reductions(rho.matrix, dims, [(2,), (1, 2), (0, 2)])
+        want = (embed_operator(rho_c, dims, [2]) + embed_operator(rho_bc, dims, [1, 2])
+                - embed_operator(rho_ac, dims, [0, 2]) / r - rho.matrix / r)
+        assert np.array_equal(got, want)
+        assert np.array_equal(apply_lambda_map(rho, r), want)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_cut_overlaps_of_several_rhos_are_each_scan_table(n):
+    sig = ghz_pure(n, 2).projector()
+    rhos = [ghz_noisy(n, 2, 0.0), random_mixed((2,) * n, seed=n), sig]
+    cuts, table = _cut_overlaps(rhos, sig)
+    assert cuts == bipartitions(n)
+    for rho, row in zip(rhos, table.tolist()):
+        verdict = multipartite_ipc(rho, sig)
+        assert row == [verdict.global_overlap] + [
+            side for cut in verdict.cut_table for side in (cut.overlap_kept, cut.overlap_rest)]
 
 
 def test_lambda_explicit_matches_single_site_oracle():

@@ -20,6 +20,7 @@ from overlapcert import (
     schmidt_decompose,
     tensor,
 )
+from overlapcert import qmat
 from overlapcert.multipartite import bipartitions
 from overlapcert.multipartite import apply_lambda_map
 from overlapcert.qmat import (_from_json, _load_json, _overlap_table, _overlaps, _reductions,
@@ -370,6 +371,23 @@ def test_reductions_match_einsum_and_share_traces(dims, monkeypatch):
     calls.clear()
     grad()
     assert len(calls) == 2
+
+
+def test_overlap_table_reduces_each_matrix_once(monkeypatch):
+    # a matrix on both sides, or twice on one, is reduced once per call, and
+    # the table is bit for bit the one an equal copy on the other side gives
+    dims, kept_sets = (2, 3, 2), _all_kept_sets(3)
+    a, b = (random_mixed(dims, seed=s).matrix for s in (1, 2))
+    cases = [([a, b, a], [a, b]), ([a], [a]), ([b], [a, b, a])]
+    expected = [_overlap_table(rhos, [m.copy() for m in sigmas], dims, kept_sets)
+                for rhos, sigmas in cases]
+    calls, reductions = [], qmat._reductions
+    monkeypatch.setattr(qmat, "_reductions",
+                        lambda m, *rest: calls.append(id(m)) or reductions(m, *rest))
+    for (rhos, sigmas), want in zip(cases, expected):
+        calls.clear()
+        assert np.array_equal(_overlap_table(rhos, sigmas, dims, kept_sets), want)
+        assert sorted(calls) == sorted({id(m) for m in rhos + sigmas})
 
 
 def test_overlap_table_rejects_imaginary_trace():

@@ -269,6 +269,12 @@ def test_ghz_pure_projector_limit():
     )
 
 
+@pytest.mark.parametrize("n,d", [(3, 2), (4, 2), (5, 2), (3, 3), (3, 4)])
+def test_ghz_noisy_at_one_is_the_projector_bit_for_bit(n, d):
+    # the examples pass the projector for the p = 1 end of ghz_noisy(n, d, p)
+    assert np.array_equal(ghz_noisy(n, d, 1.0).matrix, ghz_pure(n, d).projector().matrix)
+
+
 def test_ghz_fidelity_closed_form():
     for n, d in [(2, 2), (3, 2), (3, 3)]:
         for p in (0.0, 0.4, 1.0):
