@@ -30,7 +30,16 @@ SCHMIDT_CUTOFF = 1e-12
 
 
 def _as_dims(dims) -> tuple[int, ...]:
-    out = tuple(int(d) for d in dims)
+    """``dims`` as ints, each an integral number (no bool or string) and >= 2."""
+    dims = tuple(dims)
+    for d in dims:
+        try:  # 2.5, "2" and True are not
+            integral = int(d) == d and not isinstance(d, (bool, np.bool_))
+        except (TypeError, ValueError, OverflowError):  # inf, nan, "x", None
+            integral = False
+        if not integral:
+            raise ValueError(f"every subsystem dimension must be an integer, not {d!r}")
+    out = tuple(map(int, dims))
     if not out:
         raise ValueError("dims must be nonempty")
     if any(d < 2 for d in out):
@@ -117,6 +126,8 @@ class QState:
     def __post_init__(self):
         dims = _as_dims(self.dims)
         m = _square(np.array(self.matrix, dtype=complex), dims)
+        if not np.isfinite(m).all():  # NaN would pass every check below
+            raise ValueError("matrix has an entry that is not finite")
         if np.abs(m - m.conj().T).max() > HERM_TOL:
             raise ValueError("matrix is not Hermitian within tolerance")
         if abs(np.trace(m).real - 1.0) > TRACE_TOL or abs(np.trace(m).imag) > TRACE_TOL:
@@ -144,6 +155,8 @@ class PureVec:
         v = np.array(self.vec, dtype=complex).ravel()
         if v.shape != (math.prod(dims),):
             raise ValueError(f"vector length {v.shape} does not match dims {dims}")
+        if not np.isfinite(v).all():
+            raise ValueError("vector has an entry that is not finite")
         if abs(np.linalg.norm(v) - 1.0) > NORM_TOL:
             raise ValueError("vector is not normalized")
         v.flags.writeable = False
@@ -159,8 +172,9 @@ def _pure_plus_noise(dims, vec, b: float = 1.0, c: float = 0.0) -> QState:
     and trace b + cD check it without an eigensolve; (v, b, c) stay on it."""
     dims, v = _as_dims(dims), np.array(vec, dtype=complex).ravel()
     side = math.prod(dims)
-    if v.shape != (side,) or abs(np.linalg.norm(v) - 1.0) > NORM_TOL:
-        raise ValueError(f"vector of shape {v.shape} is not a unit vector on dims {dims}")
+    if v.shape != (side,) or not np.isfinite(v).all() or abs(np.linalg.norm(v) - 1.0) > NORM_TOL:
+        raise ValueError(f"vector of shape {v.shape} is not a unit vector of finite entries "
+                         f"on dims {dims}")
     if min(c, b + c) < -PSD_TOL or abs(b + c * side - 1.0) > TRACE_TOL:
         raise ValueError(f"b={b}, c={c} give eigenvalues {b + c} and {c} and trace "
                          f"{b + c * side}: not a state within tolerance")

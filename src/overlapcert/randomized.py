@@ -582,7 +582,7 @@ def write_records(path, cfg: ProtocolConfig, records) -> None:
 
 # A record line as write_records writes it in each mode, field by field: a
 # float array holds only what json.dumps writes for finite floats (no true,
-# false, null, NaN or Infinity) and is read by json, a count body by _Counts.
+# false, null, NaN or Infinity) and is read by json, a count body by numpy.
 _FLOATS = r"(\[[-+.0-9e\[\], ]*\])"
 _LAYOUT = {exact: ((rho, rf'\{{"{rho}": {body}, '),
                    ("setting", r'"setting": (0|[1-9][0-9]{0,17}), '),
@@ -595,6 +595,7 @@ _WRITTEN = {exact: re.compile("".join(part for _, part in layout))
             for exact, layout in _LAYOUT.items()}
 _OFF = "is not in the writer's layout"
 _NUMBER = re.compile(rb"0|[1-9][0-9]{0,17}")  # a key or count as the writer writes it
+_CSV = bytes.maketrans(b":", b",")  # a count body's pairs as CSV, once '"' and ' ' go
 
 
 def _off_layout(line: str, record: int, layout) -> ValueError:
@@ -619,62 +620,38 @@ def _misplaced(j: int, setting) -> ValueError:
     return ValueError(f"record {j}: setting {setting} is out of order, not {j}")
 
 
-class _Counts:
-    """One state's count bodies in the writer's layout, kept line by line as
-    CSV bytes and decoded once per file: line j's keys and counts are then
-    ``keys[ends[j]:ends[j + 1]]`` and the same slice of ``values``."""
+def _decode_counts(which: str, bodies: list, total: int, out: np.ndarray) -> None:
+    """Fill ``out``, a zeroed contiguous (lines, total) int64 block, from each
+    line's count body as CSV bytes, its keys and counts in turn, each a digit
+    run.  numpy decodes them all in one call; then each number is checked as
+    the writer writes it (not empty, no leading zero, at most 18 digits) and
+    each key in 0..total-1 and named once on its line."""
+    csv = b",".join(filter(None, bodies))  # a body with no pairs adds no comma
+    try:  # ",," is an empty number: numpy < 2 warns and reads the numbers before it
+        numbers = np.fromstring(csv, dtype=np.int64, sep=",")
+    except (ValueError, DeprecationWarning):  # the warning, if warnings are errors
+        numbers = np.empty(0, dtype=np.int64)
+    pairs = [(body.count(b",") + 1) // 2 for body in bodies]  # 2p - 1 commas a body
+    size = 2 * sum(pairs)  # so the CSV holds size - 1 commas, if any, and the rest digits
+    top = numbers.max(initial=0)  # the lengths: 1 each, +1 per power of 10 reached
+    if numbers.size != size or top >= 10**18 or len(csv) - max(size - 1, 0) != (
+            numbers.size + sum(np.count_nonzero(numbers >= 10**d)
+                               for d in range(1, len(str(top))))):
+        bad = [bool(body) and not all(map(_NUMBER.fullmatch, body.split(b","))) for body in bodies]
+        _fault_at_first(np.array(bad), lambda j: f"{which}_counts {_OFF}")
+    keys, rows = numbers[0::2], np.repeat(np.arange(len(bodies)), pairs)
 
-    def __init__(self, which: str):
-        self.which, self.ends, self.csv, self.digits = which, [0], [], []
+    def check(bad, fault):  # a fault of the first pair where bad holds
+        if bad.any():
+            p = int(np.argmax(bad))
+            raise ValueError(f"setting {rows[p]}: {which} outcome {fault(keys[p])}")
 
-    def add_written(self, body: str) -> None:
-        """Keep the next line's body of '"key": count' pairs joined by ", ", each
-        key and count a digit run; :meth:`decode` finds a run that is empty."""
-        body = body.encode()
-        skeleton = body.translate(None, b"0123456789")
-        pairs = skeleton.count(b":")
-        csv = body.translate(bytes.maketrans(b":", b","), b'" ')
-        if skeleton != (b'"": , ' * pairs)[:-2]:
-            raise ValueError(f"setting {len(self.csv)}: {self.which}_counts {_OFF}")
-        self.csv.append(csv)
-        self.ends.append(self.ends[-1] + pairs)
-        self.digits.append(len(body) - len(skeleton))
-
-    def decode(self) -> None:
-        """Decode the kept bodies with numpy, in one call.  If that does not
-        give two numbers a pair, their decimal lengths summing to the digits,
-        a line holds an empty number, a leading zero or over 18 digits."""
-        csv = b",".join(filter(None, self.csv))  # a body with no pairs adds no comma
-        try:  # ",," is an empty number: numpy < 2 warns and reads the numbers before it
-            numbers = np.fromstring(csv, dtype=np.int64, sep=",")
-        except (ValueError, DeprecationWarning):  # the warning, if warnings are errors
-            numbers = np.empty(0, dtype=np.int64)
-        top = numbers.max(initial=0)  # the lengths: 1 each, +1 per power of 10 reached
-        if numbers.size != 2 * self.ends[-1] or top >= 10**18 or sum(self.digits) != (
-                numbers.size + sum(np.count_nonzero(numbers >= 10**d)
-                                   for d in range(1, len(str(top))))):
-            bad = [bool(c) and not all(map(_NUMBER.fullmatch, c.split(b","))) for c in self.csv]
-            _fault_at_first(np.array(bad), lambda j: f"{self.which}_counts {_OFF}")
-        self.keys, self.values = numbers[0::2], numbers[1::2]
-
-    def dense(self, total: int, out: np.ndarray) -> None:
-        """Fill ``out``, a zeroed contiguous (lines, total) int64 block, each
-        key checked: in 0..total-1 and named once on its line."""
-
-        def check(bad, fault):  # a fault of the first pair where bad holds
-            if bad.any():
-                p = int(np.argmax(bad))
-                j = int(np.searchsorted(self.ends, p, side="right")) - 1
-                raise ValueError(f"setting {j}: {self.which} outcome "
-                                 f"{fault(self.keys[p])}")
-
-        check(self.keys >= total, lambda k: f"key '{k}' is outside 0..{total - 1}")
-        flat = out.reshape(-1)
-        cells = np.repeat(np.arange(0, flat.size, total), np.diff(self.ends))
-        cells += self.keys
-        np.add.at(flat, cells, 1)
-        check(flat[cells] > 1, lambda k: f"{k} is named by two keys, '{k}' and '{k}'")
-        flat[cells] = self.values
+    check(keys >= total, lambda k: f"key '{k}' is outside 0..{total - 1}")
+    flat = out.reshape(-1)
+    cells = rows * total + keys
+    np.add.at(flat, cells, 1)
+    check(flat[cells] > 1, lambda k: f"{k} is named by two keys, '{k}' and '{k}'")
+    flat[cells] = numbers[1::2]
 
 
 def _rows(rows: list, shape: tuple, name: str, fault: str, dtype=float) -> np.ndarray:
@@ -701,14 +678,15 @@ def _rows(rows: list, shape: tuple, name: str, fault: str, dtype=float) -> np.nd
 
 
 def _read_lines(lines, cfg: ProtocolConfig):
-    """(float arrays by field, counts of each state) of the record lines, line
-    j checked as it is read: in the writer's layout, holding setting j, one of
-    0..n_unitaries-1, each float array read by json; count bodies are decoded
-    once per file and state."""
+    """(float arrays by field, (2, N, D) counts in shot mode) of the record
+    lines, line j checked as it is read: in the writer's layout, holding
+    setting j, one of 0..n_unitaries-1, each float array read by json and each
+    count body's punctuation that of '"key": count' pairs; then each state's
+    count bodies are decoded at once."""
     layout, n = _LAYOUT[cfg.exact], cfg.n_unitaries
     float_groups = {name: g for g, (name, part) in enumerate(layout, 1) if _FLOATS in part}
     fields = {name: [] for name in float_groups}
-    states = [] if cfg.exact else [_Counts("rho"), _Counts("sigma")]
+    bodies = [] if cfg.exact else [[], []]
     for j, line in enumerate(lines):
         if not (match := _WRITTEN[cfg.exact].match(line)):
             raise _off_layout(line, j, layout)
@@ -716,16 +694,22 @@ def _read_lines(lines, cfg: ProtocolConfig):
             raise _misplaced(j, match[2])
         if j >= n:
             raise ValueError(f"record {j}: setting {j} is not an integer in 0..{n - 1}")
-        for i, state in enumerate(states):
-            state.add_written(match[2 * i + 1])
+        for name, found, body in zip(_DATA[False], bodies, match.group(1, 3)):
+            skeleton = (body := body.encode()).translate(None, b"0123456789")
+            # p pairs leave 6p - 2 bytes of punctuation; digits alone are no pair
+            if skeleton != (b'"": , ' * ((len(skeleton) + 2) // 6))[:-2] or body and not skeleton:
+                raise ValueError(f"setting {j}: {name} {_OFF}")
+            found.append(body.translate(_CSV, b'" '))
         for name, rows in fields.items():
             try:  # the class admits texts json refuses, like "[1], [2]"
                 rows.append(json.loads(match[float_groups[name]]))
             except (ValueError, RecursionError):  # the latter: nested too deep
                 raise ValueError(f"setting {j}: {name} {_OFF}") from None
-    for state in states:
-        state.decode()
-    return fields, states
+    total = cfg.d_a * cfg.d_b
+    counts = np.zeros((len(bodies), len(fields["unitaries_a"]), total), dtype=np.int64)
+    for name, found, out in zip(("rho", "sigma"), bodies, counts):
+        _decode_counts(name, found, total, out)
+    return fields, counts
 
 
 def _header(protocol: dict) -> ProtocolConfig:  # a records file's first line
@@ -745,7 +729,7 @@ def read_records(path) -> tuple[ProtocolConfig, Records]:
     with open(path) as fh:
         cfg = _from_json(_header, _load_json(fh.readline(), "records header"),
                          "records header")
-        fields, states = _read_lines(fh, cfg)
+        fields, counts = _read_lines(fh, cfg)
     total, (names, fault) = cfg.d_a * cfg.d_b, _data_fields(cfg)
     l, floats = cfg.local_dim, 2 * cfg.local_dim**2
     unitaries = np.concatenate(
@@ -753,7 +737,5 @@ def read_records(path) -> tuple[ProtocolConfig, Records]:
                f"must be a {q} x {floats} array of floats").view(complex).reshape(-1, q, l, l)
          for name, q in (("unitaries_a", cfg.m), ("unitaries_b", cfg.n))], axis=1)
     data = (np.stack([_rows(fields[name], (total,), name, fault) for name in names])
-            if cfg.exact else np.zeros((2, len(unitaries), total), dtype=np.int64))
-    for state, out in zip(states, data):  # shot mode: each state's count bodies
-        state.dense(total, out)
+            if cfg.exact else counts)
     return cfg, Records(cfg, unitaries, data)

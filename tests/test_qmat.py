@@ -112,6 +112,44 @@ def test_purevec_rejects_unnormalized():
         PureVec((2,), np.array([1.0, 1.0]))
 
 
+@pytest.mark.parametrize("build", [
+    lambda: QState((2,), [[math.nan, 0], [0, 1]]),
+    lambda: QState((2,), [[0.5, math.nan], [math.nan, 0.5]]),
+    lambda: QState((2,), [[0.5, math.inf], [math.inf, 0.5]]),
+    lambda: PureVec((2,), [math.nan, 1]),
+], ids=["nan-diagonal", "nan-off-diagonal", "inf-off-diagonal", "nan-vector"])
+def test_states_refuse_an_entry_that_is_not_finite(build):
+    # every other check is a comparison that NaN never satisfies, so each of
+    # these was built and read downstream as an undetected state
+    with pytest.raises(ValueError, match="has an entry that is not finite"):
+        build()
+
+
+@pytest.mark.parametrize("vec", [[math.nan, 1.0], [math.inf, 0.0]], ids=["nan", "inf"])
+def test_pure_plus_noise_refuses_a_vector_that_is_not_finite(vec):
+    with pytest.raises(ValueError, match="is not a unit vector of finite entries"):
+        qmat._pure_plus_noise((2,), vec)
+
+
+@pytest.mark.parametrize("dims, entry", [
+    ((2.9, 2.2), "2.9"), ((2.5, 2), "2.5"), (("2", "2"), "'2'"), ((True, 2), "True"),
+], ids=["2.9", "2.5", "string", "bool"])
+@pytest.mark.parametrize("build", [
+    lambda dims: QState(dims, np.eye(4) / 4),
+    lambda dims: PureVec(dims, np.eye(4)[0]),
+], ids=["QState", "PureVec"])
+def test_dims_take_only_integral_numbers(build, dims, entry):
+    # int() read each of these as (2, 2), or True as 1
+    with pytest.raises(ValueError, match=re.escape(
+            f"every subsystem dimension must be an integer, not {entry}")):
+        build(dims)
+
+
+def test_dims_take_integral_numbers_of_any_type():
+    dims = QState((2.0, np.int64(2)), np.eye(4) / 4).dims
+    assert dims == (2, 2) and all(type(d) is int for d in dims)
+
+
 def test_state_matrices_are_immutable():
     s = random_mixed((2, 2), seed=3)
     with pytest.raises(ValueError):

@@ -1280,6 +1280,74 @@ def test_read_records_orders_faults_on_two_lines(tmp_path, shots, edit, message)
         read_records(_write_lines(path, lines))
 
 
+def _in_body(which, text):
+    """An edit of a written line: ``text`` put in front of ``which``'s count body."""
+    return lambda line: line.replace(f'"{which}_counts": {{', f'"{which}_counts": {{{text}', 1)
+
+
+def _lead_zero_count(which):
+    """An edit of a written line: a 0 put in front of the first count of
+    ``which``'s body."""
+    return lambda line: re.sub(rf'("{which}_counts": {{"[0-9]+": )', r"\g<1>0", line, count=1)
+
+
+def _short_unitary(line):
+    """An edit of a written line: its first side-A unitary one float short."""
+    obj = json.loads(line)
+    obj["unitaries_a"][0].pop()
+    return json.dumps(obj, sort_keys=True) + "\n"
+
+
+def _edited_file(tmp_path, edits):
+    """A shot-mode records file whose written line j is ``edits[j]`` of itself."""
+    path = tmp_path / "records.jsonl"
+    _records_lines(path, 50)
+    lines = path.read_text().splitlines(keepends=True)
+    for j, edit in edits.items():
+        edited = edit(lines[j])
+        assert edited != lines[j]
+        lines[j] = edited
+    path.write_text("".join(lines))
+    return path
+
+
+@pytest.mark.parametrize("which", ["rho", "sigma"])
+@pytest.mark.parametrize("edits", [
+    # a key outside 0..3 at setting 0 and a leading-zero count at setting 1:
+    # a state's bodies are decoded over the whole file before its keys are
+    # checked, so the later line is named
+    lambda which: {1: _in_body(which, '"4": 1, '), 2: _lead_zero_count(which)},
+    # punctuation off at setting 1 and a leading-zero count at setting 2: the
+    # punctuation is checked as the line is read, so the earlier line is named
+    lambda which: {2: _in_body(which, '"0":1, '), 3: _lead_zero_count(which)},
+], ids=["decode-before-keys", "punctuation-as-read"])
+def test_read_records_names_the_count_fault_found_first(tmp_path, which, edits):
+    with pytest.raises(ValueError, match=f"^setting 1: {which}_counts {_OFF}$"):
+        read_records(_edited_file(tmp_path, edits(which)))
+
+
+@pytest.mark.parametrize("edits,message", [
+    ({1: _in_body("rho", '"4": 1, '), 2: _lead_zero_count("sigma")},
+     "setting 0: rho outcome key '4' is outside 0..3"),
+    ({1: _short_unitary, 2: _in_body("rho", '"4": 1, ')},
+     "setting 1: rho outcome key '4' is outside 0..3"),
+], ids=["rho-before-sigma", "counts-before-unitaries"])
+def test_read_records_checks_each_state_counts_whole_and_first(tmp_path, edits, message):
+    # rho's bodies are decoded and their keys checked before sigma's, and
+    # both before the float arrays' shapes and values
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        read_records(_edited_file(tmp_path, edits))
+
+
+@pytest.mark.parametrize("body", ["0", "7", "123"])
+def test_read_records_refuses_a_count_body_of_digits_alone(tmp_path, body):
+    # a body of one number has no pair, so it is off the layout at its own
+    # line, not read as a key of the next line's pairs
+    edit = {2: lambda line: re.sub(r'"rho_counts": \{[^}]*\}', f'"rho_counts": {{{body}}}', line)}
+    with pytest.raises(ValueError, match=f"^setting 1: rho_counts {_OFF}$"):
+        read_records(_edited_file(tmp_path, edit))
+
+
 @pytest.mark.parametrize("shots", [None, 50])
 def test_read_records_of_a_header_alone_names_setting_0(tmp_path, shots):
     path = tmp_path / "records.jsonl"
